@@ -40,8 +40,12 @@ lint:
 build:
 	$(GO) build ./...
 
+# The benchmark driver is a nested module (bench/, module repro/bench)
+# that `./...` does not reach; vet and short-test it here so a serve
+# API change that breaks it fails tier-1, not the benchmark run.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Whole suite under the race detector — the event-domain batch paths
 # (PerturbSet, FilterSet, ParallelFor fan-out) run concurrently and any

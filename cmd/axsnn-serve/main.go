@@ -68,21 +68,19 @@
 //
 //	axsnn-serve -load [-addr host:7360] [-sessions 8] [-recordings 4]
 //	            [-segments 6] [-window 600] [-seed N] [-credit-window 64]
-//	            [-dial-timeout 10s] [-int8] [-private-batch] [-legacy]
+//	            [-dial-timeout 10s] [-int8] [-private-batch]
 //	            [-metrics host:7361]
 //
 // Opens -sessions concurrent sessions, streams -recordings synthetic
 // multi-gesture flows on each, checks the protocol invariants (window
 // order, declared counts) and reports aggregate windows/s. Sessions
 // negotiate their config via the hello handshake: -credit-window sets
-// the result window (negative disables credit flow), -private-batch
+// the result window (a negative window is rejected), -private-batch
 // opts every generator session out of the server's shared scheduler,
-// -int8 requests the quantized INT8 precision tier (the server refuses
-// the hello if the served model carries no int8 panels), and -legacy
-// drives the pre-handshake bit-latching protocol instead — the
-// regression path. The generator points at a server or a router
-// unchanged; with -metrics the metrics endpoint is fetched and printed
-// after the run.
+// and -int8 requests the quantized INT8 precision tier (the server
+// refuses the hello if the served model carries no int8 panels). The
+// generator points at a server or a router unchanged; with -metrics
+// the metrics endpoint is fetched and printed after the run.
 package main
 
 import (
@@ -143,11 +141,10 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "windows per shared classifier batch (0 = 16)")
 	tickInterval := flag.Duration("tick-interval", 0, "how long a shared batch accumulates before classifying (0 = greedy)")
 	fairShare := flag.Int("fair-share", 0, "max windows one session takes per shared batch (0 = max-batch/4)")
-	creditWindow := flag.Int("credit-window", 0, "result credits a -load session keeps granted (0 = 64 default, negative disables credit flow)")
+	creditWindow := flag.Int("credit-window", 0, "result credits a -load session keeps granted (0 = 64 default)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "-load connection timeout (0 = 10s default)")
 	privateBatch := flag.Bool("private-batch", false, "-load sessions opt out of the server's shared scheduler")
 	int8Tier := flag.Bool("int8", false, "-load sessions request the quantized INT8 precision tier")
-	legacy := flag.Bool("legacy", false, "-load sessions speak the pre-handshake bit-latching protocol")
 	adminSwap := flag.Bool("admin-swap", false, "allow the frameSwap checkpoint RPC on client connections (required on routed replicas)")
 	route := flag.String("route", "", "comma-separated replica addresses; run as router front tier instead of server")
 	spawn := flag.Bool("spawn", false, "router spawns and supervises one replica subprocess per -route address")
@@ -159,23 +156,21 @@ func main() {
 	gcfg.Duration = *window
 
 	if *loadMode {
-		cw := *creditWindow
-		if cw < 0 {
-			cw = serve.Creditless
-		}
 		cfg := serve.SessionConfig{
 			PrivateBatch: *privateBatch,
-			CreditWindow: cw,
+			CreditWindow: *creditWindow,
 		}
 		if *int8Tier {
 			cfg.Tier = snn.TierINT8
 		}
 		copts := serve.ClientOptions{
 			Config:       cfg,
-			Legacy:       *legacy,
 			DialTimeout:  *dialTimeout,
 			IdleTimeout:  *idleTimeout,
 			WriteTimeout: *writeTimeout,
+		}
+		if err := copts.Validate(); err != nil {
+			log.Fatal(err)
 		}
 		runLoad(*addr, *sessions, *recordings, *segments, gcfg, *seed, copts)
 		if *metricsAddr != "" {

@@ -12,7 +12,7 @@ import (
 // PrecisionTiers pins the serving-tier contract on the gesture fixture:
 // the quantized INT8 inference path (per-channel int8 weight panels
 // with int32 accumulation — snn.TierINT8, what a serve session requests
-// with modeInt8) must track the exact FP32 classifier within a small
+// in its hello) must track the exact FP32 classifier within a small
 // accuracy delta, and the energy model prices the synaptic work behind
 // the per-session SOP accounting the serve protocol reports. The delta
 // bound itself is pinned by the test suite.

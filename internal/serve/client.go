@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/snn"
 	"repro/internal/stream"
 )
 
@@ -29,16 +28,10 @@ type ClientOptions struct {
 	// Config is the session configuration to negotiate: private
 	// batching, precision tier, credit window, protocol version. Zero
 	// values mean defaults (see SessionConfig); invalid values — a
-	// credit window below Creditless, an unknown tier, a version this
-	// build cannot speak — are reported as errors by the first Client
-	// call, never silently clamped.
+	// negative credit window, an unknown tier, a version this build
+	// cannot speak — are reported as errors by the first Client call,
+	// never silently clamped.
 	Config SessionConfig
-	// Legacy skips the hello handshake and speaks the pre-PR10 wire
-	// protocol: mode bits latched via frameMode, credit flow switched
-	// on implicitly by the first frameCredit. Config still supplies the
-	// settings; only their encoding changes. Kept as a first-class
-	// option so the bit-latching fallback stays regression-tested.
-	Legacy bool
 	// DialTimeout bounds Dial. 0 uses DefaultDialTimeout, negative
 	// disables.
 	DialTimeout time.Duration
@@ -65,10 +58,9 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	pbuf []byte
-	o    ClientOptions
-	// cfg is the resolved session config (wire form: CreditWindow 0
-	// means creditless), err a construction-time validation failure
-	// surfaced by the first call that would touch the wire.
+	// cfg is the resolved session config (wire form), err a
+	// construction-time validation failure surfaced by the first call
+	// that would touch the wire.
 	cfg SessionConfig
 	err error
 
@@ -89,8 +81,8 @@ type Client struct {
 	accepted   bool
 
 	// lastSOPs is the total estimated synaptic-operation count the
-	// server reported for the most recent recording (0 from a
-	// pre-energy server). Read via LastSOPs after Stream returns.
+	// server reported for the most recent recording. Read via LastSOPs
+	// after Stream returns.
 	lastSOPs float64
 }
 
@@ -108,7 +100,7 @@ func NewClientOptions(conn net.Conn, o ClientOptions) *Client {
 	o.IdleTimeout = normTimeout(o.IdleTimeout, DefaultIdleTimeout)
 	o.WriteTimeout = normTimeout(o.WriteTimeout, DefaultWriteTimeout)
 	dc := &deadlineConn{conn: conn, idle: o.IdleTimeout, write: o.WriteTimeout}
-	c := &Client{conn: conn, br: bufio.NewReader(dc), fw: newFrameWriter(dc), o: o}
+	c := &Client{conn: conn, br: bufio.NewReader(dc), fw: newFrameWriter(dc)}
 	if err := o.Validate(); err != nil {
 		c.err = err
 		return c
@@ -138,14 +130,14 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // LastSOPs returns the server's total estimated synaptic-operation
 // count for the most recent completed recording, 0 when the server
-// runs without an energy model (or predates one). Valid after Stream
-// returns nil; not safe concurrently with Stream.
+// runs without an energy model. Valid after Stream returns nil; not
+// safe concurrently with Stream.
 func (c *Client) LastSOPs() float64 { return c.lastSOPs }
 
 // Negotiated returns the server's accept echo — the effective session
 // configuration — and whether it has arrived yet. It is valid after the
-// first Stream or Ping returns (a legacy session never receives one).
-// Not safe concurrently with Stream.
+// first Stream, Ping or swap RPC returns. Not safe concurrently with
+// Stream.
 func (c *Client) Negotiated() (SessionConfig, bool) {
 	return c.negotiated, c.accepted
 }
@@ -155,10 +147,9 @@ func (c *Client) Negotiated() (SessionConfig, bool) {
 // the server's window count. Sending and receiving run concurrently —
 // the server streams results while the recording is still uploading —
 // which is what makes the protocol deadlock-free over synchronous
-// transports. The session's first Stream leads with the hello frame
-// (or the legacy mode/credit opening), whose credit window doubles as
-// the initial grant; top-ups are sent from the read loop once half the
-// window is consumed.
+// transports. The session's first Stream leads with the hello frame,
+// whose credit window doubles as the initial grant; top-ups are sent
+// from the read loop once half the window is consumed.
 func (c *Client) Stream(recording io.Reader, emit func(stream.Result) error) (int, error) {
 	if c.err != nil {
 		return 0, c.err
@@ -205,28 +196,21 @@ func (c *Client) Stream(recording io.Reader, emit func(stream.Result) error) (in
 				return 0, err
 			}
 		case frameDone:
-			if n != 4 && n != legacyDoneSize && n != doneSize {
+			if n != doneSize {
 				c.conn.Close()
 				<-writeErr
-				return 0, fmt.Errorf("serve: done frame of %d bytes", n)
+				return 0, fmt.Errorf("serve: done frame of %d bytes, want %d", n, doneSize)
 			}
 			count := int(binary.LittleEndian.Uint32(payload))
-			c.lastSOPs = 0
-			if n == doneSize {
-				c.lastSOPs = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
-			}
+			c.lastSOPs = math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
 			if err := <-writeErr; err != nil {
 				return count, err
 			}
-			if n >= legacyDoneSize && c.cfg.CreditWindow > 0 {
-				// Resync from the server's view — it also absorbs the
-				// benign startup race where results streamed before the
-				// first grant was processed — then restore a full
-				// window for the next recording.
-				c.granted.Store(int64(binary.LittleEndian.Uint32(payload[4:])))
-				if err := c.topUp(); err != nil {
-					return count, err
-				}
+			// Resync from the server's view, then restore a full window
+			// for the next recording.
+			c.granted.Store(int64(binary.LittleEndian.Uint32(payload[4:])))
+			if err := c.topUp(); err != nil {
+				return count, err
 			}
 			return count, nil
 		case frameError:
@@ -256,21 +240,14 @@ func (c *Client) applyAccept(payload []byte) error {
 
 // Ping performs the hello/accept handshake without streaming a
 // recording — the router's health probe, and a cheap way to learn the
-// server's effective config. Requires the hello protocol (a legacy
-// session has no handshake to complete). Safe to call before Stream;
-// redundant calls return immediately once the accept has arrived.
+// server's effective config. Safe to call before Stream; redundant
+// calls return immediately once the accept has arrived.
 func (c *Client) Ping() error {
 	if c.err != nil {
 		return c.err
 	}
-	if c.o.Legacy {
-		return errors.New("serve: Ping requires the hello handshake (non-legacy client)")
-	}
-	if !c.started {
-		c.started = true
-		if err := c.sendOpening(); err != nil {
-			return err
-		}
+	if err := c.open(); err != nil {
+		return err
 	}
 	for !c.accepted {
 		typ, payload, err := c.readFrame()
@@ -315,6 +292,9 @@ func (c *Client) swapRPC(phase byte, path string) (SwapStatus, error) {
 	if c.err != nil {
 		return SwapStatus{}, c.err
 	}
+	if err := c.open(); err != nil {
+		return SwapStatus{}, err
+	}
 	if err := c.writeFrame(frameSwap, append([]byte{phase}, path...)); err != nil {
 		return SwapStatus{}, err
 	}
@@ -327,7 +307,7 @@ func (c *Client) swapRPC(phase byte, path string) (SwapStatus, error) {
 		case frameSwapResult:
 			return decodeSwapResult(payload)
 		case frameAccept:
-			// A hello sent earlier on this session may still be echoing.
+			// The session's opening hello may still be echoing.
 			if err := c.applyAccept(payload); err != nil {
 				return SwapStatus{}, err
 			}
@@ -359,9 +339,6 @@ func (c *Client) readFrame() (byte, []byte, error) {
 // up once half of it is spent — batched grants, not one per result, so
 // credit traffic stays a small fraction of result traffic.
 func (c *Client) consumed() error {
-	if c.cfg.CreditWindow == 0 {
-		return nil
-	}
 	if c.granted.Add(-1) <= int64(c.cfg.CreditWindow/2) {
 		return c.topUp()
 	}
@@ -392,48 +369,33 @@ func (c *Client) writeCredit(n uint32) error {
 	return c.fw.flush()
 }
 
-// sendOpening writes the session-opening frames. Current protocol: one
-// hello carrying the whole config, whose credit window is also the
-// initial grant. Legacy protocol: mode bits (only when set), then the
-// initial credit grant.
+// sendOpening writes the session's hello, whose credit window is also
+// the initial grant.
 func (c *Client) sendOpening() error {
-	if !c.o.Legacy {
-		if err := c.writeFrame(frameHello, appendHello(nil, c.cfg)); err != nil {
-			return err
-		}
-		if c.cfg.CreditWindow > 0 {
-			c.granted.Add(int64(c.cfg.CreditWindow))
-		}
+	if err := c.writeFrame(frameHello, appendHello(nil, c.cfg)); err != nil {
+		return err
+	}
+	c.granted.Add(int64(c.cfg.CreditWindow))
+	return nil
+}
+
+// open sends the hello if the session has not started: the opening for
+// Ping and the swap RPCs, which Stream instead sends from its upload
+// goroutine.
+func (c *Client) open() error {
+	if c.started {
 		return nil
 	}
-	if c.cfg.PrivateBatch || c.cfg.Tier == snn.TierINT8 {
-		var bits byte
-		if c.cfg.PrivateBatch {
-			bits |= modePrivate
-		}
-		if c.cfg.Tier == snn.TierINT8 {
-			bits |= modeInt8
-		}
-		if err := c.writeFrame(frameMode, []byte{bits}); err != nil {
-			return err
-		}
-	}
-	if c.cfg.CreditWindow > 0 {
-		if err := c.writeCredit(uint32(c.cfg.CreditWindow)); err != nil {
-			return err
-		}
-		c.granted.Add(int64(c.cfg.CreditWindow))
-	}
-	return nil
+	c.started = true
+	return c.sendOpening()
 }
 
 // send uploads the recording as data frames and terminates it. The
 // session-opening frames (first recording of the session) lead the
 // upload from this goroutine: sending them synchronously from Stream
 // would deadlock a synchronous transport against a server that writes
-// before reading (e.g. the capacity refusal). The hello/mode frame
-// precedes the first data frame, as the server's pipeline-build latch
-// requires.
+// before reading (e.g. the capacity refusal). The hello precedes the
+// first data frame, as the server requires.
 func (c *Client) send(recording io.Reader, opening bool) error {
 	if opening {
 		if err := c.sendOpening(); err != nil {

@@ -53,41 +53,44 @@ func fuzzFrame(b []byte, typ byte, payload []byte) []byte {
 // recover would convert one into a session error, but a crash in the
 // reader or writer goroutine would kill the process and fail the run),
 // no hang past the deadlines, and the server stays serviceable for the
-// next iteration. Seeds cover the valid opening handshakes, truncated
-// and oversized headers, unknown frame types, and mode/credit frames
-// with wrong payload sizes.
+// next iteration. Seeds cover the valid opening, every refused
+// opening (a first frame other than hello, version skew, a zero credit
+// window), truncated and oversized headers, unknown frame types, and
+// credit/swap frames with wrong payload sizes.
 func FuzzServeFraming(f *testing.F) {
 	rec := testRecording(f, 1, 120, 5)
+	hello := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 4})
+	v1 := append([]byte(nil), hello...)
+	v1[0] = 1 // the protocol before hello and credit flow were mandatory
+	future := append([]byte(nil), hello...)
+	future[0] = ProtoVersion + 1
 
 	f.Add([]byte{})
-	f.Add([]byte{frameData})                              // truncated header
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})           // unknown type, huge length
-	f.Add(fuzzFrame(nil, frameData, []byte("not aedat"))) // garbage container bytes
-	f.Add(fuzzFrame(nil, frameEnd, []byte{1}))            // end frame with payload
-	f.Add(fuzzFrame(nil, frameMode, []byte{0x55, 0x55}))  // oversized mode payload
-	f.Add(fuzzFrame(nil, frameCredit, []byte{1, 0}))      // undersized credit payload
-	f.Add(fuzzFrame(nil, frameResult, make([]byte, 20)))  // server-only frame type
-	f.Add(fuzzFrame(fuzzFrame(nil, frameMode, []byte{modePrivate | modeInt8}), frameEnd, nil))
-	valid := fuzzFrame(nil, frameMode, []byte{modeInt8})
-	valid = fuzzFrame(valid, frameCredit, []byte{8, 0, 0, 0})
-	valid = fuzzFrame(valid, frameData, rec)
-	f.Add(fuzzFrame(valid, frameEnd, nil))
+	f.Add([]byte{frameData})                                            // truncated header
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})                         // unknown type, huge length
+	f.Add(fuzzFrame(nil, frameData, []byte("not aedat")))               // data before hello
+	f.Add(fuzzFrame(nil, frameEnd, []byte{1}))                          // end frame with payload
+	f.Add(fuzzFrame(nil, 0x04, []byte{0x55, 0x55}))                     // the retired mode frame: an unknown type
+	f.Add(fuzzFrame(nil, frameCredit, []byte{1, 0}))                    // undersized credit payload
+	f.Add(fuzzFrame(nil, frameResult, make([]byte, 20)))                // server-only frame type
+	f.Add(fuzzFrame(nil, frameCredit, []byte{8, 0, 0, 0}))              // credit before hello
+	f.Add(fuzzFrame(nil, frameSwap, []byte{swapCommit}))                // swap before hello
+	f.Add(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameData, rec)) // hello then data, no end
+	f.Add(fuzzFrame(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameData, rec), frameEnd, nil))
 
-	// Handshake-era seeds: the versioned hello, its version-skew and
-	// truncation edges, and the admin swap RPC (refused here — the fuzz
-	// server does not enable AdminSwap).
-	hello := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 4})
-	f.Add(fuzzFrame(nil, frameHello, hello))                            // bare valid hello
-	f.Add(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameData, rec)) // hello then data
-	f.Add(fuzzFrame(nil, frameHello, hello[:3]))                        // truncated hello
-	future := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 4})
-	future[0] = ProtoVersion + 1
-	f.Add(fuzzFrame(nil, frameHello, future))                              // version this build refuses
-	f.Add(fuzzFrame(nil, frameHello, append(hello, 0xaa, 0xbb)))           // newer-minor trailing bytes
-	f.Add(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameHello, hello)) // duplicate hello
-	f.Add(fuzzFrame(nil, frameSwap, append([]byte{swapPrepare}, "x.gob"...)))
-	f.Add(fuzzFrame(nil, frameSwap, []byte{swapCommit}))
-	f.Add(fuzzFrame(nil, frameSwap, nil)) // swap without a phase byte
+	// Hello edges: truncation, version skew, trailing bytes, a zero
+	// credit window, duplicates, and the admin swap RPC after a valid
+	// hello (refused here — the fuzz server does not enable AdminSwap).
+	f.Add(fuzzFrame(nil, frameHello, hello))                                                  // bare valid hello
+	f.Add(fuzzFrame(nil, frameHello, hello[:3]))                                              // truncated hello
+	f.Add(fuzzFrame(nil, frameHello, v1))                                                     // version-1 hello
+	f.Add(fuzzFrame(nil, frameHello, future))                                                 // version this build refuses
+	f.Add(fuzzFrame(nil, frameHello, append(hello, 0xaa, 0xbb)))                              // newer-minor trailing bytes
+	f.Add(fuzzFrame(nil, frameHello, appendHello(nil, SessionConfig{Version: ProtoVersion}))) // zero credit window
+	f.Add(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameHello, hello))                    // duplicate hello
+	f.Add(fuzzFrame(fuzzFrame(nil, frameHello, hello), 0x04, []byte{0x01}))                   // unknown type after hello
+	f.Add(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameSwap, append([]byte{swapPrepare}, "x.gob"...)))
+	f.Add(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameSwap, nil)) // swap without a phase byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := fuzzServer(t)
@@ -175,14 +178,20 @@ func fuzzRouter(t testing.TB) *Router {
 func FuzzRouterProxy(f *testing.F) {
 	rec := testRecording(f, 1, 120, 5)
 	hello := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 4})
+	v1 := append([]byte(nil), hello...)
+	v1[0] = 1
 
 	f.Add([]byte{})
 	f.Add([]byte{frameData}) // truncated header
 	f.Add(fuzzFrame(nil, frameHello, hello))
 	f.Add(fuzzFrame(fuzzFrame(fuzzFrame(nil, frameHello, hello), frameData, rec), frameEnd, nil))
-	f.Add(fuzzFrame(fuzzFrame(nil, frameCredit, []byte{8, 0, 0, 0}), frameData, rec))
-	f.Add([]byte{frameData, 0xff, 0xff, 0xff, 0x7f}) // payload length past the frame cap
-	f.Add(fuzzFrame(nil, frameSwap, append([]byte{swapPrepare}, "x.gob"...)))
+	f.Add(fuzzFrame(fuzzFrame(nil, frameCredit, []byte{8, 0, 0, 0}), frameData, rec))         // credit before hello
+	f.Add([]byte{frameData, 0xff, 0xff, 0xff, 0x7f})                                          // payload length past the frame cap
+	f.Add(fuzzFrame(nil, frameSwap, append([]byte{swapPrepare}, "x.gob"...)))                 // swap before hello
+	f.Add(fuzzFrame(nil, frameHello, v1))                                                     // version-1 hello
+	f.Add(fuzzFrame(nil, frameData, rec))                                                     // data before hello
+	f.Add(fuzzFrame(nil, frameHello, appendHello(nil, SessionConfig{Version: ProtoVersion}))) // zero credit window
+	f.Add(fuzzFrame(nil, 0x04, []byte{0x01}))                                                 // the retired mode frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rt := fuzzRouter(t)

@@ -8,33 +8,20 @@ import (
 )
 
 // ProtoVersion is the session-handshake protocol version this build
-// speaks. A hello declaring a higher version is refused with a
-// frameError; a hello at this version or lower is accepted, with any
+// speaks. A hello declaring any other version is refused with a
+// frameError naming it; a hello at this version is accepted, with any
 // payload bytes past the fields this version defines ignored — the
 // forward-compatibility seam for newer minor clients.
-const ProtoVersion = 1
-
-// Creditless, as a SessionConfig.CreditWindow, disables credit flow
-// for the session entirely: results stream as fast as the transport
-// accepts them (the pre-credit protocol). Values below Creditless are
-// invalid and rejected by validation, not silently clamped.
-const Creditless = -1
+const ProtoVersion = 2
 
 // SessionConfig is a session's negotiated configuration — the payload
-// of the versioned hello frame a client leads its session with, and of
-// the accept frame the server echoes back.
-//
-// Before PR 10 these settings accreted across ad-hoc frames: mode bits
-// latched private batching and the precision tier, and credit flow
-// switched on implicitly at the first credit grant — none of which a
-// router could faithfully reason about. The hello frame carries all of
-// it explicitly, versioned, before the first data frame.
+// of the versioned hello frame every session opens with, and of the
+// accept frame the server echoes back.
 //
 // Field conventions on the way in (ClientOptions.Config): Version 0
-// means ProtoVersion; CreditWindow 0 means DefaultCreditWindow and
-// Creditless (-1) disables credit flow. In a negotiated config — the
-// accept echo, Client.Negotiated — every field is resolved:
-// CreditWindow is the actual window, 0 meaning credit flow is off.
+// means ProtoVersion and CreditWindow 0 means DefaultCreditWindow. In a
+// negotiated config — the accept echo, Client.Negotiated — every field
+// is resolved.
 type SessionConfig struct {
 	// Version is the handshake protocol version. 0 resolves to
 	// ProtoVersion; the server refuses versions it does not speak.
@@ -49,25 +36,21 @@ type SessionConfig struct {
 	// refuses the hello instead of silently downgrading.
 	Tier snn.PrecisionTier
 	// CreditWindow is how many undelivered results the client
-	// authorizes the server to stream ahead of consumption. The hello
-	// frame carries the initial grant, replacing the separate leading
-	// credit frame of the legacy protocol; top-ups still ride
-	// frameCredit.
+	// authorizes the server to stream ahead of consumption, 1 to
+	// maxCreditWindow. The hello carries it as the initial grant;
+	// top-ups ride frameCredit.
 	CreditWindow int
 }
 
 // withDefaults resolves the zero-value conventions into wire form:
-// Version 0 becomes ProtoVersion, CreditWindow 0 becomes
-// DefaultCreditWindow and Creditless becomes 0 (credit flow off).
+// Version 0 becomes ProtoVersion and CreditWindow 0 becomes
+// DefaultCreditWindow.
 func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Version == 0 {
 		c.Version = ProtoVersion
 	}
-	switch c.CreditWindow {
-	case 0:
+	if c.CreditWindow == 0 {
 		c.CreditWindow = DefaultCreditWindow
-	case Creditless:
-		c.CreditWindow = 0
 	}
 	return c
 }
@@ -80,14 +63,11 @@ const maxCreditWindow = 1 << 30
 // Validate rejects configurations the protocol cannot express instead
 // of silently clamping them.
 func (c SessionConfig) Validate() error {
-	if c.Version < 0 || c.Version > ProtoVersion {
-		return fmt.Errorf("serve: session config version %d (this build speaks up to %d)", c.Version, ProtoVersion)
+	if c.Version != 0 && c.Version != ProtoVersion {
+		return fmt.Errorf("serve: session config version %d (this build speaks %d)", c.Version, ProtoVersion)
 	}
-	if c.CreditWindow < Creditless {
-		return fmt.Errorf("serve: credit window %d is invalid (use %d to disable credit flow)", c.CreditWindow, Creditless)
-	}
-	if c.CreditWindow > maxCreditWindow {
-		return fmt.Errorf("serve: credit window %d exceeds the %d limit", c.CreditWindow, maxCreditWindow)
+	if c.CreditWindow < 0 || c.CreditWindow > maxCreditWindow {
+		return fmt.Errorf("serve: credit window %d is invalid (1..%d, or 0 for the default %d)", c.CreditWindow, maxCreditWindow, DefaultCreditWindow)
 	}
 	if c.Tier != snn.TierFP32 && c.Tier != snn.TierINT8 {
 		return fmt.Errorf("serve: unknown precision tier %v", c.Tier)
@@ -95,16 +75,16 @@ func (c SessionConfig) Validate() error {
 	return nil
 }
 
-// The hello/accept payload, version 1:
+// The hello/accept payload:
 //
 //	[2 bytes LE version][1 byte flags][1 byte tier][4 bytes LE credit window]
 //
 // flags bit 0 is private batching; the remaining bits are reserved and
-// ignored. tier is the snn.PrecisionTier ordinal. credit window 0
-// means credit flow is off (the resolved form of Creditless). Payload
-// bytes past helloSize are ignored when the declared version is one
-// this build speaks — a newer client may append fields this build does
-// not know about.
+// ignored. tier is the snn.PrecisionTier ordinal. The credit window is
+// 1..maxCreditWindow; 0 is refused, since every session runs under
+// credit flow. Payload bytes past helloSize are ignored when the
+// declared version is one this build speaks — a newer client may
+// append fields this build does not know about.
 const helloSize = 2 + 1 + 1 + 4
 
 const helloFlagPrivate = 0x01
@@ -123,15 +103,15 @@ func appendHello(b []byte, c SessionConfig) []byte {
 }
 
 // decodeHello is appendHello's inverse, enforcing the version-skew
-// rules: version 0 and versions above ProtoVersion are refused,
-// trailing bytes beyond the version-1 fields are tolerated.
+// rules: every version but ProtoVersion is refused, trailing bytes
+// beyond the defined fields are tolerated.
 func decodeHello(p []byte) (SessionConfig, error) {
 	if len(p) < helloSize {
 		return SessionConfig{}, fmt.Errorf("serve: hello frame of %d bytes, want at least %d", len(p), helloSize)
 	}
 	v := int(binary.LittleEndian.Uint16(p[0:]))
-	if v == 0 || v > ProtoVersion {
-		return SessionConfig{}, fmt.Errorf("serve: hello declares protocol version %d; this server speaks 1..%d", v, ProtoVersion)
+	if v != ProtoVersion {
+		return SessionConfig{}, fmt.Errorf("serve: hello declares protocol version %d; this server speaks %d", v, ProtoVersion)
 	}
 	c := SessionConfig{
 		Version:      v,
@@ -142,8 +122,8 @@ func decodeHello(p []byte) (SessionConfig, error) {
 	if c.Tier != snn.TierFP32 && c.Tier != snn.TierINT8 {
 		return SessionConfig{}, fmt.Errorf("serve: hello requests unknown precision tier %d", p[3])
 	}
-	if c.CreditWindow > maxCreditWindow {
-		return SessionConfig{}, fmt.Errorf("serve: hello requests a %d credit window, limit %d", c.CreditWindow, maxCreditWindow)
+	if c.CreditWindow == 0 || c.CreditWindow > maxCreditWindow {
+		return SessionConfig{}, fmt.Errorf("serve: hello requests a %d credit window; the window must be 1..%d", c.CreditWindow, maxCreditWindow)
 	}
 	return c, nil
 }

@@ -19,9 +19,9 @@ import (
 
 func TestHelloFrameRoundTrip(t *testing.T) {
 	cases := []SessionConfig{
-		{Version: 1, CreditWindow: 64},
-		{Version: 1, PrivateBatch: true, CreditWindow: 0},
-		{Version: 1, Tier: snn.TierINT8, CreditWindow: 1 << 20},
+		{Version: ProtoVersion, CreditWindow: 64},
+		{Version: ProtoVersion, PrivateBatch: true, CreditWindow: 1},
+		{Version: ProtoVersion, Tier: snn.TierINT8, CreditWindow: 1 << 20},
 	}
 	for _, in := range cases {
 		out, err := decodeHello(appendHello(nil, in))
@@ -35,14 +35,14 @@ func TestHelloFrameRoundTrip(t *testing.T) {
 	if _, err := decodeHello(make([]byte, helloSize-1)); err == nil {
 		t.Fatal("short hello accepted")
 	}
-	// Trailing bytes are the forward-compatibility seam: a version-1
-	// hello with extra fields decodes to the fields this build knows.
+	// Trailing bytes are the forward-compatibility seam: a hello with
+	// extra fields decodes to the fields this build knows.
 	padded := append(appendHello(nil, cases[0]), 0xde, 0xad)
 	if out, err := decodeHello(padded); err != nil || out != cases[0] {
 		t.Fatalf("padded hello = %+v, %v; want %+v accepted", out, err, cases[0])
 	}
-	// Version skew: 0 and anything above ProtoVersion are refused.
-	for _, v := range []uint16{0, ProtoVersion + 1} {
+	// Version skew: every version but ProtoVersion is refused.
+	for _, v := range []uint16{0, ProtoVersion - 1, ProtoVersion + 1} {
 		p := appendHello(nil, cases[0])
 		binary.LittleEndian.PutUint16(p[0:], v)
 		if _, err := decodeHello(p); err == nil {
@@ -54,6 +54,10 @@ func TestHelloFrameRoundTrip(t *testing.T) {
 	p[3] = 0x7f
 	if _, err := decodeHello(p); err == nil {
 		t.Fatal("unknown tier accepted")
+	}
+	// Every session runs under credit flow: a zero window is refused.
+	if _, err := decodeHello(appendHello(nil, SessionConfig{Version: ProtoVersion})); err == nil {
+		t.Fatal("zero credit window accepted")
 	}
 }
 
@@ -86,11 +90,12 @@ func TestOptionsValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"zero defaults", SessionConfig{}, true},
-		{"creditless", SessionConfig{CreditWindow: Creditless}, true},
+		{"window 1", SessionConfig{CreditWindow: 1}, true},
 		{"explicit version", SessionConfig{Version: ProtoVersion}, true},
 		{"int8", SessionConfig{Tier: snn.TierINT8}, true},
-		{"window below creditless", SessionConfig{CreditWindow: -2}, false},
+		{"negative window", SessionConfig{CreditWindow: -1}, false},
 		{"window above limit", SessionConfig{CreditWindow: maxCreditWindow + 1}, false},
+		{"older version", SessionConfig{Version: ProtoVersion - 1}, false},
 		{"future version", SessionConfig{Version: ProtoVersion + 1}, false},
 		{"negative version", SessionConfig{Version: -1}, false},
 		{"unknown tier", SessionConfig{Tier: snn.PrecisionTier(99)}, false},
@@ -145,11 +150,11 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestServeHelloMatchesLegacy is the handshake redesign's equivalence
-// gate: a session negotiated through the versioned hello produces
-// bit-identical results to the equivalent legacy bit-latching session,
-// across the config surface the old frames could express.
-func TestServeHelloMatchesLegacy(t *testing.T) {
+// TestServeHelloMatchesStandalone is the handshake's equivalence gate:
+// a session negotiated through the versioned hello produces results
+// bit-identical to a standalone pipeline at the same tier, across the
+// config surface the hello expresses.
+func TestServeHelloMatchesStandalone(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
 	master := testNet(4, 61)
@@ -176,30 +181,27 @@ func TestServeHelloMatchesLegacy(t *testing.T) {
 		{"private", SessionConfig{PrivateBatch: true}, wantFP},
 		{"int8", SessionConfig{Tier: snn.TierINT8}, wantI8},
 		{"tiny window", SessionConfig{CreditWindow: 1}, wantFP},
-		{"creditless", SessionConfig{CreditWindow: Creditless}, wantFP},
+		{"int8 tiny window", SessionConfig{Tier: snn.TierINT8, CreditWindow: 1}, wantI8},
 	}
 	for _, v := range variants {
-		for _, legacy := range []bool{false, true} {
-			ctx := fmt.Sprintf("%s legacy=%v", v.name, legacy)
-			cl, done := startSessionOptions(srv, ClientOptions{Config: v.cfg, Legacy: legacy})
-			var got []stream.Result
-			n, err := cl.Stream(bytes.NewReader(data), func(r stream.Result) error {
-				got = append(got, r)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", ctx, err)
-			}
-			if n != len(v.want) {
-				t.Fatalf("%s: done frame reports %d windows, want %d", ctx, n, len(v.want))
-			}
-			assertResults(t, ctx, v.want, got)
-			if _, accepted := cl.Negotiated(); accepted == legacy {
-				t.Fatalf("%s: accept echo arrived=%v", ctx, accepted)
-			}
-			cl.Close()
-			<-done
+		cl, done := startSessionOptions(srv, ClientOptions{Config: v.cfg})
+		var got []stream.Result
+		n, err := cl.Stream(bytes.NewReader(data), func(r stream.Result) error {
+			got = append(got, r)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
 		}
+		if n != len(v.want) {
+			t.Fatalf("%s: done frame reports %d windows, want %d", v.name, n, len(v.want))
+		}
+		assertResults(t, v.name, v.want, got)
+		if _, accepted := cl.Negotiated(); !accepted {
+			t.Fatalf("%s: no accept echo", v.name)
+		}
+		cl.Close()
+		<-done
 	}
 }
 
@@ -238,12 +240,12 @@ func TestServeHelloAcceptEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl2, done2 := startSessionOptions(private, ClientOptions{Config: SessionConfig{CreditWindow: Creditless}})
+	cl2, done2 := startSessionOptions(private, ClientOptions{Config: SessionConfig{CreditWindow: 1}})
 	if err := cl2.Ping(); err != nil {
 		t.Fatal(err)
 	}
 	got2, _ := cl2.Negotiated()
-	want2 := SessionConfig{Version: ProtoVersion, PrivateBatch: true, CreditWindow: 0}
+	want2 := SessionConfig{Version: ProtoVersion, PrivateBatch: true, CreditWindow: 1}
 	if got2 != want2 {
 		t.Fatalf("negotiated %+v, want %+v", got2, want2)
 	}
@@ -280,9 +282,11 @@ func expectFrame(t *testing.T, br *bufio.Reader, ctx string, want byte) []byte {
 }
 
 // TestServeHelloVersionSkew drives raw hello frames at the server: the
-// versions this build does not speak are refused with a frameError
-// naming the version, and a newer minor client — version 1 plus
-// trailing fields — is accepted and fully functional.
+// versions this build does not speak — including version 1, the
+// protocol before hello and credit flow were mandatory — and a zero
+// credit window are refused with a frameError naming the cause, and a
+// newer minor client — this version plus trailing fields — is accepted
+// and fully functional.
 func TestServeHelloVersionSkew(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
@@ -293,33 +297,46 @@ func TestServeHelloVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, v := range []uint16{0, ProtoVersion + 1} {
-		fw, br, cs, done := rawSession(t, srv)
-		p := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 0})
+	type refusal struct {
+		name, want string
+		p          []byte
+	}
+	var refusals []refusal
+	for _, v := range []uint16{0, 1, ProtoVersion + 1} {
+		p := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: DefaultCreditWindow})
 		binary.LittleEndian.PutUint16(p[0:], v)
-		if err := fw.write(frameHello, p); err != nil {
+		name := fmt.Sprintf("version %d", v)
+		refusals = append(refusals, refusal{name, name, p})
+	}
+	// Every session runs under credit flow: a hello granting no credits
+	// is refused rather than stalling the first result until the reap.
+	refusals = append(refusals, refusal{"zero window", "credit window", appendHello(nil, SessionConfig{Version: ProtoVersion})})
+	for _, tc := range refusals {
+		fw, br, cs, done := rawSession(t, srv)
+		if err := fw.write(frameHello, tc.p); err != nil {
 			t.Fatal(err)
 		}
 		if err := fw.flush(); err != nil {
 			t.Fatal(err)
 		}
-		msg := expectFrame(t, br, fmt.Sprintf("version %d", v), frameError)
-		if !strings.Contains(string(msg), "version") {
-			t.Fatalf("version %d refusal %q does not name the version", v, msg)
+		msg := expectFrame(t, br, tc.name, frameError)
+		if !strings.Contains(string(msg), tc.want) {
+			t.Fatalf("%s: refusal %q does not mention %q", tc.name, msg, tc.want)
 		}
 		cs.Close()
 		if err := <-done; err == nil {
-			t.Fatalf("version %d: ServeConn reported no error", v)
+			t.Fatalf("%s: ServeConn reported no error", tc.name)
 		}
 	}
 
-	// Newer-client forward compatibility: version 1 with trailing bytes
-	// past the fields this build defines is accepted, and the session
-	// works end to end.
+	// Newer-client forward compatibility: this version with trailing
+	// bytes past the fields it defines is accepted, and the session
+	// works end to end. The window covers every result, so the raw
+	// client never has to top it up.
 	fw, br, cs, done := rawSession(t, srv)
 	defer cs.Close()
-	p := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 0})
-	p = append(p, 0xaa, 0xbb, 0xcc) // a hypothetical version-1.1 extension
+	p := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 1 << 16})
+	p = append(p, 0xaa, 0xbb, 0xcc) // a hypothetical minor extension
 	if err := fw.write(frameHello, p); err != nil {
 		t.Fatal(err)
 	}
@@ -366,55 +383,60 @@ func TestServeHelloVersionSkew(t *testing.T) {
 	<-done
 }
 
-// TestServeHelloOrdering pins the handshake's place in the protocol: at
-// most one hello, before any mode or data frame.
+// TestServeHelloOrdering pins the handshake's place in the protocol:
+// the session opens with exactly one hello. Any other first frame —
+// including the retired 0x04 mode frame of protocol version 1 — is
+// refused with one frameError, before its payload is read.
 func TestServeHelloOrdering(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
 	srv, err := NewServer(testNet(3, 81), ServerOptions{
-		Pipeline: stream.Options{WindowMS: 50, Steps: 3}, PoolSize: 1})
+		Pipeline: stream.Options{WindowMS: 50, Steps: 3}, PoolSize: 1, AdminSwap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 0})
+	hello := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: DefaultCreditWindow})
 
 	cases := []struct {
-		name string
-		lead func(fw *frameWriter) error // frames before the offending hello
-		want string
+		name  string
+		typ   byte
+		p     []byte
+		want  string
+		reply byte // a frame answered before the error, 0 for none
 	}{
-		{"duplicate", func(fw *frameWriter) error {
-			return fw.write(frameHello, hello)
-		}, "duplicate"},
-		{"after mode", func(fw *frameWriter) error {
-			return fw.write(frameMode, []byte{modePrivate})
-		}, "mode"},
-		{"after data", func(fw *frameWriter) error {
-			return fw.write(frameData, []byte{0x01})
-		}, "data"},
+		{"duplicate", frameHello, hello, "duplicate", frameAccept},
+		{"data before hello", frameData, []byte{0x01}, "hello", 0},
+		{"credit before hello", frameCredit, []byte{8, 0, 0, 0}, "hello", 0},
+		{"swap before hello", frameSwap, []byte{swapCommit}, "hello", 0},
+		{"raw 0x04 frame", 0x04, []byte{0x01}, "0x04", 0},
 	}
 	for _, tc := range cases {
 		fw, br, cs, done := rawSession(t, srv)
-		if err := tc.lead(fw); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		if tc.reply != 0 {
+			if err := fw.write(frameHello, hello); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
 		}
-		if err := fw.write(frameHello, hello); err != nil {
+		if err := fw.write(tc.typ, tc.p); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if err := fw.flush(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		// The duplicate case's first hello is answered with an accept
-		// before the error surfaces.
-		if tc.name == "duplicate" {
-			expectFrame(t, br, tc.name, frameAccept)
+		if tc.reply != 0 {
+			expectFrame(t, br, tc.name, tc.reply)
 		}
 		msg := expectFrame(t, br, tc.name, frameError)
 		if !strings.Contains(string(msg), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, msg, tc.want)
 		}
+		if _, _, err := readHeader(br); err != io.EOF {
+			t.Fatalf("%s: after the error frame: %v, want the connection closed", tc.name, err)
+		}
 		cs.Close()
-		<-done
+		if err := <-done; err == nil {
+			t.Fatalf("%s: ServeConn reported no error", tc.name)
+		}
 	}
 }
 
@@ -496,7 +518,7 @@ func TestServeSwapRPC(t *testing.T) {
 		<-sdone
 	}
 
-	cl, done := startSessionOptions(srv, ClientOptions{Config: SessionConfig{CreditWindow: Creditless}})
+	cl, done := startSessionOptions(srv, ClientOptions{})
 	defer cl.Close()
 
 	// Commit without a staged checkpoint is answered in-band.

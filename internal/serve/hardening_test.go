@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -317,34 +319,55 @@ func TestServeCreditFlowMatchesReference(t *testing.T) {
 	}
 }
 
-// TestServeLegacyClientWithoutCredits: a client that never grants
-// credits gets the pre-credit protocol — results stream as TCP allows,
-// the 8-byte done frame is understood, nothing stalls.
-func TestServeLegacyClientWithoutCredits(t *testing.T) {
+// TestServeAbortWhileClientUploads: a session that fails mid-upload
+// while the client keeps pushing data frames past the 256 KB read-ahead
+// runway must still end — stopReader must not deadlock on a reader
+// parked waiting for a free chunk. The upload opens with a valid hello,
+// so the abort comes from the AEDAT codec rejecting the garbage
+// container, not from the hello-required refusal.
+func TestServeAbortWhileClientUploads(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
-	master := testNet(4, 61)
-	o := stream.Options{WindowMS: 45, Steps: 4, Batch: 2, ChunkEvents: 64}
-	srv, err := NewServer(master, ServerOptions{Pipeline: o, MaxSessions: 1, PoolSize: 1})
+	srv, err := NewServer(testNet(8, 71), ServerOptions{
+		Pipeline: stream.Options{WindowMS: 50, Steps: 8}, PoolSize: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := testRecording(t, 2, 300, 19)
-	want := standalone(t, master, data, o)
+	cs, ss := net.Pipe()
+	defer cs.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeConn(ss) }()
 
-	cl, done := startSessionOptions(srv, ClientOptions{Legacy: true, Config: SessionConfig{CreditWindow: Creditless}})
-	defer cl.Close()
-	var got []stream.Result
-	if _, err := cl.Stream(bytes.NewReader(data), func(r stream.Result) error {
-		got = append(got, r)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	assertResults(t, "legacy creditless", want, got)
-	cl.Close()
-	<-done
-	if s := srv.Metrics().CreditStalls.Load(); s != 0 {
-		t.Fatalf("creditless session recorded %d credit stalls", s)
+	// Upload garbage data frames until the connection dies.
+	go func() {
+		fw := newFrameWriter(cs)
+		if err := fw.write(frameHello, appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: DefaultCreditWindow})); err != nil {
+			return
+		}
+		junk := make([]byte, readChunk)
+		for {
+			if err := fw.write(frameData, junk); err != nil {
+				return
+			}
+			if err := fw.flush(); err != nil {
+				return
+			}
+		}
+	}()
+	// Drain server->client so the accept and error frame writes never
+	// block on the synchronous pipe.
+	go func() { _, _ = io.Copy(io.Discard, cs) }()
+
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("session over a garbage container ended without an error")
+		}
+		if strings.Contains(err.Error(), "hello") {
+			t.Fatalf("session ended with the hello refusal %q, want the codec error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock: session never ended while the client kept uploading")
 	}
 }

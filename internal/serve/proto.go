@@ -12,14 +12,12 @@
 //	[1 byte type][4 bytes little-endian payload length][payload]
 //
 // A session is one connection serving a sequence of recordings on one
-// warmed pipeline. A current client opens the session with one
-// versioned frameHello carrying its SessionConfig (protocol version,
-// private batching, precision tier, credit window — including the
-// initial credit grant); the server answers with a frameAccept echoing
-// the negotiated config. A client that skips hello keeps the legacy
-// semantics instead: frameMode bit latches plus implicit credit
-// latching at the first frameCredit. Per recording, the client sends
-// the AEDAT container
+// warmed pipeline. The client opens the session with one versioned
+// frameHello carrying its SessionConfig (protocol version, private
+// batching, precision tier, credit window — including the initial
+// credit grant); the server answers with a frameAccept echoing the
+// negotiated config. Any other first frame is refused with a
+// frameError. Per recording, the client sends the AEDAT container
 // as a sequence of frameData frames (any chunking, including the whole
 // file at once) terminated by frameEnd; the server answers with one
 // frameResult per window — in window order, streamed as soon as each
@@ -30,17 +28,14 @@
 // reported as a frameError carrying the message, after which the
 // connection closes.
 //
-// Backpressure is credit-based: a frameCredit from the client grants
-// the server permission to send that many more frameResults. Credit
-// flow is opt-in per session — it switches on at the first frameCredit
-// and stays on — and a creditless session keeps the PR5 semantics
-// (results stream as fast as TCP accepts them). Under credit flow the
-// server buffers at most ServerOptions.ResultWindow undelivered
-// results per session and stalls the result writer — never the whole
-// server — when the granted window is exhausted, so a slow consumer
-// bounds server memory instead of pinning it. frameCredit is accepted
-// at any point: mid-recording (interleaved with frameData) and between
-// recordings.
+// Backpressure is credit-based: the hello's credit window is the
+// initial grant, and each frameCredit from the client grants the server
+// permission to send that many more frameResults. The server buffers at
+// most ServerOptions.ResultWindow undelivered results per session and
+// stalls the result writer — never the whole server — when the granted
+// window is exhausted, so a slow consumer bounds server memory instead
+// of pinning it. frameCredit is accepted at any point after the hello:
+// mid-recording (interleaved with frameData) and between recordings.
 //
 // Classification is continuously batched by default: sessions submit
 // voxelized windows to one shared stream.Scheduler that coalesces
@@ -48,8 +43,8 @@
 // classes back per session (ServerOptions.SharedBatch). Results are
 // bit-identical to per-session batching — the batched forward is
 // per-sample exact — and a client can still opt its session onto a
-// private pipeline with a frameMode frame (modePrivate) sent before
-// its first frameData, the bit-exactness debugging escape hatch.
+// private pipeline with SessionConfig.PrivateBatch in its hello, the
+// bit-exactness debugging escape hatch.
 //
 // Because results stream while data is still arriving, a client MUST
 // read concurrently with writing (Client.Stream does), or a fully
@@ -78,7 +73,6 @@ const (
 	frameData       = 0x01 // raw AEDAT container bytes
 	frameEnd        = 0x02 // recording complete, no payload
 	frameCredit     = 0x03 // grant uint32 more result credits to the server
-	frameMode       = 0x04 // legacy session mode bits (modeSize payload, see modePrivate)
 	frameSwap       = 0x05 // admin checkpoint swap RPC (phase byte + path; see handshake.go)
 	frameHello      = 0x06 // versioned session handshake (SessionConfig payload)
 	frameResult     = 0x81 // one window result (resultSize payload)
@@ -87,29 +81,6 @@ const (
 	frameAccept     = 0x84 // negotiated SessionConfig echo answering frameHello
 	frameSwapResult = 0x85 // SwapStatus answering one frameSwap phase
 )
-
-// modePrivate, set in a frameMode payload, opts the session out of the
-// server's shared-batch scheduler onto a private pipeline — the
-// bit-exactness debugging escape hatch (results are bit-identical
-// either way; a private pipeline isolates the session's GEMMs).
-// A frameMode must precede the session's first frameData to take
-// effect: the mode is latched when the session's pipeline is built,
-// at the first recording. Unknown bits are reserved and ignored.
-const modePrivate = 0x01
-
-// modeInt8 requests the quantized INT8 precision tier for the session:
-// weighted layers run per-channel int8 panels with int32 accumulation
-// (snn.TierINT8) instead of the exact FP32 path. Results stay
-// deterministic — the int8 kernel is bit-identical at any worker count
-// and batch composition — but carry the bounded weight-quantization
-// error the exp harness pins. Like modePrivate, the bit is latched
-// when the session's pipeline is built. The shared scheduler coalesces
-// only same-tier windows into a batch, so mixed-tier sessions share
-// the server without sharing GEMMs.
-const modeInt8 = 0x02
-
-// modeSize is the frameMode payload: one byte of mode bits.
-const modeSize = 1
 
 // maxFramePayload bounds a frame a peer may declare, so a corrupt or
 // hostile length prefix cannot balloon a read buffer. Data frames are
@@ -122,27 +93,17 @@ const frameHeaderSize = 5
 // resultSize is the frameResult payload: window uint32, startMS
 // float64, events uint32, class int32, then the window's estimated
 // synaptic-operation count float64 (0 when the server runs without an
-// energy model). Pre-energy servers sent the 20-byte prefix only; the
-// client accepts both.
+// energy model).
 const resultSize = 4 + 8 + 4 + 4 + 8
-
-// legacyResultSize is the pre-energy frameResult payload (no SOPs).
-const legacyResultSize = 4 + 8 + 4 + 4
 
 // creditSize is the frameCredit payload: uint32 additional credits.
 const creditSize = 4
 
 // doneSize is the frameDone payload: window count uint32, then the
 // session's remaining result credits uint32 — the client resyncs its
-// credit accounting from it, which also absorbs the benign race where
-// the first grant lands after the server already streamed results
-// creditlessly — then the recording's total estimated SOPs float64.
-// Pre-credit servers sent only the 4-byte count and pre-energy servers
-// the 8-byte count+credits; the client accepts all three.
+// credit accounting from it — then the recording's total estimated
+// SOPs float64.
 const doneSize = 4 + 4 + 8
-
-// legacyDoneSize is the pre-energy frameDone payload (count+credits).
-const legacyDoneSize = 4 + 4
 
 // frameWriter emits frames onto a buffered writer. The header scratch
 // lives in the struct, not the stack, so the per-window result frame
@@ -195,35 +156,18 @@ func appendResult(b []byte, r stream.Result) []byte {
 	return append(b, p[:]...)
 }
 
-// decodeResult is appendResult's inverse; a legacy 20-byte payload
-// from a pre-energy server decodes with SOPs 0.
+// decodeResult is appendResult's inverse.
 func decodeResult(p []byte) (stream.Result, error) {
-	if len(p) != resultSize && len(p) != legacyResultSize {
-		return stream.Result{}, fmt.Errorf("serve: result frame of %d bytes, want %d or %d", len(p), resultSize, legacyResultSize)
+	if len(p) != resultSize {
+		return stream.Result{}, fmt.Errorf("serve: result frame of %d bytes, want %d", len(p), resultSize)
 	}
-	r := stream.Result{
+	return stream.Result{
 		Window:  int(binary.LittleEndian.Uint32(p[0:])),
 		StartMS: math.Float64frombits(binary.LittleEndian.Uint64(p[4:])),
 		Events:  int(binary.LittleEndian.Uint32(p[12:])),
 		Class:   int(int32(binary.LittleEndian.Uint32(p[16:]))),
-	}
-	if len(p) == resultSize {
-		r.SOPs = math.Float64frombits(binary.LittleEndian.Uint64(p[20:]))
-	}
-	return r, nil
-}
-
-// readModePayload consumes a frameMode payload whose header was
-// already read and returns the mode bits.
-func readModePayload(br *bufio.Reader, n int) (byte, error) {
-	if n != modeSize {
-		return 0, fmt.Errorf("serve: mode frame of %d bytes, want %d", n, modeSize)
-	}
-	b, err := br.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	return b, nil
+		SOPs:    math.Float64frombits(binary.LittleEndian.Uint64(p[20:])),
+	}, nil
 }
 
 // readCreditPayload consumes a frameCredit payload whose header was

@@ -204,9 +204,9 @@ func (rt *Router) probe(rep *replica) {
 	rep.up.Store(true)
 }
 
-// checkReplica dials and completes a creditless hello handshake — a
-// liveness check that exercises the real session path, not just the
-// accept queue. Bounded by DialTimeout plus a probe read deadline of at
+// checkReplica dials and completes a hello handshake — a liveness
+// check that exercises the real session path, not just the accept
+// queue. Bounded by DialTimeout plus a probe read deadline of at
 // least one second: a momentarily busy replica must not be demoted (and
 // later resynced) over a sub-second HealthInterval.
 func (rt *Router) checkReplica(addr string) error {
@@ -215,7 +215,6 @@ func (rt *Router) checkReplica(addr string) error {
 		idle = time.Second
 	}
 	cl, err := Dial(addr, ClientOptions{
-		Config:      SessionConfig{CreditWindow: Creditless},
 		DialTimeout: rt.opts.DialTimeout,
 		IdleTimeout: idle,
 	})
@@ -236,7 +235,6 @@ func (rt *Router) syncCheckpoint(addr string) error {
 		return nil
 	}
 	cl, err := Dial(addr, ClientOptions{
-		Config:      SessionConfig{CreditWindow: Creditless},
 		DialTimeout: rt.opts.DialTimeout,
 		IdleTimeout: rt.opts.IdleTimeout,
 	})
@@ -558,7 +556,6 @@ func (rt *Router) SwapAll(path string) ([]ReplicaSwapStatus, error) {
 		go func(i int, rep *replica) {
 			defer wg.Done()
 			cl, err := Dial(rep.addr, ClientOptions{
-				Config:      SessionConfig{CreditWindow: Creditless},
 				DialTimeout: rt.opts.DialTimeout,
 				IdleTimeout: rt.opts.IdleTimeout,
 			})

@@ -123,8 +123,8 @@ func streamThrough(t *testing.T, addr string, copts ClientOptions, data []byte) 
 }
 
 // TestRouterMatchesDirect is the proxy-fidelity gate: sessions through
-// the router — hello-negotiated and legacy alike — produce results
-// bit-identical to the same sessions against a replica directly.
+// the router produce results bit-identical to the same sessions against
+// a replica directly.
 func TestRouterMatchesDirect(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
@@ -143,9 +143,9 @@ func TestRouterMatchesDirect(t *testing.T) {
 		copts ClientOptions
 	}{
 		{"hello", ClientOptions{}},
-		{"hello creditless", ClientOptions{Config: SessionConfig{CreditWindow: Creditless}}},
 		{"hello tiny window", ClientOptions{Config: SessionConfig{CreditWindow: 1}}},
-		{"legacy", ClientOptions{Legacy: true}},
+		{"private", ClientOptions{Config: SessionConfig{PrivateBatch: true}}},
+		{"private tiny window", ClientOptions{Config: SessionConfig{PrivateBatch: true, CreditWindow: 1}}},
 	} {
 		direct := streamThrough(t, reps[0].addr, tc.copts, data)
 		routed := streamThrough(t, raddr, tc.copts, data)

@@ -57,9 +57,9 @@ type ServerOptions struct {
 	WriteTimeout time.Duration
 	// ResultWindow caps the undelivered results buffered per session
 	// under credit flow (the ring between the pipeline and the wire
-	// writer); the pipeline stalls beyond it. 0 uses 256 — at 20
-	// bytes per staged result the worst case is ~5 KB per session.
-	// Negative is a configuration error.
+	// writer); the pipeline stalls beyond it. 0 uses 256 — at one
+	// 128-byte ring slot per staged result the worst case is 32 KB per
+	// session. Negative is a configuration error.
 	ResultWindow int
 	// SharedBatch enables cross-session continuous batching: sessions
 	// submit voxelized windows to one shared stream.Scheduler that
@@ -67,8 +67,9 @@ type ServerOptions struct {
 	// demuxes the classes back per session. Results are bit-identical
 	// to per-session batching. nil (the zero value) and &true enable
 	// it; &false pins every session to a private pipeline. Individual
-	// clients can still opt out per session with a frameMode frame
-	// (the bit-exactness debugging escape hatch). Use Bool.
+	// clients can still opt out per session with
+	// SessionConfig.PrivateBatch in their hello (the bit-exactness
+	// debugging escape hatch). Use Bool.
 	SharedBatch *bool
 	// MaxBatch caps how many windows one scheduler tick coalesces into
 	// a single batched classify. 0 uses stream.DefaultMaxBatch;
@@ -159,8 +160,8 @@ type Server struct {
 	slots *stream.SlotPool
 
 	// sched is the shared continuous-batching classifier (nil when
-	// SharedBatch is off). Sessions default onto it; frameMode lets a
-	// client pin its session to a private pipeline instead.
+	// SharedBatch is off). Sessions default onto it; a hello with
+	// PrivateBatch pins its session to a private pipeline instead.
 	sched *stream.Scheduler
 
 	// energy is the SOP-accounting model over the served master's
@@ -168,7 +169,7 @@ type Server struct {
 	// every LoadCheckpoint so accounting follows the swapped-in weights.
 	energy atomic.Pointer[approx.EnergyModel]
 	// int8OK records whether per-channel int8 panels built on the
-	// master at construction — the gate for the modeInt8 session tier.
+	// master at construction — the gate for the INT8 session tier.
 	// Set once in NewServer, read-only after.
 	int8OK bool
 
@@ -622,8 +623,8 @@ func (s *Server) serveSession(dc *deadlineConn) (err error) {
 	}()
 
 	// The pipeline is built lazily, at the first recording: by then the
-	// reader has processed the frameHello (or legacy frameMode) the
-	// client led with — frames are relayed in wire order — so the
+	// reader has processed the frameHello the client opened with —
+	// frames are relayed in wire order — so the
 	// shared-vs-private and tier choices are latched correctly. It is
 	// then reused for every recording on the session.
 	var p *stream.Pipeline

@@ -101,26 +101,23 @@ type session struct {
 	br  *bufio.Reader // reader-goroutine-only after newSession
 	fw  *frameWriter
 
-	credits    atomic.Int64 // results the client has authorized
-	creditMode atomic.Bool  // latched by the first frameCredit
-	topup      chan struct{}
+	credits atomic.Int64 // results the client has authorized
+	topup   chan struct{}
 
 	// privateBatch opts the session out of the server's shared-batch
-	// scheduler (frameHello, or legacy frameMode/modePrivate). Set by
-	// the reader goroutine, read by the session goroutine when it
-	// builds the pipeline at the first recording.
+	// scheduler, as the hello requested. Set by the reader goroutine,
+	// read by the session goroutine when it builds the pipeline at the
+	// first recording.
 	privateBatch atomic.Bool
-	// tierInt8 requests the quantized INT8 precision tier (frameHello,
-	// or legacy frameMode/modeInt8). Latched like privateBatch: the
-	// session goroutine reads it when the pipeline is built.
+	// tierInt8 requests the quantized INT8 precision tier, as the hello
+	// requested. Latched like privateBatch: the session goroutine reads
+	// it when the pipeline is built.
 	tierInt8 atomic.Bool
 
-	// Reader-goroutine-only handshake ordering state: a hello must
-	// precede the first data frame and cannot follow a legacy mode
-	// frame or a second hello; a swap phase is refused mid-recording.
+	// Reader-goroutine-only handshake ordering state: the session must
+	// open with exactly one hello; a swap phase is refused
+	// mid-recording.
 	sawHello    bool
-	sawMode     bool
-	sawData     bool
 	inRecording bool
 
 	// Session-goroutine-only swap staging: the checkpoint prepared on
@@ -190,6 +187,10 @@ func (ss *session) reader() {
 			}
 			return
 		}
+		if !ss.sawHello && typ != frameHello {
+			ss.msgs <- rmsg{kind: rErr, err: fmt.Errorf("serve: session must open with a hello frame (protocol version %d), got frame type 0x%02x", ProtoVersion, typ)}
+			return
+		}
 		switch typ {
 		case frameCredit:
 			grant, cerr := readCreditPayload(ss.br, n)
@@ -198,19 +199,6 @@ func (ss *session) reader() {
 				return
 			}
 			ss.addCredits(grant)
-		case frameMode:
-			bits, merr := readModePayload(ss.br, n)
-			if merr != nil {
-				ss.msgs <- rmsg{kind: rErr, err: merr}
-				return
-			}
-			if ss.sawHello {
-				ss.msgs <- rmsg{kind: rErr, err: errors.New("serve: legacy mode frame after hello")}
-				return
-			}
-			ss.sawMode = true
-			ss.privateBatch.Store(bits&modePrivate != 0)
-			ss.tierInt8.Store(bits&modeInt8 != 0)
 		case frameHello:
 			cfg, herr := ss.readHello(n)
 			if herr != nil {
@@ -226,7 +214,7 @@ func (ss *session) reader() {
 			}
 			ss.msgs <- rmsg{kind: rSwap, phase: phase, path: path}
 		case frameData:
-			ss.sawData, ss.inRecording = true, true
+			ss.inRecording = true
 			for n > 0 {
 				buf := <-ss.free
 				m := n
@@ -256,18 +244,12 @@ func (ss *session) reader() {
 
 // readHello consumes a frameHello payload, negotiates, and applies the
 // resulting config: the private/tier latches are stored and the hello's
-// credit window becomes the initial grant, exactly as if a legacy
-// client had sent the equivalent mode and credit frames. Returns the
-// negotiated config the session goroutine must echo as frameAccept.
+// credit window becomes the initial grant. Returns the negotiated
+// config the session goroutine must echo as frameAccept.
 // Reader-goroutine only.
 func (ss *session) readHello(n int) (SessionConfig, error) {
-	switch {
-	case ss.sawHello:
+	if ss.sawHello {
 		return SessionConfig{}, errors.New("serve: duplicate hello frame")
-	case ss.sawMode:
-		return SessionConfig{}, errors.New("serve: hello frame after a legacy mode frame")
-	case ss.sawData:
-		return SessionConfig{}, errors.New("serve: hello frame after the first data frame")
 	}
 	p := make([]byte, n)
 	if _, err := io.ReadFull(ss.br, p); err != nil {
@@ -283,16 +265,13 @@ func (ss *session) readHello(n int) (SessionConfig, error) {
 	ss.sawHello = true
 	// The echo reports effective settings, not requested ones: a server
 	// running without a shared scheduler serves every session privately
-	// and says so. Version stays the client's (already capped at
-	// ProtoVersion by decodeHello) — the highest both sides speak.
+	// and says so.
 	if ss.srv.sched == nil {
 		cfg.PrivateBatch = true
 	}
 	ss.privateBatch.Store(cfg.PrivateBatch)
 	ss.tierInt8.Store(cfg.Tier == snn.TierINT8)
-	if cfg.CreditWindow > 0 {
-		ss.addCredits(int64(cfg.CreditWindow))
-	}
+	ss.addCredits(int64(cfg.CreditWindow))
 	return cfg, nil
 }
 
@@ -514,14 +493,14 @@ func (ss *session) stopReader() {
 	}
 }
 
-// addCredits applies one frameCredit grant. Called from the reader
-// goroutine while the writer may be waiting in awaitCredit.
+// addCredits applies one credit grant (the hello's window or a
+// frameCredit). Called from the reader goroutine while the writer may
+// be waiting in awaitCredit.
 func (ss *session) addCredits(n int64) {
 	if n <= 0 {
 		return
 	}
 	ss.credits.Add(n)
-	ss.creditMode.Store(true)
 	select {
 	case ss.topup <- struct{}{}:
 	default:
@@ -626,13 +605,9 @@ func (ss *session) sendResult(r stream.Result, rbuf *[]byte) error {
 }
 
 // awaitCredit consumes one result credit, waiting for a top-up when
-// the window is exhausted. Creditless sessions (no frameCredit seen
-// yet) pass straight through — the legacy flow. The fast path is one
-// CAS, no allocation; the stall path is cold and metered.
+// the window is exhausted. The fast path is one CAS, no allocation; the
+// stall path is cold and metered.
 func (ss *session) awaitCredit() error {
-	if !ss.creditMode.Load() {
-		return nil
-	}
 	for {
 		if c := ss.credits.Load(); c > 0 {
 			if ss.credits.CompareAndSwap(c, c-1) {
