@@ -56,20 +56,20 @@ race:
 # One iteration of the hot-path benchmarks: keeps perf regressions
 # visible without burning CI minutes.
 bench:
-	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|PGDCraft|StreamWindow|SchedulerTick|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
+	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|PGDCraft|StreamWindow|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
 
 # The machine-readable benchmark artifact CI archives (inference +
 # training arenas, event-domain attack/filter hot paths, the streaming
-# window pipeline, the shared-batch scheduler tick, the serve sessions).
+# window pipeline, the serve sessions).
 # Staged through a file so a benchmark failure fails the target instead
 # of hiding behind the pipe; the -zeroalloc gate fails it if the
 # arena'd benchmarks regress above 0 allocs/op. `benchjson -compare
 # prev.json` adds the cross-run regression gate CI applies between
 # artifacts.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Predict|NeuromorphicPerturbSet|AQFFilterSet|SNNInference|TrainStep|GEMM|Stream|Scheduler|Serve|IncrementalAQF' \
+	$(GO) test -run '^$$' -bench 'Predict|NeuromorphicPerturbSet|AQFFilterSet|SNNInference|TrainStep|GEMM|Stream|Serve|IncrementalAQF' \
 		-benchtime=$(BENCHTIME) . ./internal/stream ./internal/serve > bench.txt
-	$(GO) run ./cmd/benchjson -zeroalloc '^Benchmark(Predict(Int8)?|TrainStep|StreamWindow|SchedulerTick/fill=[0-9]+|ServeWindow|ServeCreditWindow)$$' < bench.txt > BENCH_pr10.json
+	$(GO) run ./cmd/benchjson -zeroalloc '^Benchmark(Predict(Int8)?|TrainStep|StreamWindow|ServeWindow|ServeCreditWindow)$$' < bench.txt > BENCH_pr10.json
 
 # Short coverage-guided runs of the fuzz targets — the event codec's
 # oracle contracts, the incremental AQF's bit-identity to the

@@ -12,9 +12,7 @@
 //	            [-batch 4] [-chunk 4096] [-reorder 1024] [-qt -1]
 //	            [-perwindow] [-train 33] [-epochs 4] [-seed N]
 //	            [-metrics :7361] [-idle-timeout 2m] [-write-timeout 30s]
-//	            [-queue-timeout 0] [-result-window 256]
-//	            [-shared-batch] [-max-batch 16] [-tick-interval 0]
-//	            [-fair-share 4] [-admin-swap]
+//	            [-queue-timeout 0] [-result-window 256] [-admin-swap]
 //
 // Without -checkpoint a small gesture classifier is trained on
 // synthetic 32×32 DVS streams at startup (the same quick model
@@ -58,29 +56,26 @@
 // router's snapshot (sessions per replica, up/down, re-placements,
 // proxy p50/p99) with the same JSON/Prometheus negotiation.
 //
-// Sessions share one continuous-batching scheduler by default: ready
-// windows from every connection coalesce into classifier batches of up
-// to -max-batch, with -fair-share capping any one session's take per
-// batch and -tick-interval optionally trading latency for fill.
-// -shared-batch=false reverts the server to per-session batching.
+// Every session classifies its windows -batch at a time on its own
+// pipeline, each batch on a clone and a frame slot borrowed from the
+// server's -pool-sized pools, so sessions share the compute budget
+// without sharing batches.
 //
 // Load-generator mode:
 //
 //	axsnn-serve -load [-addr host:7360] [-sessions 8] [-recordings 4]
 //	            [-segments 6] [-window 600] [-seed N] [-credit-window 64]
-//	            [-dial-timeout 10s] [-int8] [-private-batch]
-//	            [-metrics host:7361]
+//	            [-dial-timeout 10s] [-int8] [-metrics host:7361]
 //
 // Opens -sessions concurrent sessions, streams -recordings synthetic
 // multi-gesture flows on each, checks the protocol invariants (window
 // order, declared counts) and reports aggregate windows/s. Sessions
 // negotiate their config via the hello handshake: -credit-window sets
-// the result window (a negative window is rejected), -private-batch
-// opts every generator session out of the server's shared scheduler,
-// and -int8 requests the quantized INT8 precision tier (the server
-// refuses the hello if the served model carries no int8 panels). The
-// generator points at a server or a router unchanged; with -metrics
-// the metrics endpoint is fetched and printed after the run.
+// the result window (a negative window is rejected) and -int8 requests
+// the quantized INT8 precision tier (the server refuses the hello if
+// the served model carries no int8 panels). The generator points at a
+// server or a router unchanged; with -metrics the metrics endpoint is
+// fetched and printed after the run.
 package main
 
 import (
@@ -137,13 +132,8 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 0, "per-frame write deadline; 0 = 30s default, negative disables")
 	queueTimeout := flag.Duration("queue-timeout", 0, "how long a connection may queue at a full server; 0 = refuse immediately")
 	resultWindow := flag.Int("result-window", 0, "undelivered results buffered per session under credit flow (0 = 256)")
-	sharedBatch := flag.Bool("shared-batch", true, "coalesce windows from all sessions into shared classifier batches")
-	maxBatch := flag.Int("max-batch", 0, "windows per shared classifier batch (0 = 16)")
-	tickInterval := flag.Duration("tick-interval", 0, "how long a shared batch accumulates before classifying (0 = greedy)")
-	fairShare := flag.Int("fair-share", 0, "max windows one session takes per shared batch (0 = max-batch/4)")
 	creditWindow := flag.Int("credit-window", 0, "result credits a -load session keeps granted (0 = 64 default)")
 	dialTimeout := flag.Duration("dial-timeout", 0, "-load connection timeout (0 = 10s default)")
-	privateBatch := flag.Bool("private-batch", false, "-load sessions opt out of the server's shared scheduler")
 	int8Tier := flag.Bool("int8", false, "-load sessions request the quantized INT8 precision tier")
 	adminSwap := flag.Bool("admin-swap", false, "allow the frameSwap checkpoint RPC on client connections (required on routed replicas)")
 	route := flag.String("route", "", "comma-separated replica addresses; run as router front tier instead of server")
@@ -156,10 +146,7 @@ func main() {
 	gcfg.Duration = *window
 
 	if *loadMode {
-		cfg := serve.SessionConfig{
-			PrivateBatch: *privateBatch,
-			CreditWindow: *creditWindow,
-		}
+		cfg := serve.SessionConfig{CreditWindow: *creditWindow}
 		if *int8Tier {
 			cfg.Tier = snn.TierINT8
 		}
@@ -213,8 +200,6 @@ func main() {
 		Pipeline: opts, MaxSessions: *sessions, PoolSize: *pool,
 		IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
 		QueueTimeout: *queueTimeout, ResultWindow: *resultWindow,
-		SharedBatch: serve.Bool(*sharedBatch), MaxBatch: *maxBatch,
-		TickInterval: *tickInterval, FairShare: *fairShare,
 		AdminSwap: *adminSwap,
 	})
 	if err != nil {

@@ -118,7 +118,7 @@ func NewEnergyModel(net *snn.Network) *EnergyModel {
 // accumulated spikes for the rest (LIF statistics are per-sample
 // averages, hence the batch multiplier). Returns performed and
 // unpruned-baseline SOP counts. Allocation-free: safe on the serve
-// scheduler's per-tick path.
+// tier's per-batch classify path.
 func (m *EnergyModel) BatchSOPs(net *snn.Network, inputSum float64, batch int) (sops, possible float64) {
 	if batch <= 0 {
 		batch = 1

@@ -93,8 +93,8 @@ func TestEnergyModelMatchesMeasure(t *testing.T) {
 	}
 }
 
-// BatchSOPs must not allocate: it runs on the serve scheduler's
-// per-tick path.
+// BatchSOPs must not allocate: it runs on the serve tier's per-batch
+// classify path.
 func TestBatchSOPsZeroAlloc(t *testing.T) {
 	net, calib := fixture(35)
 	m := NewEnergyModel(net)

@@ -115,29 +115,17 @@ func BenchmarkServeSlowConsumer(b *testing.B) {
 }
 
 // benchSessions runs one benchmark iteration shape: `sessions`
-// concurrent clients each streaming the same recording once, on a
-// server built from opts. Reports aggregate windows/s and ns/window
-// (and, under shared batching, the mean coalesced batch fill). The
-// full tensor-worker budget is in play, as deployed (`axsnn-serve
-// -workers 0`): the point of coalescing is handing the kernels one
-// wide GEMM to parallelize instead of many two-window slivers, and a
-// single-worker pin would benchmark exactly the shape the scheduler
-// exists to avoid.
-func benchSessions(b *testing.B, sessions int, opts ServerOptions) {
-	benchSessionsClients(b, sessions, opts, func(int) ClientOptions { return ClientOptions{} })
-}
-
-// benchSessionsClients is benchSessions with per-session client
-// options, so tiered mixes can reuse the same iteration shape.
-func benchSessionsClients(b *testing.B, sessions int, opts ServerOptions, copts func(int) ClientOptions) {
+// concurrent clients each streaming the same recording once, the
+// s'th with client options copts(s) (nil means the defaults). Reports
+// aggregate windows/s and ns/window. The full tensor-worker budget is
+// in play, as deployed (`axsnn-serve -workers 0`): concurrent sessions
+// share it through the server's clone and slot pools.
+func benchSessions(b *testing.B, sessions int, copts func(int) ClientOptions) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(0)
 	master := testNet(6, 81)
 	o := stream.Options{WindowMS: 60, Steps: 6, Batch: 2, ChunkEvents: 1024}
-	opts.Pipeline = o
-	opts.MaxSessions = sessions
-	opts.PoolSize = 2
-	srv, err := NewServer(master, opts)
+	srv, err := NewServer(master, ServerOptions{Pipeline: o, MaxSessions: sessions, PoolSize: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -151,7 +139,11 @@ func benchSessionsClients(b *testing.B, sessions int, opts ServerOptions, copts 
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				cl, done := startSessionOptions(srv, copts(s))
+				var co ClientOptions
+				if copts != nil {
+					co = copts(s)
+				}
+				cl, done := startSessionOptions(srv, co)
 				defer cl.Close()
 				if _, err := cl.Stream(bytes.NewReader(data), nil); err != nil {
 					errs <- err
@@ -169,50 +161,28 @@ func benchSessionsClients(b *testing.B, sessions int, opts ServerOptions, copts 
 	}
 	b.ReportMetric(float64(b.N*sessions*windows)/b.Elapsed().Seconds(), "windows/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sessions*windows), "ns/window")
-	if sched := srv.Scheduler(); sched != nil {
-		b.ReportMetric(sched.Stats().AvgFill(), "fill")
-	}
 }
 
 // BenchmarkServeSessions measures end-to-end session throughput — the
-// full protocol stack over in-process pipes — at 1, 4 and 16 concurrent
-// sessions sharing one bounded clone pool, with per-session batching
-// pinned: this is the baseline the shared-scheduler benchmark below is
-// judged against, so it must keep measuring the private path.
+// full protocol stack over in-process pipes — at 1 to 64 concurrent
+// sessions sharing one bounded clone and slot pool.
 func BenchmarkServeSessions(b *testing.B) {
-	for _, sessions := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			benchSessions(b, sessions, ServerOptions{SharedBatch: Bool(false)})
-		})
-	}
-}
-
-// BenchmarkServeSessionsShared is the continuous-batching headline:
-// the same protocol stack with every session's windows coalesced
-// through the shared scheduler. Per-session batching issues one
-// Batch-wide GEMM per session round regardless of how many sessions
-// are live; the scheduler turns concurrent light sessions into
-// MaxBatch-wide GEMMs, so windows/s must scale with session count
-// where the private baseline stays flat.
-func BenchmarkServeSessionsShared(b *testing.B) {
 	for _, sessions := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			benchSessions(b, sessions, ServerOptions{})
+			benchSessions(b, sessions, nil)
 		})
 	}
 }
 
 // BenchmarkServeSessionsTiered measures the mixed-precision serving
 // path: half the sessions request the INT8 tier, half stay FP32, all
-// on the shared scheduler. Same-tier coalescing means each tick's
-// batch fills from one tier's pending windows only, so this benchmark
-// prices the cost of splitting the coalescing stream in two (compare
-// windows/s and fill against BenchmarkServeSessionsShared at the same
-// session count) plus the int8 kernel's share of the work.
+// drawing clones from the one shared pool (which re-pins each clone's
+// tier on acquire). Compare windows/s against BenchmarkServeSessions at
+// the same session count for the int8 kernel's share of the work.
 func BenchmarkServeSessionsTiered(b *testing.B) {
 	for _, sessions := range []int{4, 16} {
 		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			benchSessionsClients(b, sessions, ServerOptions{}, func(s int) ClientOptions {
+			benchSessions(b, sessions, func(s int) ClientOptions {
 				cfg := SessionConfig{}
 				if s%2 == 1 {
 					cfg.Tier = snn.TierINT8

@@ -25,12 +25,12 @@ const DefaultDialTimeout = 10 * time.Second
 // ClientOptions configure a Client: the session configuration it
 // negotiates and the transport deadlines it applies.
 type ClientOptions struct {
-	// Config is the session configuration to negotiate: private
-	// batching, precision tier, credit window, protocol version. Zero
-	// values mean defaults (see SessionConfig); invalid values — a
-	// negative credit window, an unknown tier, a version this build
-	// cannot speak — are reported as errors by the first Client call,
-	// never silently clamped.
+	// Config is the session configuration to negotiate: precision
+	// tier, credit window, protocol version. Zero values mean defaults
+	// (see SessionConfig); invalid values — a negative credit window,
+	// an unknown tier, a version this build cannot speak — are
+	// reported as errors by the first Client call, never silently
+	// clamped.
 	Config SessionConfig
 	// DialTimeout bounds Dial. 0 uses DefaultDialTimeout, negative
 	// disables.

@@ -26,11 +26,6 @@ type SessionConfig struct {
 	// Version is the handshake protocol version. 0 resolves to
 	// ProtoVersion; the server refuses versions it does not speak.
 	Version int
-	// PrivateBatch opts the session out of the server's shared-batch
-	// scheduler onto a private pipeline — the bit-exactness debugging
-	// escape hatch. The accept echo reports the effective value: a
-	// server running without a shared scheduler echoes true.
-	PrivateBatch bool
 	// Tier is the session's precision tier (snn.TierFP32 or
 	// snn.TierINT8). A server that cannot serve the requested tier
 	// refuses the hello instead of silently downgrading.
@@ -79,24 +74,20 @@ func (c SessionConfig) Validate() error {
 //
 //	[2 bytes LE version][1 byte flags][1 byte tier][4 bytes LE credit window]
 //
-// flags bit 0 is private batching; the remaining bits are reserved and
-// ignored. tier is the snn.PrecisionTier ordinal. The credit window is
-// 1..maxCreditWindow; 0 is refused, since every session runs under
-// credit flow. Payload bytes past helloSize are ignored when the
-// declared version is one this build speaks — a newer client may
-// append fields this build does not know about.
+// The flags byte is reserved: sent as 0 and ignored on receipt, so a
+// client that still sets bit 0 (the retired private-batching request)
+// is served like any other. tier is the snn.PrecisionTier ordinal. The
+// credit window is 1..maxCreditWindow; 0 is refused, since every
+// session runs under credit flow. Payload bytes past helloSize are
+// ignored when the declared version is one this build speaks — a newer
+// client may append fields this build does not know about.
 const helloSize = 2 + 1 + 1 + 4
-
-const helloFlagPrivate = 0x01
 
 // appendHello encodes a resolved SessionConfig as a hello/accept
 // payload after b.
 func appendHello(b []byte, c SessionConfig) []byte {
 	var p [helloSize]byte
 	binary.LittleEndian.PutUint16(p[0:], uint16(c.Version))
-	if c.PrivateBatch {
-		p[2] |= helloFlagPrivate
-	}
 	p[3] = byte(c.Tier)
 	binary.LittleEndian.PutUint32(p[4:], uint32(c.CreditWindow))
 	return append(b, p[:]...)
@@ -115,7 +106,6 @@ func decodeHello(p []byte) (SessionConfig, error) {
 	}
 	c := SessionConfig{
 		Version:      v,
-		PrivateBatch: p[2]&helloFlagPrivate != 0,
 		Tier:         snn.PrecisionTier(p[3]),
 		CreditWindow: int(binary.LittleEndian.Uint32(p[4:])),
 	}

@@ -20,7 +20,6 @@ import (
 func TestHelloFrameRoundTrip(t *testing.T) {
 	cases := []SessionConfig{
 		{Version: ProtoVersion, CreditWindow: 64},
-		{Version: ProtoVersion, PrivateBatch: true, CreditWindow: 1},
 		{Version: ProtoVersion, Tier: snn.TierINT8, CreditWindow: 1 << 20},
 	}
 	for _, in := range cases {
@@ -119,9 +118,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative sessions", ServerOptions{MaxSessions: -1}, false},
 		{"negative pool", ServerOptions{PoolSize: -2}, false},
 		{"negative result window", ServerOptions{ResultWindow: -1}, false},
-		{"negative max batch", ServerOptions{MaxBatch: -1}, false},
-		{"negative fair share", ServerOptions{FairShare: -1}, false},
-		{"negative sched queue", ServerOptions{SchedQueue: -3}, false},
 		{"negative queue timeout", ServerOptions{QueueTimeout: -1}, false},
 	}
 	for _, tc := range serverCases {
@@ -178,7 +174,6 @@ func TestServeHelloMatchesStandalone(t *testing.T) {
 		want []stream.Result
 	}{
 		{"default", SessionConfig{}, wantFP},
-		{"private", SessionConfig{PrivateBatch: true}, wantFP},
 		{"int8", SessionConfig{Tier: snn.TierINT8}, wantI8},
 		{"tiny window", SessionConfig{CreditWindow: 1}, wantFP},
 		{"int8 tiny window", SessionConfig{Tier: snn.TierINT8, CreditWindow: 1}, wantI8},
@@ -212,12 +207,12 @@ func TestServeHelloAcceptEcho(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
 	o := stream.Options{WindowMS: 50, Steps: 3}
-
-	shared, err := NewServer(testNet(3, 5), ServerOptions{Pipeline: o, PoolSize: 1})
+	master := testNet(3, 5)
+	srv, err := NewServer(master, ServerOptions{Pipeline: o, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, done := startSessionOptions(shared, ClientOptions{})
+	cl, done := startSessionOptions(srv, ClientOptions{})
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,24 +227,28 @@ func TestServeHelloAcceptEcho(t *testing.T) {
 	cl.Close()
 	<-done
 
-	// A server without a shared scheduler serves every session on a
-	// private pipeline; the echo must say so even when the client did
-	// not ask.
-	private, err := NewServer(testNet(3, 5), ServerOptions{Pipeline: o, PoolSize: 1,
-		SharedBatch: Bool(false)})
-	if err != nil {
+	// Wire compatibility: a client built before every session got its
+	// own pipeline sets flags bit 0 (private batching) in its hello. The
+	// flags byte is reserved now, so the hello is accepted, the session
+	// classifies exactly as a standalone pipeline does, and the echo
+	// carries the flags byte as 0.
+	fw, br, cs, done2 := rawSession(t, srv)
+	defer cs.Close()
+	p := appendHello(nil, SessionConfig{Version: ProtoVersion, CreditWindow: 1 << 16})
+	p[2] = 0x01
+	if err := fw.write(frameHello, p); err != nil {
 		t.Fatal(err)
 	}
-	cl2, done2 := startSessionOptions(private, ClientOptions{Config: SessionConfig{CreditWindow: 1}})
-	if err := cl2.Ping(); err != nil {
+	if err := fw.flush(); err != nil {
 		t.Fatal(err)
 	}
-	got2, _ := cl2.Negotiated()
-	want2 := SessionConfig{Version: ProtoVersion, PrivateBatch: true, CreditWindow: 1}
-	if got2 != want2 {
-		t.Fatalf("negotiated %+v, want %+v", got2, want2)
+	echo := expectFrame(t, br, "flagged hello", frameAccept)
+	if len(echo) != helloSize || echo[2] != 0 {
+		t.Fatalf("accept echo % x: want %d bytes with a zero flags byte", echo, helloSize)
 	}
-	cl2.Close()
+	data := testRecording(t, 1, 200, 29)
+	assertResults(t, "flagged hello session", standalone(t, master, data, o), rawStream(t, fw, br, data))
+	cs.Close()
 	<-done2
 }
 
@@ -261,6 +260,43 @@ func rawSession(t *testing.T, srv *Server) (*frameWriter, *bufio.Reader, net.Con
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeConn(ss) }()
 	return newFrameWriter(cs), bufio.NewReader(cs), cs, done
+}
+
+// rawStream sends one recording over a raw session whose credit window
+// covers every result and collects the results through frameDone.
+func rawStream(t *testing.T, fw *frameWriter, br *bufio.Reader, data []byte) []stream.Result {
+	t.Helper()
+	if err := fw.write(frameData, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.write(frameEnd, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.flush(); err != nil {
+		t.Fatal(err)
+	}
+	var got []stream.Result
+	for {
+		typ, n, err := readHeader(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(br, payload); err != nil {
+			t.Fatal(err)
+		}
+		if typ == frameDone {
+			return got
+		}
+		if typ != frameResult {
+			t.Fatalf("frame 0x%02x %q, want result or done", typ, payload)
+		}
+		r, err := decodeResult(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, r)
+	}
 }
 
 // expectFrame reads one frame and asserts its type, returning the
@@ -346,39 +382,7 @@ func TestServeHelloVersionSkew(t *testing.T) {
 	expectFrame(t, br, "padded hello", frameAccept)
 
 	data := testRecording(t, 2, 120, 72)
-	want := standalone(t, master, data, o)
-	if err := fw.write(frameData, data); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.write(frameEnd, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.flush(); err != nil {
-		t.Fatal(err)
-	}
-	var got []stream.Result
-	for {
-		typ, n, err := readHeader(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			t.Fatal(err)
-		}
-		if typ == frameDone {
-			break
-		}
-		if typ != frameResult {
-			t.Fatalf("frame 0x%02x %q, want result or done", typ, payload)
-		}
-		r, err := decodeResult(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, r)
-	}
-	assertResults(t, "padded hello session", want, got)
+	assertResults(t, "padded hello session", standalone(t, master, data, o), rawStream(t, fw, br, data))
 	cs.Close()
 	<-done
 }

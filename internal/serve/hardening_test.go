@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -316,6 +318,123 @@ func TestServeCreditFlowMatchesReference(t *testing.T) {
 	}
 	if sent := m.ResultsSent.Load(); sent != int64(len(want)) {
 		t.Fatalf("ResultsSent = %d, want %d", sent, len(want))
+	}
+}
+
+// TestServeCreditInterleave is the regression for frame-done
+// accounting when a session's windows complete across round
+// boundaries: tiny credit and result windows (2 each) against 4-window
+// rounds force every session's rounds to interleave with other
+// sessions' rounds and with its own credit top-ups. Window order, done
+// counts and the client/server credit resync must all survive several
+// recordings back to back, and nothing may stay buffered at the end.
+// (go test -race runs this in CI's race job.)
+func TestServeCreditInterleave(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(2)
+	master := testNet(4, 61)
+	o := stream.Options{WindowMS: 40, Steps: 4, Batch: 4, ChunkEvents: 48}
+	srv, err := NewServer(master, ServerOptions{
+		Pipeline: o, MaxSessions: 3, PoolSize: 2, ResultWindow: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testRecording(t, 3, 600, 71)
+	want := standalone(t, master, data, o)
+	if len(want) < 8 {
+		t.Fatalf("recording yields %d windows; need a multiple of the 2-credit window to interleave", len(want))
+	}
+
+	const sessions = 3
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cl, done := startSessionOptions(srv, ClientOptions{Config: SessionConfig{CreditWindow: 2}})
+			defer cl.Close()
+			for rec := 0; rec < 3; rec++ {
+				next := 0
+				n, err := cl.Stream(bytes.NewReader(data), func(r stream.Result) error {
+					if r.Window != next {
+						return fmt.Errorf("window %d delivered out of order (want %d)", r.Window, next)
+					}
+					if !sameResult(r, want[next]) {
+						return fmt.Errorf("window %d = %+v, want %+v", next, r, want[next])
+					}
+					next++
+					return nil
+				})
+				if err != nil {
+					errs <- fmt.Errorf("session %d recording %d: %w", i, rec, err)
+					return
+				}
+				if n != len(want) || next != len(want) {
+					errs <- fmt.Errorf("session %d recording %d: declared %d, delivered %d, want %d",
+						i, rec, n, next, len(want))
+					return
+				}
+			}
+			cl.Close()
+			<-done
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	if b := srv.Metrics().ResultsBuffered.Load(); b != 0 {
+		t.Fatalf("%d results still buffered after every session drained", b)
+	}
+	if n := srv.ActiveSessions(); n != 0 {
+		t.Fatalf("%d sessions still active after drain", n)
+	}
+}
+
+// TestServeAbortDrainsBufferedGauge is the gauge-leak regression: a
+// 1-credit client that consumes one result and then dies leaves the
+// session with staged, undeliverable results. Aborting the session
+// must hand every one of them back to the ResultsBuffered gauge — a
+// server that leaks the gauge here reports phantom buffered results
+// forever.
+func TestServeAbortDrainsBufferedGauge(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(1)
+	master := testNet(4, 61)
+	o := stream.Options{WindowMS: 40, Steps: 4, Batch: 2, ChunkEvents: 48}
+	srv, err := NewServer(master, ServerOptions{Pipeline: o, MaxSessions: 1, PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testRecording(t, 1, 500, 57)
+	if want := standalone(t, master, data, o); len(want) < 4 {
+		t.Fatalf("recording yields %d windows; need enough to stay staged past 1 credit", len(want))
+	}
+
+	cl, done := startSessionOptions(srv, ClientOptions{Config: SessionConfig{CreditWindow: 1}})
+	defer cl.Close()
+	seen := 0
+	_, err = cl.Stream(bytes.NewReader(data), func(stream.Result) error {
+		seen++
+		return fmt.Errorf("consumer died")
+	})
+	if err == nil {
+		t.Fatal("Stream returned nil after the emit callback failed")
+	}
+	if seen != 1 {
+		t.Fatalf("consumer saw %d results before dying, want 1", seen)
+	}
+	cl.Close()
+	<-done
+	if n := srv.ActiveSessions(); n != 0 {
+		t.Fatalf("%d sessions still active after the abort", n)
+	}
+	if b := srv.Metrics().ResultsBuffered.Load(); b != 0 {
+		t.Fatalf("results_buffered = %d after the aborted session tore down, want 0 (gauge leak)", b)
 	}
 }
 

@@ -140,8 +140,8 @@ type Metrics struct {
 }
 
 // AddSOPs accumulates estimated synaptic operations from one classified
-// batch. Lock-free and allocation-free: it runs on the scheduler tick
-// and private classify paths.
+// batch. Lock-free and allocation-free: it runs on every session's
+// classify path.
 func (m *Metrics) AddSOPs(v float64) {
 	for {
 		old := m.sops.Load()
@@ -159,12 +159,9 @@ func (m *Metrics) SOPsEstimated() float64 { return math.Float64frombits(m.sops.L
 // embedders; HTTP scraping goes through MetricsHandler).
 func (s *Server) Metrics() *Metrics { return &s.metrics }
 
-// ObserveRound implements stream.Observer for the server's sessions
-// and its shared scheduler: every classification round — a private
-// pipeline's flush or a coalesced scheduler tick — lands in the shared
-// histogram and the windows-served counter. Exactly one of the two
-// observes any given window (shared sessions run with a nil pipeline
-// observer), so nothing double-counts.
+// ObserveRound implements stream.Observer for the server's sessions:
+// every session pipeline's classification round lands in the shared
+// histogram and the windows-served counter, once per window.
 func (s *Server) ObserveRound(windows int, latencyNs int64) {
 	s.metrics.WindowsServed.Add(int64(windows))
 	s.metrics.Latency.Observe(latencyNs, int64(windows))
@@ -190,18 +187,11 @@ type MetricsSnapshot struct {
 	CreditStalls    int64 `json:"credit_stalls"`
 	ResultsBuffered int64 `json:"results_buffered"`
 
-	// Continuous-batching gauges (zero when SharedBatch is off): how
-	// full the coalesced GEMMs run, how deep the submission queue sits,
-	// and the fairness-cap high water (never above FairShare).
-	SharedBatch     bool    `json:"shared_batch"`
-	SchedTicks      int64   `json:"sched_ticks"`
-	SchedWindows    int64   `json:"sched_windows"`
-	BatchFillAvg    float64 `json:"batch_fill_avg"`
-	BatchFillHist   []int64 `json:"batch_fill_hist,omitempty"`
-	SchedQueueDepth int64   `json:"sched_queue_depth"`
-	SchedDeferrals  int64   `json:"sched_deferrals"`
-	SchedFailures   int64   `json:"sched_failures"`
-	SchedMaxPerTick int64   `json:"sched_max_per_tick"`
+	// Deprecated: always zero and left out of the JSON and Prometheus
+	// bodies — the server has no cross-session scheduler. The repo
+	// benchmark (bench/) is their only reader; they go once it stops
+	// reading them.
+	SchedTicks, SchedWindows, SchedDeferrals, SchedFailures int64 `json:"-"`
 
 	SlotCap       int64 `json:"slot_cap"`
 	SlotOccupancy int64 `json:"slot_occupancy"`
@@ -267,18 +257,6 @@ func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	}
 	if em := s.energy.Load(); em != nil {
 		snap.EnergyEstimatedJ = snap.SOPsEstimated * em.EnergyPerSOpJ
-	}
-	if s.sched != nil {
-		st := s.sched.Stats()
-		snap.SharedBatch = true
-		snap.SchedTicks = st.Ticks
-		snap.SchedWindows = st.Windows
-		snap.BatchFillAvg = st.AvgFill()
-		snap.BatchFillHist = st.Fill
-		snap.SchedQueueDepth = st.QueueDepth
-		snap.SchedDeferrals = st.Deferrals
-		snap.SchedFailures = st.Failures
-		snap.SchedMaxPerTick = st.MaxPerTick
 	}
 	return snap
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,16 +89,32 @@ func TestServeMetricsEndpoint(t *testing.T) {
 
 	ts := httptest.NewServer(srv.MetricsHandler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
+	get := func(url, wantCT string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != wantCT {
+			t.Fatalf("%s: Content-Type = %q, want %q", url, ct, wantCT)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nothing of the retired cross-session scheduler is exported.
+		for _, gone := range []string{"sched", "batch_fill"} {
+			if strings.Contains(string(body), gone) {
+				t.Fatalf("%s: body mentions %q:\n%s", url, gone, body)
+			}
+		}
+		return body
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type = %q, want application/json", ct)
-	}
+	body := get(ts.URL, "application/json")
+	get(ts.URL+"?format=prometheus", promContentType)
 	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("metrics endpoint served undecodable JSON: %v", err)
 	}
 	if snap.SessionsServed != 1 || snap.SessionsActive != 0 {
@@ -108,33 +126,10 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if snap.SlotCap != 1 || snap.CloneCap != 1 {
 		t.Fatalf("slot_cap=%d clone_cap=%d, want 1/1", snap.SlotCap, snap.CloneCap)
 	}
-	// The session rode the default shared-batch scheduler, so frame
-	// memory lived in its entry pool — the slot pool stayed untouched —
-	// and every window must show up in the continuous-batching gauges.
-	if snap.SlotOccupancy != 0 || snap.SlotHighWater != 0 {
-		t.Fatalf("slot occupancy=%d high_water=%d, want 0/0 under shared batching", snap.SlotOccupancy, snap.SlotHighWater)
-	}
-	if !snap.SharedBatch {
-		t.Fatal("shared_batch = false, want true by default")
-	}
-	if snap.SchedWindows != int64(len(want)) || snap.SchedTicks <= 0 {
-		t.Fatalf("sched windows=%d ticks=%d, want %d windows over > 0 ticks", snap.SchedWindows, snap.SchedTicks, len(want))
-	}
-	if snap.BatchFillAvg <= 0 {
-		t.Fatalf("batch_fill_avg = %v, want > 0", snap.BatchFillAvg)
-	}
-	var filled int64
-	for n, c := range snap.BatchFillHist {
-		filled += int64(n) * c
-	}
-	if filled != snap.SchedWindows {
-		t.Fatalf("batch_fill_hist sums to %d windows, counters say %d", filled, snap.SchedWindows)
-	}
-	if snap.SchedQueueDepth != 0 {
-		t.Fatalf("sched_queue_depth = %d after drain, want 0", snap.SchedQueueDepth)
-	}
-	if fair := int64(srv.Scheduler().FairShare()); snap.SchedMaxPerTick > fair {
-		t.Fatalf("sched_max_per_tick = %d exceeds the fairness cap %d", snap.SchedMaxPerTick, fair)
+	// The session's batches borrowed frame slots from the server's pool
+	// (PoolSize 1, so one at a time) and handed every one back.
+	if snap.SlotHighWater != 1 || snap.SlotOccupancy != 0 {
+		t.Fatalf("slot high_water=%d occupancy=%d, want 1/0", snap.SlotHighWater, snap.SlotOccupancy)
 	}
 	if snap.WindowLatencyP99Ms <= 0 || snap.WindowsPerSec <= 0 || snap.UptimeSec <= 0 {
 		t.Fatalf("p99=%v windows/s=%v uptime=%v, want all positive",

@@ -83,13 +83,6 @@ func writeServerProm(w io.Writer, s MetricsSnapshot) {
 	p.metric("axsnn_serve_window_latency_p99_ms", "gauge", s.WindowLatencyP99Ms)
 	p.metric("axsnn_serve_credit_stalls_total", "counter", float64(s.CreditStalls))
 	p.metric("axsnn_serve_results_buffered", "gauge", float64(s.ResultsBuffered))
-	p.metric("axsnn_serve_shared_batch", "gauge", b2f(s.SharedBatch))
-	p.metric("axsnn_serve_sched_ticks_total", "counter", float64(s.SchedTicks))
-	p.metric("axsnn_serve_sched_windows_total", "counter", float64(s.SchedWindows))
-	p.metric("axsnn_serve_batch_fill_avg", "gauge", s.BatchFillAvg)
-	p.metric("axsnn_serve_sched_queue_depth", "gauge", float64(s.SchedQueueDepth))
-	p.metric("axsnn_serve_sched_deferrals_total", "counter", float64(s.SchedDeferrals))
-	p.metric("axsnn_serve_sched_failures_total", "counter", float64(s.SchedFailures))
 	p.metric("axsnn_serve_slot_cap", "gauge", float64(s.SlotCap))
 	p.metric("axsnn_serve_slot_occupancy", "gauge", float64(s.SlotOccupancy))
 	p.metric("axsnn_serve_slot_high_water", "gauge", float64(s.SlotHighWater))

@@ -13,13 +13,13 @@
 //
 // A session is one connection serving a sequence of recordings on one
 // warmed pipeline. The client opens the session with one versioned
-// frameHello carrying its SessionConfig (protocol version, private
-// batching, precision tier, credit window — including the initial
-// credit grant); the server answers with a frameAccept echoing the
-// negotiated config. Any other first frame is refused with a
-// frameError. Per recording, the client sends the AEDAT container
-// as a sequence of frameData frames (any chunking, including the whole
-// file at once) terminated by frameEnd; the server answers with one
+// frameHello carrying its SessionConfig (protocol version, precision
+// tier, credit window — including the initial credit grant); the
+// server answers with a frameAccept echoing the negotiated config. Any
+// other first frame is refused with a frameError. Per recording, the
+// client sends the AEDAT container as a sequence of frameData frames
+// (any chunking, including the whole file at once) terminated by
+// frameEnd; the server answers with one
 // frameResult per window — in window order, streamed as soon as each
 // window classifies — then frameDone carrying the window count and the
 // session's remaining result credits. After frameDone the client may
@@ -37,14 +37,15 @@
 // of pinning it. frameCredit is accepted at any point after the hello:
 // mid-recording (interleaved with frameData) and between recordings.
 //
-// Classification is continuously batched by default: sessions submit
-// voxelized windows to one shared stream.Scheduler that coalesces
-// ready windows from all sessions into large GEMMs and demuxes the
-// classes back per session (ServerOptions.SharedBatch). Results are
-// bit-identical to per-session batching — the batched forward is
-// per-sample exact — and a client can still opt its session onto a
-// private pipeline with SessionConfig.PrivateBatch in its hello, the
-// bit-exactness debugging escape hatch.
+// Every session classifies on its own pipeline: each round fans the
+// session's Batch-wide window groups out over the tensor worker pool,
+// every group voxelized into a frame slot from the server's SlotPool
+// and predicted on a clone from its clone pool, both released before
+// any result is emitted. Concurrent sessions therefore share the
+// compute budget through the two bounded pools, and results are
+// bit-identical to standalone stream.Predict — the batched forward is
+// per-sample exact, so which clone or batch a window rides cannot
+// change its class.
 //
 // Because results stream while data is still arriving, a client MUST
 // read concurrently with writing (Client.Stream does), or a fully

@@ -144,8 +144,6 @@ func TestRouterMatchesDirect(t *testing.T) {
 	}{
 		{"hello", ClientOptions{}},
 		{"hello tiny window", ClientOptions{Config: SessionConfig{CreditWindow: 1}}},
-		{"private", ClientOptions{Config: SessionConfig{PrivateBatch: true}}},
-		{"private tiny window", ClientOptions{Config: SessionConfig{PrivateBatch: true, CreditWindow: 1}}},
 	} {
 		direct := streamThrough(t, reps[0].addr, tc.copts, data)
 		routed := streamThrough(t, raddr, tc.copts, data)
@@ -154,8 +152,8 @@ func TestRouterMatchesDirect(t *testing.T) {
 	}
 
 	// Placement spread: run enough sessions that rendezvous hashing with
-	// per-session salt lands on both replicas.
-	for i := 0; i < 16; i++ {
+	// per-session salt lands on both replicas (20 routed in all).
+	for i := 0; i < 18; i++ {
 		streamThrough(t, raddr, ClientOptions{}, data)
 	}
 	snap := rt.MetricsSnapshot()

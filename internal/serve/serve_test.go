@@ -69,7 +69,7 @@ func standalone(t testing.TB, net *snn.Network, data []byte, o stream.Options) [
 
 // sameResult compares two window results ignoring the SOPs estimate:
 // the server attributes a batch's SOPs proportionally across the
-// windows it coalesced, so the per-window estimate depends on batch
+// windows in the batch, so the per-window estimate depends on batch
 // composition, while everything else stays bit-exact against a
 // standalone reference (which runs without an energy model, SOPs 0).
 func sameResult(a, b stream.Result) bool {
@@ -220,6 +220,114 @@ func TestServeConcurrentSessions(t *testing.T) {
 	}
 	if n := srv.ActiveSessions(); n != 0 {
 		t.Fatalf("%d sessions still active after drain", n)
+	}
+}
+
+// TestServeConcurrentMatchesStandalone is the serve tier's concurrency
+// equivalence gate: sessions run at once against one server — each on
+// its own pipeline, all drawing clones and frame slots from the same
+// two bounded pools — and every one of them must stream results
+// bit-identical to the standalone reference. The inputs cover plain
+// and AQF-filtered pipeline shapes with six sessions of two recordings
+// each, plus a lopsided mix: one ~30-window session with four windows
+// per round beside three light ~4-window ones. The windows-served
+// counter must account for exactly the windows streamed, and the
+// slot pool's high water must stay within its capacity.
+func TestServeConcurrentMatchesStandalone(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	tensor.SetWorkers(2)
+	aqf := defense.DefaultAQFParams(0.01)
+	uniform := func(t *testing.T) [][][]byte {
+		recs := make([][][]byte, 6)
+		for i := range recs {
+			for r := 0; r < 2; r++ {
+				recs[i] = append(recs[i], testRecording(t, (i+r)%dvs.GestureClasses, 220, uint64(500+10*i+r)))
+			}
+		}
+		return recs
+	}
+	lopsided := func(t *testing.T) [][][]byte {
+		heavy := testRecording(t, 1, 1200, 83)
+		light := testRecording(t, 2, 160, 84)
+		recs := [][][]byte{{heavy, heavy}}
+		for i := 0; i < 3; i++ {
+			recs = append(recs, [][]byte{light, light, light, light})
+		}
+		return recs
+	}
+	cases := []struct {
+		name string
+		o    stream.Options
+		recs func(*testing.T) [][][]byte // per session, its recordings in order
+	}{
+		{"plain", stream.Options{WindowMS: 45, Steps: 4, Batch: 2, ChunkEvents: 64}, uniform},
+		{"aqf", stream.Options{WindowMS: 50, Steps: 4, Batch: 3, ChunkEvents: 48, AQF: &aqf}, uniform},
+		{"lopsided", stream.Options{WindowMS: 40, Steps: 4, Batch: 4, ChunkEvents: 48}, lopsided},
+	}
+	const poolSize = 2
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			master := testNet(4, 61)
+			recs := tc.recs(t)
+			srv, err := NewServer(master, ServerOptions{Pipeline: tc.o, MaxSessions: len(recs), PoolSize: poolSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants := make([][][]stream.Result, len(recs))
+			streamed := 0
+			for i, rs := range recs {
+				for _, data := range rs {
+					want := standalone(t, master, data, tc.o)
+					wants[i] = append(wants[i], want)
+					streamed += len(want)
+				}
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, len(recs))
+			for i := range recs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					cl, done := startSession(srv)
+					defer cl.Close()
+					for r, data := range recs[i] {
+						want := wants[i][r]
+						var got []stream.Result
+						if _, err := cl.Stream(bytes.NewReader(data), func(res stream.Result) error {
+							got = append(got, res)
+							return nil
+						}); err != nil {
+							errs <- fmt.Errorf("session %d recording %d: %w", i, r, err)
+							return
+						}
+						if len(got) != len(want) {
+							errs <- fmt.Errorf("session %d recording %d: %d results, want %d", i, r, len(got), len(want))
+							return
+						}
+						for k := range want {
+							if !sameResult(got[k], want[k]) {
+								errs <- fmt.Errorf("session %d recording %d: result %d = %+v, want %+v",
+									i, r, k, got[k], want[k])
+								return
+							}
+						}
+					}
+					cl.Close()
+					<-done
+				}(i)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if n := srv.Metrics().WindowsServed.Load(); n != int64(streamed) {
+				t.Fatalf("windows_served = %d; the sessions streamed %d", n, streamed)
+			}
+			if hw := srv.Slots().HighWater(); hw < 1 || hw > poolSize {
+				t.Fatalf("slot high water = %d, want 1..%d", hw, poolSize)
+			}
+		})
 	}
 }
 

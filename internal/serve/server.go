@@ -26,8 +26,10 @@ var ErrAtCapacity = errors.New("serve: server at session capacity")
 // ServerOptions configure a Server.
 type ServerOptions struct {
 	// Pipeline is the per-session streaming configuration (window,
-	// steps, chunking, filter mode, sensor pinning). Clones is
-	// overwritten: sessions always draw from the server's shared pool.
+	// steps, batch width, chunking, filter mode, sensor pinning).
+	// Clones, Slots, Observer and Energy are overwritten: every session
+	// draws clones and frame slots from the server's shared pools and
+	// reports its rounds and SOPs to the server's metrics.
 	Pipeline stream.Options
 	// MaxSessions bounds how many sessions run concurrently; further
 	// connections are refused with ErrAtCapacity instead of queueing
@@ -61,32 +63,6 @@ type ServerOptions struct {
 	// 128-byte ring slot per staged result the worst case is 32 KB per
 	// session. Negative is a configuration error.
 	ResultWindow int
-	// SharedBatch enables cross-session continuous batching: sessions
-	// submit voxelized windows to one shared stream.Scheduler that
-	// coalesces ready windows from all sessions into large GEMMs and
-	// demuxes the classes back per session. Results are bit-identical
-	// to per-session batching. nil (the zero value) and &true enable
-	// it; &false pins every session to a private pipeline. Individual
-	// clients can still opt out per session with
-	// SessionConfig.PrivateBatch in their hello (the bit-exactness
-	// debugging escape hatch). Use Bool.
-	SharedBatch *bool
-	// MaxBatch caps how many windows one scheduler tick coalesces into
-	// a single batched classify. 0 uses stream.DefaultMaxBatch;
-	// negative is a configuration error.
-	MaxBatch int
-	// TickInterval is how long a scheduler tick waits to fill its
-	// batch after the first ready window — trading latency for fill.
-	// 0 (the default) classifies whatever is ready immediately.
-	TickInterval time.Duration
-	// FairShare caps how many of one session's windows a single tick
-	// may take, so a saturating session cannot starve light ones.
-	// 0 uses max(1, MaxBatch/4); negative is a configuration error.
-	FairShare int
-	// SchedQueue bounds the scheduler's submission queue (total
-	// windows staged across all sessions). 0 uses 2×MaxBatch; negative
-	// is a configuration error.
-	SchedQueue int
 	// AdminSwap enables the frameSwap checkpoint RPC
 	// (prepare/commit/abort) on client connections — the seam the
 	// router's all-or-nothing hot-swap fan-out rides. Off by default on
@@ -94,9 +70,6 @@ type ServerOptions struct {
 	// untrusted clients must not honor it.
 	AdminSwap bool
 }
-
-// Bool is a *bool literal helper for ServerOptions.SharedBatch.
-func Bool(v bool) *bool { return &v }
 
 // validate rejects option values NewServer used to clamp silently: a
 // negative size or window is a caller bug worth reporting, not a
@@ -110,9 +83,6 @@ func (o ServerOptions) validate() error {
 		{"MaxSessions", o.MaxSessions},
 		{"PoolSize", o.PoolSize},
 		{"ResultWindow", o.ResultWindow},
-		{"MaxBatch", o.MaxBatch},
-		{"FairShare", o.FairShare},
-		{"SchedQueue", o.SchedQueue},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("serve: ServerOptions.%s is %d; it must not be negative (0 means default)", f.name, f.v)
@@ -158,11 +128,6 @@ type Server struct {
 	// from — sized like the clone pool, so full occupancy costs
 	// O(PoolSize × Batch × window) frames however many sessions run.
 	slots *stream.SlotPool
-
-	// sched is the shared continuous-batching classifier (nil when
-	// SharedBatch is off). Sessions default onto it; a hello with
-	// PrivateBatch pins its session to a private pipeline instead.
-	sched *stream.Scheduler
 
 	// energy is the SOP-accounting model over the served master's
 	// geometry and prune masks — RCU like the master itself, rebuilt by
@@ -243,43 +208,8 @@ func NewServer(master *snn.Network, o ServerOptions) (*Server, error) {
 	if _, err := stream.NewPipeline(master, probe); err != nil {
 		return nil, err
 	}
-	if o.SharedBatch == nil || *o.SharedBatch {
-		steps := o.Pipeline.Steps
-		if steps <= 0 {
-			steps = master.Cfg.Steps
-		}
-		sched, err := stream.NewScheduler(stream.SchedulerOptions{
-			Steps:        steps,
-			MaxBatch:     o.MaxBatch,
-			Queue:        o.SchedQueue,
-			FairShare:    o.FairShare,
-			TickInterval: o.TickInterval,
-			Clones:       s,
-			Observer:     s,
-			Energy:       s,
-			SensorW:      o.Pipeline.SensorW,
-			SensorH:      o.Pipeline.SensorH,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Probe the shared-mode pipeline configuration too: it is what
-		// most sessions will actually build.
-		shared := o.Pipeline
-		shared.Scheduler = sched
-		if _, err := stream.NewPipeline(master, shared); err != nil {
-			sched.Close()
-			return nil, err
-		}
-		s.sched = sched
-	}
 	return s, nil
 }
-
-// Scheduler exposes the shared continuous-batching classifier — nil
-// when SharedBatch is off. Its Stats feed the metrics endpoint and the
-// fairness assertions.
-func (s *Server) Scheduler() *stream.Scheduler { return s.sched }
 
 // Slots exposes the shared frame-slot pool (occupancy and high-water
 // gauges feed the metrics endpoint and the soak assertions).
@@ -413,7 +343,7 @@ func (s *Server) CheckpointFP() uint64 { return s.ckptFP.Load() }
 // BatchSOPs implements stream.EnergyAccount over the served model's
 // energy profile, feeding the per-batch estimate into the server-wide
 // metrics accumulator on the way through. Allocation-free — it runs on
-// the scheduler tick and private classify paths.
+// every session's classify path.
 func (s *Server) BatchSOPs(net *snn.Network, inputSum float64, batch int) (sops, possible float64) {
 	sops, possible = s.energy.Load().BatchSOPs(net, inputSum, batch)
 	s.metrics.AddSOPs(sops)
@@ -624,9 +554,8 @@ func (s *Server) serveSession(dc *deadlineConn) (err error) {
 
 	// The pipeline is built lazily, at the first recording: by then the
 	// reader has processed the frameHello the client opened with —
-	// frames are relayed in wire order — so the
-	// shared-vs-private and tier choices are latched correctly. It is
-	// then reused for every recording on the session.
+	// frames are relayed in wire order — so the tier choice is latched
+	// correctly. It is then reused for every recording on the session.
 	var p *stream.Pipeline
 	for {
 		more, err := ss.nextRecording()
@@ -644,19 +573,10 @@ func (s *Server) serveSession(dc *deadlineConn) (err error) {
 				// to the client as a frameError.
 				o.Tier = snn.TierINT8
 			}
-			if s.sched != nil && !ss.privateBatch.Load() {
-				// Shared batching: this session produces windows for the
-				// server-wide scheduler. The scheduler observes its own
-				// coalesced ticks — a producer-side observer would count
-				// every window twice — and carries the energy account,
-				// so the producer side leaves Energy unset too.
-				o.Scheduler = s.sched
-			} else {
-				o.Clones = s
-				o.Slots = s.slots
-				o.Observer = s
-				o.Energy = s
-			}
+			o.Clones = s
+			o.Slots = s.slots
+			o.Observer = s
+			o.Energy = s
 			p, err = stream.NewPipeline(s.master.Load(), o)
 			if err != nil {
 				return err
@@ -699,13 +619,5 @@ func (s *Server) Close() error {
 		close(s.done)
 	}
 	s.wg.Wait()
-	if first && s.sched != nil {
-		// After the session drain: an active producer round would
-		// otherwise fail with ErrSchedulerClosed instead of finishing.
-		// Sessions driven through ServeConn directly (not Serve) that
-		// are still mid-round unblock through the scheduler's stop
-		// channel rather than hanging.
-		s.sched.Close()
-	}
 	return nil
 }

@@ -83,8 +83,10 @@ const (
 //   - the reader owns the connection's receive side, demuxing
 //     frameCredit grants into the credit account the moment they
 //     arrive and relaying data bytes through a bounded chunk queue;
-//   - the session goroutine runs the pipeline over those chunks and
-//     stages results into a bounded ring;
+//   - the session goroutine runs the session's pipeline over those
+//     chunks — each round classifies its Batch-wide window groups in
+//     parallel, every group on a frame slot and a clone borrowed from
+//     the server's pools — and stages results into a bounded ring;
 //   - the writer drains the ring onto the wire, pausing when the
 //     client's credit window is exhausted.
 //
@@ -104,14 +106,9 @@ type session struct {
 	credits atomic.Int64 // results the client has authorized
 	topup   chan struct{}
 
-	// privateBatch opts the session out of the server's shared-batch
-	// scheduler, as the hello requested. Set by the reader goroutine,
-	// read by the session goroutine when it builds the pipeline at the
-	// first recording.
-	privateBatch atomic.Bool
 	// tierInt8 requests the quantized INT8 precision tier, as the hello
-	// requested. Latched like privateBatch: the session goroutine reads
-	// it when the pipeline is built.
+	// requested. Set by the reader goroutine, read by the session
+	// goroutine when it builds the pipeline at the first recording.
 	tierInt8 atomic.Bool
 
 	// Reader-goroutine-only handshake ordering state: the session must
@@ -243,8 +240,8 @@ func (ss *session) reader() {
 }
 
 // readHello consumes a frameHello payload, negotiates, and applies the
-// resulting config: the private/tier latches are stored and the hello's
-// credit window becomes the initial grant. Returns the negotiated
+// resulting config: the tier latch is stored and the hello's credit
+// window becomes the initial grant. Returns the negotiated
 // config the session goroutine must echo as frameAccept.
 // Reader-goroutine only.
 func (ss *session) readHello(n int) (SessionConfig, error) {
@@ -263,13 +260,6 @@ func (ss *session) readHello(n int) (SessionConfig, error) {
 		return SessionConfig{}, errors.New("serve: hello requests the int8 precision tier, which this server cannot serve")
 	}
 	ss.sawHello = true
-	// The echo reports effective settings, not requested ones: a server
-	// running without a shared scheduler serves every session privately
-	// and says so.
-	if ss.srv.sched == nil {
-		cfg.PrivateBatch = true
-	}
-	ss.privateBatch.Store(cfg.PrivateBatch)
 	ss.tierInt8.Store(cfg.Tier == snn.TierINT8)
 	ss.addCredits(int64(cfg.CreditWindow))
 	return cfg, nil

@@ -134,14 +134,7 @@ func TestServeSlowConsumerSoak(t *testing.T) {
 	master := testNet(4, 61)
 	o := stream.Options{WindowMS: 45, Steps: 4, Batch: 2, ChunkEvents: 48}
 	const poolSize = 2
-	// Pinned to per-session batching: the assertions below are about
-	// the private path's shared SlotPool (shared-batch sessions stage
-	// frames in the scheduler's bounded entry pool instead; that
-	// path's memory and fairness bounds are pinned by the shared-batch
-	// suite).
-	srv, err := NewServer(master, ServerOptions{
-		Pipeline: o, MaxSessions: 4, PoolSize: poolSize, SharedBatch: Bool(false),
-	})
+	srv, err := NewServer(master, ServerOptions{Pipeline: o, MaxSessions: 4, PoolSize: poolSize})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,10 +42,9 @@ func assertSOPs(t testing.TB, ctx string, cl *Client, got []stream.Result) {
 }
 
 // TestServeInt8TierEndToEnd pins the quantized serving tier: an INT8
-// session's results are bit-identical to a standalone INT8 pipeline
-// (whatever batch shapes the shared scheduler coalesces), FP32
-// sessions stay bit-identical to the FP32 reference while sharing the
-// server, every result frame carries a positive SOP estimate whose sum
+// session's results are bit-identical to a standalone INT8 pipeline,
+// FP32 sessions stay bit-identical to the FP32 reference while sharing
+// the server's clone pool, every result frame carries a positive SOP estimate whose sum
 // matches the done frame, and the metrics snapshot accounts the energy.
 func TestServeInt8TierEndToEnd(t *testing.T) {
 	defer tensor.SetWorkers(0)
@@ -81,13 +80,12 @@ func TestServeInt8TierEndToEnd(t *testing.T) {
 		cl.Close()
 		<-done
 	}
-	run("fp32 shared", ClientOptions{}, wantFP)
-	run("int8 shared", ClientOptions{Config: SessionConfig{Tier: snn.TierINT8}}, wantI8)
-	run("int8 private", ClientOptions{Config: SessionConfig{Tier: snn.TierINT8, PrivateBatch: true}}, wantI8)
+	run("fp32", ClientOptions{}, wantFP)
+	run("int8", ClientOptions{Config: SessionConfig{Tier: snn.TierINT8}}, wantI8)
 
-	// Mixed tiers concurrently on the shared scheduler: same-tier
-	// coalescing must keep each session on its own reference while the
-	// batches fill from whichever sessions are ready.
+	// Mixed tiers concurrently over the one clone pool: the pool re-pins
+	// each clone's tier on acquire, so every session must stay on its
+	// own reference whichever clone its batches land on.
 	var wg sync.WaitGroup
 	errs := make(chan error, 6)
 	for i := 0; i < 6; i++ {

@@ -117,8 +117,8 @@ func (s *Scratch) entry(layer, slot int) *scratchEntry {
 // sized returns the entry with a data buffer of exactly n elements.
 // Reuse is capacity-based: the buffer reallocates only when n exceeds
 // the largest size the slot has ever held and shrinks by reslicing —
-// so a caller whose batch width varies pass to pass (the serve tier's
-// shared scheduler coalesces whatever windows are ready: 16, 3, 7, …)
+// so a caller whose batch width varies pass to pass (a streaming
+// pipeline's last round classifies whatever windows remain: 4, 4, 1, …)
 // settles at the high-water size and then never allocates again.
 func (s *Scratch) sized(layer, slot, n int) *scratchEntry {
 	e := s.entry(layer, slot)

@@ -215,12 +215,12 @@ func TestPredictBatchIntoZeroAllocs(t *testing.T) {
 }
 
 // TestPredictBatchIntoVariableBatchZeroAllocs pins the capacity-based
-// arena reuse the shared-batch scheduler depends on: once an arena has
-// seen its high-water batch, every *smaller* batch must reslice the
-// same buffers — zero allocations — and still classify each sample
-// exactly as the per-sample path does (a shorter batch reslices state
-// buffers over memory a larger pass dirtied, so this doubles as the
-// stale-state regression).
+// arena reuse a streaming pipeline's narrower tail round depends on:
+// once an arena has seen its high-water batch, every *smaller* batch
+// must reslice the same buffers — zero allocations — and still
+// classify each sample exactly as the per-sample path does (a shorter
+// batch reslices state buffers over memory a larger pass dirtied, so
+// this doubles as the stale-state regression).
 func TestPredictBatchIntoVariableBatchZeroAllocs(t *testing.T) {
 	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)

@@ -46,8 +46,8 @@ func TestSetTierRequiresPanels(t *testing.T) {
 // The INT8 tier must be bit-identical across worker counts and across
 // batch compositions: the same sample yields the same logits whether it
 // runs alone, inside any batch, serial or parallel. This is the
-// property the serve scheduler relies on when it coalesces same-tier
-// windows from different sessions into one batch.
+// property that keeps a served window's class independent of the batch
+// it rides in.
 func TestInt8TierDeterministic(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	net := int8Net(t)

@@ -7,11 +7,9 @@
 // classifies them through the batched inference arena
 // (snn.PredictBatchInto), fanning window batches out over the shared
 // tensor worker pool — with clones either owned per pipeline or drawn
-// from a shared bounded CloneSource (internal/serve's session pool).
-// In producer mode (Options.Scheduler) the pipeline keeps the
-// read → filter → voxelize half and hands classification to a shared
-// Scheduler that coalesces ready windows from all sessions into
-// continuous batches — see Scheduler.
+// from a shared bounded CloneSource, and frame memory either private or
+// drawn from a shared SlotPool (internal/serve's form: every session
+// runs its own pipeline over the server's two pools).
 //
 // The memory and allocation contract, pinned by the property tests:
 //
@@ -98,25 +96,13 @@ type Options struct {
 	// pipeline builds a private pool of Workers slots, which never
 	// blocks (at most Workers batches classify concurrently).
 	Slots *SlotPool
-	// Scheduler, when non-nil, switches the pipeline into producer
-	// mode — the cross-session continuous-batching split: the pipeline
-	// keeps the whole read → filter → voxelize half but submits every
-	// voxelized window to the shared Scheduler instead of classifying
-	// on its own clones, and the scheduler coalesces windows from all
-	// producers into shared GEMMs (see Scheduler). Results are
-	// bit-identical to the private path: the batched arena forward is
-	// per-sample exact, so batch composition cannot change a class.
-	// Mutually exclusive with Clones and Slots (the scheduler owns the
-	// clone source and the frame memory); Steps must match the
-	// scheduler's uniform step count.
-	Scheduler *Scheduler
 	// Observer, when non-nil, receives one ObserveRound per
 	// classification round — the serving tier's latency/throughput
-	// tap. In producer mode the round latency includes the scheduler
-	// round trip (submit → coalesced classify → demux), which is the
-	// latency a session actually experiences. The calls happen on the
-	// pipeline's Run goroutine, outside the reproducible kernels;
-	// implementations must not block.
+	// tap. The round latency includes any wait for a pooled clone or
+	// frame slot, which is the cross-session contention a session
+	// actually experiences. The calls happen on the pipeline's Run
+	// goroutine, outside the reproducible kernels; implementations must
+	// not block.
 	Observer Observer
 	// SensorW/SensorH, when set, are the sensor resolution the network
 	// was built for: Run rejects any recording that declares different
@@ -127,8 +113,8 @@ type Options struct {
 	SensorW, SensorH int
 	// Tier is the precision tier this pipeline classifies on
 	// (snn.TierFP32 by default). TierINT8 requires int8 panels: on the
-	// served network for pipeline-owned clones, or a CloneSource /
-	// Scheduler whose clone source implements TierCloneSource.
+	// served network for pipeline-owned clones, or a CloneSource that
+	// implements TierCloneSource.
 	Tier snn.PrecisionTier
 	// Energy, when non-nil, attributes estimated synaptic operations
 	// (SOPs) to every classified window: Result.SOPs carries each
@@ -223,20 +209,6 @@ func (o Options) withDefaults(net *snn.Network) (Options, error) {
 		return o, fmt.Errorf("stream: shared SlotPool covers %d-window batches, pipeline wants %d",
 			o.Slots.Batch(), o.Batch)
 	}
-	if o.Scheduler != nil {
-		if o.Clones != nil {
-			return o, fmt.Errorf("stream: Scheduler and Clones are mutually exclusive (the scheduler owns the clone source)")
-		}
-		if o.Slots != nil {
-			return o, fmt.Errorf("stream: Scheduler and Slots are mutually exclusive (the scheduler owns the frame memory)")
-		}
-		if o.Steps != o.Scheduler.Steps() {
-			return o, fmt.Errorf("stream: pipeline voxelizes %d steps, scheduler serves %d", o.Steps, o.Scheduler.Steps())
-		}
-		if o.Tier != snn.TierFP32 && !o.Scheduler.supportsTier(o.Tier) {
-			return o, fmt.Errorf("stream: scheduler's clone source cannot serve the %v tier", o.Tier)
-		}
-	}
 	if o.Tier != snn.TierFP32 && o.Clones != nil {
 		ts, ok := o.Clones.(TierCloneSource)
 		if !ok || !ts.SupportsTier(o.Tier) {
@@ -294,7 +266,6 @@ type Pipeline struct {
 	chunk  []dvs.Event
 	out    []int // per-round predictions, aligned with slots
 	inc    *defense.IncrementalAQF
-	prod   *Producer // producer mode (o.Scheduler): the shared-classifier handle
 
 	// Tier/energy plumbing: the tiered view of o.Clones (nil when the
 	// pipeline runs FP32 or owns its clones), and the per-slot SOP
@@ -327,24 +298,22 @@ func NewPipeline(net *snn.Network, o Options) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{net: net, o: o}
-	if o.Scheduler == nil {
-		if o.Clones == nil {
-			p.clones = make([]*snn.Network, o.Workers)
-			for i := range p.clones {
-				p.clones[i] = net.CloneArchitecture()
-				if err := p.clones[i].SetTier(o.Tier); err != nil {
-					return nil, fmt.Errorf("stream: %w", err)
-				}
+	if o.Clones == nil {
+		p.clones = make([]*snn.Network, o.Workers)
+		for i := range p.clones {
+			p.clones[i] = net.CloneArchitecture()
+			if err := p.clones[i].SetTier(o.Tier); err != nil {
+				return nil, fmt.Errorf("stream: %w", err)
 			}
-		} else if o.Tier != snn.TierFP32 {
-			p.tierSrc = o.Clones.(TierCloneSource) // validated in withDefaults
 		}
-		p.pool = o.Slots
-		if p.pool == nil {
-			// Private pool: at most min(tensor.Workers(), Workers) batches
-			// classify concurrently, so Workers slots can never block.
-			p.pool = NewSlotPool(o.Workers, o.Batch)
-		}
+	} else if o.Tier != snn.TierFP32 {
+		p.tierSrc = o.Clones.(TierCloneSource) // validated in withDefaults
+	}
+	p.pool = o.Slots
+	if p.pool == nil {
+		// Private pool: at most min(tensor.Workers(), Workers) batches
+		// classify concurrently, so Workers slots can never block.
+		p.pool = NewSlotPool(o.Workers, o.Batch)
 	}
 	p.slots = make([]*slot, o.Workers*o.Batch)
 	for i := range p.slots {
@@ -355,13 +324,6 @@ func NewPipeline(net *snn.Network, o Options) (*Pipeline, error) {
 	p.sops = make([]float64, len(p.slots))
 	p.insums = make([]float64, len(p.slots))
 	p.body = p.classify
-	if o.Scheduler != nil {
-		// Producer mode: the round width bounds this pipeline's windows
-		// in flight at the scheduler, so the completion channel sized to
-		// it can never block the shared demux.
-		p.prod = o.Scheduler.NewProducer(len(p.slots))
-		p.prod.tier = o.Tier
-	}
 	return p, nil
 }
 
@@ -589,10 +551,8 @@ func splitSOPs(total float64, insums, sops []float64) {
 	}
 }
 
-// stageWindow filters one staged window and voxelizes it into frames —
-// the per-window half both classification paths share (private
-// classifyBatch and the producer-mode submission loop), so the two are
-// input-identical by construction.
+// stageWindow filters one staged window and voxelizes it into frames,
+// recording how many events survived the filter.
 //
 //axsnn:hotpath
 func (p *Pipeline) stageWindow(s *slot, frames []*tensor.Tensor) {
@@ -625,9 +585,6 @@ func (p *Pipeline) flush(ready int, emit func(Result) error) error {
 	if ready == 0 {
 		return nil
 	}
-	if p.prod != nil {
-		return p.flushShared(ready, emit)
-	}
 	var t0 int64
 	if p.o.Observer != nil {
 		t0 = time.Now().UnixNano() //axsnn:allow-alloc observability clock read, once per round, outside the reproducible kernels
@@ -651,55 +608,6 @@ func (p *Pipeline) flush(ready int, emit func(Result) error) error {
 	}
 	for i, s := range p.slots[:ready] {
 		r := Result{Window: s.index, StartMS: s.start, Events: s.kept, Class: p.out[i], SOPs: p.sops[i]}
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushShared is the producer-mode round: voxelize every ready slot
-// into a pooled scheduler entry, submit the round, await the coalesced
-// completions, emit in window order. Staging and submitting interleave
-// deliberately — the scheduler can start classifying this round's
-// early windows (alongside other sessions') while the later ones are
-// still voxelizing.
-//
-//axsnn:hotpath
-func (p *Pipeline) flushShared(ready int, emit func(Result) error) error {
-	var t0 int64
-	if p.o.Observer != nil {
-		t0 = time.Now().UnixNano() //axsnn:allow-alloc observability clock read, once per round, outside the reproducible kernels
-	}
-	submitted := 0
-	var serr error
-	for i := 0; i < ready; i++ {
-		e, err := p.prod.takeEntry()
-		if err != nil {
-			serr = err
-			break
-		}
-		p.stageWindow(p.slots[i], p.prod.frames(e, p.runH, p.runW))
-		p.prod.submit(e, i)
-		submitted++
-	}
-	// Await everything actually submitted even on a mid-round error:
-	// in-flight entries must come home before the round unwinds.
-	if err := p.prod.await(submitted); err != nil && serr == nil {
-		serr = err
-	}
-	if serr != nil {
-		return serr
-	}
-	if p.o.Observer != nil {
-		// Observed before the emit loop, like the private path: a
-		// credit-stalled consumer must not smear the classification
-		// latency. Unlike the private path the round includes the
-		// scheduler queue wait — the latency a session actually sees.
-		p.o.Observer.ObserveRound(ready, time.Now().UnixNano()-t0) //axsnn:allow-alloc observability clock read, once per round, outside the reproducible kernels
-	}
-	for i, s := range p.slots[:ready] {
-		r := Result{Window: s.index, StartMS: s.start, Events: s.kept, Class: p.prod.out[i], SOPs: p.prod.sops[i]}
 		if err := emit(r); err != nil {
 			return err
 		}

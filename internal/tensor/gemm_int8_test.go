@@ -130,7 +130,8 @@ func TestMatMulInt8MatchesReference(t *testing.T) {
 // Each output row must be independent of what other rows ride in the
 // batch: computing rows one at a time must reproduce the full-batch
 // result bit-for-bit. This is what makes the INT8 serving tier
-// batch-shape invariant under the coalescing scheduler.
+// batch-shape invariant: a window classifies the same in a full batch
+// as in a partial one.
 func TestMatMulInt8BatchShapeInvariant(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(1)
