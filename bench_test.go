@@ -12,6 +12,7 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/attack"
@@ -311,6 +312,102 @@ func BenchmarkGEMM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tensor.MatMul(w, cols)
+	}
+}
+
+// BenchmarkConvForward measures one batch-4 inference convolution at
+// the served DVSNet-lite's two conv shapes, at the input density the
+// traced closed-fp32 bench measures and at 4× that, with two kernels:
+// kernel=scatter is the event-driven tensor.ConvScatterInto the arena
+// runs, and kernel=gemm is the lowering plus MatMulInto it ran before,
+// in the orientation Conv2D.rowsOrient picks for the shape. The bias
+// epilogue is left out of both. Inputs take the AvgPool levels {¼, ½,
+// ¾, 1} that feed these layers. Kernels run serially, as they do
+// inside a serving session. ns/SOP divides by the nonzero inputs times
+// the live fan-out, as the bench trace counts SOPs, so a kernel whose
+// time follows the spikes keeps it flat across densities.
+func BenchmarkConvForward(b *testing.B) {
+	tensor.SetWorkers(1)
+	defer tensor.SetWorkers(0)
+	const batch = 4
+	shapes := []struct {
+		name    string
+		g       tensor.Conv2DGeom
+		outC    int
+		density float64 // traced conv input density
+		rows    bool    // the im2row orientation, as rowsOrient picks it
+	}{
+		{"conv1", tensor.Conv2DGeom{InC: 2, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8, 0.086, false},
+		{"conv2", tensor.Conv2DGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 16, 0.035, true},
+	}
+	for _, sh := range shapes {
+		g := sh.g
+		n := g.OutH() * g.OutW()
+		ckk := g.InC * g.KH * g.KW
+		chw := g.InC * g.InH * g.InW
+		r := rng.New(9)
+		w := tensor.New(sh.outC, ckk)
+		for i := range w.Data {
+			w.Data[i] = r.NormFloat32()
+		}
+		wT := tensor.Transpose(w)
+		fanOut := float64(w.Len()*n) / float64(chw)
+		for _, density := range []float64{sh.density, 4 * sh.density} {
+			samples := make([]*tensor.Tensor, batch)
+			nnz := 0
+			for i := range samples {
+				samples[i] = tensor.New(g.InC, g.InH, g.InW)
+				for j := range samples[i].Data {
+					if r.Float64() < density {
+						samples[i].Data[j] = float32(1+r.Intn(4)) / 4
+						nnz++
+					}
+				}
+			}
+			sops := float64(nnz) * fanOut
+			acc := tensor.New(batch*n, sh.outC)
+			var low, gemm *tensor.Tensor
+			if sh.rows {
+				low, gemm = tensor.New(batch*n, ckk), tensor.New(batch*n, sh.outC)
+			} else {
+				low, gemm = tensor.New(ckk, batch*n), tensor.New(sh.outC, batch*n)
+			}
+			kernels := []struct {
+				name string
+				run  func()
+			}{
+				{"scatter", func() {
+					for i, x := range samples {
+						tensor.ConvScatterInto(acc.Data[i*n*sh.outC:(i+1)*n*sh.outC], x, wT.Data, sh.outC, g)
+					}
+				}},
+				{"gemm", func() {
+					if sh.rows {
+						for i, x := range samples {
+							tensor.Im2RowInto(low.Data[i*n*ckk:(i+1)*n*ckk], x, g)
+						}
+						tensor.MatMulInto(gemm, low, wT)
+						return
+					}
+					for i, x := range samples {
+						tensor.Im2ColStripeInto(low.Data, batch*n, i*n, x, g)
+					}
+					tensor.MatMulInto(gemm, w, low)
+				}},
+			}
+			for _, k := range kernels {
+				b.Run(fmt.Sprintf("%s/density=%.3f/kernel=%s", sh.name, density, k.name), func(b *testing.B) {
+					k.run()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						k.run()
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*sops), "ns/SOP")
+				})
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"io"
 	"net"
 	"time"
 )
@@ -45,7 +47,11 @@ type deadlineConn struct {
 
 func (d *deadlineConn) Read(p []byte) (int, error) {
 	if d.idle > 0 {
-		if err := d.conn.SetReadDeadline(time.Now().Add(d.idle)); err != nil {
+		// net.Pipe refuses a deadline with io.ErrClosedPipe once either
+		// end has closed. Read then returns at once and tells the two
+		// apart: io.EOF for a peer that hung up, which ends the session
+		// cleanly, and io.ErrClosedPipe for a local close.
+		if err := d.conn.SetReadDeadline(time.Now().Add(d.idle)); err != nil && !errors.Is(err, io.ErrClosedPipe) {
 			return 0, err
 		}
 	}

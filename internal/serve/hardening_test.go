@@ -86,6 +86,24 @@ func TestServeHalfOpenClientReaped(t *testing.T) {
 	<-sdone
 }
 
+// TestDeadlineConnPeerCloseIsEOF pins how a session's reader sees a
+// peer that hangs up between frames on a net.Pipe, whose
+// SetReadDeadline fails once either end is closed: as io.EOF, the
+// clean end of a session, not as a closed-pipe error. A local close
+// still reads as an error.
+func TestDeadlineConnPeerCloseIsEOF(t *testing.T) {
+	cs, ss := net.Pipe()
+	dc := &deadlineConn{conn: ss, idle: time.Minute}
+	cs.Close()
+	if _, err := dc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after peer close: %v, want io.EOF", err)
+	}
+	ss.Close()
+	if _, err := dc.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("read after local close: %v, want io.ErrClosedPipe", err)
+	}
+}
+
 // TestServeRefusalWriteDeadline is the WriteTimeout regression on the
 // admission path: refusing a connection that never reads must not
 // block ServeConn (pre-deadline it parked forever in the frameError

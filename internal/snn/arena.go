@@ -21,12 +21,18 @@ import "repro/internal/tensor"
 // CloneArchitecture clones, each with its own arena, exactly like the
 // training paths.
 //
-// Correctness: the arena forward runs the same kernels in the same
-// order as the allocating forward, so logits are bit-identical (pinned
-// by the property tests in arena_test.go). Weight-derived panels (mask
-// application, transposition) are re-derived once per forward pass —
-// the same cadence Reset gave the allocating path — so weight mutation
-// between passes stays safe.
+// Correctness: the arena forward adds every output's terms in the same
+// order as the allocating forward, so logits are bit-identical under ==
+// (pinned by the property tests in arena_test.go). Dense, LIF and pool
+// layers run the same kernels. Conv layers differ in kernel, not in
+// sums: the arena's event-driven scatter adds each output's terms in
+// ascending receptive-field position p, the order of the allocating
+// path's im2row GEMM; its im2col GEMM adds the same nonzero terms in the
+// same order and differs only in ±0 products, which == treats alike
+// (tensor.TestConvScatterMatchesGEMM pins both). Weight-derived panels
+// (mask application, transposition) are re-derived once per forward
+// pass — the same cadence Reset gave the allocating path — so weight
+// mutation between passes stays safe.
 
 // slotKey addresses one reusable buffer: the owning layer's position in
 // the network and a layer-chosen slot number.

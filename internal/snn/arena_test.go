@@ -41,25 +41,52 @@ func spikeFrames(r *rng.RNG, steps int, shape []int) []*tensor.Tensor {
 	return out
 }
 
+// analogFrames builds a Direct-coded input: one analog frame about 70%
+// dense with continuous values, repeated every step.
+func analogFrames(r *rng.RNG, steps int, shape []int) []*tensor.Tensor {
+	f := tensor.New(shape...)
+	for i := range f.Data {
+		if r.Float64() < 0.7 {
+			f.Data[i] = r.Float32()
+		}
+	}
+	out := make([]*tensor.Tensor, steps)
+	for t := range out {
+		out[t] = f
+	}
+	return out
+}
+
+// TestForwardScratchMatchesForward pins the arena logits to the
+// allocating path's under ==, per sample on spike and analog inputs
+// and batched against ForwardSamples.
 func TestForwardScratchMatchesForward(t *testing.T) {
 	for _, tc := range arenaCases() {
 		r := rng.New(11)
-		for trial := 0; trial < 3; trial++ {
-			frames := spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
-			want := tc.net.Forward(frames, false)
+		steps := tc.net.Cfg.Steps
+		check := func(input string, want *tensor.Tensor, frames []*tensor.Tensor, batch int) {
+			t.Helper()
 			s := tc.net.AcquireScratch()
-			got := tc.net.forwardScratch(frames, s, 0)
+			defer tc.net.Release(s)
+			got := tc.net.forwardScratch(frames, s, batch)
 			if !tensor.SameShape(want, got) {
-				t.Fatalf("%s trial %d: shape %v vs %v", tc.name, trial, want.Shape, got.Shape)
+				t.Fatalf("%s %s: shape %v vs %v", tc.name, input, want.Shape, got.Shape)
 			}
 			for i := range want.Data {
 				if want.Data[i] != got.Data[i] {
-					t.Fatalf("%s trial %d: logit %d = %v, want %v (arena must be bit-identical)",
-						tc.name, trial, i, got.Data[i], want.Data[i])
+					t.Fatalf("%s %s: logit %d = %v, want %v (arena must be bit-identical)",
+						tc.name, input, i, got.Data[i], want.Data[i])
 				}
 			}
-			tc.net.Release(s)
 		}
+		for trial := 0; trial < 3; trial++ {
+			frames := spikeFrames(r, steps, tc.shape)
+			check(fmt.Sprintf("spike trial %d", trial), tc.net.Forward(frames, false), frames, 0)
+		}
+		analog := analogFrames(r, steps, tc.shape)
+		check("analog", tc.net.Forward(analog, false), analog, 0)
+		samples := [][]*tensor.Tensor{spikeFrames(r, steps, tc.shape), analogFrames(r, steps, tc.shape), spikeFrames(r, steps, tc.shape)}
+		check("batch 3", tc.net.ForwardSamples(samples, false), StackFrames(samples, steps), len(samples))
 	}
 }
 
@@ -175,19 +202,26 @@ func TestArenaWithMask(t *testing.T) {
 
 // TestPredictZeroAllocs asserts the arena's headline property: after
 // warm-up, the Predict hot path allocates nothing — no tensors, no
-// headers — in the deterministic serial mode (the pool's parallel
-// dispatch allocates per-kernel job descriptors, so worker fan-out is
-// excluded here).
+// headers — at any worker count. Per-sample FP32 inference dispatches
+// no pool kernel: conv layers scatter their spikes serially and dense
+// layers gather theirs. The 16×16 MNIST and 32×32 DVS nets at T = 8 are
+// large enough that a GEMM there would cross the pool's parallel
+// threshold, so the two-worker run would catch one.
 func TestPredictZeroAllocs(t *testing.T) {
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
-	for _, tc := range arenaCases() {
-		frames := spikeFrames(rng.New(17), tc.net.Cfg.Steps, tc.shape)
-		tc.net.Predict(frames) // warm the arena
-		tc.net.Predict(frames)
-		avg := testing.AllocsPerRun(20, func() { tc.net.Predict(frames) })
-		if avg != 0 {
-			t.Errorf("%s: Predict allocates %.1f objects/op in steady state, want 0", tc.name, avg)
+	cases := append(arenaCases(),
+		arenaCase{"mnist-conv-16", MNISTNet(DefaultConfig(0.5, 8), 1, 16, 16, true, rng.New(4)), []int{1, 16, 16}},
+		arenaCase{"dvs-32", DVSNet(DefaultConfig(1.0, 8), 32, 32, 11, true, rng.New(5), nil), []int{2, 32, 32}})
+	for _, workers := range []int{1, 2} {
+		tensor.SetWorkers(workers)
+		for _, tc := range cases {
+			frames := spikeFrames(rng.New(17), tc.net.Cfg.Steps, tc.shape)
+			tc.net.Predict(frames) // warm the arena
+			tc.net.Predict(frames)
+			avg := testing.AllocsPerRun(20, func() { tc.net.Predict(frames) })
+			if avg != 0 {
+				t.Errorf("%s at %d workers: Predict allocates %.1f objects/op in steady state, want 0", tc.name, workers, avg)
+			}
 		}
 	}
 }

@@ -8,16 +8,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over (C,H,W) inputs, lowered to matrix
-// multiplication via im2row. Weights are stored as (OutC, InC·KH·KW)
-// plus a per-output-channel bias.
+// Conv2D is a 2-D convolution over (C,H,W) inputs. Weights are stored
+// as (OutC, InC·KH·KW) plus a per-output-channel bias.
 //
-// Both the single-sample and the batched path share one kernel: the
-// input lowers to receptive-field rows (B·OutH·OutW, InC·KH·KW), one
-// MatMul against the transposed weights computes every output position
-// of every sample, and spike-sparse rows ride the GEMM skip-zero fast
-// path. Per-forward caches (the transposed and mask-applied weights)
-// live until Reset, which every network-level pass calls first.
+// The arena inference forward (forwardArena) is event-driven: each
+// nonzero input scatters through its kernel taps, so its cost follows
+// the layer's synaptic operations. The training forward lowers to an
+// im2col panel and runs one GEMM, because the backward consumes that
+// panel. The allocating inference forward (Forward, ForwardBatch with
+// train false) lowers and runs a GEMM too, and serves as the arena's
+// test oracle. The INT8 tier lowers to im2row rows for its int8 GEMM.
+// Per-forward caches (the transposed and mask-applied weights) live
+// until Reset, which every network-level pass calls first.
 type Conv2D struct {
 	Geom tensor.Conv2DGeom
 	OutC int
@@ -46,8 +48,9 @@ type Conv2D struct {
 	i8      tensor.Int8Scratch
 }
 
-// rowsOrient selects the GEMM orientation. When the filter bank is wide
-// or the receptive field large, lowering to im2row rows lets
+// rowsOrient selects the GEMM orientation of the allocating inference
+// forward; the arena forward does not lower. When the filter bank is
+// wide or the receptive field large, lowering to im2row rows lets
 // spike-sparse rows ride the GEMM skip-zero fast path; tiny banks over
 // tiny receptive fields keep the classic im2col panel, whose long
 // contiguous inner loops beat the sparse win when the per-spike work is
@@ -215,10 +218,13 @@ func (c *Conv2D) forwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// forwardArena implements arenaLayer: the same lowering + GEMM + bias
-// sequence as the allocating inference path, with the lowering panel,
-// GEMM result, output tensor and once-per-pass weight panels all drawn
-// from the arena.
+// forwardArena implements arenaLayer, the inference forward behind
+// Predict, PredictBatch, serving and evaluation. It is event-driven:
+// tensor.ConvScatterInto does work in proportion to the nonzero inputs
+// and adds each output's terms in the order the allocating path's
+// im2row GEMM does (see its doc), so the logits match Forward. The
+// accumulator, output tensor and once-per-pass weight panels come from
+// the arena.
 func (c *Conv2D) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
 	g := c.Geom
 	b := batch
@@ -257,31 +263,16 @@ func (c *Conv2D) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tens
 		w = effW
 	}
 
-	if c.rowsOrient() {
-		wT, fresh := s.once2(li, slotWT, ckk, c.OutC)
-		if fresh {
-			tensor.TransposeInto(wT, w)
-		}
-		rows := s.buf2(li, slotLow, b*n, ckk)
-		for bi := 0; bi < b; bi++ {
-			sample := s.view3(li, slotInView, x.Data[bi*chw:(bi+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2RowInto(rows.Data[bi*n*ckk:(bi+1)*n*ckk], sample, g)
-		}
-		// (B·N, CKK) · (CKK, OutC): sparse receptive-field rows skip.
-		outT := s.buf2(li, slotGemm, b*n, c.OutC)
-		tensor.MatMulInto(outT, rows, wT)
-		c.scatterRowsBias(out, outT, b, n)
-	} else {
-		cols := s.buf2(li, slotLow, ckk, b*n)
-		for bi := 0; bi < b; bi++ {
-			sample := s.view3(li, slotInView, x.Data[bi*chw:(bi+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2ColStripeInto(cols.Data, b*n, bi*n, sample, g)
-		}
-		// (OutC, CKK) · (CKK, B·N): one panel GEMM for the batch.
-		big := s.buf2(li, slotGemm, c.OutC, b*n)
-		tensor.MatMulInto(big, w, cols)
-		c.scatterColsBias(out, big, b, n)
+	wT, fresh := s.once2(li, slotWT, ckk, c.OutC)
+	if fresh {
+		tensor.TransposeInto(wT, w)
 	}
+	outT := s.buf2(li, slotGemm, b*n, c.OutC)
+	for bi := 0; bi < b; bi++ {
+		sample := s.view3(li, slotInView, x.Data[bi*chw:(bi+1)*chw], g.InC, g.InH, g.InW)
+		tensor.ConvScatterInto(outT.Data[bi*n*c.OutC:(bi+1)*n*c.OutC], sample, wT.Data, c.OutC, g)
+	}
+	c.scatterRowsBias(out, outT, b, n)
 	return out
 }
 

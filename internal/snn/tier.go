@@ -119,12 +119,12 @@ func (n *Network) SetTier(t PrecisionTier) error {
 // Tier returns the network's current inference tier.
 func (n *Network) Tier() PrecisionTier { return n.tier }
 
-// forwardArenaInt8 is Conv2D's quantized arena forward: the same
-// im2row lowering and scatter/bias epilogue as the rows-orient FP32
-// path, with the GEMM swapped for the int8 kernel against the
-// prebuilt panel (which already carries the prune mask, so no effW
-// pass is needed). Always rows-orient: per-row activation quantization
-// is what makes the result batch-shape invariant.
+// forwardArenaInt8 is Conv2D's quantized arena forward: an im2row
+// lowering and the int8 GEMM against the prebuilt panel (which already
+// carries the prune mask, so no effW pass is needed), then the FP32
+// arena path's transpose and bias epilogue. Always rows-orient: per-row
+// activation quantization is what makes the result batch-shape
+// invariant.
 func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, s *Scratch, li, batch int, out *tensor.Tensor) *tensor.Tensor {
 	g := c.Geom
 	b := batch

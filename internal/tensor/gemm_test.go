@@ -362,21 +362,69 @@ func TestIm2RowMatchesIm2Col(t *testing.T) {
 	}
 }
 
-func TestCol2ImRowRoundTrip(t *testing.T) {
-	r := rng.New(18)
-	g := Conv2DGeom{InC: 2, InH: 7, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	rows := randSparse(r, 0.8, g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
-	cols := New(g.InC*g.KH*g.KW, g.OutH()*g.OutW())
-	ckk := g.InC * g.KH * g.KW
-	n := g.OutH() * g.OutW()
-	for p := 0; p < ckk; p++ {
-		for j := 0; j < n; j++ {
-			cols.Data[p*n+j] = rows.Data[j*ckk+p]
+// TestConvScatterMatchesGEMM pins the event-driven convolution to both
+// GEMM lowerings it replaces: bit for bit against Im2Row(x)·Wᵀ, whose
+// terms it adds in the same order, and under == (±0 alike) against
+// W·Im2Col(x), which skips zero weights where the scatter skips zero
+// inputs. The weights carry -0 entries, as a masked negative weight
+// does, and dst starts out as NaN so an uncleared cell shows.
+func TestConvScatterMatchesGEMM(t *testing.T) {
+	r := rng.New(27)
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	for inC := 1; inC <= 3; inC++ {
+		for _, k := range [][2]int{{3, 3}, {1, 1}, {5, 3}} {
+			for _, stride := range []int{1, 2} {
+				for pad := 0; pad <= 2; pad++ {
+					g := Conv2DGeom{InC: inC, InH: 3 + 2*inC, InW: 11 - 2*inC, KH: k[0], KW: k[1], Stride: stride, Pad: pad}
+					n := g.OutH() * g.OutW()
+					ckk := inC * g.KH * g.KW
+					for _, outC := range []int{1, 6, 17} {
+						w := randSparse(r, 1, outC, ckk)
+						for i := range w.Data {
+							switch r.Intn(5) {
+							case 0:
+								w.Data[i] = negZero
+							case 1:
+								w.Data[i] = 0
+							}
+						}
+						wT := Transpose(w)
+						for _, density := range []float64{0, 0.02, 0.1, 0.5, 1} {
+							for _, levels := range []bool{false, true} {
+								x := randSparse(r, density, inC, g.InH, g.InW)
+								if levels {
+									for i, v := range x.Data {
+										if v != 0 {
+											x.Data[i] = float32(1+r.Intn(4)) / 4
+										}
+									}
+								}
+								dst := make([]float32, n*outC)
+								for i := range dst {
+									dst[i] = nan
+								}
+								ConvScatterInto(dst, x, wT.Data, outC, g)
+								rows := MatMul(Im2Row(x, g), wT)
+								cols := MatMul(w, Im2Col(x, g))
+								for j := 0; j < n; j++ {
+									for oc := 0; oc < outC; oc++ {
+										got := dst[j*outC+oc]
+										if math.Float32bits(got) != math.Float32bits(rows.Data[j*outC+oc]) {
+											t.Fatalf("%+v outC=%d d=%.2f levels=%v: (%d,%d) = %v, im2row GEMM %v",
+												g, outC, density, levels, j, oc, got, rows.Data[j*outC+oc])
+										}
+										if got != cols.Data[oc*n+j] {
+											t.Fatalf("%+v outC=%d d=%.2f levels=%v: (%d,%d) = %v, im2col GEMM %v",
+												g, outC, density, levels, j, oc, got, cols.Data[oc*n+j])
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
 		}
-	}
-	a := Col2ImRow(rows, g)
-	b := Col2Im(cols, g)
-	if diff := maxAbsDiff(a, b); diff > 1e-5 {
-		t.Fatalf("Col2ImRow vs Col2Im diff %g", diff)
 	}
 }

@@ -85,6 +85,74 @@ func im2RowScatter(dst []float32, x *Tensor, g Conv2DGeom, ckk int) {
 	}
 }
 
+// ConvScatterInto is the event-driven convolution of one (C,H,W)
+// sample: it clears the channel-last (OutH*OutW, outC) accumulator dst
+// and visits each nonzero input (c, y, x) in raster order, adding
+// v·wT[p,:] into the row of every output position that kernel tap
+// p = (c, ky, kx) reaches. wT is the (C*KH*KW, outC) transposed weight
+// matrix. The work is at most nnz·KH·KW·outC multiply-adds: one per
+// input spike per synapse, the SOP count the energy model prices.
+//
+// dst equals Im2Row(x)·wT bit for bit. Raster order hands each output
+// its terms in ascending p, which is the order the GEMM's k loop adds
+// them in, and both skip exactly the zero inputs. The im2col form
+// W·Im2Col(x) skips zero weights instead of zero inputs; the terms the
+// two differ by are ±0 products, so it agrees under ==.
+func ConvScatterInto(dst []float32, x *Tensor, wT []float32, outC int, g Conv2DGeom) {
+	if x.Rank() != 3 || x.Shape[0] != g.InC || x.Shape[1] != g.InH || x.Shape[2] != g.InW {
+		panic(fmt.Sprintf("tensor: ConvScatter input %v does not match geom %+v", x.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
+	oh, ow := g.OutH(), g.OutW()
+	ckk := g.InC * g.KH * g.KW
+	if len(dst) != oh*ow*outC || len(wT) != ckk*outC {
+		panic(fmt.Sprintf("tensor: ConvScatter dst %d, wT %d, want %d, %d", len(dst), len(wT), oh*ow*outC, ckk*outC)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
+	clear(dst)
+	st := g.Stride
+	idx := 0
+	for c := 0; c < g.InC; c++ {
+		base := c * g.KH * g.KW
+		// Tap ki of input row si reaches output row oi when
+		// si+Pad = oi·Stride + ki. With si+Pad = qi·Stride + ri, those
+		// taps are ki = ri + m·Stride, oi = qi - m for m >= 0, and
+		// likewise for columns. q and r advance with the loops, so the
+		// tap walk needs no division.
+		qi, ri := g.Pad/st, g.Pad%st
+		for si := 0; si < g.InH; si++ {
+			mi := max(0, qi-oh+1)
+			ki0, oi0 := ri+mi*st, qi-mi
+			qj, rj := g.Pad/st, g.Pad%st
+			for sj := 0; sj < g.InW; sj++ {
+				if v := x.Data[idx]; v != 0 {
+					mj := max(0, qj-ow+1)
+					kj0, oj0 := rj+mj*st, qj-mj
+					for ki, oi := ki0, oi0; ki < g.KH && oi >= 0; ki, oi = ki+st, oi-1 {
+						wOff := (base + ki*g.KW + kj0) * outC
+						oOff := (oi*ow + oj0) * outC
+						for kj, oj := kj0, oj0; kj < g.KW && oj >= 0; kj, oj = kj+st, oj-1 {
+							w := wT[wOff : wOff+outC]
+							o := dst[oOff : oOff+outC]
+							o = o[:len(w)]
+							for m, wv := range w {
+								o[m] += v * wv
+							}
+							wOff += st * outC
+							oOff -= outC
+						}
+					}
+				}
+				idx++
+				if rj++; rj == st {
+					rj, qj = 0, qj+1
+				}
+			}
+			if ri++; ri == st {
+				ri, qi = 0, qi+1
+			}
+		}
+	}
+}
+
 // im2RowDense is the gather form: every output row is filled from its
 // receptive field, zero-padding out-of-range taps.
 func im2RowDense(dst []float32, x *Tensor, g Conv2DGeom, oh, ow, ckk int) {
@@ -232,50 +300,6 @@ func Col2ImStripeInto(x *Tensor, src []float32, rowStride, colOff int, g Conv2DG
 					}
 				}
 				row++
-			}
-		}
-	}
-}
-
-// Col2ImRow is the transpose of Im2Row: it scatters an
-// (OutH*OutW, C*KH*KW) matrix of receptive-field gradients back into a
-// (C,H,W) input-gradient tensor. It completes the im2row lowering pair;
-// the conv backward currently runs on the im2col panel (training caches
-// that layout), so this is exercised by the equivalence tests and
-// reserved for a rows-layout backward.
-func Col2ImRow(rows *Tensor, g Conv2DGeom) *Tensor {
-	x := New(g.InC, g.InH, g.InW)
-	Col2ImRowInto(x, rows.Data, g)
-	return x
-}
-
-// Col2ImRowInto accumulates the scatter of rows (len OutH*OutW·C*KH*KW,
-// im2row layout) into x, which must be (C,H,W) matching g.
-func Col2ImRowInto(x *Tensor, rows []float32, g Conv2DGeom) {
-	if x.Rank() != 3 || x.Shape[0] != g.InC || x.Shape[1] != g.InH || x.Shape[2] != g.InW {
-		panic(fmt.Sprintf("tensor: Col2ImRow output %v does not match geom %+v", x.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	oh, ow := g.OutH(), g.OutW()
-	ckk := g.InC * g.KH * g.KW
-	if len(rows) != oh*ow*ckk {
-		panic(fmt.Sprintf("tensor: Col2ImRow input %d, want %d", len(rows), oh*ow*ckk)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	for oi := 0; oi < oh; oi++ {
-		for oj := 0; oj < ow; oj++ {
-			row := rows[(oi*ow+oj)*ckk : (oi*ow+oj+1)*ckk]
-			r := 0
-			for c := 0; c < g.InC; c++ {
-				plane := x.Data[c*g.InH*g.InW:]
-				for ki := 0; ki < g.KH; ki++ {
-					si := oi*g.Stride + ki - g.Pad
-					for kj := 0; kj < g.KW; kj++ {
-						sj := oj*g.Stride + kj - g.Pad
-						if si >= 0 && si < g.InH && sj >= 0 && sj < g.InW {
-							plane[si*g.InW+sj] += row[r]
-						}
-						r++
-					}
-				}
 			}
 		}
 	}
