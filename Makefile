@@ -56,7 +56,7 @@ race:
 # One iteration of the hot-path benchmarks: keeps perf regressions
 # visible without burning CI minutes.
 bench:
-	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|ConvForward|PGDCraft|StreamWindow|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
+	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|ConvForward|PGDCraft|StreamWindow|StreamDecode|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
 
 # The machine-readable benchmark artifact CI archives (inference +
 # training arenas, event-domain attack/filter hot paths, the streaming
@@ -78,8 +78,9 @@ bench-json:
 # Fails fast on the first failing target.
 fuzz-smoke:
 	@set -e; \
-	for spec in "./internal/dvs FuzzStreamReader" "./internal/dvs FuzzStreamRoundTrip" \
-		"./internal/dvs FuzzReadAEDAT" "./internal/defense FuzzIncrementalAQF" \
+	for spec in "./internal/dvs FuzzStreamReader" "./internal/dvs FuzzStreamReaderReorderOracle" \
+		"./internal/dvs FuzzStreamRoundTrip" "./internal/dvs FuzzReadAEDAT" \
+		"./internal/defense FuzzIncrementalAQF" \
 		"./internal/serve FuzzServeFraming" "./internal/serve FuzzRouterProxy"; do \
 		set -- $$spec; \
 		echo "== $$2 ($$1)"; \

@@ -13,6 +13,8 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"sort"
 	"testing"
 
 	"repro/internal/attack"
@@ -612,6 +614,86 @@ func BenchmarkStreamWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		window(i)
+	}
+}
+
+// BenchmarkStreamDecode measures the streaming codec alone: each op
+// opens a fresh reader (NewStreamReaderOptions) on a 20k-event
+// recording and drains it in the pipeline's default 4096-event chunks,
+// reporting ns/event. Behind the serve default's 1024-event reorder
+// buffer it covers three arrival orders: sorted; lagged, where every
+// other event arrives K−1 positions late; and descending blocks of
+// K+1, where each late event lands ahead of about K/2 buffered ones —
+// a heavy case for the buffer's copies that the window still accepts.
+// Strict mode (K=0) emits file order whatever the arrival, so it runs
+// sorted only.
+func BenchmarkStreamDecode(b *testing.B) {
+	const events, k = 20000, 1024
+	// lagged: odd position i overtakes K−1 more even positions than odd
+	// ones, so it arrives exactly K−1 places late.
+	lagged := make([]int, events)
+	for i := range lagged {
+		lagged[i] = i
+	}
+	key := func(i int) int { return i + 2*(k-1)*(i%2) }
+	sort.SliceStable(lagged, func(a, b int) bool { return key(lagged[a]) < key(lagged[b]) })
+	blocks := make([]int, 0, events)
+	for lo := 0; lo < events; lo += k + 1 {
+		for i := min(lo+k, events-1); i >= lo; i-- {
+			blocks = append(blocks, i)
+		}
+	}
+	encode := func(order []int) []byte {
+		s := &dvs.Stream{W: 128, H: 128, Duration: 1000, Events: make([]dvs.Event, events)}
+		for p := range s.Events {
+			i := p
+			if order != nil {
+				i = order[p]
+			}
+			s.Events[p] = dvs.Event{X: i % 128, Y: i / 128 % 128, P: int8(1 - 2*(i%2)), T: float64(i) * 0.05}
+		}
+		var buf bytes.Buffer
+		if err := dvs.WriteAEDAT(&buf, s); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	chunk := make([]dvs.Event, 4096)
+	for _, c := range []struct {
+		name    string
+		reorder int
+		order   []int
+	}{
+		{"K=0/sorted", 0, nil},
+		{"K=1024/sorted", k, nil},
+		{"K=1024/lagged", k, lagged},
+		{"K=1024/blocks", k, blocks},
+	} {
+		data := encode(c.order)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sr, err := dvs.NewStreamReaderOptions(bytes.NewReader(data), dvs.StreamReaderOptions{ReorderWindow: c.reorder})
+				if err != nil {
+					b.Fatal(err)
+				}
+				got := 0
+				for {
+					n, err := sr.ReadChunk(chunk)
+					got += n
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				if got != events {
+					b.Fatalf("decoded %d events, want %d", got, events)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
 	}
 }
 

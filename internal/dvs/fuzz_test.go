@@ -2,8 +2,11 @@ package dvs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -270,5 +273,275 @@ func FuzzStreamConstruction(f *testing.F) {
 		if lit != want {
 			t.Fatalf("valid event lit %d voxel cells, want %d", lit, want)
 		}
+	})
+}
+
+// oracleReader is ReadChunk's fill-and-emit loop with a naive reorder
+// buffer standing in for the sorted one: pending holds the buffered
+// events in file order and every emit scans it for the earliest under
+// (T, file order). Records come from a strict (file-order) reader,
+// which shares the record validation and its error texts.
+type oracleReader struct {
+	src     *StreamReader
+	k       int
+	pending []Event
+	drained bool
+	lastT   float64
+	started bool
+	err     error
+}
+
+func (o *oracleReader) ReadChunk(buf []Event) (int, error) {
+	if o.err != nil {
+		return 0, o.err
+	}
+	n := 0
+	for n < len(buf) {
+		for !o.drained && len(o.pending) <= o.k {
+			var one [1]Event
+			_, err := o.src.ReadChunk(one[:])
+			if err == io.EOF {
+				o.drained = true
+				break
+			}
+			if err != nil {
+				o.err = err
+				return n, err
+			}
+			o.pending = append(o.pending, one[0])
+		}
+		if len(o.pending) == 0 {
+			break
+		}
+		m := 0
+		for i, e := range o.pending {
+			if e.T < o.pending[m].T {
+				m = i
+			}
+		}
+		e := o.pending[m]
+		o.pending = append(o.pending[:m], o.pending[m+1:]...)
+		if o.started && e.T < o.lastT {
+			o.err = fmt.Errorf("dvs: event at %gms out of order beyond the %d-event reorder window (last emitted %gms)",
+				e.T, o.k, o.lastT)
+			return n, o.err
+		}
+		o.lastT, o.started = e.T, true
+		buf[n] = e
+		n++
+	}
+	if n == 0 {
+		o.err = io.EOF
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// readResult is one ReadChunk call's outcome.
+type readResult struct {
+	events []Event
+	err    string
+}
+
+// drainChunks calls read with a chunk-sized buffer until it reports an
+// error (io.EOF included), then once more to see the error stick.
+func drainChunks(t *testing.T, read func([]Event) (int, error), chunk int) []readResult {
+	t.Helper()
+	buf := make([]Event, chunk)
+	var out []readResult
+	for i := 0; i < 1<<16; i++ {
+		n, err := read(buf)
+		r := readResult{events: append([]Event(nil), buf[:n]...)}
+		if err != nil {
+			r.err = err.Error()
+			out = append(out, r)
+			if n, again := read(buf); n != 0 || again == nil || again.Error() != r.err {
+				t.Fatalf("error did not stick: (%d, %v) after %q", n, again, r.err)
+			}
+			return out
+		}
+		out = append(out, r)
+	}
+	t.Fatal("reader never terminated")
+	return nil
+}
+
+// oracleContainer encodes one event per timestamp on a 16×16 sensor
+// over 255 ms, its header declaring `declared` events: fewer than the
+// records present stops the read early, more truncates the container.
+// Coordinates follow file position, so ties are told apart.
+func oracleContainer(ts []byte, declared uint64) []byte {
+	var buf bytes.Buffer
+	var hdr [headerSize]byte
+	copy(hdr[:], aedatMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], 16)
+	binary.LittleEndian.PutUint32(hdr[12:], 16)
+	binary.LittleEndian.PutUint64(hdr[16:], math.Float64bits(255))
+	binary.LittleEndian.PutUint64(hdr[countOffset:], declared)
+	buf.Write(hdr[:])
+	var rec [eventRecSize]byte
+	for i, tm := range ts {
+		putEvent(rec[:], Event{X: i % 16, Y: i / 16 % 16, P: int8(1 - 2*(i/256%2)), T: float64(tm)})
+		buf.Write(rec[:])
+	}
+	return buf.Bytes()
+}
+
+// poisonRecording fails partway with events still in the reorder
+// buffer and bytes still unread, on an 8×8 sensor over 300 ms so a
+// Reset must re-read the header. When K+1 fits in the input, its event
+// at T=0 arrives K+1 positions late and fails the ordering check;
+// otherwise (K = math.MaxInt, which no input can exceed) its header
+// declares more events than it holds.
+func poisonRecording(t *testing.T, k int) []byte {
+	t.Helper()
+	var events []Event
+	declared := 0
+	if k <= 64 {
+		for i := 1; i <= k+1; i++ {
+			events = append(events, Event{X: i % 8, Y: 1, P: 1, T: float64(i)})
+		}
+		events = append(events, Event{X: 0, Y: 0, P: -1, T: 0})
+		for i := 0; i < 300; i++ {
+			events = append(events, Event{X: i % 8, Y: 2, P: 1, T: float64(k + 2 + i%100)})
+		}
+		declared = len(events)
+	} else {
+		for i := 0; i < 10; i++ {
+			events = append(events, Event{X: i % 8, Y: 3, P: 1, T: float64(10 - i)})
+		}
+		declared = len(events) + 1
+	}
+	var buf bytes.Buffer
+	sw, err := NewStreamWriterCount(&buf, 8, 8, 300, declared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteEvents(events); err != nil {
+		t.Fatal(err)
+	}
+	sw.Close() // the truncated form fails its declared-count check on purpose
+	return buf.Bytes()
+}
+
+// arrivalOrder returns the positions 0..n-1 in arrival order: every
+// odd position arrives lag places late (lag 0 is sorted order).
+func arrivalOrder(n, lag int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	// Odd position i overtakes lag more even positions than odd ones.
+	key := func(i int) int { return i + 2*lag*(i%2) }
+	sort.SliceStable(order, func(a, b int) bool { return key(order[a]) < key(order[b]) })
+	return order
+}
+
+// FuzzStreamReaderReorderOracle pins the sorted reorder buffer to a
+// naive reference (oracleReader) event for event, chunk for chunk and
+// error text for error text, over fuzzed timestamps, reorder windows
+// K in 1–64 (plus math.MaxInt, which must not overflow or allocate
+// ahead of the input) and chunk sizes. Each input runs twice: on a
+// fresh reader, and on one Reset after a recording that failed partway
+// — so Reset must clear the sticky error, the buffered events and
+// bufio's read-ahead, and re-read the header.
+func FuzzStreamReaderReorderOracle(f *testing.F) {
+	const k = 8
+	ramp := func(n int) []byte {
+		ts := make([]byte, n)
+		for i := range ts {
+			ts[i] = byte(i + 1)
+		}
+		return ts
+	}
+	// One event exactly K positions late: accepted.
+	late := append(ramp(k), 0)
+	late = append(late, ramp(20)[k:]...)
+	f.Add(late, k, uint8(5), uint64(len(late)))
+	// One event K+1 positions late: rejected.
+	tooLate := append(ramp(k+1), 0)
+	tooLate = append(tooLate, ramp(20)[k+1:]...)
+	f.Add(tooLate, k, uint8(3), uint64(len(tooLate)))
+	// All timestamps equal: ties must keep file order.
+	f.Add(bytes.Repeat([]byte{42}, 50), k, uint8(7), uint64(50))
+	// Late events tying buffered ones must land after them.
+	ties := []byte{3, 5, 5, 4, 5, 3, 4, 6, 5, 6, 4, 6, 7, 6, 7, 5, 8, 7, 8, 7}
+	f.Add(ties, 4, uint8(2), uint64(len(ties)))
+	// Descending blocks of K+1: each event lands ahead of its block's
+	// earlier arrivals.
+	var blocks []byte
+	for b := 0; b < 6; b++ {
+		for i := k; i >= 0; i-- {
+			blocks = append(blocks, byte(b*(k+1)+i))
+		}
+	}
+	f.Add(blocks, k, uint8(11), uint64(len(blocks)))
+	// Two interleaved sorted runs, one lagging K-1 positions.
+	var lagged []byte
+	for _, i := range arrivalOrder(120, k-1) {
+		lagged = append(lagged, byte(i*2))
+	}
+	f.Add(lagged, k, uint8(16), uint64(len(lagged)))
+	// K = math.MaxInt on a 10-event recording declaring 2^64-1 events.
+	f.Add(ramp(10), math.MaxInt, uint8(4), uint64(math.MaxUint64))
+
+	f.Fuzz(func(t *testing.T, ts []byte, kRaw int, chunkRaw uint8, declared uint64) {
+		if len(ts) > 1<<12 {
+			ts = ts[:1<<12]
+		}
+		k := int(uint(kRaw-1)%64) + 1 // 1–64, seeds' K kept as given
+		if kRaw == math.MaxInt {
+			k = math.MaxInt
+		}
+		chunk := int(chunkRaw-1)%64 + 1
+		data := oracleContainer(ts, declared)
+		opts := StreamReaderOptions{ReorderWindow: k}
+
+		strict, err := NewStreamReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainChunks(t, (&oracleReader{src: strict, k: k}).ReadChunk, chunk)
+		check := func(run string, sr *StreamReader) {
+			t.Helper()
+			if sr.W() != 16 || sr.H() != 16 || sr.Duration() != 255 || sr.Count() != declared {
+				t.Fatalf("%s: header %dx%d/%v/%d", run, sr.W(), sr.H(), sr.Duration(), sr.Count())
+			}
+			got := drainChunks(t, sr.ReadChunk, chunk)
+			for i := 0; i < len(got) && i < len(want); i++ {
+				g, w := got[i], want[i]
+				if g.err != w.err || len(g.events) != len(w.events) {
+					t.Fatalf("%s: call %d returned (%d, %q), reference (%d, %q)",
+						run, i, len(g.events), g.err, len(w.events), w.err)
+				}
+				for j := range w.events {
+					if g.events[j] != w.events[j] {
+						t.Fatalf("%s: call %d event %d is %+v, reference %+v", run, i, j, g.events[j], w.events[j])
+					}
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d ReadChunk calls, reference %d", run, len(got), len(want))
+			}
+		}
+
+		fresh, err := NewStreamReaderOptions(bytes.NewReader(data), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("fresh reader", fresh)
+
+		reused, err := NewStreamReaderOptions(bytes.NewReader(poisonRecording(t, k)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poison := drainChunks(t, reused.ReadChunk, 4)
+		if last := poison[len(poison)-1].err; last == io.EOF.Error() {
+			t.Fatal("poison recording drained cleanly, want a hard error")
+		}
+		if err := reused.Reset(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		check("reset reader", reused)
 	})
 }

@@ -24,10 +24,13 @@ import (
 //
 // Real sensors jitter: events can arrive mildly out of order (USB
 // packet reordering, multi-chip mux). ReorderWindow re-sorts the flow
-// through a bounded min-heap — any event displaced at most ReorderWindow
-// positions from its time-sorted place is emitted in order (ties keep
-// file order, matching Stream.Sort's stability); a displacement beyond
-// the window is an error, never a silently unsorted output.
+// through a bounded sorted buffer — any event displaced at most
+// ReorderWindow positions from its time-sorted place is emitted in
+// order (ties keep file order, matching Stream.Sort's stability); a
+// displacement beyond the window is an error, never a silently
+// unsorted output. An in-order event is appended in O(1); a late one
+// costs a binary search plus one copy of at most ReorderWindow
+// buffered events, so sorted recordings decode at codec speed.
 
 // eventRecSize is the wire size of one event record.
 const eventRecSize = 16
@@ -106,8 +109,9 @@ type StreamReaderOptions struct {
 
 // StreamReader decodes an AEDAT container incrementally: the header is
 // read and validated at construction, events are handed out in
-// caller-sized chunks with every record validated. After the first
-// chunk the reader allocates nothing.
+// caller-sized chunks with every record validated. Reset reopens it on
+// the next recording with the same read buffer and reorder buffer, so
+// a reader reused across recordings allocates nothing once warm.
 type StreamReader struct {
 	br      *bufio.Reader
 	w, h    int
@@ -115,17 +119,17 @@ type StreamReader struct {
 	count   uint64
 	opts    StreamReaderOptions
 	decoded uint64 // records decoded from the container
+	hdr     [headerSize]byte
 	rec     [eventRecSize]byte
-	heap    []heapEvent // reorder buffer, min-heap on (T, seq)
-	seq     uint64
+	// The reorder buffer: pend[lo:hi] holds the decoded, not yet
+	// emitted events sorted by T, ties in file order, so pend[lo] is
+	// always the earliest. It grows with the events decoded, to at most
+	// twice ReorderWindow+1, and is kept across Reset.
+	pend    []pendingEvent
+	lo, hi  int
 	lastT   float64
 	started bool
 	err     error // sticky terminal state (including io.EOF)
-}
-
-type heapEvent struct {
-	e   Event
-	seq uint64
 }
 
 // NewStreamReader opens a strict (file-order) streaming decoder on r.
@@ -138,26 +142,54 @@ func NewStreamReaderOptions(r io.Reader, opts StreamReaderOptions) (*StreamReade
 	if opts.ReorderWindow < 0 {
 		opts.ReorderWindow = 0
 	}
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("dvs: reading magic: %w", err)
-	}
-	if magic != aedatMagic {
-		return nil, fmt.Errorf("dvs: bad magic %q", magic)
-	}
-	var hdr [headerSize - 8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("dvs: reading header: %w", err)
-	}
-	w := int(binary.LittleEndian.Uint32(hdr[0:]))
-	h := int(binary.LittleEndian.Uint32(hdr[4:]))
-	dur := math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:]))
-	count := binary.LittleEndian.Uint64(hdr[16:])
-	if err := validateHeader(w, h, dur); err != nil {
+	sr := &StreamReader{br: bufio.NewReader(r), opts: opts}
+	if err := sr.open(); err != nil {
 		return nil, err
 	}
-	return &StreamReader{br: br, w: w, h: h, dur: dur, count: count, opts: opts}, nil
+	return sr, nil
+}
+
+// Reset reopens the reader on the next recording, r: it drops whatever
+// the previous recording left unread or buffered, clears the sticky
+// error and the ordering state, and reads and validates r's header.
+// The read buffer and the reorder buffer are reused, and the options
+// are kept. A failed Reset leaves the error sticky.
+func (sr *StreamReader) Reset(r io.Reader) error {
+	sr.br.Reset(r)
+	return sr.open()
+}
+
+// open reads and validates the header from br and rearms the decoding
+// and ordering state for the recording behind it.
+func (sr *StreamReader) open() error {
+	sr.w, sr.h, sr.dur, sr.count = 0, 0, 0, 0
+	sr.decoded, sr.lo, sr.hi = 0, 0, 0
+	sr.lastT, sr.started = 0, false
+	sr.err = sr.readHeader()
+	return sr.err
+}
+
+// readHeader reads the magic and the header fields into sr.hdr — a
+// field, so the reads do not allocate — and adopts them once valid.
+func (sr *StreamReader) readHeader() error {
+	if _, err := io.ReadFull(sr.br, sr.hdr[:8]); err != nil {
+		return fmt.Errorf("dvs: reading magic: %w", err)
+	}
+	if magic := [8]byte(sr.hdr[:8]); magic != aedatMagic {
+		return fmt.Errorf("dvs: bad magic %q", magic)
+	}
+	if _, err := io.ReadFull(sr.br, sr.hdr[8:]); err != nil {
+		return fmt.Errorf("dvs: reading header: %w", err)
+	}
+	w := int(binary.LittleEndian.Uint32(sr.hdr[8:]))
+	h := int(binary.LittleEndian.Uint32(sr.hdr[12:]))
+	dur := math.Float64frombits(binary.LittleEndian.Uint64(sr.hdr[16:]))
+	if err := validateHeader(w, h, dur); err != nil {
+		return err
+	}
+	sr.w, sr.h, sr.dur = w, h, dur
+	sr.count = binary.LittleEndian.Uint64(sr.hdr[countOffset:])
+	return nil
 }
 
 // W returns the sensor width.
@@ -185,52 +217,69 @@ func (sr *StreamReader) decodeEvent() (Event, error) {
 	return e, nil
 }
 
-// heapPush inserts into the (T, seq) min-heap.
-func (sr *StreamReader) heapPush(e Event) {
-	sr.heap = append(sr.heap, heapEvent{e, sr.seq})
-	sr.seq++
-	i := len(sr.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !heapLess(sr.heap[i], sr.heap[p]) {
-			break
-		}
-		sr.heap[i], sr.heap[p] = sr.heap[p], sr.heap[i]
-		i = p
-	}
+// pendingEvent is an Event waiting in the reorder buffer, packed into
+// 16 bytes instead of 32 — a late event shifts half the memory. The
+// packing is lossless: decoded events are validated onto a sensor at
+// most 1<<14 pixels wide and high.
+type pendingEvent struct {
+	T    float64
+	X, Y uint16
+	P    int8
 }
 
-// heapPop removes the minimum.
-func (sr *StreamReader) heapPop() Event {
-	h := sr.heap
-	top := h[0].e
-	n := len(h) - 1
-	h[0] = h[n]
-	sr.heap = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && heapLess(h[l], h[s]) {
-			s = l
-		}
-		if r < n && heapLess(h[r], h[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
+// push inserts a decoded event into the reorder buffer after every
+// buffered event whose T is ≤ its T, so ties keep file order. An event
+// not earlier than the last buffered one is appended; a late one is
+// placed by binary search, shifting the events after it up one slot.
+func (sr *StreamReader) push(e Event) {
+	if sr.hi == len(sr.pend) {
+		sr.makeRoom()
 	}
-	return top
+	i := sr.hi
+	if i > sr.lo && e.T < sr.pend[i-1].T {
+		// pend[i-1].T > e.T: find the first buffered event later than e.
+		lo, hi := sr.lo, i-1
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if sr.pend[m].T > e.T {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		i = lo
+		copy(sr.pend[i+1:sr.hi+1], sr.pend[i:sr.hi])
+	}
+	sr.pend[i] = pendingEvent{T: e.T, X: uint16(e.X), Y: uint16(e.Y), P: e.P}
+	sr.hi++
 }
 
-func heapLess(a, b heapEvent) bool {
-	if a.e.T != b.e.T {
-		return a.e.T < b.e.T
+// makeRoom frees the slot at pend[hi] once hi reaches the end of the
+// buffer. When the emitted prefix pend[:lo] is at least as long as the
+// buffered run, the run slides to the front — each slide is paid for
+// by the events emitted since the last one, O(1) per event amortized.
+// Otherwise the buffer doubles. The run never exceeds ReorderWindow+1
+// events, so a buffer of twice that always slides: growth stops there,
+// and before that it tracks the events actually decoded.
+func (sr *StreamReader) makeRoom() {
+	run := sr.hi - sr.lo
+	if sr.lo > 0 && sr.lo >= run {
+		copy(sr.pend, sr.pend[sr.lo:sr.hi])
+		sr.lo, sr.hi = 0, run
+		return
 	}
-	return a.seq < b.seq
+	n := 2 * len(sr.pend)
+	if n == 0 {
+		n = 8
+	}
+	// n is even, so n/2-1 > K is n > 2K+2, written so that neither side
+	// overflows however large ReorderWindow is.
+	if k := sr.opts.ReorderWindow; n/2-1 > k {
+		n = 2*k + 2
+	}
+	pend := make([]pendingEvent, n)
+	copy(pend, sr.pend[sr.lo:sr.hi])
+	sr.pend, sr.lo, sr.hi = pend, 0, run
 }
 
 // ReadChunk fills buf with the next events of the flow and returns how
@@ -249,9 +298,9 @@ func (sr *StreamReader) ReadChunk(buf []Event) (int, error) {
 	}
 	n := 0
 	if sr.opts.ReorderWindow == 0 {
-		// Strict mode decodes straight into buf: the heap would always
-		// hold exactly one event, and ReadAEDAT rides this path for
-		// every whole-file load.
+		// Strict mode decodes straight into buf: the reorder buffer
+		// would always hold exactly one event, and ReadAEDAT rides this
+		// path for every whole-file load.
 		for n < len(buf) && sr.decoded < sr.count {
 			e, err := sr.decodeEvent()
 			if err != nil {
@@ -268,21 +317,22 @@ func (sr *StreamReader) ReadChunk(buf []Event) (int, error) {
 		return n, nil
 	}
 	for n < len(buf) {
-		// Keep the reorder buffer at capacity: the heap top is only
-		// safe to emit once K later events have been seen (or input
-		// ended).
-		for sr.decoded < sr.count && len(sr.heap) <= sr.opts.ReorderWindow {
+		// Keep the reorder buffer at capacity: its head is only safe to
+		// emit once K later events have been seen (or input ended).
+		for sr.decoded < sr.count && sr.hi-sr.lo <= sr.opts.ReorderWindow {
 			e, err := sr.decodeEvent()
 			if err != nil {
 				sr.err = err
 				return n, err
 			}
-			sr.heapPush(e)
+			sr.push(e)
 		}
-		if len(sr.heap) == 0 {
+		if sr.lo == sr.hi {
 			break
 		}
-		e := sr.heapPop()
+		pe := sr.pend[sr.lo]
+		e := Event{X: int(pe.X), Y: int(pe.Y), P: pe.P, T: pe.T}
+		sr.lo++
 		if sr.started && e.T < sr.lastT {
 			sr.err = fmt.Errorf("dvs: event at %gms out of order beyond the %d-event reorder window (last emitted %gms)",
 				e.T, sr.opts.ReorderWindow, sr.lastT)

@@ -311,7 +311,8 @@ func TestStreamReaderUncappedCount(t *testing.T) {
 
 // TestStreamReaderReorder pins the bounded reorder buffer: a flow with
 // displacement ≤ K comes out exactly time-sorted (stable on ties), and
-// displacement beyond K is a loud error.
+// displacement beyond K is a loud error. FuzzStreamReaderReorderOracle
+// pins the same buffer against a naive reference.
 func TestStreamReaderReorder(t *testing.T) {
 	s := randomStream(rng.New(13), 120)
 	s.Sort()
@@ -346,7 +347,7 @@ func TestStreamReaderReorder(t *testing.T) {
 
 	// Displacement beyond the window: the earliest event arrives last.
 	// (An event arriving too *early* any distance ahead just waits in
-	// the heap; arriving late is what a bounded buffer cannot absorb.)
+	// the buffer; arriving late is what a bounded buffer cannot absorb.)
 	hostile := s.Clone()
 	first := hostile.Events[0]
 	copy(hostile.Events, hostile.Events[1:])

@@ -77,7 +77,9 @@ func VoxelizeWindowInto(frames []*tensor.Tensor, events []Event, w, h int, start
 // empty — silent stretches still produce predictions) and re-Offer.
 // After input ends, keep Popping until Done: the tail of the recording
 // window is emitted as (possibly empty) windows too, so a recording
-// always yields exactly NumWindows windows.
+// always yields exactly NumWindows windows. Reset rearms it for the
+// next recording and keeps its event buffer, so a windower reused
+// across recordings allocates nothing once warm.
 type Windower struct {
 	// WindowMS is the window duration in milliseconds.
 	WindowMS float64
@@ -91,13 +93,27 @@ type Windower struct {
 
 // NewWindower builds a windower for a recording of the given duration.
 func NewWindower(windowMS, duration float64) (*Windower, error) {
-	if windowMS <= 0 || math.IsNaN(windowMS) || math.IsInf(windowMS, 0) {
-		return nil, fmt.Errorf("dvs: invalid window duration %vms", windowMS)
+	w := &Windower{WindowMS: windowMS}
+	if err := w.Reset(duration); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Reset rearms the windower at window 0 for a recording of the given
+// duration, with the same validation as NewWindower. WindowMS and the
+// event buffer's backing array are kept.
+func (w *Windower) Reset(duration float64) error {
+	if w.WindowMS <= 0 || math.IsNaN(w.WindowMS) || math.IsInf(w.WindowMS, 0) {
+		return fmt.Errorf("dvs: invalid window duration %vms", w.WindowMS)
 	}
 	if math.IsNaN(duration) || math.IsInf(duration, 0) || duration < 0 {
-		return nil, fmt.Errorf("dvs: invalid duration %v", duration)
+		return fmt.Errorf("dvs: invalid duration %v", duration)
 	}
-	return &Windower{WindowMS: windowMS, Num: NumWindows(duration, windowMS)}, nil
+	w.Num = NumWindows(duration, w.WindowMS)
+	w.cur = 0
+	w.buf = w.buf[:0]
+	return nil
 }
 
 // start returns window k's opening timestamp.

@@ -13,9 +13,10 @@ import (
 // The serving layer inherits the pipeline's zero-alloc window contract
 // and must not spend it: drawing a clone from the shared pool,
 // classifying a window and framing the result onto the wire may not
-// touch the allocator once warm. (The recording-level setup — session
-// pipeline, reader, windower — allocates per session/recording, which
-// is amortized over every window it serves.)
+// touch the allocator once warm. (The session's pipeline, with its
+// reader and windower, is built once per session and Reset — not
+// rebuilt — per recording, so its setup is amortized over every window
+// the session serves.)
 
 // serveWindowBody builds the steady-state per-window serving closure:
 // shared slot acquire → voxelize → batched arena inference via a

@@ -58,6 +58,9 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	pbuf []byte
+	// ubuf is the upload chunk send reads recordings into, reused
+	// across Streams: every return path of Stream waits for send.
+	ubuf []byte
 	// cfg is the resolved session config (wire form), err a
 	// construction-time validation failure surfaced by the first call
 	// that would touch the wire.
@@ -402,7 +405,10 @@ func (c *Client) send(recording io.Reader, opening bool) error {
 			return err
 		}
 	}
-	buf := make([]byte, 32<<10)
+	if c.ubuf == nil {
+		c.ubuf = make([]byte, 32<<10)
+	}
+	buf := c.ubuf
 	for {
 		n, err := recording.Read(buf)
 		if n > 0 {

@@ -230,7 +230,10 @@ func TestServeConcurrentSessions(t *testing.T) {
 // bit-identical to the standalone reference. The inputs cover plain
 // and AQF-filtered pipeline shapes with six sessions of two recordings
 // each, plus a lopsided mix: one ~30-window session with four windows
-// per round beside three light ~4-window ones. The windows-served
+// per round beside three light ~4-window ones. The uniform and
+// lopsided inputs also run behind a reorder buffer (the serve default
+// of 1024 events, and 32), which every session's pipeline resets
+// between its recordings. The windows-served
 // counter must account for exactly the windows streamed, and the
 // slot pool's high water must stay within its capacity.
 func TestServeConcurrentMatchesStandalone(t *testing.T) {
@@ -263,6 +266,12 @@ func TestServeConcurrentMatchesStandalone(t *testing.T) {
 		{"plain", stream.Options{WindowMS: 45, Steps: 4, Batch: 2, ChunkEvents: 64}, uniform},
 		{"aqf", stream.Options{WindowMS: 50, Steps: 4, Batch: 3, ChunkEvents: 48, AQF: &aqf}, uniform},
 		{"lopsided", stream.Options{WindowMS: 40, Steps: 4, Batch: 4, ChunkEvents: 48}, lopsided},
+		// The serve default's reorder window, which holds each uniform
+		// recording (250–386 events) whole.
+		{"uniform-reorder1024", stream.Options{WindowMS: 45, Steps: 4, Batch: 2, ChunkEvents: 64, ReorderWindow: 1024}, uniform},
+		// A small window the buffer slides through many times, reused
+		// across each session's 2–4 recordings.
+		{"lopsided-reorder32", stream.Options{WindowMS: 40, Steps: 4, Batch: 4, ChunkEvents: 48, ReorderWindow: 32}, lopsided},
 	}
 	const poolSize = 2
 	for _, tc := range cases {

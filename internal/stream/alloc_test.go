@@ -11,10 +11,10 @@ import (
 
 // The bounded-memory / zero-alloc contract of the pipeline, asserted
 // two ways: the per-window hot path (windowed voxelization + batched
-// arena inference) performs zero allocations once warm, and a whole
-// Run's allocation count is a per-recording constant — it does not grow
-// with recording length, so memory stays O(window) however long the
-// flow runs.
+// arena inference) performs zero allocations once warm, and so does a
+// whole warm Run — the reader and windower are Reset, not rebuilt, per
+// recording — so memory stays O(window) however long the flow runs and
+// however many recordings a pipeline serves.
 
 // longStream concatenates segments time-shifted gesture recordings
 // into one continuous flow (the generator normalizes motion to the
@@ -72,7 +72,7 @@ func TestStreamWindowZeroAllocs(t *testing.T) {
 
 // TestStreamReadChunkZeroAllocs pins the decode side: once a reader is
 // warm, draining chunks allocates nothing (the record slab and the
-// reorder heap are recycled).
+// reorder buffer are recycled).
 func TestStreamReadChunkZeroAllocs(t *testing.T) {
 	s := longStream(10, 400, 52)
 	var buf bytes.Buffer
@@ -84,7 +84,7 @@ func TestStreamReadChunkZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunk := make([]dvs.Event, 64)
-	if _, err := sr.ReadChunk(chunk); err != nil { // warm the heap
+	if _, err := sr.ReadChunk(chunk); err != nil { // warm the reorder buffer
 		t.Fatal(err)
 	}
 	reads := 0
@@ -100,10 +100,12 @@ func TestStreamReadChunkZeroAllocs(t *testing.T) {
 
 // TestPipelineMemoryBounded is the growth gate: one warm Pipeline runs
 // a short and a 4× longer recording (both several times larger than
-// the chunk buffer), and the total allocation counts must be EQUAL —
-// every per-window buffer is recycled, so only the per-recording setup
-// (reader, windower) allocates and memory cannot grow with recording
-// length.
+// the chunk buffer), in strict mode and behind the serve default's
+// 1024-event reorder buffer, and neither Run may allocate at all —
+// every per-window buffer is recycled and the reader and windower are
+// Reset per recording, so memory cannot grow with recording length or
+// with the number of recordings served. One bytes.Reader is re-pointed
+// per Run so the measured closure itself does not allocate.
 func TestPipelineMemoryBounded(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(1)
@@ -115,32 +117,41 @@ func TestPipelineMemoryBounded(t *testing.T) {
 		t.Fatalf("long recording (%dB) not meaningfully longer than short (%dB)", len(longRec), len(shortRec))
 	}
 
-	p, err := NewPipeline(net, Options{WindowMS: 50, Steps: steps, Workers: 1, Batch: 2, ChunkEvents: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := 0
-	emit := func(Result) error { classes++; return nil }
-	run := func(data []byte) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if err := p.Run(bytes.NewReader(data), emit); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	// Warm with the long recording so every slot's event buffer reaches
-	// its high-water mark before measuring.
-	if err := p.Run(bytes.NewReader(longRec), emit); err != nil {
-		t.Fatal(err)
-	}
+	for _, reorder := range []int{0, 1024} {
+		p, err := NewPipeline(net, Options{WindowMS: 50, Steps: steps, Workers: 1, Batch: 2, ChunkEvents: 256, ReorderWindow: reorder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := 0
+		emit := func(Result) error { classes++; return nil }
+		rd := bytes.NewReader(nil)
+		run := func(data []byte) float64 {
+			return testing.AllocsPerRun(5, func() {
+				rd.Reset(data)
+				if err := p.Run(rd, emit); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// Warm with the long recording so every slot's event buffer, the
+		// windower and the reorder buffer reach their high-water marks
+		// before measuring.
+		rd.Reset(longRec)
+		if err := p.Run(rd, emit); err != nil {
+			t.Fatal(err)
+		}
 
-	shortAllocs := run(shortRec)
-	longAllocs := run(longRec)
-	if longAllocs != shortAllocs {
-		t.Fatalf("allocations grew with recording length: %g (8 windows) vs %g (32 windows)",
-			shortAllocs, longAllocs)
-	}
-	if classes == 0 {
-		t.Fatal("vacuous: no windows were classified")
+		for _, rec := range []struct {
+			name string
+			data []byte
+		}{{"short (8 windows)", shortRec}, {"long (32 windows)", longRec}} {
+			if allocs := run(rec.data); allocs != 0 {
+				t.Fatalf("ReorderWindow %d: warm Run of the %s recording performed %g allocs, want 0",
+					reorder, rec.name, allocs)
+			}
+		}
+		if classes == 0 {
+			t.Fatal("vacuous: no windows were classified")
+		}
 	}
 }

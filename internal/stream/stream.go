@@ -20,9 +20,14 @@
 //     live in a SlotPool that concurrent pipelines can share, so a
 //     serving tier's frame memory scales with the pool, not with the
 //     session count.
-//   - Steady state performs 0 tensor allocations per window (without a
-//     Filter): slots, frames, clones and arenas are recycled; only the
-//     per-recording setup (reader, windower) allocates.
+//   - Steady state performs 0 allocations (without a Filter): slots,
+//     frames, clones and arenas are recycled per window, and the
+//     reader and windower are Reset per recording instead of rebuilt,
+//     so at one tensor worker a warm Run allocates nothing at all,
+//     whatever the recording's length or reorder window. With more
+//     workers the only allocations left are the shared pool's
+//     per-launch dispatch: the round's ParallelFor fan-out and each
+//     parallel GEMM's job closure (tensor.MatMulInto).
 //
 // Predictions are bit-identical to the in-memory reference — splitting
 // the loaded recording with dvs.SplitWindows, voxelizing each window
@@ -253,10 +258,12 @@ type slot struct {
 
 // Pipeline is a reusable streaming classifier: construct once per
 // model, Run once per recording. Between recordings every buffer —
-// window slots, frame tensors, network clones, inference arenas — is
-// retained, so the steady state allocates nothing per window. A
-// Pipeline is not safe for concurrent Runs; concurrent serving uses
-// one Pipeline per goroutine (clones share the trained weights).
+// window slots, frame tensors, network clones, inference arenas, the
+// reader and the windower — is retained, so a warm Run allocates
+// nothing beyond the pool dispatch noted in the package doc. A
+// Pipeline is not safe for concurrent Runs; concurrent
+// serving uses one Pipeline per goroutine (clones share the trained
+// weights).
 type Pipeline struct {
 	net    *snn.Network
 	o      Options
@@ -266,6 +273,13 @@ type Pipeline struct {
 	chunk  []dvs.Event
 	out    []int // per-round predictions, aligned with slots
 	inc    *defense.IncrementalAQF
+
+	// The reader and windower are built on the first recording and
+	// Reset for every later one, so their buffers — bufio's read
+	// buffer, the reorder buffer, the window's event buffer — are
+	// recycled like the slots.
+	sr  *dvs.StreamReader
+	win *dvs.Windower
 
 	// Tier/energy plumbing: the tiered view of o.Clones (nil when the
 	// pipeline runs FP32 or owns its clones), and the per-slot SOP
@@ -331,10 +345,16 @@ func NewPipeline(net *snn.Network, o Options) (*Pipeline, error) {
 // window, in window order. The recording's sensor must match what the
 // network was built for; emit returning an error aborts the run.
 func (p *Pipeline) Run(r io.Reader, emit func(Result) error) error {
-	sr, err := dvs.NewStreamReaderOptions(r, dvs.StreamReaderOptions{ReorderWindow: p.o.ReorderWindow})
+	var err error
+	if p.sr == nil {
+		p.sr, err = dvs.NewStreamReaderOptions(r, dvs.StreamReaderOptions{ReorderWindow: p.o.ReorderWindow})
+	} else {
+		err = p.sr.Reset(r)
+	}
 	if err != nil {
 		return err
 	}
+	sr := p.sr
 	h, w := sr.H(), sr.W()
 	// The frame layout is (2, H, W): a recording with the wrong sensor
 	// would alias into the network's input buffer and classify garbage,
@@ -347,10 +367,15 @@ func (p *Pipeline) Run(r io.Reader, emit func(Result) error) error {
 		return fmt.Errorf("stream: recording declares a %dx%d sensor, pipeline serves %dx%d",
 			w, h, p.o.SensorW, p.o.SensorH)
 	}
-	win, err := dvs.NewWindower(p.o.WindowMS, sr.Duration())
+	if p.win == nil {
+		p.win, err = dvs.NewWindower(p.o.WindowMS, sr.Duration())
+	} else {
+		err = p.win.Reset(sr.Duration())
+	}
 	if err != nil {
 		return err
 	}
+	win := p.win
 	p.runH, p.runW = h, w
 	if p.o.AQF != nil {
 		// The incremental filter runs ahead of the windower: windows

@@ -2,7 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/defense"
@@ -254,24 +257,54 @@ func TestStreamingUnsortedInput(t *testing.T) {
 	}
 }
 
-// TestPipelineReuse runs two different recordings through one Pipeline:
-// recycled slots, frames and clones must not leak state between runs.
+// TestPipelineReuse runs several recordings through one Pipeline with
+// a reorder buffer: recycled slots, frames and clones must not leak
+// state between runs, and neither may the reader and windower Run
+// resets per recording. Two failed runs come first — one recording
+// that fails its ordering check partway and one truncated container —
+// so the good recordings after them also pin that Reset clears the
+// sticky error, the buffered events and bufio's read-ahead.
 func TestPipelineReuse(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	tensor.SetWorkers(2)
 	steps := 4
 	net := testNet(steps)
-	p, err := NewPipeline(net, Options{WindowMS: 60, Steps: steps, Workers: 2, Batch: 2})
+	const reorder = 16
+	p, err := NewPipeline(net, Options{WindowMS: 60, Steps: steps, Workers: 2, Batch: 2, ReorderWindow: reorder})
 	if err != nil {
 		t.Fatal(err)
 	}
+	emit := func(Result) error { return nil }
+
+	// An event moved 3K positions late, partway through the flow.
+	disordered := testStream(3, 250, 60)
+	if len(disordered.Events) < 200 {
+		t.Fatalf("test stream has only %d events", len(disordered.Events))
+	}
+	late := disordered.Events[100]
+	copy(disordered.Events[100:], disordered.Events[101:100+3*reorder+1])
+	disordered.Events[100+3*reorder] = late
+	if err := p.Run(bytes.NewReader(encode(t, disordered)), emit); err == nil ||
+		!strings.Contains(err.Error(), "reorder window") {
+		t.Fatalf("displaced recording: %v, want the reorder-window error", err)
+	}
+	full := encode(t, testStream(7, 250, 59))
+	if err := p.Run(bytes.NewReader(full[:len(full)*2/3]), emit); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated recording: %v, want an unexpected EOF", err)
+	}
+
 	for _, seed := range []uint64{61, 62} {
 		s := testStream(int(seed%11), 250, seed)
 		tensor.SetWorkers(1)
 		want := referenceClasses(net, s, 60, steps, nil)
 		tensor.SetWorkers(2)
+		windows := dvs.SplitWindows(s, 60)
 		var got []int
 		if err := p.Run(bytes.NewReader(encode(t, s)), func(r Result) error {
+			// Event counts catch a leaked event that leaves the class be.
+			if n := len(windows[r.Window].Events); r.Events != n {
+				return fmt.Errorf("window %d carries %d events, want %d", r.Window, r.Events, n)
+			}
 			got = append(got, r.Class)
 			return nil
 		}); err != nil {
