@@ -69,7 +69,7 @@ bench:
 bench-json:
 	$(GO) test -run '^$$' -bench 'Predict|NeuromorphicPerturbSet|AQFFilterSet|SNNInference|TrainStep|GEMM|Stream|Serve|IncrementalAQF' \
 		-benchtime=$(BENCHTIME) . ./internal/stream ./internal/serve > bench.txt
-	$(GO) run ./cmd/benchjson -zeroalloc '^Benchmark(Predict(Int8)?|TrainStep|StreamWindow|ServeWindow|ServeCreditWindow)$$' < bench.txt > BENCH_pr10.json
+	$(GO) run ./cmd/benchjson -zeroalloc '^Benchmark(Predict(Int8)?|TrainStep|StreamWindow|StreamPipeline|ServeWindow|ServeCreditWindow)$$' < bench.txt > BENCH_pr10.json
 
 # Short coverage-guided runs of the fuzz targets — the event codec's
 # oracle contracts, the incremental AQF's bit-identity to the

@@ -148,7 +148,7 @@ func BenchmarkSNNInference(b *testing.B) {
 // BenchmarkSNNInferenceBatch measures batched inference throughput:
 // one PredictBatch over 32 samples per iteration, reporting the
 // per-sample latency. Compare against BenchmarkSNNInference to see what
-// the batched data path and the shared kernel pool buy.
+// the batched data path buys.
 func BenchmarkSNNInferenceBatch(b *testing.B) {
 	const batch = 32
 	r := rng.New(1)
@@ -237,14 +237,11 @@ func trainStepFixture() (*snn.Network, [][]*tensor.Tensor, []int) {
 // minibatch cycle (zeroing, frame stacking, training forward, loss,
 // BPTT, optimizer step — gradient clipping is off here, as in the
 // default TrainOptions; the snn property test covers the clipped
-// cycle) against a TrainScratch. Runs in deterministic serial mode so
-// allocs/op stays 0 — the pool's parallel dispatch allocates job
-// descriptors; CI gates this benchmark (and BenchmarkPredict) at 0
-// allocs/op. Compare against BenchmarkTrainStepFresh for what the
-// arena eliminates.
+// cycle) against a TrainScratch. Kernels are serial and never dispatch
+// to the pool, so allocs/op is 0 at any worker count; CI gates this
+// benchmark (and BenchmarkPredict) at 0 allocs/op. Compare against
+// BenchmarkTrainStepFresh for what the arena eliminates.
 func BenchmarkTrainStep(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
 	net, samples, labels := trainStepFixture()
 	ts := net.AcquireTrainScratch()
 	defer net.ReleaseTrain(ts)
@@ -269,11 +266,8 @@ func BenchmarkTrainStep(b *testing.B) {
 
 // BenchmarkTrainStepFresh is the pre-arena baseline: the same minibatch
 // cycle through the allocating StackFrames/ForwardBatch/BackwardBatch
-// path, also in serial mode so the two benchmarks differ only in arena
-// use.
+// path, so the two benchmarks differ only in arena use.
 func BenchmarkTrainStepFresh(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
 	net, samples, labels := trainStepFixture()
 	opt := snn.NewAdam(2e-3)
 	scale := 1 / float32(len(samples))
@@ -294,10 +288,9 @@ func BenchmarkTrainStepFresh(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
 }
 
-// BenchmarkGEMM measures the blocked parallel MatMul on a panel shaped
-// like a batched convolution lowering — the kernel every hot path above
-// funnels into. Worker scaling shows up here first on multi-core
-// machines.
+// BenchmarkGEMM measures the blocked serial MatMul on a panel shaped
+// like a batched convolution lowering — the kernel the training
+// forward funnels into.
 func BenchmarkGEMM(b *testing.B) {
 	r := rng.New(3)
 	w := tensor.New(32, 288)
@@ -450,14 +443,11 @@ func BenchmarkPredict(b *testing.B) {
 // BenchmarkPredictInt8 measures the same steady-state inference hot
 // path through the quantized INT8 tier: per-channel int8 weight panels
 // (built cold, before the timer), int32 accumulation, float32 epilogue.
-// Runs in deterministic serial mode so allocs/op stays 0 — the parallel
-// int8 kernel allocates per-block scratch, exactly like the parallel
-// paths the other gated benchmarks pin out. CI's zero-alloc and ns/op
-// gates cover this benchmark; compare against BenchmarkPredict for the
-// quantization speedup on this topology.
+// The int8 kernel is serial and reuses the arena's scratch, so allocs/op
+// is 0 at any worker count. CI's zero-alloc and ns/op gates cover this
+// benchmark; compare against BenchmarkPredict for the quantization
+// speedup on this topology.
 func BenchmarkPredictInt8(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
 	r := rng.New(1)
 	cfg := snn.DefaultConfig(0.5, 8)
 	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
@@ -724,13 +714,16 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	}
 	emit := func(stream.Result) error { return nil }
 	windows := dvs.NumWindows(flow.Duration, 100)
-	if err := p.Run(bytes.NewReader(data), emit); err != nil { // warm the slots
+	// One reader, re-pointed per Run, so the loop itself allocates nothing.
+	rd := bytes.NewReader(data)
+	if err := p.Run(rd, emit); err != nil { // warm the slots
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Run(bytes.NewReader(data), emit); err != nil {
+		rd.Reset(data)
+		if err := p.Run(rd, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

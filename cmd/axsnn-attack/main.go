@@ -44,7 +44,7 @@ func main() {
 	trainN := flag.Int("train", 600, "surrogate training samples")
 	size := flag.Int("size", 14, "image height/width")
 	seed := flag.Uint64("seed", 1, "seed")
-	workers := flag.Int("workers", 0, "worker budget for kernels and attack crafting (0 = all cores, 1 = deterministic serial)")
+	workers := flag.Int("workers", 0, "worker budget for attack crafting and evaluation (0 = all cores; results are the same at every value)")
 	flag.Parse()
 	tensor.SetWorkers(*workers)
 

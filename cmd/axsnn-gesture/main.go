@@ -41,7 +41,7 @@ func main() {
 	qt := flag.Float64("qt", 0.015, "AQF quantization step (seconds)")
 	dump := flag.String("dump", "", "directory to dump example .aedat streams")
 	seed := flag.Uint64("seed", 4, "seed")
-	workers := flag.Int("workers", 0, "worker budget for kernels, attack crafting and AQF filtering (0 = all cores, 1 = deterministic serial)")
+	workers := flag.Int("workers", 0, "worker budget for attack crafting, AQF filtering and evaluation (0 = all cores; results are the same at every value)")
 	flag.Parse()
 	tensor.SetWorkers(*workers)
 

@@ -42,7 +42,7 @@ func main() {
 
 	window := flag.Float64("window", 600, "prediction window (ms)")
 	steps := flag.Int("steps", 8, "voxel time bins per window")
-	workers := flag.Int("workers", 0, "concurrent window predictors (0 = all cores, 1 = deterministic serial)")
+	workers := flag.Int("workers", 0, "concurrent window predictors (0 = all cores; results are the same at every value)")
 	chunk := flag.Int("chunk", 4096, "reader chunk size (events)")
 	batch := flag.Int("batch", 4, "windows per batched inference call")
 	reorder := flag.Int("reorder", 1024, "reorder-buffer capacity for mildly unsorted recordings (0 = require sorted)")

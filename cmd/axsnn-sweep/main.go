@@ -52,11 +52,11 @@ func main() {
 	testN := flag.Int("test", 120, "test samples")
 	size := flag.Int("size", 14, "image height/width")
 	seed := flag.Uint64("seed", 7, "seed")
-	workers := flag.Int("workers", 0, "worker budget for kernels and parallel grid cells (0 = all cores, 1 = deterministic serial)")
+	workers := flag.Int("workers", 0, "worker budget for parallel grid cells (0 = all cores; results are the same at every value)")
 	flag.Parse()
 
-	// Like axsnn-attack/-gesture, the budget governs both the shared
-	// kernel pool and the coarse-grained fan-out (here, grid cells).
+	// Like axsnn-attack/-gesture, the budget bounds the sample-level
+	// fan-out (here, grid cells); kernels are serial.
 	tensor.SetWorkers(*workers)
 
 	vths64, err := parseFloats(*vthFlag)

@@ -34,7 +34,7 @@ func main() {
 	mnistDir := flag.String("mnist", "", "directory with real MNIST IDX files (optional)")
 	out := flag.String("o", "model.bin", "output model path")
 	seed := flag.Uint64("seed", 1, "seed")
-	workers := flag.Int("workers", 0, "worker budget for the training and evaluation kernels (0 = all cores, 1 = deterministic serial)")
+	workers := flag.Int("workers", 0, "worker budget for evaluation; training runs serially (0 = all cores; results are the same at every value)")
 	flag.Parse()
 
 	tensor.SetWorkers(*workers)

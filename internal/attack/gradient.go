@@ -132,13 +132,23 @@ func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r 
 // so the inner loop allocates only the encoded frames. Gradients are
 // bit-identical to the allocating InputGradientBatch chain.
 func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, labels []int, r *rng.RNG) []*tensor.Tensor {
+	return g.perturbBlock(model, imgs, labels, splitRNGs(r, len(imgs)))
+}
+
+// splitRNGs splits one RNG per sample from r, in sample order.
+func splitRNGs(r *rng.RNG, n int) []*rng.RNG {
+	rngs := make([]*rng.RNG, n)
+	for i := range rngs {
+		rngs[i] = r.Split()
+	}
+	return rngs
+}
+
+// perturbBlock is PerturbBatch over pre-split per-sample RNGs.
+func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, labels []int, rngs []*rng.RNG) []*tensor.Tensor {
 	batch := len(imgs)
 	if batch == 0 {
 		return nil
-	}
-	rngs := make([]*rng.RNG, batch)
-	for i := range rngs {
-		rngs[i] = r.Split()
 	}
 	advs := make([]*tensor.Tensor, batch)
 	if g.Eps <= 0 {
@@ -222,26 +232,31 @@ func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, label
 	return advs
 }
 
+// craftChunk is the most samples PerturbSet crafts in one batched pass.
+const craftChunk = 32
+
 // PerturbSet crafts an adversarial copy of a whole dataset against
-// model, processing chunks through the batched path.
+// model. One RNG is split per sample up front, in sample order, and
+// blocks of at most craftChunk/Workers() samples fan out over the
+// shared worker pool, each crafting through the batched path on its own
+// clone and training arena. Every image depends only on its sample and
+// its RNG, so the result equals PerturbBatch over craftChunk-sample
+// chunks at any worker count. Dividing the block by the worker count
+// keeps the live arenas at about one craftChunk-sample arena's memory.
 func (g *Gradient) PerturbSet(model *snn.Network, set *dataset.Set, r *rng.RNG) *dataset.Set {
 	adv := set.Clone()
-	const chunk = 32
-	for b := 0; b < len(adv.Samples); b += chunk {
-		end := b + chunk
-		if end > len(adv.Samples) {
-			end = len(adv.Samples)
-		}
-		imgs := make([]*tensor.Tensor, end-b)
-		labels := make([]int, end-b)
-		for i := b; i < end; i++ {
-			imgs[i-b] = adv.Samples[i].Image
-			labels[i-b] = adv.Samples[i].Label
-		}
-		for i, a := range g.PerturbBatch(model, imgs, labels, r) {
-			adv.Samples[b+i].Image = a
-		}
+	n := len(adv.Samples)
+	rngs := splitRNGs(r, n)
+	imgs := make([]*tensor.Tensor, n)
+	labels := make([]int, n)
+	for i, s := range adv.Samples {
+		imgs[i], labels[i] = s.Image, s.Label
 	}
+	tensor.ParallelFor(n, max(1, craftChunk/tensor.Workers()), func(lo, hi int) {
+		for i, a := range g.perturbBlock(model, imgs[lo:hi], labels[lo:hi], rngs[lo:hi]) {
+			adv.Samples[lo+i].Image = a
+		}
+	})
 	return adv
 }
 

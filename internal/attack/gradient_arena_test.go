@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/encoding"
 	"repro/internal/rng"
 	"repro/internal/snn"
@@ -117,6 +118,48 @@ func TestPerturbBatchArenaMatchesReference(t *testing.T) {
 						t.Fatalf("%s/%s sample %d pixel %d: %v, want %v (arena crafting must be bit-identical)",
 							netName, atkName, i, j, got[i].Data[j], want[i].Data[j])
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestGradientPerturbSetWorkerInvariance pins PerturbSet's sample-level
+// fan-out: PGD with a random start and the stochastic Rate encoder must
+// craft bit-identical images at every worker count, equal to
+// PerturbBatch run over craftChunk-sample chunks from the same RNG. 37
+// samples split unevenly at every block size.
+func TestGradientPerturbSetWorkerInvariance(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	net := snn.MNISTNet(snn.DefaultConfig(0.5, 5), 1, 12, 12, true, rng.New(34))
+	dcfg := dataset.DefaultSynthConfig()
+	dcfg.H, dcfg.W = 12, 12
+	set := dataset.GenerateSynth(37, dcfg, 35)
+	atk := PGD(0.3)
+	atk.Steps = 3
+	atk.Encoder = encoding.Rate{}
+
+	tensor.SetWorkers(1)
+	r := rng.New(56)
+	var want []*tensor.Tensor
+	for b := 0; b < set.Len(); b += craftChunk {
+		end := min(b+craftChunk, set.Len())
+		imgs := make([]*tensor.Tensor, 0, end-b)
+		labels := make([]int, 0, end-b)
+		for _, s := range set.Samples[b:end] {
+			imgs = append(imgs, s.Image)
+			labels = append(labels, s.Label)
+		}
+		want = append(want, atk.PerturbBatch(net, imgs, labels, r)...)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		got := atk.PerturbSet(net, set, rng.New(56))
+		for i, s := range got.Samples {
+			for j, v := range s.Image.Data {
+				if v != want[i].Data[j] {
+					t.Fatalf("%d workers: sample %d pixel %d = %v, want %v (must be bit-identical)",
+						workers, i, j, v, want[i].Data[j])
 				}
 			}
 		}

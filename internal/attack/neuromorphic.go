@@ -242,13 +242,9 @@ type streamPerturber interface {
 // Each worker block crafts against a weight-sharing evaluation clone of
 // the model, so gradient probes never contend on membrane state. Every
 // stream's result depends only on (weights, stream, label) — the
-// attacks consume no shared RNG and worker scheduling never reorders
-// anything — so at a fixed worker budget the output is bit-identical
-// to looping Perturb serially. Across *different* worker counts the
-// event-injection attacks (Frame, Corner) are invariant outright;
-// Sparse inherits the GEMM contract of its gradient probes (TMatMul is
-// deterministic per worker count, so large conv shapes can differ in
-// the last ulp between budgets — see internal/tensor/gemm.go).
+// attacks consume no shared RNG, worker scheduling never reorders
+// anything and the gradient kernels are serial — so the output is
+// bit-identical to looping Perturb serially, at any worker count.
 func PerturbStreams(atk streamPerturber, model *snn.Network, set *dvs.Set) *dvs.Set {
 	out := &dvs.Set{Classes: set.Classes, W: set.W, H: set.H, Samples: make([]dvs.Sample, len(set.Samples))}
 	tensor.ParallelFor(len(set.Samples), cloneGrain(len(set.Samples)), func(lo, hi int) {

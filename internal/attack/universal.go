@@ -42,11 +42,9 @@ func (u *Universal) Name() string { return "UAP" }
 // next sample's gradient (the algorithm's sequential core). Freezing
 // the scan at the epoch boundary is what makes the scan parallel; it
 // only defers "already fooled" credit by at most one epoch. Encoder
-// randomness is pre-split per (epoch, sample, phase), so the result is
-// deterministic for a given seed; across worker budgets it inherits
-// the gradient kernels' contract (TMatMul is deterministic per worker
-// count — large conv backward shapes can differ in the last ulp
-// between budgets; everything else is invariant).
+// randomness is pre-split per (epoch, sample, phase) and the kernels
+// are serial, so the result is deterministic for a given seed and
+// bit-identical at any worker count.
 func (u *Universal) Compute(model *snn.Network, set *dataset.Set, r *rng.RNG) *tensor.Tensor {
 	if set.Len() == 0 {
 		return nil

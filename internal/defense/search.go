@@ -106,9 +106,9 @@ func PrecisionScalingSearch(cfg SearchConfig) SearchResult {
 		}
 	}
 
-	// The structural grid shares the kernel pool's worker budget:
-	// training cells fan out up to that many goroutines, and the
-	// batched kernels inside each cell fill whatever capacity remains.
+	// The structural grid shares the pool's worker budget: training
+	// cells fan out up to that many goroutines, one model per cell,
+	// each training serially.
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = tensor.Workers()

@@ -230,20 +230,22 @@ func TestPredictZeroAllocs(t *testing.T) {
 // property via PredictBatchInto (PredictBatch itself allocates only the
 // result slice).
 func TestPredictBatchIntoZeroAllocs(t *testing.T) {
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
-	for _, tc := range arenaCases() {
-		r := rng.New(18)
-		samples := make([][]*tensor.Tensor, 4)
-		for b := range samples {
-			samples[b] = spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
-		}
-		out := make([]int, len(samples))
-		tc.net.PredictBatchInto(samples, out) // warm the arena
-		tc.net.PredictBatchInto(samples, out)
-		avg := testing.AllocsPerRun(20, func() { tc.net.PredictBatchInto(samples, out) })
-		if avg != 0 {
-			t.Errorf("%s: PredictBatchInto allocates %.1f objects/op in steady state, want 0", tc.name, avg)
+	for _, workers := range []int{1, 2} {
+		tensor.SetWorkers(workers)
+		for _, tc := range arenaCases() {
+			r := rng.New(18)
+			samples := make([][]*tensor.Tensor, 4)
+			for b := range samples {
+				samples[b] = spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
+			}
+			out := make([]int, len(samples))
+			tc.net.PredictBatchInto(samples, out) // warm the arena
+			tc.net.PredictBatchInto(samples, out)
+			avg := testing.AllocsPerRun(20, func() { tc.net.PredictBatchInto(samples, out) })
+			if avg != 0 {
+				t.Errorf("%s at %d workers: PredictBatchInto allocates %.1f objects/op in steady state, want 0", tc.name, workers, avg)
+			}
 		}
 	}
 }
@@ -256,32 +258,34 @@ func TestPredictBatchIntoZeroAllocs(t *testing.T) {
 // batch reslices state buffers over memory a larger pass dirtied, so
 // this doubles as the stale-state regression).
 func TestPredictBatchIntoVariableBatchZeroAllocs(t *testing.T) {
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
-	for _, tc := range arenaCases() {
-		r := rng.New(21)
-		samples := make([][]*tensor.Tensor, 8)
-		for b := range samples {
-			samples[b] = spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
-		}
-		out := make([]int, len(samples))
-		tc.net.PredictBatchInto(samples, out) // high-water warm at batch 8
-		for _, batch := range []int{3, 5, 1, 8, 7} {
-			sub, subOut := samples[:batch], out[:batch]
-			avg := testing.AllocsPerRun(10, func() { tc.net.PredictBatchInto(sub, subOut) })
-			if avg != 0 {
-				t.Errorf("%s: batch %d after a warm batch 8 allocates %.1f objects/op, want 0 (capacity reuse)",
-					tc.name, batch, avg)
+	for _, workers := range []int{1, 2} {
+		tensor.SetWorkers(workers)
+		for _, tc := range arenaCases() {
+			r := rng.New(21)
+			samples := make([][]*tensor.Tensor, 8)
+			for b := range samples {
+				samples[b] = spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
 			}
-			for b := 0; b < batch; b++ {
-				if want := tc.net.Predict(samples[b]); subOut[b] != want {
-					t.Fatalf("%s: batch %d sample %d classified %d, want %d (resliced arena must stay exact)",
-						tc.name, batch, b, subOut[b], want)
+			out := make([]int, len(samples))
+			tc.net.PredictBatchInto(samples, out) // high-water warm at batch 8
+			for _, batch := range []int{3, 5, 1, 8, 7} {
+				sub, subOut := samples[:batch], out[:batch]
+				avg := testing.AllocsPerRun(10, func() { tc.net.PredictBatchInto(sub, subOut) })
+				if avg != 0 {
+					t.Errorf("%s at %d workers: batch %d after a warm batch 8 allocates %.1f objects/op, want 0 (capacity reuse)",
+						tc.name, workers, batch, avg)
 				}
+				for b := 0; b < batch; b++ {
+					if want := tc.net.Predict(samples[b]); subOut[b] != want {
+						t.Fatalf("%s: batch %d sample %d classified %d, want %d (resliced arena must stay exact)",
+							tc.name, batch, b, subOut[b], want)
+					}
+				}
+				// Re-warm at the high water so Predict's batch-1 pass above
+				// doesn't define the next iteration's length transition.
+				tc.net.PredictBatchInto(samples, out)
 			}
-			// Re-warm at the high water so Predict's batch-1 pass above
-			// doesn't define the next iteration's length transition.
-			tc.net.PredictBatchInto(samples, out)
 		}
 	}
 }

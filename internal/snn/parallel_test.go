@@ -4,41 +4,107 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/encoding"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
 
-func TestAccuracyParallelWorkerInvariance(t *testing.T) {
-	r := rng.New(1)
-	net := DenseNet(DefaultConfig(0.5, 6), 144, 32, 10, r)
-	test := tinyTrainSet(60, 2)
-	a1 := AccuracyParallel(net, test, encoding.Rate{}, 42, 1)
-	a4 := AccuracyParallel(net, test, encoding.Rate{}, 42, 4)
-	a9 := AccuracyParallel(net, test, encoding.Rate{}, 42, 9)
-	if a1 != a4 || a4 != a9 {
-		t.Fatalf("worker count changed the result: %v %v %v", a1, a4, a9)
+// evalNet returns a briefly trained dense classifier and a 150-sample
+// test set: 5 chunks of evalChunk, split unevenly by every round size.
+func evalNet(t *testing.T) (*Network, *dataset.Set) {
+	t.Helper()
+	net := DenseNet(DefaultConfig(0.5, 6), 144, 32, 10, rng.New(1))
+	Train(net, tinyTrainSet(100, 1), TrainOptions{
+		Epochs: 1, BatchSize: 16, Optimizer: NewAdam(3e-3), Encoder: encoding.Rate{}, Seed: 3,
+	})
+	return net, tinyTrainSet(150, 2)
+}
+
+// serialCorrect is the reference evaluation: PredictBatch per
+// evalChunk-sample chunk, in order, on the network itself.
+func serialCorrect(net *Network, samples [][]*tensor.Tensor, labels []int) int {
+	correct := 0
+	for b := 0; b < len(samples); b += evalChunk {
+		e := min(b+evalChunk, len(samples))
+		for i, p := range net.PredictBatch(samples[b:e]) {
+			if p == labels[b+i] {
+				correct++
+			}
+		}
+	}
+	return correct
+}
+
+// encodeInOrder encodes every sample in order from one seeded RNG.
+func encodeInOrder(net *Network, set *dataset.Set, enc encoding.Encoder, seed uint64) ([][]*tensor.Tensor, []int) {
+	r := rng.New(seed)
+	samples := make([][]*tensor.Tensor, set.Len())
+	labels := make([]int, set.Len())
+	for i, s := range set.Samples {
+		samples[i], labels[i] = enc.Encode(s.Image, net.Cfg.Steps, r), s.Label
+	}
+	return samples, labels
+}
+
+// TestAccuracyWorkerInvariance pins Accuracy's sample-level fan-out:
+// with the stochastic Rate encoder the result must be the same at every
+// worker count and equal to encoding in order from rng.New(seed) and
+// predicting each chunk serially.
+func TestAccuracyWorkerInvariance(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	net, test := evalNet(t)
+	samples, labels := encodeInOrder(net, test, encoding.Rate{}, 42)
+	want := float64(serialCorrect(net, samples, labels)) / float64(test.Len())
+	if want == 0 || want == 1 {
+		t.Fatalf("reference accuracy %v is degenerate; the test would be vacuous", want)
+	}
+	for _, workers := range []int{1, 2, 4, 9} {
+		tensor.SetWorkers(workers)
+		if got := Accuracy(net, test, encoding.Rate{}, 42); got != want {
+			t.Fatalf("%d workers: Accuracy %v, want %v", workers, got, want)
+		}
 	}
 }
 
-func TestAccuracyParallelMatchesSerialWithDirect(t *testing.T) {
-	// With a deterministic encoder the parallel and serial paths must
-	// agree exactly.
-	r := rng.New(3)
-	net := DenseNet(DefaultConfig(0.5, 6), 144, 32, 10, r)
-	test := tinyTrainSet(50, 4)
-	serial := Accuracy(net, test, encoding.Direct{}, 7)
-	parallel := AccuracyParallel(net, test, encoding.Direct{}, 7, 0)
-	if serial != parallel {
-		t.Fatalf("serial %v vs parallel %v", serial, parallel)
+// TestAccuracyMatchesSerialReference pins Accuracy at the default worker
+// budget to the serial reference for both a deterministic and a
+// stochastic encoder, on a convolutional network.
+func TestAccuracyMatchesSerialReference(t *testing.T) {
+	net := MNISTNet(DefaultConfig(0.5, 4), 1, 12, 12, true, rng.New(3))
+	test := tinyTrainSet(70, 4)
+	for _, enc := range []encoding.Encoder{encoding.Direct{}, encoding.Rate{}} {
+		samples, labels := encodeInOrder(net, test, enc, 7)
+		want := float64(serialCorrect(net, samples, labels)) / float64(test.Len())
+		if got := Accuracy(net, test, enc, 7); got != want {
+			t.Fatalf("%s: Accuracy %v, want %v", enc.Name(), got, want)
+		}
 	}
 }
 
-func TestAccuracyParallelEmptySet(t *testing.T) {
+// TestAccuracyFramesWorkerInvariance is the frame-sample variant: the
+// result must match the serial reference at every worker count.
+func TestAccuracyFramesWorkerInvariance(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	net, test := evalNet(t)
+	samples, labels := encodeInOrder(net, test, encoding.Rate{}, 43)
+	want := float64(serialCorrect(net, samples, labels)) / float64(len(samples))
+	for _, workers := range []int{1, 2, 4, 9} {
+		tensor.SetWorkers(workers)
+		if got := AccuracyFrames(net, samples, labels); got != want {
+			t.Fatalf("%d workers: AccuracyFrames %v, want %v", workers, got, want)
+		}
+	}
+}
+
+func TestAccuracyEmptySet(t *testing.T) {
 	r := rng.New(5)
 	net := DenseNet(DefaultConfig(0.5, 4), 4, 4, 2, r)
-	if AccuracyParallel(net, tinyTrainSet(0, 6), encoding.Direct{}, 1, 4) != 0 {
+	if Accuracy(net, tinyTrainSet(0, 6), encoding.Direct{}, 1) != 0 {
 		t.Fatal("empty set must yield 0")
+	}
+	if AccuracyFrames(net, nil, nil) != 0 {
+		t.Fatal("empty frame set must yield 0")
 	}
 }
 

@@ -184,7 +184,6 @@ func TestInt8TierTracksFP32(t *testing.T) {
 // the FP32 path it shadows.
 func TestInt8TierZeroAllocSteadyState(t *testing.T) {
 	defer tensor.SetWorkers(0)
-	tensor.SetWorkers(1)
 	net := int8Net(t)
 	if err := net.SetTier(TierINT8); err != nil {
 		t.Fatal(err)
@@ -193,12 +192,15 @@ func TestInt8TierZeroAllocSteadyState(t *testing.T) {
 	frames := spikeFrames(r, net.Cfg.Steps, []int{2, 16, 16})
 	s := net.AcquireScratch()
 	defer net.Release(s)
-	net.PredictScratch(frames, s) // warm shapes and scratch
-	allocs := testing.AllocsPerRun(20, func() {
-		net.PredictScratch(frames, s)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state INT8 PredictScratch allocates %v/op, want 0", allocs)
+	for _, workers := range []int{1, 2} {
+		tensor.SetWorkers(workers)
+		net.PredictScratch(frames, s) // warm shapes and scratch
+		allocs := testing.AllocsPerRun(20, func() {
+			net.PredictScratch(frames, s)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state INT8 PredictScratch at %d workers allocates %v/op, want 0", workers, allocs)
+		}
 	}
 }
 

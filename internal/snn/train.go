@@ -2,8 +2,6 @@ package snn
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/encoding"
@@ -201,118 +199,76 @@ const evalChunk = 32
 
 // Accuracy evaluates classification accuracy on a static image dataset.
 // Encoding randomness is reseeded per call so repeated evaluations of
-// the same model agree. Samples are evaluated in batched chunks; the
-// encoding stream and the per-sample predictions are identical to the
-// per-sample path.
+// the same model agree. The caller encodes the samples in order from
+// the one seeded RNG, in rounds of Workers()·evalChunk samples to bound
+// memory, and each round's evalChunk-sample chunks are classified
+// concurrently (see countCorrect). The result is therefore the same at
+// any worker count, and identical to encoding every sample in order and
+// predicting each chunk serially. The caller's network is not touched.
 func Accuracy(n *Network, test *dataset.Set, enc encoding.Encoder, seed uint64) float64 {
 	if test.Len() == 0 {
 		return 0
 	}
+	clones := evalClones(n, test.Len())
+	round := len(clones) * evalChunk
 	r := rng.New(seed)
+	samples := make([][]*tensor.Tensor, 0, round)
+	labels := make([]int, 0, round)
 	correct := 0
-	samples := make([][]*tensor.Tensor, 0, evalChunk)
-	labels := make([]int, 0, evalChunk)
-	flush := func() {
-		for i, p := range n.PredictBatch(samples) {
-			if p == labels[i] {
-				correct++
-			}
-		}
+	for b := 0; b < test.Len(); b += round {
 		samples, labels = samples[:0], labels[:0]
-	}
-	for _, s := range test.Samples {
-		samples = append(samples, enc.Encode(s.Image, n.Cfg.Steps, r))
-		labels = append(labels, s.Label)
-		if len(samples) == evalChunk {
-			flush()
+		for _, s := range test.Samples[b:min(b+round, test.Len())] {
+			samples = append(samples, enc.Encode(s.Image, n.Cfg.Steps, r))
+			labels = append(labels, s.Label)
 		}
-	}
-	if len(samples) > 0 {
-		flush()
+		correct += countCorrect(clones, samples, labels)
 	}
 	return float64(correct) / float64(test.Len())
 }
 
 // AccuracyFrames evaluates accuracy on pre-voxelized frame samples,
-// batching chunks through the network.
+// classifying evalChunk-sample chunks concurrently (see countCorrect).
 func AccuracyFrames(n *Network, samples [][]*tensor.Tensor, labels []int) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	correct := 0
-	for b := 0; b < len(samples); b += evalChunk {
-		end := b + evalChunk
-		if end > len(samples) {
-			end = len(samples)
-		}
-		for i, p := range n.PredictBatch(samples[b:end]) {
-			if p == labels[b+i] {
-				correct++
-			}
-		}
-	}
-	return float64(correct) / float64(len(samples))
+	return float64(countCorrect(evalClones(n, len(samples)), samples, labels)) / float64(len(samples))
 }
 
-// AccuracyParallel evaluates accuracy like Accuracy but fans batched
-// chunks out over workers goroutines (<= 0 takes the shared kernel
-// pool's budget, i.e. GOMAXPROCS unless tensor.SetWorkers overrode it),
-// each with a weight-sharing evaluation clone. The result is
-// deterministic given seed and does not depend on the worker count: the
-// encoding RNG is split per sample index up front and chunk boundaries
-// are fixed. (It differs from Accuracy's stream for the same seed.)
-func AccuracyParallel(n *Network, test *dataset.Set, enc encoding.Encoder, seed uint64, workers int) float64 {
-	if test.Len() == 0 {
-		return 0
+// evalClones builds one weight-sharing evaluation clone per block that
+// can run at once over samples: min(Workers(), chunks).
+func evalClones(n *Network, samples int) []*Network {
+	clones := make([]*Network, min(tensor.Workers(), (samples+evalChunk-1)/evalChunk))
+	for i := range clones {
+		clones[i] = n.CloneArchitecture()
 	}
-	if workers <= 0 {
-		workers = tensor.Workers()
+	return clones
+}
+
+// countCorrect classifies samples in evalChunk-sample chunks fanned out
+// over the shared worker pool in at most len(clones) blocks, block i on
+// clones[i], and counts the predictions that match labels. A chunk's
+// predictions do not depend on which block ran it, so the count is the
+// same at any worker count, and the caller's network — its arena free
+// list and LIF statistics — is left alone.
+func countCorrect(clones []*Network, samples [][]*tensor.Tensor, labels []int) int {
+	chunks := (len(samples) + evalChunk - 1) / evalChunk
+	grain := (chunks + len(clones) - 1) / len(clones)
+	preds := make([]int, len(samples))
+	tensor.ParallelFor(chunks, grain, func(lo, hi int) {
+		clone := clones[lo/grain]
+		for c := lo; c < hi; c++ {
+			b, e := c*evalChunk, min((c+1)*evalChunk, len(samples))
+			clone.PredictBatchInto(samples[b:e], preds[b:e])
+		}
+	})
+	correct := 0
+	for i, p := range preds {
+		if p == labels[i] {
+			correct++
+		}
 	}
-	chunks := (test.Len() + evalChunk - 1) / evalChunk
-	if workers > chunks {
-		workers = chunks
-	}
-	// Pre-split one RNG per sample so parallel order cannot matter.
-	base := rng.New(seed)
-	rngs := make([]*rng.RNG, test.Len())
-	for i := range rngs {
-		rngs[i] = base.Split()
-	}
-	var correct int64
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			clone := n.CloneArchitecture()
-			for ci := range work {
-				lo := ci * evalChunk
-				hi := lo + evalChunk
-				if hi > test.Len() {
-					hi = test.Len()
-				}
-				samples := make([][]*tensor.Tensor, 0, hi-lo)
-				labels := make([]int, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					s := test.Samples[i]
-					samples = append(samples, enc.Encode(s.Image, clone.Cfg.Steps, rngs[i]))
-					labels = append(labels, s.Label)
-				}
-				for i, p := range clone.PredictBatch(samples) {
-					if p == labels[i] {
-						atomic.AddInt64(&correct, 1)
-					}
-				}
-			}
-		}()
-	}
-	for ci := 0; ci < chunks; ci++ {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
-	return float64(correct) / float64(test.Len())
+	return correct
 }
 
 // InputGradient computes dL/dframe_t for a sample, the quantity attacks

@@ -34,10 +34,11 @@ import (
 // TrainScratch belongs to one network and must not be shared between
 // goroutines; concurrent training uses clones, each with its own arena.
 //
-// Correctness: the arena passes run the same kernels in the same
-// accumulation order as the allocating ForwardBatch/BackwardBatch, so
-// losses, input gradients and trained weights are bit-identical to the
-// pre-arena path at any worker count (pinned by train_arena_test.go).
+// Correctness: the arena passes run the same serial kernels in the
+// same accumulation order as the allocating ForwardBatch/BackwardBatch,
+// so losses, input gradients and trained weights are bit-identical to
+// the pre-arena path, and to themselves at any worker count (pinned by
+// train_arena_test.go).
 // The one kernel swap — the conv weight-gradient GEMM runs
 // tensor.MatMulTColSkipAcc instead of MatMulTAcc — skips exact zero
 // products only, which Go's float comparison cannot distinguish.

@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/encoding"
@@ -189,45 +190,86 @@ func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 	}
 }
 
+// TestTrainStepScratchWorkerInvariant pins training to the worker-count
+// contract: every kernel is serial, so the losses and weights after a
+// few steps must be bit-identical at any budget. The 2-class readout's
+// weight gradient (k = batch 64, m = 256, n = 2) is the narrow TMatMul
+// shape a parallel k-split reduction would round differently.
+func TestTrainStepScratchWorkerInvariant(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	run := func() ([]float64, []*tensor.Tensor) {
+		net := DenseNet(DefaultConfig(0.5, 4), 144, 512, 2, rng.New(91))
+		ts := net.AcquireTrainScratch()
+		defer net.ReleaseTrain(ts)
+		opt := NewAdam(2e-3)
+		r := rng.New(92)
+		var losses []float64
+		for step := 0; step < 3; step++ {
+			samples := make([][]*tensor.Tensor, 64)
+			labels := make([]int, len(samples))
+			for b := range samples {
+				samples[b] = spikeFrames(r, net.Cfg.Steps, []int{12, 12})
+				labels[b] = b % 2
+			}
+			ts.ZeroGrads()
+			losses = append(losses, net.TrainStepScratch(samples, labels, ts))
+			opt.Step(ts.Params(), ts.Grads(), 1/float32(len(samples)))
+		}
+		return losses, net.Params()
+	}
+	tensor.SetWorkers(1)
+	wantLosses, wantParams := run()
+	for _, workers := range []int{2, 4} {
+		tensor.SetWorkers(workers)
+		losses, params := run()
+		for step, l := range losses {
+			if l != wantLosses[step] {
+				t.Fatalf("%d workers step %d: loss %v, want %v", workers, step, l, wantLosses[step])
+			}
+		}
+		mustMatchTensors(t, fmt.Sprintf("weights at %d workers", workers), wantParams, params)
+	}
+}
+
 // TestTrainStepScratchZeroAllocs asserts the arena's headline property:
 // after warm-up, the whole steady-state minibatch cycle — zeroing,
 // frame stacking, training forward, loss, BPTT, clipping, optimizer
-// step — allocates nothing in the deterministic serial mode (parallel
-// dispatch allocates per-kernel job descriptors, as with the inference
-// arena).
+// step — allocates nothing, at any worker count (kernels are serial
+// and never dispatch to the pool).
 func TestTrainStepScratchZeroAllocs(t *testing.T) {
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
-	for _, tc := range trainCases() {
-		net := tc.build()
-		ts := net.AcquireTrainScratch()
-		r := rng.New(61)
-		samples := make([][]*tensor.Tensor, 4)
-		labels := make([]int, len(samples))
-		for b := range samples {
-			samples[b] = spikeFrames(r, net.Cfg.Steps, tc.shape)
-			labels[b] = b % tc.classes
+	for _, workers := range []int{1, 2} {
+		tensor.SetWorkers(workers)
+		for _, tc := range trainCases() {
+			net := tc.build()
+			ts := net.AcquireTrainScratch()
+			r := rng.New(61)
+			samples := make([][]*tensor.Tensor, 4)
+			labels := make([]int, len(samples))
+			for b := range samples {
+				samples[b] = spikeFrames(r, net.Cfg.Steps, tc.shape)
+				labels[b] = b % tc.classes
+			}
+			opt := NewAdam(2e-3)
+			cycle := func() {
+				ts.ZeroGrads()
+				net.TrainStepScratch(samples, labels, ts)
+				clipGradients(ts.Grads(), 1.0)
+				opt.Step(ts.Params(), ts.Grads(), 0.25)
+			}
+			cycle() // warm the arena and the optimizer state
+			cycle()
+			if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+				t.Errorf("%s at %d workers: train step allocates %.1f objects/op in steady state, want 0", tc.name, workers, avg)
+			}
+			net.ReleaseTrain(ts)
 		}
-		opt := NewAdam(2e-3)
-		cycle := func() {
-			ts.ZeroGrads()
-			net.TrainStepScratch(samples, labels, ts)
-			clipGradients(ts.Grads(), 1.0)
-			opt.Step(ts.Params(), ts.Grads(), 0.25)
-		}
-		cycle() // warm the arena and the optimizer state
-		cycle()
-		if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
-			t.Errorf("%s: train step allocates %.1f objects/op in steady state, want 0", tc.name, avg)
-		}
-		net.ReleaseTrain(ts)
 	}
 }
 
 // TestInputGradSumScratchZeroAllocs asserts the same property for the
 // attack-crafting gradient pass against a caller-held arena.
 func TestInputGradSumScratchZeroAllocs(t *testing.T) {
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
 	tc := trainCases()[1]
 	net := tc.build().CloneArchitecture()
@@ -243,10 +285,13 @@ func TestInputGradSumScratchZeroAllocs(t *testing.T) {
 		frames := ts.StackFramesInto(samples)
 		net.InputGradSumScratch(frames, labels, ts)
 	}
-	pass()
-	pass()
-	if avg := testing.AllocsPerRun(10, pass); avg != 0 {
-		t.Errorf("input-gradient pass allocates %.1f objects/op in steady state, want 0", avg)
+	for _, workers := range []int{1, 2} {
+		tensor.SetWorkers(workers)
+		pass()
+		pass()
+		if avg := testing.AllocsPerRun(10, pass); avg != 0 {
+			t.Errorf("input-gradient pass at %d workers allocates %.1f objects/op in steady state, want 0", workers, avg)
+		}
 	}
 	net.ReleaseTrain(ts)
 }

@@ -105,10 +105,11 @@ func TestStreamReadChunkZeroAllocs(t *testing.T) {
 // every per-window buffer is recycled and the reader and windower are
 // Reset per recording, so memory cannot grow with recording length or
 // with the number of recordings served. One bytes.Reader is re-pointed
-// per Run so the measured closure itself does not allocate.
+// per Run so the measured closure itself does not allocate. The
+// two-worker configuration fans each flush out over the shared pool, so
+// it also pins the pool's dispatch to zero allocations.
 func TestPipelineMemoryBounded(t *testing.T) {
 	defer tensor.SetWorkers(0)
-	tensor.SetWorkers(1)
 	steps := 4
 	net := testNet(steps)
 	shortRec := encode(t, longStream(2, 200, 53))
@@ -117,8 +118,9 @@ func TestPipelineMemoryBounded(t *testing.T) {
 		t.Fatalf("long recording (%dB) not meaningfully longer than short (%dB)", len(longRec), len(shortRec))
 	}
 
-	for _, reorder := range []int{0, 1024} {
-		p, err := NewPipeline(net, Options{WindowMS: 50, Steps: steps, Workers: 1, Batch: 2, ChunkEvents: 256, ReorderWindow: reorder})
+	for _, cfg := range []struct{ workers, reorder int }{{1, 0}, {1, 1024}, {2, 1024}} {
+		tensor.SetWorkers(cfg.workers)
+		p, err := NewPipeline(net, Options{WindowMS: 50, Steps: steps, Workers: cfg.workers, Batch: 2, ChunkEvents: 256, ReorderWindow: cfg.reorder})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +148,8 @@ func TestPipelineMemoryBounded(t *testing.T) {
 			data []byte
 		}{{"short (8 windows)", shortRec}, {"long (32 windows)", longRec}} {
 			if allocs := run(rec.data); allocs != 0 {
-				t.Fatalf("ReorderWindow %d: warm Run of the %s recording performed %g allocs, want 0",
-					reorder, rec.name, allocs)
+				t.Fatalf("Workers %d, ReorderWindow %d: warm Run of the %s recording performed %g allocs, want 0",
+					cfg.workers, cfg.reorder, rec.name, allocs)
 			}
 		}
 		if classes == 0 {

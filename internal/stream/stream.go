@@ -23,11 +23,10 @@
 //   - Steady state performs 0 allocations (without a Filter): slots,
 //     frames, clones and arenas are recycled per window, and the
 //     reader and windower are Reset per recording instead of rebuilt,
-//     so at one tensor worker a warm Run allocates nothing at all,
-//     whatever the recording's length or reorder window. With more
-//     workers the only allocations left are the shared pool's
-//     per-launch dispatch: the round's ParallelFor fan-out and each
-//     parallel GEMM's job closure (tensor.MatMulInto).
+//     so a warm Run allocates nothing at all, whatever the
+//     recording's length, reorder window or worker count: the round's
+//     ParallelFor fan-out recycles its job headers and the kernels
+//     never dispatch.
 //
 // Predictions are bit-identical to the in-memory reference — splitting
 // the loaded recording with dvs.SplitWindows, voxelizing each window

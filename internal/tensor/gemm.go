@@ -1,5 +1,5 @@
-// Blocked, pool-parallel GEMM kernels. Three layouts cover every use in
-// the SNN substrate:
+// Blocked GEMM kernels. Three layouts cover every use in the SNN
+// substrate:
 //
 //	MatMul  C = A·B    (m×k)·(k×n)
 //	MatMulT C = A·Bᵀ   (m×k)·(n×k)
@@ -7,47 +7,26 @@
 //
 // All three keep the skip-zero fast paths of the original serial
 // kernels (spike activity is mostly zeros, so entire inner loops
-// vanish), block the loops for cache locality, and split the output
-// into row blocks claimed from the shared worker pool. MatMul and
-// MatMulT preserve the exact per-element accumulation order of the
-// serial kernels at any worker count; TMatMul reduces per-k-block
-// partial sums in deterministic block order when parallel, and runs the
-// exact serial kernel under SetWorkers(1).
+// vanish) and block the loops for cache locality. Every kernel is
+// serial and pins its per-element accumulation order, so results are
+// bit-identical at any worker count. Parallelism lives one grain up:
+// callers fan samples, sessions and window batches out over
+// ParallelFor, each block running these kernels on its own data.
 package tensor
 
 import "fmt"
 
+// gemmKC / gemmNC block the k and n loops so a (gemmKC × gemmNC)
+// panel of B stays cache-resident while a row block of C streams.
 const (
-	// gemmKC / gemmNC block the k and n loops so a (gemmKC × gemmNC)
-	// panel of B stays cache-resident while a row block of C streams.
 	gemmKC = 240
 	gemmNC = 1024
-	// gemmSerialOps is the multiply-add count below which the pool
-	// costs more than it saves and kernels stay serial.
-	gemmSerialOps = 1 << 15
-	// gemmGrainOps is the approximate per-task work target when
-	// splitting rows across the pool.
-	gemmGrainOps = 1 << 16
 )
 
 func checkGEMM(op string, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: %s wants rank-2, got %v × %v", op, a.Shape, b.Shape)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
-}
-
-func gemmGrain(rows, opsPerRow int) int {
-	if opsPerRow < 1 {
-		opsPerRow = 1
-	}
-	g := gemmGrainOps / opsPerRow
-	if g < 1 {
-		g = 1
-	}
-	if g > rows {
-		g = rows
-	}
-	return g
 }
 
 // MatMul computes C = A·B for A (m×k) and B (k×n), returning an m×n
@@ -61,14 +40,14 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	c := New(m, n)
-	matMulInto(c, a, b, m, k, n)
+	matMulRows(c.Data, a.Data, b.Data, m, k, n)
 	return c
 }
 
 // MatMulInto computes dst = A·B into a caller-owned m×n tensor,
 // overwriting its contents — the allocation-free form the inference
-// arena uses. The kernels are exactly MatMul's, so the result is
-// bit-identical to MatMul at any worker count.
+// arena uses. The kernel is exactly MatMul's, so the result is
+// bit-identical to MatMul.
 func MatMulInto(dst, a, b *Tensor) {
 	checkGEMM("MatMul", a, b)
 	m, k := a.Shape[0], a.Shape[1]
@@ -80,57 +59,18 @@ func MatMulInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	clear(dst.Data)
-	matMulInto(dst, a, b, m, k, n)
+	matMulRows(dst.Data, a.Data, b.Data, m, k, n)
 }
 
-// matMulInto accumulates A·B into the zeroed dst.
-func matMulInto(c, a, b *Tensor, m, k, n int) {
-	w := Workers()
-	if m*k*n < gemmSerialOps || w == 1 {
-		matMulRows(c.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
-	if m >= 2*w {
-		parallelFor(m, gemmGrain(m, k*n), func(lo, hi int) { //axsnn:allow-alloc parallel dispatch: one job closure per launch, amortized over its blocks
-			matMulRows(c.Data, a.Data, b.Data, lo, hi, k, n)
-		})
-		return
-	}
-	// Few output rows (e.g. a narrow conv filter bank against a wide
-	// batched im2col panel): split the columns instead. Stripes write
-	// disjoint column ranges and keep the per-element accumulation
-	// order, so this stays bit-identical too.
-	parallelFor(n, gemmGrain(n, k*m), func(jlo, jhi int) { //axsnn:allow-alloc parallel dispatch: one job closure per launch, amortized over its blocks
-		matMulStripe(c.Data, a.Data, b.Data, m, k, n, jlo, jhi)
-	})
-}
-
-// matMulStripe computes columns [jlo,jhi) of C = A·B.
-func matMulStripe(cd, ad, bd []float32, m, k, n, jlo, jhi int) {
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n+jlo : i*n+jhi]
-		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := bd[p*n+jlo : p*n+jhi]
-			for jj, bv := range brow {
-				crow[jj] += av * bv
-			}
-		}
-	}
-}
-
-// matMulRows computes rows [i0,i1) of C = A·B with k/n blocking. For
-// every output element the k terms accumulate in ascending order, so
-// the result is bit-identical to the naive ikj kernel regardless of
-// blocking or row partitioning. Matrices that fit a single cache block
-// take the tight unblocked loop: the blocked form's sub-slice
-// arithmetic costs ~1.5× on small shapes.
-func matMulRows(cd, ad, bd []float32, i0, i1, k, n int) {
+// matMulRows computes C = A·B (m rows) with k/n blocking. For every
+// output element the k terms accumulate in ascending order, so the
+// result is bit-identical to the naive ikj kernel regardless of
+// blocking. Matrices that fit a single cache block take the tight
+// unblocked loop: the blocked form's sub-slice arithmetic costs ~1.5×
+// on small shapes.
+func matMulRows(cd, ad, bd []float32, m, k, n int) {
 	if k <= gemmKC && n <= gemmNC {
-		for i := i0; i < i1; i++ {
+		for i := 0; i < m; i++ {
 			arow := ad[i*k : (i+1)*k]
 			crow := cd[i*n : (i+1)*n]
 			for p := 0; p < k; p++ {
@@ -156,7 +96,7 @@ func matMulRows(cd, ad, bd []float32, i0, i1, k, n int) {
 			if jEnd > n {
 				jEnd = n
 			}
-			for i := i0; i < i1; i++ {
+			for i := 0; i < m; i++ {
 				arow := ad[i*k+kb : i*k+kEnd]
 				crow := cd[i*n+jb : i*n+jEnd]
 				for pp, av := range arow {
@@ -175,8 +115,8 @@ func matMulRows(cd, ad, bd []float32, i0, i1, k, n int) {
 
 // MatMulTInto computes dst = A·Bᵀ into a caller-owned m×n tensor,
 // overwriting its contents — the allocation-free form for the training
-// arena. The kernels are exactly MatMulT's, so the result is
-// bit-identical to MatMulT at any worker count.
+// arena. The kernel is exactly MatMulT's, so the result is
+// bit-identical to MatMulT.
 func MatMulTInto(dst, a, b *Tensor) {
 	checkGEMM("MatMulT", a, b)
 	m, k := a.Shape[0], a.Shape[1]
@@ -187,13 +127,7 @@ func MatMulTInto(dst, a, b *Tensor) {
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTInto dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
-	if m*k*n < gemmSerialOps || Workers() == 1 {
-		matMulTRows(dst.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
-	parallelFor(m, gemmGrain(m, k*n), func(lo, hi int) { //axsnn:allow-alloc parallel dispatch: one job closure per launch, amortized over its blocks
-		matMulTRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	matMulTRows(dst.Data, a.Data, b.Data, m, k, n)
 }
 
 // MatMulT computes C = A·Bᵀ for A (m×k) and B (n×k), returning m×n.
@@ -205,21 +139,14 @@ func MatMulT(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	c := New(m, n)
-	if m*k*n < gemmSerialOps || Workers() == 1 {
-		matMulTRows(c.Data, a.Data, b.Data, 0, m, k, n)
-		return c
-	}
-	parallelFor(m, gemmGrain(m, k*n), func(lo, hi int) { //axsnn:allow-alloc parallel dispatch: one job closure per launch, amortized over its blocks
-		matMulTRows(c.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	matMulTRows(c.Data, a.Data, b.Data, m, k, n)
 	return c
 }
 
-// matMulTRows computes rows [i0,i1) of C = A·Bᵀ. Each element is an
-// independent dot product accumulated in ascending k order, identical
-// to the serial kernel at any row partitioning.
-func matMulTRows(cd, ad, bd []float32, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
+// matMulTRows computes C = A·Bᵀ (m rows). Each element is an
+// independent dot product accumulated in ascending k order.
+func matMulTRows(cd, ad, bd []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
@@ -247,17 +174,8 @@ func MatMulTAcc(dst, a, b *Tensor) {
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTAcc dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
-	if m*k*n < gemmSerialOps || Workers() == 1 {
-		matMulTAccRows(dst.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
-	parallelFor(m, gemmGrain(m, k*n), func(lo, hi int) { //axsnn:allow-alloc parallel dispatch: one job closure per launch, amortized over its blocks
-		matMulTAccRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
-	})
-}
-
-func matMulTAccRows(cd, ad, bd []float32, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
+	cd, ad, bd := dst.Data, a.Data, b.Data
+	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
@@ -284,7 +202,7 @@ func matMulTAccRows(cd, ad, bd []float32, i0, i1, k, n int) {
 // Every output element receives one completed dot product, accumulated
 // over the nonzero k indices in ascending order. The skipped terms are
 // exact zero products, so the result equals MatMulTAcc bit-for-bit
-// (under the ==-comparison that treats ±0 alike) at any worker count.
+// (under the ==-comparison that treats ±0 alike).
 func MatMulTColSkipAcc(dst, a, b *Tensor, idx []int) {
 	checkGEMM("MatMulT", a, b)
 	m, k := a.Shape[0], a.Shape[1]
@@ -298,25 +216,8 @@ func MatMulTColSkipAcc(dst, a, b *Tensor, idx []int) {
 	if len(idx) < k {
 		panic(fmt.Sprintf("tensor: MatMulTColSkipAcc idx scratch %d, want >= %d", len(idx), k)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
-	if m*k*n < gemmSerialOps || Workers() == 1 {
-		matMulTColSkipRows(dst.Data, a.Data, b.Data, 0, n, m, k, n, idx)
-		return
-	}
-	// Split the B rows (output columns): each stripe scans only its own
-	// rows, so no nonzero gather is repeated, and every element is a
-	// single completed-dot add — deterministic at any partitioning. The
-	// per-block index scratch is the price of parallel dispatch (which
-	// already allocates job state); serial mode reuses the caller's.
-	parallelFor(n, gemmGrain(n, m*k/4+1), func(jlo, jhi int) { //axsnn:allow-alloc parallel dispatch: job closure plus per-stripe index scratch; serial mode reuses the caller's
-		matMulTColSkipRows(dst.Data, a.Data, b.Data, jlo, jhi, m, k, n, make([]int, k))
-	})
-}
-
-// matMulTColSkipRows accumulates columns [j0,j1) of C += A·Bᵀ (C rows
-// have stride n), gathering each B row's nonzero indices before the m
-// dot products against it.
-func matMulTColSkipRows(cd, ad, bd []float32, j0, j1, m, k, n int, idx []int) {
-	for j := j0; j < j1; j++ {
+	cd, ad, bd := dst.Data, a.Data, b.Data
+	for j := 0; j < n; j++ {
 		brow := bd[j*k : (j+1)*k]
 		nz := 0
 		for p, v := range brow {
@@ -341,10 +242,9 @@ func matMulTColSkipRows(cd, ad, bd []float32, j0, j1, m, k, n int, idx []int) {
 }
 
 // TMatMul computes C = Aᵀ·B for A (k×m) and B (k×n), returning m×n.
-// Zero elements of A skip their inner loop (the spike fast path). When
-// parallel, the k range is split into blocks whose partial products are
-// reduced in deterministic block order; with SetWorkers(1) the exact
-// serial kernel runs.
+// Zero elements of A skip their inner loop (the spike fast path). Every
+// output element accumulates its k terms in ascending order, so the
+// result is bit-identical at any worker count.
 func TMatMul(a, b *Tensor) *Tensor {
 	checkGEMM("TMatMul", a, b)
 	k, m := a.Shape[0], a.Shape[1]
@@ -387,64 +287,10 @@ func TMatMulAcc(dst, a, b *Tensor) {
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: TMatMulAcc dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
-	w := Workers()
-	if w == 1 || k*m*n < gemmSerialOps {
-		tMatMulRange(dst.Data, a.Data, b.Data, 0, k, m, n)
-		return
-	}
-	if n >= 4*w {
-		// Wide output (e.g. input gradients of a batched conv panel):
-		// stripe the columns. Each stripe re-scans A but writes a
-		// disjoint column range in the serial accumulation order, so
-		// the result is bit-identical to the serial kernel.
-		parallelFor(n, gemmGrain(n, k*m/4+1), func(jlo, jhi int) { //axsnn:allow-alloc parallel dispatch: one job closure per launch, amortized over its blocks
-			tMatMulStripe(dst.Data, a.Data, b.Data, k, m, n, jlo, jhi)
-		})
-		return
-	}
-	// Narrow output: split k into ~4 blocks per worker for stealing
-	// balance; each block accumulates into a private partial, reduced
-	// in block order so the result never depends on scheduling.
-	grain := (k + 4*w - 1) / (4 * w)
-	if grain < 1 {
-		grain = 1
-	}
-	blocks := (k + grain - 1) / grain
-	partials := make([][]float32, blocks)    //axsnn:allow-alloc per-call partials: the price of the deterministic parallel reduction; serial path allocates nothing
-	parallelFor(k, grain, func(lo, hi int) { //axsnn:allow-alloc parallel dispatch: job closure and per-block partial buffers
-		buf := make([]float32, m*n)
-		tMatMulRange(buf, a.Data, b.Data, lo, hi, m, n)
-		partials[lo/grain] = buf
-	})
-	for _, p := range partials {
-		for i, v := range p {
-			dst.Data[i] += v
-		}
-	}
-}
-
-// tMatMulStripe accumulates columns [jlo,jhi) of C += Aᵀ·B.
-func tMatMulStripe(cd, ad, bd []float32, k, m, n, jlo, jhi int) {
+	// A rows stream contiguously in ascending k order, so the skip-zero
+	// check touches each element of the (typically sparse) A once.
+	cd, ad, bd := dst.Data, a.Data, b.Data
 	for p := 0; p < k; p++ {
-		arow := ad[p*m : (p+1)*m]
-		brow := bd[p*n+jlo : p*n+jhi]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := cd[i*n+jlo : i*n+jhi]
-			for jj, bv := range brow {
-				crow[jj] += av * bv
-			}
-		}
-	}
-}
-
-// tMatMulRange accumulates rows [p0,p1) of A into C = Aᵀ·B. A rows
-// stream contiguously, so the skip-zero check touches each element of
-// the (typically sparse) A block exactly once.
-func tMatMulRange(cd, ad, bd []float32, p0, p1, m, n int) {
-	for p := p0; p < p1; p++ {
 		arow := ad[p*m : (p+1)*m]
 		brow := bd[p*n : (p+1)*n]
 		for i, av := range arow {

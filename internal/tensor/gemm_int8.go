@@ -59,25 +59,10 @@ func MatMulInt8Into(dst, a []float32, m, k int, codes []int8, steps []float32, n
 		panic(fmt.Sprintf("tensor: MatMulInt8Into panel %d steps %d, want >= %d×%d and %d", len(codes), len(steps), n, k, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	sc.grow(k)
-	w := Workers()
-	if m*k*n < gemmSerialOps || w == 1 || m < 2*w {
-		matMulInt8Rows(dst, a, 0, m, k, codes, steps, n, sc.qrow, sc.idx)
-		return
-	}
-	// Row split: blocks write disjoint dst rows; each block carries its
-	// own quantization/gather scratch — the price of parallel dispatch
-	// (which already allocates job state). Serial mode — the zero-alloc
-	// gated path — reuses the caller's.
-	parallelFor(m, gemmGrain(m, k*n), func(lo, hi int) { //axsnn:allow-alloc parallel dispatch: job closure plus per-block row scratch; serial mode reuses the caller's
-		matMulInt8Rows(dst, a, lo, hi, k, codes, steps, n, make([]int8, k), make([]int, k))
-	})
-}
-
-// matMulInt8Rows computes rows [i0,i1): per-row quantization + gather
-// into the block-owned scratch, then n int32 dot products over the
-// gathered nonzero columns.
-func matMulInt8Rows(dst, a []float32, i0, i1, k int, codes []int8, steps []float32, n int, qrow []int8, idx []int) {
-	for i := i0; i < i1; i++ {
+	qrow, idx := sc.qrow, sc.idx
+	// Per row: quantize + gather into the scratch, then n int32 dot
+	// products over the gathered nonzero columns.
+	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		// Symmetric per-row step from this row alone, so the
 		// quantization is independent of the batch it rides in.

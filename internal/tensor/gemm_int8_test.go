@@ -185,18 +185,20 @@ func TestMatMulInt8AccuracyBound(t *testing.T) {
 
 func TestMatMulInt8ZeroAllocSteadyState(t *testing.T) {
 	defer SetWorkers(0)
-	SetWorkers(1)
 	const m, k, n = 16, 128, 32
 	a, w := int8Fixture(m, k, n, 0.3, 21)
 	codes, steps := testPanel(w, n, k)
 	dst := make([]float32, m*n)
-	var sc Int8Scratch
-	MatMulInt8Into(dst, a, m, k, codes, steps, n, &sc) // warm scratch
-	allocs := testing.AllocsPerRun(50, func() {
-		MatMulInt8Into(dst, a, m, k, codes, steps, n, &sc)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state MatMulInt8Into allocates %v/op, want 0", allocs)
+	for _, workers := range []int{1, 2} {
+		SetWorkers(workers)
+		var sc Int8Scratch
+		MatMulInt8Into(dst, a, m, k, codes, steps, n, &sc) // warm scratch
+		allocs := testing.AllocsPerRun(50, func() {
+			MatMulInt8Into(dst, a, m, k, codes, steps, n, &sc)
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state MatMulInt8Into at %d workers allocates %v/op, want 0", workers, allocs)
+		}
 	}
 }
 

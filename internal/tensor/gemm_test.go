@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -258,29 +259,45 @@ func TestAddTransposed(t *testing.T) {
 	}
 }
 
-// TestSingleWorkerBitIdentical pins the SetWorkers(1) determinism
-// contract: the parallel kernels at any worker count must produce
-// byte-for-byte the same MatMul/MatMulT results as single-worker mode
-// (their row/stripe partitioning preserves accumulation order).
+// TestSingleWorkerBitIdentical pins the worker-count determinism
+// contract: every kernel is serial, so MatMul, MatMulT and the TMatMul
+// family must produce byte-for-byte the same results at any SetWorkers
+// budget. The narrow TMatMul outputs (n < 4·workers, k·m·n >= 2¹⁵) are
+// the shapes a parallel k-split reduction would round differently.
 func TestSingleWorkerBitIdentical(t *testing.T) {
+	defer SetWorkers(0)
 	r := rng.New(16)
 	a := randSparse(r, 0.4, 37, 301)
 	b := randSparse(r, 0.6, 301, 43)
-	SetWorkers(1)
-	serial := MatMul(a, b)
-	serialT := MatMulT(a, Transpose(b))
-	SetWorkers(8)
-	parallel := MatMul(a, b)
-	parallelT := MatMulT(a, Transpose(b))
-	SetWorkers(0)
-	for i := range serial.Data {
-		if serial.Data[i] != parallel.Data[i] {
-			t.Fatalf("MatMul not bit-identical at %d: %v vs %v", i, serial.Data[i], parallel.Data[i])
-		}
+	type narrow struct{ a, b, acc *Tensor }
+	var narrows []narrow
+	for _, s := range []struct{ k, m, n int }{{512, 64, 2}, {512, 32, 4}} {
+		narrows = append(narrows, narrow{randSparse(r, 0.4, s.k, s.m), randSparse(r, 0.6, s.k, s.n), randSparse(r, 1, s.m, s.n)})
 	}
-	for i := range serialT.Data {
-		if serialT.Data[i] != parallelT.Data[i] {
-			t.Fatalf("MatMulT not bit-identical at %d", i)
+	run := func() (names []string, outs []*Tensor) {
+		names = append(names, "MatMul", "MatMulT")
+		outs = append(outs, MatMul(a, b), MatMulT(a, Transpose(b)))
+		for _, c := range narrows {
+			acc := c.acc.Clone()
+			TMatMulAcc(acc, c.a, c.b)
+			into := randSparse(r, 1, c.acc.Shape...) // stale contents must be overwritten
+			TMatMulInto(into, c.a, c.b)
+			names = append(names, fmt.Sprintf("TMatMul %v", c.acc.Shape), fmt.Sprintf("TMatMulAcc %v", c.acc.Shape), fmt.Sprintf("TMatMulInto %v", c.acc.Shape))
+			outs = append(outs, TMatMul(c.a, c.b), acc, into)
+		}
+		return names, outs
+	}
+	SetWorkers(1)
+	names, want := run()
+	for _, workers := range []int{2, 4, 8} {
+		SetWorkers(workers)
+		_, got := run()
+		for i := range got {
+			for j := range got[i].Data {
+				if got[i].Data[j] != want[i].Data[j] {
+					t.Fatalf("%s at %d workers not bit-identical at %d: %v vs %v", names[i], workers, j, got[i].Data[j], want[i].Data[j])
+				}
+			}
 		}
 	}
 }

@@ -6,15 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// The package keeps one shared, lazily-started worker pool that every
-// parallel kernel draws from. Work is handed out as row blocks claimed
-// from an atomic counter, so fast workers steal the blocks slow workers
-// never reach, and a task's cost imbalance (e.g. the skip-zero fast
-// path making sparse rows nearly free) self-balances.
-//
-// SetWorkers(1) opts out of all parallelism: every kernel then runs its
-// serial code path, byte-for-byte identical to the pre-pool kernels, so
-// single-threaded runs stay deterministic and reproducible.
+// The package keeps one shared, lazily-started worker pool for the
+// sample-level fan-out: session window batches, DVS-set attacks and
+// filters, PGD crafting and accuracy blocks. No kernel dispatches to
+// it — every kernel is serial and pins its accumulation order, so
+// results are bit-identical at any worker count, and the budget only
+// decides how many blocks run at once. Work is handed out as blocks
+// claimed from an atomic counter, so fast workers steal the blocks
+// slow workers never reach, and cost imbalance between items
+// self-balances.
 
 var (
 	// workerTarget is the configured worker budget; <= 0 means "use
@@ -24,13 +24,19 @@ var (
 	poolOnce sync.Once
 	poolJobs chan *poolJob
 	poolCap  int // workers spawned by startPool, fixed at first use
+
+	// jobFree recycles job headers, so a launch allocates nothing once
+	// the list has grown to the most launches ever in flight at once.
+	jobMu   sync.Mutex
+	jobFree []*poolJob
 )
 
-// SetWorkers sets the kernel parallelism budget. n <= 0 restores the
-// default (GOMAXPROCS). SetWorkers(1) forces the deterministic serial
-// kernels. Targets above the pool size (GOMAXPROCS at first parallel
-// use) are clamped at dispatch — they cannot buy more CPU-bound
-// parallelism. Safe to call concurrently.
+// SetWorkers sets the fan-out budget: how many ParallelFor blocks run
+// at once. n <= 0 restores the default (GOMAXPROCS). Results are the
+// same at every value; only speed and memory change. Targets above the
+// pool size (GOMAXPROCS at first parallel use) are clamped at dispatch
+// — they cannot buy more CPU-bound parallelism. Safe to call
+// concurrently.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -38,7 +44,7 @@ func SetWorkers(n int) {
 	workerTarget.Store(int32(n))
 }
 
-// Workers reports the current kernel parallelism budget (>= 1).
+// Workers reports the current fan-out budget (>= 1).
 func Workers() int {
 	if w := workerTarget.Load(); w > 0 {
 		return int(w)
@@ -50,12 +56,14 @@ func Workers() int {
 	return w
 }
 
-// poolJob is one parallelFor invocation: blocks are claimed atomically
-// from next until exhausted.
+// poolJob is one ParallelFor launch: blocks of grain elements of [0, n)
+// are claimed atomically from next until exhausted.
 type poolJob struct {
 	next   atomic.Int64
 	blocks int
-	run    func(block int)
+	n      int
+	grain  int
+	body   func(lo, hi int)
 	wg     sync.WaitGroup
 }
 
@@ -66,7 +74,8 @@ func (j *poolJob) drain() {
 		if b >= j.blocks {
 			return
 		}
-		j.run(b)
+		lo := b * j.grain
+		j.body(lo, min(lo+j.grain, j.n))
 	}
 }
 
@@ -90,25 +99,39 @@ func startPool() {
 	}
 }
 
+// acquireJob pops a recycled job header, or makes the first ones.
+func acquireJob() *poolJob {
+	jobMu.Lock()
+	defer jobMu.Unlock()
+	if k := len(jobFree); k > 0 {
+		j := jobFree[k-1]
+		jobFree = jobFree[:k-1]
+		return j
+	}
+	return new(poolJob) //axsnn:allow-alloc free list grows to the high-water mark of concurrent launches
+}
+
+// releaseJob parks a finished job header (after its wg.Wait) for reuse.
+func releaseJob(j *poolJob) {
+	j.body = nil // drop the caller's closure
+	jobMu.Lock()
+	defer jobMu.Unlock()
+	jobFree = append(jobFree, j) //axsnn:allow-alloc free list grows to the high-water mark of concurrent launches
+}
+
 // ParallelFor splits [0, n) into blocks of ~grain elements and runs body
-// over them on the shared worker pool. It is the fan-out primitive the
-// GEMM kernels use internally, exported so higher layers (per-stream
-// event attacks, AQF set filtering, evaluation sweeps) can schedule
+// over them with up to Workers() goroutines. It is the one fan-out
+// primitive: higher layers (session window batches, per-stream event
+// attacks, AQF set filtering, PGD crafting and accuracy blocks) schedule
 // coarse-grained work on the same budget instead of spawning their own
 // goroutines. Blocks are claimed atomically, so cost imbalance between
 // items self-balances; body invocations may run concurrently and must
-// only write disjoint state. With SetWorkers(1) every block runs inline
-// on the caller, in order — the deterministic serial path.
+// only write disjoint state. The caller always participates, so the
+// call never blocks on a saturated pool; nested calls degrade to serial
+// instead of deadlocking. With one worker (or one block) body runs
+// inline as body(0, n). A launch allocates nothing beyond what body
+// itself captures: job headers come from a free list.
 func ParallelFor(n, grain int, body func(lo, hi int)) {
-	parallelFor(n, grain, body)
-}
-
-// parallelFor splits [0, n) into blocks of ~grain elements and runs body
-// over them with up to Workers() goroutines. The caller always
-// participates, so the call never blocks on a saturated pool; nested
-// parallelFor calls degrade to serial instead of deadlocking. With one
-// worker (or one block) body runs inline as body(0, n).
-func parallelFor(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -125,23 +148,12 @@ func parallelFor(n, grain int, body func(lo, hi int)) {
 	// The pool is sized once (GOMAXPROCS at first use); a larger
 	// SetWorkers target cannot buy more CPU-bound parallelism, so clamp
 	// the partitioning to what can actually run (helpers + caller).
-	if w > poolCap+1 {
-		w = poolCap + 1
-	}
-	job := &poolJob{blocks: blocks} //axsnn:allow-alloc one job header per parallel launch, amortized over its blocks
-	job.run = func(b int) {         //axsnn:allow-alloc one job closure per parallel launch, amortized over its blocks
-		lo := b * grain
-		hi := lo + grain
-		if hi > n {
-			hi = n
-		}
-		body(lo, hi)
-	}
-	if w > blocks {
-		w = blocks
-	}
+	w = min(w, poolCap+1, blocks)
+	job := acquireJob()
+	job.next.Store(0)
+	job.blocks, job.n, job.grain, job.body = blocks, n, grain, body
 	// Enlist up to w-1 idle workers; the try-send only succeeds when a
-	// worker is parked on the channel, so a busy pool (nested kernels)
+	// worker is parked on the channel, so a busy pool (nested fan-out)
 	// costs nothing and the caller just drains alone.
 enlist:
 	for i := 0; i < w-1; i++ {
@@ -155,4 +167,5 @@ enlist:
 	}
 	job.drain()
 	job.wg.Wait()
+	releaseJob(job)
 }
