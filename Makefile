@@ -59,15 +59,15 @@ bench:
 	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|ConvForward|PGDCraft|StreamWindow|StreamDecode|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
 
 # The machine-readable benchmark artifact CI archives (inference +
-# training arenas, event-domain attack/filter hot paths, the streaming
-# window pipeline, the serve sessions).
+# training arenas, PGD crafting, event-domain attack/filter hot paths,
+# the streaming window pipeline, the serve sessions).
 # Staged through a file so a benchmark failure fails the target instead
 # of hiding behind the pipe; the -zeroalloc gate fails it if the
 # arena'd benchmarks regress above 0 allocs/op. `benchjson -compare
 # prev.json` adds the cross-run regression gate CI applies between
 # artifacts.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Predict|NeuromorphicPerturbSet|AQFFilterSet|SNNInference|TrainStep|GEMM|Stream|Serve|IncrementalAQF' \
+	$(GO) test -run '^$$' -bench 'Predict|PGDCraft|NeuromorphicPerturbSet|AQFFilterSet|SNNInference|TrainStep|GEMM|Stream|Serve|IncrementalAQF' \
 		-benchtime=$(BENCHTIME) . ./internal/stream ./internal/serve > bench.txt
 	$(GO) run ./cmd/benchjson -zeroalloc '^Benchmark(Predict(Int8)?|TrainStep|StreamWindow|StreamPipeline|ServeWindow|ServeCreditWindow)$$' < bench.txt > BENCH_pr10.json
 

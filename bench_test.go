@@ -406,19 +406,21 @@ func BenchmarkConvForward(b *testing.B) {
 	}
 }
 
-// BenchmarkPGDCraft measures adversarial example crafting per image.
+// BenchmarkPGDCraft measures the crafting the paper's Fig. 1 loop runs:
+// one PGD(1).PerturbSet over a 64-image synthetic set on the lite MNIST
+// net (16×16, T = 8), fanned out over the worker pool, each block on
+// the training arena's input-only pass. It reports ns per crafted
+// sample.
 func BenchmarkPGDCraft(b *testing.B) {
-	r := rng.New(3)
-	cfg := snn.DefaultConfig(0.5, 6)
-	net := snn.DenseNet(cfg, 256, 64, 10, r)
-	dcfg := dataset.DefaultSynthConfig()
-	img := dataset.RenderDigit(7, dcfg, r)
-	atk := attack.PGD(0.5)
+	net := snn.MNISTNet(snn.DefaultConfig(0.5, 8), 1, 16, 16, true, rng.New(1))
+	set := dataset.GenerateSynth(64, dataset.DefaultSynthConfig(), 3)
+	atk := attack.PGD(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = atk.Perturb(net, img, 7, r)
+		_ = atk.PerturbSet(net, set, rng.New(7))
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*set.Len()), "ns/sample")
 }
 
 // BenchmarkPredict measures the steady-state single-sample inference

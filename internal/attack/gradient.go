@@ -70,53 +70,10 @@ func (g *Gradient) Name() string {
 // Perturb crafts an adversarial image from img (values in [0,1]) against
 // model, maximizing the true-label loss within the ε-ball. The model is
 // the adversary's surrogate (the accurate SNN). r drives the random start
-// and any stochastic encoding.
+// and any stochastic encoding. It is PerturbBatch for a batch of one
+// that draws from r itself rather than from an RNG split off it.
 func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r *rng.RNG) *tensor.Tensor {
-	if g.Eps <= 0 {
-		return img.Clone()
-	}
-	alpha := g.Alpha
-	if alpha == 0 {
-		if g.RandomStart {
-			alpha = 2.5 * g.Eps / float64(g.Steps)
-		} else {
-			alpha = g.Eps / float64(g.Steps)
-		}
-	}
-
-	adv := img.Clone()
-	if g.RandomStart {
-		// Start inside the ball but no farther than one step: with a
-		// step budget below ε (calibrated transfer attacks) a full-ball
-		// start would swamp the gradient steps with noise.
-		start := alpha
-		if g.Eps < start {
-			start = g.Eps
-		}
-		for i := range adv.Data {
-			adv.Data[i] += float32((2*r.Float64() - 1) * start)
-		}
-		projectLinf(adv, img, g.Eps)
-		adv.Clamp(0, 1)
-	}
-
-	for it := 0; it < g.Steps; it++ {
-		frames := g.Encoder.Encode(adv, model.Cfg.Steps, r)
-		lossLabel, dir := label, float32(alpha)
-		if g.Target >= 0 {
-			// Targeted: descend the loss towards the target class.
-			lossLabel, dir = g.Target, float32(-alpha)
-		}
-		frameGrads := snn.InputGradient(model, frames, lossLabel)
-		grad := encoding.SumFrameGradients(frameGrads)
-		// Untargeted: x ← x + α·sign(∇_x L(label)).
-		// Targeted:   x ← x − α·sign(∇_x L(target)).
-		grad.Sign()
-		adv.AddScaled(dir, grad)
-		projectLinf(adv, img, g.Eps)
-		adv.Clamp(0, 1)
-	}
-	return adv
+	return g.perturbBlock(model, []*tensor.Tensor{img}, []int{label}, []*rng.RNG{r})[0]
 }
 
 // PerturbBatch crafts adversarial images for a whole batch in lockstep:
@@ -126,11 +83,14 @@ func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r 
 // encoding RNG is split per sample up front — but the stream differs
 // from calling Perturb sample-by-sample with a shared RNG.
 //
-// The backward pass runs against a training arena on one weight-sharing
-// evaluation clone for the whole crafting session: frame stacking, the
-// forward caches and the BPTT buffers are all reused across iterations,
-// so the inner loop allocates only the encoded frames. Gradients are
-// bit-identical to the allocating InputGradientBatch chain.
+// The backward pass is the training arena's input-only pass
+// (snn.Network.InputGradSumScratch) on one weight-sharing evaluation
+// clone for the whole crafting session: it computes no parameter
+// gradient, and frame stacking, the forward caches and the BPTT
+// buffers are all reused across iterations, so the inner loop
+// allocates only the encoded frames. Its gradients equal the
+// allocating InputGradientBatch chain's bit for bit, which the tests
+// keep as their oracle.
 func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, labels []int, r *rng.RNG) []*tensor.Tensor {
 	return g.perturbBlock(model, imgs, labels, splitRNGs(r, len(imgs)))
 }
@@ -157,12 +117,6 @@ func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, label
 		}
 		return advs
 	}
-	if !model.Batchable() {
-		for i, img := range imgs {
-			advs[i] = g.Perturb(model, img, labels[i], rngs[i])
-		}
-		return advs
-	}
 
 	alpha := g.Alpha
 	if alpha == 0 {
@@ -175,6 +129,9 @@ func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, label
 	for i, img := range imgs {
 		advs[i] = img.Clone()
 		if g.RandomStart {
+			// Start inside the ball but no farther than one step: with
+			// a step budget below ε (calibrated transfer attacks) a
+			// full-ball start would swamp the gradient steps with noise.
 			start := alpha
 			if g.Eps < start {
 				start = g.Eps
@@ -187,16 +144,8 @@ func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, label
 		}
 	}
 
-	// One evaluation clone + training arena serve every iteration:
-	// dropout stays disabled (clones carry no RNG) and the caller's
-	// network keeps clean state, exactly like InputGradientBatch.
-	clone := model.CloneArchitecture()
-	var ts *snn.TrainScratch
-	if clone.TrainArenaCapable() {
-		ts = clone.AcquireTrainScratch()
-		defer clone.ReleaseTrain(ts)
-	}
-
+	grads := gradPass{model: model}
+	defer grads.release()
 	lossLabels := make([]int, batch)
 	samples := make([][]*tensor.Tensor, batch)
 	per := imgs[0].Len()
@@ -214,14 +163,10 @@ func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, label
 		} else {
 			copy(lossLabels, labels)
 		}
-		var grad *tensor.Tensor // (B, image shape...)
-		if ts != nil {
-			grad = clone.InputGradSumScratch(ts.StackFramesInto(samples), lossLabels, ts)
-		} else {
-			frames := snn.StackFrames(samples, model.Cfg.Steps)
-			grad = encoding.SumFrameGradients(snn.InputGradientBatch(model, frames, lossLabels))
-		}
+		grad := grads.batch(samples, lossLabels) // (B, image shape...)
 		for i, adv := range advs {
+			// Untargeted: x ← x + α·sign(∇_x L(label)).
+			// Targeted:   x ← x − α·sign(∇_x L(target)).
 			gi := tensor.FromSlice(grad.Data[i*per:(i+1)*per], adv.Shape...)
 			gi.Sign()
 			adv.AddScaled(dir, gi)
@@ -230,6 +175,42 @@ func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, label
 		}
 	}
 	return advs
+}
+
+// gradPass computes input gradients through the training arena's
+// input-only pass on a weight-sharing evaluation clone of model:
+// dropout stays off (clones carry no RNG) and model keeps clean state.
+// The clone and its arena are made at the first gradient, so a caller
+// that stops before needing one (a stream the model already
+// misclassifies) pays for neither. Call release when done.
+type gradPass struct {
+	model *snn.Network
+	clone *snn.Network
+	ts    *snn.TrainScratch
+}
+
+// batch returns Σ_t dL/dframe_t, (B, sample shape...), for samples
+// under labels. It lives in the arena until the next call.
+func (p *gradPass) batch(samples [][]*tensor.Tensor, labels []int) *tensor.Tensor {
+	if p.ts == nil {
+		p.clone = p.model.CloneArchitecture()
+		p.ts = p.clone.AcquireTrainScratch()
+	}
+	return p.clone.InputGradSumScratch(p.ts.StackFramesInto(samples), labels, p.ts)
+}
+
+// single is batch for one sample's frames. The result, like the
+// per-step terms p.ts.InputGradSteps() then holds, keeps a leading
+// batch axis of 1.
+func (p *gradPass) single(frames []*tensor.Tensor, label int) *tensor.Tensor {
+	return p.batch([][]*tensor.Tensor{frames}, []int{label})
+}
+
+// release parks the arena, if one was made.
+func (p *gradPass) release() {
+	if p.ts != nil {
+		p.clone.ReleaseTrain(p.ts)
+	}
 }
 
 // craftChunk is the most samples PerturbSet crafts in one batched pass.

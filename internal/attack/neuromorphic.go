@@ -14,14 +14,19 @@ import (
 // Sparse is the stealthy gradient-guided event attack: it iteratively
 // injects (or deletes) a small number of events at the spatio-temporal
 // positions where the true-label loss gradient is steepest, until the
-// surrogate model misclassifies or the budget is exhausted.
+// surrogate model misclassifies or the budget is exhausted. It ranks
+// the cells of every voxel frame by that frame's own gradient, which
+// the training arena's input-only pass yields per time step.
 type Sparse struct {
 	// MaxIter bounds the greedy iterations.
 	MaxIter int
 	// EventsPerIter is how many event cells are flipped per iteration.
 	EventsPerIter int
 	// Steps is the voxelization depth used to probe the model; 0 means
-	// the model's configured time steps.
+	// the model's configured time steps. The model reads frame
+	// min(t, Steps−1) at step t, so with fewer frames than model steps
+	// the last frame is shown to the remaining steps, and with more the
+	// extra frames are never seen and never perturbed.
 	Steps int
 	// AllowRemoval also lets the attack delete genuine events. The
 	// default (false) matches DVS-Attacks' injection-style perturbation:
@@ -45,13 +50,16 @@ func (s *Sparse) Perturb(model *snn.Network, stream *dvs.Stream, label int) *dvs
 	}
 	adv := stream.Clone()
 	binW := adv.Duration / float64(steps)
+	grads := gradPass{model: model}
+	defer grads.release()
 
 	for it := 0; it < s.MaxIter; it++ {
 		frames := adv.Voxelize(steps)
 		if model.Predict(frames) != label {
 			return adv // already fooled
 		}
-		frameGrads := snn.InputGradient(model, frames, label)
+		grads.single(frames, label)
+		frameGrads := foldFrameGrads(steps, grads.ts.InputGradSteps())
 
 		// Rank cells by |gradient| where flipping moves the input along
 		// the ascent direction: grad > 0 on an empty cell (add events)
@@ -64,6 +72,9 @@ func (s *Sparse) Perturb(model *snn.Network, stream *dvs.Stream, label int) *dvs
 		var cells []cell
 		h, w := stream.H, stream.W
 		for t, g := range frameGrads {
+			if g == nil {
+				continue // a frame the model never sees
+			}
 			f := frames[t]
 			for ch := 0; ch < 2; ch++ {
 				for y := 0; y < h; y++ {
@@ -105,6 +116,24 @@ func (s *Sparse) Perturb(model *snn.Network, stream *dvs.Stream, label int) *dvs
 		adv.Sort()
 	}
 	return adv
+}
+
+// foldFrameGrads folds the per-step input gradients of a forward that
+// fed frame min(t, frames−1) at step t into per-frame gradients: frame
+// f below the last takes step f's gradient, the last frame the sum over
+// every step t ≥ frames−1 in ascending t, and a frame no step reads
+// gets nil. Single terms alias the step tensors.
+func foldFrameGrads(frames int, steps []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, frames)
+	copy(out, steps)
+	if frames < len(steps) {
+		sum := steps[frames-1].Clone()
+		for _, g := range steps[frames:] {
+			sum.Add(g)
+		}
+		out[frames-1] = sum
+	}
+	return out
 }
 
 // removeEventsAt deletes events at pixel (x,y) with polarity p inside

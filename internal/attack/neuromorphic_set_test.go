@@ -200,3 +200,170 @@ func TestUniversalComputeDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// sparseReference is Sparse.Perturb as it ran before the input-only
+// arena pass, for Steps at least the model's: each iteration takes the
+// per-step gradients from the allocating InputGradientBatch chain at a
+// batch of one and ranks frame t by step t's gradient.
+func sparseReference(s *Sparse, model *snn.Network, stream *dvs.Stream, label int) *dvs.Stream {
+	steps := s.Steps
+	if steps == 0 {
+		steps = model.Cfg.Steps
+	}
+	adv := stream.Clone()
+	binW := adv.Duration / float64(steps)
+	type cell struct {
+		t, ch, y, x int
+		score       float64
+		add         bool
+	}
+	for it := 0; it < s.MaxIter; it++ {
+		frames := adv.Voxelize(steps)
+		if model.Predict(frames) != label {
+			return adv
+		}
+		stepGrads := snn.InputGradientBatch(model, snn.StackFrames([][]*tensor.Tensor{frames}, model.Cfg.Steps), []int{label})
+		var cells []cell
+		for t, g := range stepGrads {
+			f := frames[t]
+			for ch := 0; ch < 2; ch++ {
+				for y := 0; y < stream.H; y++ {
+					for x := 0; x < stream.W; x++ {
+						idx := (ch*stream.H+y)*stream.W + x
+						gv := float64(g.Data[idx])
+						occupied := f.Data[idx] != 0
+						switch {
+						case gv > 0 && !occupied:
+							cells = append(cells, cell{t, ch, y, x, gv, true})
+						case gv < 0 && occupied && s.AllowRemoval:
+							cells = append(cells, cell{t, ch, y, x, -gv, false})
+						}
+					}
+				}
+			}
+		}
+		if len(cells) == 0 {
+			return adv
+		}
+		sort.Slice(cells, func(i, j int) bool { return cells[i].score > cells[j].score })
+		if len(cells) > s.EventsPerIter {
+			cells = cells[:s.EventsPerIter]
+		}
+		for _, c := range cells {
+			p := int8(1)
+			if c.ch == 1 {
+				p = -1
+			}
+			if c.add {
+				adv.Events = append(adv.Events, dvs.Event{X: c.x, Y: c.y, P: p, T: (float64(c.t) + 0.5) * binW})
+			} else {
+				removeEventsAt(adv, c.x, c.y, p, float64(c.t)*binW, float64(c.t+1)*binW)
+			}
+		}
+		adv.Sort()
+	}
+	return adv
+}
+
+// labelAsPredicted relabels every sample with the model's clean
+// prediction on steps voxel frames, so a random-weight model starts out
+// correct at that depth and Sparse takes gradients instead of returning
+// at once.
+func labelAsPredicted(net *snn.Network, set *dvs.Set, steps int) {
+	for i := range set.Samples {
+		set.Samples[i].Label = net.Predict(set.Samples[i].Stream.Voxelize(steps))
+	}
+}
+
+// TestSparseMatchesReference pins Sparse on the input-only arena pass
+// to its allocating predecessor, event for event, with the default
+// voxelization depth (Steps 0), an explicit one equal to the model's,
+// and removal on.
+func TestSparseMatchesReference(t *testing.T) {
+	net, set := gestureModelAndSet(3, 26)
+	labelAsPredicted(net, set, net.Cfg.Steps)
+	for _, atk := range []*Sparse{
+		{MaxIter: 3, EventsPerIter: 16},
+		{MaxIter: 3, EventsPerIter: 16, Steps: net.Cfg.Steps},
+		{MaxIter: 3, EventsPerIter: 16, AllowRemoval: true},
+	} {
+		for i, s := range set.Samples {
+			want := sparseReference(atk, net, s.Stream, s.Label)
+			got := atk.Perturb(net, s.Stream, s.Label)
+			if len(want.Events) == len(s.Stream.Events) {
+				t.Fatalf("%+v sample %d: the reference changed no event; the comparison is vacuous", *atk, i)
+			}
+			if !streamsExactlyEqual(want, got) {
+				t.Fatalf("%+v sample %d: %d events, want %d (must match the allocating reference exactly)",
+					*atk, i, len(got.Events), len(want.Events))
+			}
+		}
+	}
+}
+
+// TestSparseStepsOtherThanModel covers voxelization depths that differ
+// from the model's time steps. With fewer frames (Steps 4 on an 8-step
+// net) the last frame feeds steps 3..7 and takes their summed gradient;
+// this used to index past the frame list and panic. With more frames
+// (Steps 12) frames 8..11 are never seen, so no event lands in them.
+func TestSparseStepsOtherThanModel(t *testing.T) {
+	_, set := gestureModelAndSet(2, 27)
+	net := snn.DVSNet(snn.DefaultConfig(1.0, 8), set.W, set.H, dvs.GestureClasses, true, rng.New(28), nil)
+	for _, steps := range []int{4, 12} {
+		labelAsPredicted(net, set, steps)
+		atk := &Sparse{MaxIter: 3, EventsPerIter: 16, Steps: steps}
+		for i, s := range set.Samples {
+			adv := atk.Perturb(net, s.Stream, s.Label)
+			if err := adv.Validate(); err != nil {
+				t.Fatalf("Steps %d sample %d: %v", steps, i, err)
+			}
+			if len(adv.Events) <= len(s.Stream.Events) {
+				t.Fatalf("Steps %d sample %d: no event injected", steps, i)
+			}
+			// Frames from index net.Cfg.Steps on start at this time.
+			unseen := adv.Duration * float64(net.Cfg.Steps) / float64(steps)
+			if a, c := eventsFrom(adv, unseen), eventsFrom(s.Stream, unseen); a != c {
+				t.Fatalf("Steps %d sample %d: %d events from t=%v, want the clean %d (frames the model never sees)",
+					steps, i, a, unseen, c)
+			}
+		}
+	}
+}
+
+// eventsFrom counts the events of s at or after t.
+func eventsFrom(s *dvs.Stream, t float64) int {
+	n := 0
+	for _, e := range s.Events {
+		if e.T >= t {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFoldFrameGrads pins the per-step to per-frame fold Sparse ranks
+// by, for fewer, as many and more frames than steps.
+func TestFoldFrameGrads(t *testing.T) {
+	steps := make([]*tensor.Tensor, 5)
+	for i := range steps {
+		steps[i] = tensor.FromSlice([]float32{float32(i + 1), float32(10 * (i + 1))}, 2)
+	}
+	check := func(frames int, want [][]float32) {
+		t.Helper()
+		dst := foldFrameGrads(frames, steps)
+		for f, w := range want {
+			switch {
+			case w == nil && dst[f] != nil:
+				t.Fatalf("%d frames: frame %d has a gradient, want none", frames, f)
+			case w != nil && (dst[f] == nil || dst[f].Data[0] != w[0] || dst[f].Data[1] != w[1]):
+				t.Fatalf("%d frames: frame %d = %v, want %v", frames, f, dst[f], w)
+			}
+		}
+	}
+	check(3, [][]float32{{1, 10}, {2, 20}, {3 + 4 + 5, 30 + 40 + 50}})
+	check(5, [][]float32{{1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}})
+	check(7, [][]float32{{1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}, nil, nil})
+	if steps[2].Data[0] != 3 {
+		t.Fatal("the fold must not write into the step gradients")
+	}
+}

@@ -39,7 +39,9 @@ func (u *Universal) Name() string { return "UAP" }
 // frozen at epoch start, fanned out over the shared tensor worker pool
 // on weight-sharing model clones. The gradient ascent then walks the
 // still-correct samples serially, because each delta update feeds the
-// next sample's gradient (the algorithm's sequential core). Freezing
+// next sample's gradient (the algorithm's sequential core). Each of
+// its gradients is a batch of one through the training arena's
+// input-only pass, on one clone made at the first gradient. Freezing
 // the scan at the epoch boundary is what makes the scan parallel; it
 // only defers "already fooled" credit by at most one epoch. Encoder
 // randomness is pre-split per (epoch, sample, phase) and the kernels
@@ -58,6 +60,8 @@ func (u *Universal) Compute(model *snn.Network, set *dataset.Set, r *rng.RNG) *t
 	still := make([]bool, n)
 	scanR := make([]*rng.RNG, n)
 	stepR := make([]*rng.RNG, n)
+	grads := gradPass{model: model}
+	defer grads.release()
 	for epoch := 0; epoch < u.Epochs; epoch++ {
 		for i := 0; i < n; i++ {
 			scanR[i] = r.Split()
@@ -81,10 +85,9 @@ func (u *Universal) Compute(model *snn.Network, set *dataset.Set, r *rng.RNG) *t
 			x := s.Image.Clone().Add(delta)
 			x.Clamp(0, 1)
 			frames := u.Encoder.Encode(x, model.Cfg.Steps, stepR[i])
-			frameGrads := snn.InputGradient(model, frames, s.Label)
-			g := encoding.SumFrameGradients(frameGrads)
+			g := grads.single(frames, s.Label)
 			g.Sign()
-			delta.AddScaled(float32(alpha), g)
+			delta.AddScaled(float32(alpha), tensor.FromSlice(g.Data, delta.Shape...))
 			delta.Clamp(float32(-u.Eps), float32(u.Eps))
 		}
 	}

@@ -165,8 +165,10 @@ func StackFrames(samples [][]*tensor.Tensor, steps int) []*tensor.Tensor {
 }
 
 // InputGradientBatch computes dL/dframe_t for a batch of samples in one
-// batched BPTT pass — the attack-crafting hot path. Like InputGradient
-// it runs on a weight-sharing evaluation clone, so dropout stays
+// allocating batched BPTT pass, accumulating parameter gradients on the
+// way. The attacks run the training arena's input-only pass instead
+// (InputGradSumScratch); this form stays as the tests' oracle for it.
+// It runs on a weight-sharing evaluation clone, so dropout stays
 // disabled and the caller's network keeps clean state. frames[t] is
 // (B, sample shape...); labels[b] is the loss label of sample b. The
 // returned grads[t] is the batched gradient at step t.

@@ -13,11 +13,13 @@ import (
 //
 // The arena inference forward (forwardArena) is event-driven: each
 // nonzero input scatters through its kernel taps, so its cost follows
-// the layer's synaptic operations. The training forward lowers to an
-// im2col panel and runs one GEMM, because the backward consumes that
-// panel. The allocating inference forward (Forward, ForwardBatch with
-// train false) lowers and runs a GEMM too, and serves as the arena's
-// test oracle. The INT8 tier lowers to im2row rows for its int8 GEMM.
+// the layer's synaptic operations. So is the training arena's
+// input-only forward, the one attack crafting runs. The training step's
+// forward lowers to an im2col panel and runs one GEMM, because the
+// weight gradient consumes that panel. The allocating inference forward
+// (Forward, ForwardBatch with train false) lowers and runs a GEMM too,
+// and serves as the arena's test oracle. The INT8 tier lowers to im2row
+// rows for its int8 GEMM.
 // Per-forward caches (the transposed and mask-applied weights) live
 // until Reset, which every network-level pass calls first.
 type Conv2D struct {
@@ -295,7 +297,9 @@ func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 // ForwardBatchInto implements trainLayer: the training forward
 // (ForwardBatch(x, true)) with the per-step im2col panel cached in the
 // arena's step ring instead of freshly allocated, and the GEMM result,
-// output tensor and weight panels all reused.
+// output tensor and weight panels all reused. An input-only pass caches
+// no panel, since only the weight gradient reads it, and runs the
+// inference scatter instead.
 func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("snn: Conv2D batch input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
@@ -307,9 +311,25 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
 	w := c.trainEffW(ts, li)
+	out := ts.buf4(li, slotOut, -1, batch, c.OutC, oh, ow)
+	if ts.inputOnly {
+		// forwardArena's event-driven scatter on the arena's buffers.
+		wT, fresh := ts.once2(li, slotWT, ckk, c.OutC)
+		if fresh {
+			tensor.TransposeInto(wT, w)
+		}
+		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
+		for b := 0; b < batch; b++ {
+			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
+			tensor.ConvScatterInto(outT.Data[b*n*c.OutC:(b+1)*n*c.OutC], sample, wT.Data, c.OutC, g)
+		}
+		c.scatterRowsBias(out, outT, batch, n)
+		return out
+	}
 
-	// Training always lowers to the im2col panel — the layout the
-	// backward kernels consume, matching forwardBatch's train branch.
+	// The training step lowers to the im2col panel — the layout the
+	// weight-gradient kernel consumes, matching forwardBatch's train
+	// branch.
 	cols := ts.buf2(li, slotLow, t, ckk, batch*n)
 	for b := 0; b < batch; b++ {
 		sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
@@ -317,7 +337,6 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 	}
 	big := ts.buf2(li, slotGemm, -1, c.OutC, batch*n)
 	tensor.MatMulInto(big, w, cols)
-	out := ts.buf4(li, slotOut, -1, batch, c.OutC, oh, ow)
 	c.scatterColsBias(out, big, batch, n)
 	return out
 }
@@ -327,8 +346,9 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 // spike-sparse column-skip kernel — the cached im2col panel is the
 // transposed operand and is mostly zero taps, so its dead columns skip
 // wholesale (bit-identical accumulation, see tensor.MatMulTColSkipAcc).
-// With needDX false (no parameter layer below) the input-gradient GEMM
-// and col2im scatter are skipped entirely.
+// An input-only pass skips the bias and weight gradients. With needDX
+// false (no parameter layer below) the input-gradient GEMM and col2im
+// scatter are skipped entirely.
 func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	batch := grad.Shape[0]
@@ -336,7 +356,6 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 	n := oh * ow
 	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
-	cols := ts.buf2(li, slotLow, t, ckk, batch*n)
 
 	// g2B[oc, b·N+j] = grad[b, oc, j]; for a single sample the gradient
 	// already is that matrix.
@@ -352,16 +371,19 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 			}
 		}
 	}
-	for oc := 0; oc < c.OutC; oc++ {
-		row := g2B.Data[oc*batch*n : (oc+1)*batch*n]
-		var s float32
-		for _, v := range row {
-			s += v
+	if !ts.inputOnly {
+		for oc := 0; oc < c.OutC; oc++ {
+			row := g2B.Data[oc*batch*n : (oc+1)*batch*n]
+			var s float32
+			for _, v := range row {
+				s += v
+			}
+			c.dB.Data[oc] += s
 		}
-		c.dB.Data[oc] += s
+		// dW += g2B·colsᵀ over the nonzero panel columns only.
+		cols := ts.buf2(li, slotLow, t, ckk, batch*n)
+		tensor.MatMulTColSkipAcc(c.dW, g2B, cols, ts.ints(li, slotIdx, -1, batch*n))
 	}
-	// dW += g2B·colsᵀ over the nonzero panel columns only.
-	tensor.MatMulTColSkipAcc(c.dW, g2B, cols, ts.ints(li, slotIdx, -1, batch*n))
 	if !needDX {
 		return nil
 	}
@@ -642,7 +664,8 @@ func (d *Dense) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 
 // ForwardBatchInto implements trainLayer: ForwardBatch(x, true) with
 // the GEMM output, weight panels and the per-step input cache (the
-// allocating path's Clone) drawn from the arena.
+// allocating path's Clone) drawn from the arena. An input-only pass
+// keeps no input cache, since only the weight gradient reads it.
 func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	if x.Rank() != 2 || x.Shape[1] != d.In {
 		panic(fmt.Sprintf("snn: Dense batch input %s, want (B,%d)", shapeStr(x.Shape), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
@@ -661,29 +684,34 @@ func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) 
 			row[o] += d.B.Data[o]
 		}
 	}
-	xc := ts.buf2(li, slotXCache, t, batch, d.In)
-	copy(xc.Data, x.Data)
+	if !ts.inputOnly {
+		xc := ts.buf2(li, slotXCache, t, batch, d.In)
+		copy(xc.Data, x.Data)
+	}
 	return out
 }
 
 // BackwardBatchInto implements trainLayer: BackwardBatch against the
 // arena's per-step input cache, with the weight-gradient panel and the
 // input-gradient GEMM result reused. Kernels and accumulation order
-// match BackwardBatch exactly; with needDX false (no parameter layer
-// below) the input-gradient GEMM is skipped.
+// match BackwardBatch exactly. An input-only pass skips the weight and
+// bias gradients; with needDX false (no parameter layer below) the
+// input-gradient GEMM is skipped.
 func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	batch := grad.Shape[0]
-	x := ts.buf2(li, slotXCache, t, batch, d.In)
-	// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip path,
-	// then the cheap transposed add — BackwardBatch's kernels on a
-	// reusable panel.
-	dwT := ts.buf2(li, slotDW, -1, d.In, d.Out)
-	tensor.TMatMulInto(dwT, x, grad)
-	d.dW.AddTransposed(dwT)
-	for b := 0; b < batch; b++ {
-		row := grad.Data[b*d.Out : (b+1)*d.Out]
-		for o, g := range row {
-			d.dB.Data[o] += g
+	if !ts.inputOnly {
+		x := ts.buf2(li, slotXCache, t, batch, d.In)
+		// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip
+		// path, then the cheap transposed add — BackwardBatch's kernels
+		// on a reusable panel.
+		dwT := ts.buf2(li, slotDW, -1, d.In, d.Out)
+		tensor.TMatMulInto(dwT, x, grad)
+		d.dW.AddTransposed(dwT)
+		for b := 0; b < batch; b++ {
+			row := grad.Data[b*d.Out : (b+1)*d.Out]
+			for o, g := range row {
+				d.dB.Data[o] += g
+			}
 		}
 	}
 	if !needDX {

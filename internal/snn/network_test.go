@@ -199,14 +199,14 @@ func TestInputGradientLeavesParamsClean(t *testing.T) {
 	img := tensor.New(16)
 	img.Fill(0.7)
 	frames := []*tensor.Tensor{img, img, img, img}
-	grads := InputGradient(n, frames, 1)
+	grads := InputGradientBatch(n, StackFrames([][]*tensor.Tensor{frames}, 4), []int{1})
 	if len(grads) != 4 {
 		t.Fatalf("got %d frame gradients", len(grads))
 	}
 	for _, g := range n.Grads() {
 		for _, v := range g.Data {
 			if v != 0 {
-				t.Fatal("InputGradient must zero parameter gradients")
+				t.Fatal("InputGradientBatch must leave the caller's parameter gradients at zero")
 			}
 		}
 	}

@@ -112,8 +112,11 @@ func TestPropGradientsFinite(t *testing.T) {
 			}
 			frames[i] = f
 		}
-		grads := InputGradient(net, frames, int(seed%3))
-		for _, g := range grads {
+		clone := net.CloneArchitecture()
+		ts := clone.AcquireTrainScratch()
+		defer clone.ReleaseTrain(ts)
+		clone.InputGradSumScratch(ts.StackFramesInto([][]*tensor.Tensor{frames}), []int{int(seed % 3)}, ts)
+		for _, g := range ts.InputGradSteps() {
 			for _, v := range g.Data {
 				if v != v || v > 1e10 || v < -1e10 {
 					return false

@@ -271,17 +271,6 @@ func countCorrect(clones []*Network, samples [][]*tensor.Tensor, labels []int) i
 	return correct
 }
 
-// InputGradient computes dL/dframe_t for a sample, the quantity attacks
-// need. It runs on a weight-sharing evaluation clone so that (a) dropout
-// stays disabled even though caching requires a training-mode forward,
-// and (b) the caller's network keeps clean state and zero gradients.
-func InputGradient(n *Network, frames []*tensor.Tensor, label int) []*tensor.Tensor {
-	clone := n.CloneArchitecture()
-	logits := clone.Forward(frames, true)
-	_, grad := SoftmaxCrossEntropy(logits, label)
-	return clone.Backward(grad)
-}
-
 // Calibrate runs the network in training=false mode over calibration
 // samples to populate LIF spike/membrane statistics (used by the
 // approximation-level equation). Statistics are reset first.

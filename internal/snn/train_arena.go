@@ -26,11 +26,20 @@ import (
 // compute input gradients unless the caller asked for them (attacks
 // do, Train does not).
 //
+// Two passes run on the arena, and the entry point picks the mode.
+// TrainStepScratch is full BPTT: it accumulates every parameter
+// gradient, so Conv2D caches each step's im2col panel and Dense its
+// input for the weight-gradient GEMMs. InputGradSumScratch is the
+// attack's input-only pass: crafting needs only dL/dx, so it computes
+// no parameter gradient and caches nothing that only a weight gradient
+// reads. Its conv forward runs the event-driven inference scatter
+// (tensor.ConvScatterInto, as forwardArena does) instead of lowering.
+//
 // Lifecycle: Network.AcquireTrainScratch hands out an arena (recycled
 // from a per-network free list) that also caches the network's
 // parameter and gradient tensor lists; Network.ReleaseTrain returns it.
-// snn.Train/TrainFrames acquire one per fit and attack.Gradient one per
-// batch crafting session, so callers keep the old one-line APIs. A
+// snn.Train/TrainFrames acquire one per fit and the gradient attacks
+// one per crafting call, so callers keep the old one-line APIs. A
 // TrainScratch belongs to one network and must not be shared between
 // goroutines; concurrent training uses clones, each with its own arena.
 //
@@ -39,9 +48,12 @@ import (
 // so losses, input gradients and trained weights are bit-identical to
 // the pre-arena path, and to themselves at any worker count (pinned by
 // train_arena_test.go).
-// The one kernel swap — the conv weight-gradient GEMM runs
-// tensor.MatMulTColSkipAcc instead of MatMulTAcc — skips exact zero
-// products only, which Go's float comparison cannot distinguish.
+// Two kernel swaps change no value. The conv weight-gradient GEMM runs
+// tensor.MatMulTColSkipAcc instead of MatMulTAcc, and skips exact zero
+// products only. The input-only conv forward's scatter adds each
+// output's terms in the im2col GEMM's ascending-p order and differs
+// from it only by ±0 products (tensor.TestConvScatterMatchesGEMM), so
+// the input gradients are unchanged.
 
 // trainSlotStride folds the time step into the slot space: per-step
 // slot s at step t lives at s + trainSlotStride·(t+1), per-pass slots
@@ -70,6 +82,15 @@ type TrainScratch struct {
 	// intm holds reusable int scratch (pool argmax rings, pool dims,
 	// GEMM nonzero-index buffers), keyed like the tensor buffers.
 	intm map[slotKey][]int
+
+	// inputOnly marks an InputGradSumScratch pass: Conv2D and Dense
+	// compute no parameter gradient and cache nothing only a weight
+	// gradient reads.
+	inputOnly bool
+
+	// gradSteps holds the per-step input gradients of the last
+	// input-only pass, in forward order (see InputGradSteps).
+	gradSteps []*tensor.Tensor
 }
 
 // trainLayer is implemented by every built-in layer: training-mode
@@ -267,38 +288,35 @@ func (n *Network) forwardTrainScratch(frames []*tensor.Tensor, ts *TrainScratch)
 	return logits
 }
 
-// backwardTrainScratch completes BPTT after forwardTrainScratch,
-// accumulating parameter gradients. When wantInput is set it also
-// returns Σ_t dL/dframe_t (the attack-crafting quantity), summed in
-// ascending step order exactly like encoding.SumFrameGradients folds
-// the allocating path's per-step list; otherwise it returns nil and
-// layers below the lowest parameter layer skip their input-gradient
-// work entirely.
-func (n *Network) backwardTrainScratch(gradLogits *tensor.Tensor, ts *TrainScratch, wantInput bool) *tensor.Tensor {
+// backwardTrainScratch completes BPTT after forwardTrainScratch. A
+// training pass accumulates parameter gradients and returns nil; layers
+// below the lowest parameter layer skip their input-gradient work
+// entirely. An input-only pass returns Σ_t dL/dframe_t (the
+// attack-crafting quantity), summed in ascending step order exactly
+// like encoding.SumFrameGradients folds the allocating path's per-step
+// list, and keeps the per-step terms in gradSteps.
+func (n *Network) backwardTrainScratch(gradLogits *tensor.Tensor, ts *TrainScratch) *tensor.Tensor {
 	for t := n.Cfg.Steps - 1; t >= 0; t-- {
 		g := gradLogits
 		for li := len(n.trainLs) - 1; li >= 0; li-- {
-			needDX := wantInput || li > n.paramFloor
+			needDX := ts.inputOnly || li > n.paramFloor
 			g = n.trainLs[li].BackwardBatchInto(g, ts, li, t, needDX)
 			if g == nil {
 				break
 			}
 		}
-		if wantInput {
+		if ts.inputOnly {
 			step := ts.bufShape(netLayer, slotGradStep, t, g.Shape)
 			copy(step.Data, g.Data)
+			ts.gradSteps[t] = step
 		}
 	}
-	if !wantInput {
+	if !ts.inputOnly {
 		return nil
 	}
-	var sum *tensor.Tensor
-	for t := 0; t < n.Cfg.Steps; t++ {
-		step := ts.sc.entry(netLayer, tslot(slotGradStep, t)).t
-		if sum == nil {
-			sum = ts.bufShape(netLayer, slotGradSum, -1, step.Shape)
-			sum.Zero()
-		}
+	sum := ts.bufShape(netLayer, slotGradSum, -1, ts.gradSteps[0].Shape)
+	sum.Zero()
+	for _, step := range ts.gradSteps {
 		sum.Add(step)
 	}
 	return sum
@@ -311,25 +329,37 @@ func (n *Network) backwardTrainScratch(gradLogits *tensor.Tensor, ts *TrainScrat
 // allocating trainStep (the caller zeroes and consumes them); in the
 // steady state the whole step performs zero tensor allocations.
 func (n *Network) TrainStepScratch(samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) float64 {
+	ts.inputOnly = false
 	frames := ts.StackFramesInto(samples)
 	logits := n.forwardTrainScratch(frames, ts)
 	grad := ts.bufShape(netLayer, slotLossGrad, -1, logits.Shape)
 	loss := SoftmaxCrossEntropyBatchInto(logits, labels, grad)
-	n.backwardTrainScratch(grad, ts, false)
+	n.backwardTrainScratch(grad, ts)
 	return loss
 }
 
 // InputGradSumScratch computes Σ_t dL/dframe_t for a batch in one
-// arena-backed BPTT pass — the attack-crafting hot path. frames[t] is
-// (B, sample shape...), labels[b] the loss label of sample b. The
-// returned (B, sample shape...) tensor lives in the arena and is valid
-// until its next pass. Callers run this on a weight-sharing
-// CloneArchitecture clone, like InputGradientBatch; the clone's
-// parameter gradients are zeroed first so its state stays bounded.
+// arena-backed input-only BPTT pass — the attack-crafting hot path.
+// frames[t] is (B, sample shape...), labels[b] the loss label of
+// sample b. The returned (B, sample shape...) tensor lives in the arena
+// and is valid until its next pass. The pass computes no parameter
+// gradient: the network's gradient tensors are left exactly as they
+// were. Callers run it on a weight-sharing CloneArchitecture clone, so
+// dropout stays off and the caller's network keeps clean state.
 func (n *Network) InputGradSumScratch(frames []*tensor.Tensor, labels []int, ts *TrainScratch) *tensor.Tensor {
-	ts.ZeroGrads()
+	ts.inputOnly = true
+	if cap(ts.gradSteps) < n.Cfg.Steps {
+		ts.gradSteps = make([]*tensor.Tensor, n.Cfg.Steps) //axsnn:allow-alloc step ring allocated once per arena
+	}
+	ts.gradSteps = ts.gradSteps[:n.Cfg.Steps]
 	logits := n.forwardTrainScratch(frames, ts)
 	grad := ts.bufShape(netLayer, slotLossGrad, -1, logits.Shape)
 	SoftmaxCrossEntropyBatchInto(logits, labels, grad)
-	return n.backwardTrainScratch(grad, ts, true)
+	return n.backwardTrainScratch(grad, ts)
 }
+
+// InputGradSteps returns the per-step input gradients dL/dframe_t of
+// the arena's last InputGradSumScratch pass, t = 0..Steps-1, each
+// (B, sample shape...): the terms that pass summed. The slice and its
+// tensors live in the arena and are valid until its next pass.
+func (ts *TrainScratch) InputGradSteps() []*tensor.Tensor { return ts.gradSteps }

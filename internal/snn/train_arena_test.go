@@ -154,38 +154,169 @@ func TestTrainFramesMatchesAllocatingPath(t *testing.T) {
 	mustMatchTensors(t, "trained weights", ref.Params(), arena.Params())
 }
 
+// randomMasks installs a random 0/1 prune mask on every Conv2D and
+// Dense layer, the shape of net the approx package builds.
+func randomMasks(net *Network, r *rng.RNG) {
+	for _, l := range net.Layers {
+		var m *tensor.Tensor
+		switch v := l.(type) {
+		case *Conv2D:
+			v.Mask = tensor.New(v.W.Shape...)
+			m = v.Mask
+		case *Dense:
+			v.Mask = tensor.New(v.W.Shape...)
+			m = v.Mask
+		default:
+			continue
+		}
+		for i := range m.Data {
+			if r.Float64() < 0.7 {
+				m.Data[i] = 1
+			}
+		}
+	}
+}
+
 // TestInputGradSumScratchMatchesAllocating pins the attack-crafting
-// quantity — the summed per-step input gradients — to the allocating
-// InputGradientBatch + SumFrameGradients chain, at 1..N workers.
+// quantity of the input-only arena pass, the summed input gradient and
+// its per-step terms, to the allocating InputGradientBatch chain. It
+// covers plain and randomly pruned nets, spike and analog inputs, and
+// batches of 1 and 4, at 1..N workers.
 func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 	defer tensor.SetWorkers(0)
+	inputs := []struct {
+		name  string
+		build func(*rng.RNG, int, []int) []*tensor.Tensor
+	}{{"spike", spikeFrames}, {"analog", analogFrames}}
 	for _, workers := range []int{1, 3} {
 		tensor.SetWorkers(workers)
 		for _, tc := range trainCases() {
-			net := tc.build()
-			r := rng.New(51)
-			samples := make([][]*tensor.Tensor, 4)
-			labels := make([]int, len(samples))
-			for b := range samples {
-				samples[b] = spikeFrames(r, net.Cfg.Steps, tc.shape)
-				labels[b] = (b + 1) % tc.classes
-			}
-			frames := StackFrames(samples, net.Cfg.Steps)
-			want := encoding.SumFrameGradients(InputGradientBatch(net, frames, labels))
+			for _, masked := range []bool{false, true} {
+				net := tc.build()
+				if masked {
+					randomMasks(net, rng.New(52))
+				}
+				for _, in := range inputs {
+					for _, batch := range []int{1, 4} {
+						name := fmt.Sprintf("%s masked=%v %s b%d w%d", tc.name, masked, in.name, batch, workers)
+						r := rng.New(51)
+						samples := make([][]*tensor.Tensor, batch)
+						labels := make([]int, batch)
+						for b := range samples {
+							samples[b] = in.build(r, net.Cfg.Steps, tc.shape)
+							labels[b] = (b + 1) % tc.classes
+						}
+						wantSteps := InputGradientBatch(net, StackFrames(samples, net.Cfg.Steps), labels)
+						want := encoding.SumFrameGradients(wantSteps)
 
-			clone := net.CloneArchitecture()
-			ts := clone.AcquireTrainScratch()
-			got := clone.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
-			if !tensor.SameShape(want, got) {
-				t.Fatalf("%s w%d: shape %v vs %v", tc.name, workers, got.Shape, want.Shape)
-			}
-			for i := range want.Data {
-				if want.Data[i] != got.Data[i] {
-					t.Fatalf("%s w%d: grad %d = %v, want %v (must be bit-identical)",
-						tc.name, workers, i, got.Data[i], want.Data[i])
+						clone := net.CloneArchitecture()
+						ts := clone.AcquireTrainScratch()
+						got := clone.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+						if !tensor.SameShape(want, got) {
+							t.Fatalf("%s: shape %v vs %v", name, got.Shape, want.Shape)
+						}
+						mustMatchTensors(t, name+" sum", []*tensor.Tensor{want}, []*tensor.Tensor{got})
+						mustMatchTensors(t, name+" steps", wantSteps, ts.InputGradSteps())
+						clone.ReleaseTrain(ts)
+					}
 				}
 			}
-			clone.ReleaseTrain(ts)
+		}
+	}
+}
+
+// TestInputGradSumScratchLeavesGrads pins the input-only contract: the
+// pass computes no parameter gradient, so every Grads() tensor keeps
+// the exact bits it held before, sentinel values no pass would write
+// included.
+func TestInputGradSumScratchLeavesGrads(t *testing.T) {
+	for _, tc := range trainCases() {
+		net := tc.build().CloneArchitecture()
+		ts := net.AcquireTrainScratch()
+		var want []*tensor.Tensor
+		for k, g := range ts.Grads() {
+			for i := range g.Data {
+				g.Data[i] = float32(k+1) + float32(i)/8
+			}
+			want = append(want, g.Clone())
+		}
+		r := rng.New(53)
+		samples := make([][]*tensor.Tensor, 3)
+		labels := make([]int, len(samples))
+		for b := range samples {
+			samples[b] = spikeFrames(r, net.Cfg.Steps, tc.shape)
+			labels[b] = b % tc.classes
+		}
+		net.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+		mustMatchTensors(t, tc.name+" grads after an input-only pass", want, net.Grads())
+		net.ReleaseTrain(ts)
+	}
+}
+
+// TestTrainAndInputPassesAlternate runs TrainStepScratch and
+// InputGradSumScratch in turn on one arena. Between them the conv GEMM
+// slot flips between (OutC, B·N) and (B·N, OutC), and the input-only
+// pass writes no im2col panel or dense input cache. Every loss,
+// parameter gradient and input gradient must equal a twin's computed
+// on a fresh arena per call, and the alternation must stay
+// allocation-free at 1 and 2 workers.
+func TestTrainAndInputPassesAlternate(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	for _, workers := range []int{1, 2} {
+		tensor.SetWorkers(workers)
+		for _, tc := range trainCases() {
+			// Twins: dropout draws the same masks in the same call order.
+			shared, twin := tc.build(), tc.build()
+			ts := shared.AcquireTrainScratch()
+			fresh := func() *TrainScratch {
+				twin.trainFree = nil // never recycle: a new arena per call
+				return twin.AcquireTrainScratch()
+			}
+			r := rng.New(54)
+			for call := 0; call < 6; call++ {
+				name := fmt.Sprintf("%s w%d call %d", tc.name, workers, call)
+				batch := 2 + call%3
+				samples := make([][]*tensor.Tensor, batch)
+				labels := make([]int, batch)
+				for b := range samples {
+					samples[b] = spikeFrames(r, shared.Cfg.Steps, tc.shape)
+					labels[b] = (b + call) % tc.classes
+				}
+				tf := fresh()
+				if call%2 == 0 {
+					ts.ZeroGrads()
+					tf.ZeroGrads()
+					got, want := shared.TrainStepScratch(samples, labels, ts), twin.TrainStepScratch(samples, labels, tf)
+					if got != want {
+						t.Fatalf("%s: loss %v, want %v", name, got, want)
+					}
+				} else {
+					got := shared.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+					want := twin.InputGradSumScratch(tf.StackFramesInto(samples), labels, tf)
+					mustMatchTensors(t, name+" input grad", []*tensor.Tensor{want}, []*tensor.Tensor{got})
+				}
+				mustMatchTensors(t, name+" grads", twin.Grads(), shared.Grads())
+				twin.ReleaseTrain(tf)
+			}
+
+			r = rng.New(55)
+			samples := make([][]*tensor.Tensor, 3)
+			labels := make([]int, len(samples))
+			for b := range samples {
+				samples[b] = spikeFrames(r, shared.Cfg.Steps, tc.shape)
+				labels[b] = b % tc.classes
+			}
+			cycle := func() {
+				ts.ZeroGrads()
+				shared.TrainStepScratch(samples, labels, ts)
+				shared.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+			}
+			cycle() // warm both modes at this batch size
+			cycle()
+			if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+				t.Errorf("%s at %d workers: alternating passes allocate %.1f objects/op in steady state, want 0", tc.name, workers, avg)
+			}
+			shared.ReleaseTrain(ts)
 		}
 	}
 }
