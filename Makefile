@@ -13,7 +13,7 @@ FUZZTIME ?= 10s
 
 LINTBIN := $(abspath bin/axsnn-lint)
 
-.PHONY: check fmt vet lint build test race bench bench-json fuzz-smoke
+.PHONY: check fmt vet lint build test race bench bench-json fuzz-smoke loc
 
 check: fmt vet lint build test
 
@@ -86,3 +86,10 @@ fuzz-smoke:
 		echo "== $$2 ($$1)"; \
 		$(GO) test $$1 -run '^$$' -fuzz "^$$2$$" -fuzztime $(FUZZTIME) || { echo "FUZZ FAILURE: $$2 in $$1"; exit 1; }; \
 	done
+
+# The non-test Go code line count CHANGES reports before and after each
+# change: every .go file outside testdata/ and hidden directories,
+# except _test.go files, without blank lines and //-only comment lines.
+loc:
+	@find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | \
+		xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'

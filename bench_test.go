@@ -409,7 +409,7 @@ func BenchmarkConvForward(b *testing.B) {
 // BenchmarkPGDCraft measures the crafting the paper's Fig. 1 loop runs:
 // one PGD(1).PerturbSet over a 64-image synthetic set on the lite MNIST
 // net (16×16, T = 8), fanned out over the worker pool, each block on
-// the training arena's input-only pass. It reports ns per crafted
+// the arena's input-gradient pass. It reports ns per crafted
 // sample.
 func BenchmarkPGDCraft(b *testing.B) {
 	net := snn.MNISTNet(snn.DefaultConfig(0.5, 8), 1, 16, 16, true, rng.New(1))
@@ -424,9 +424,10 @@ func BenchmarkPGDCraft(b *testing.B) {
 }
 
 // BenchmarkPredict measures the steady-state single-sample inference
-// hot path through the arena (Predict acquires/releases a pooled
-// Scratch internally). Compare allocs/op against BenchmarkPredictFresh
-// to see what the arena eliminates.
+// hot path: Predict runs a batch of one through the arena's inference
+// pass, acquiring and releasing the network's pooled TrainScratch
+// internally. Compare allocs/op against BenchmarkPredictFresh to see
+// what the arena eliminates.
 func BenchmarkPredict(b *testing.B) {
 	r := rng.New(1)
 	cfg := snn.DefaultConfig(0.5, 8)

@@ -83,7 +83,7 @@ func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r 
 // encoding RNG is split per sample up front — but the stream differs
 // from calling Perturb sample-by-sample with a shared RNG.
 //
-// The backward pass is the training arena's input-only pass
+// The backward pass is the arena's input-gradient pass
 // (snn.Network.InputGradSumScratch) on one weight-sharing evaluation
 // clone for the whole crafting session: it computes no parameter
 // gradient, and frame stacking, the forward caches and the BPTT
@@ -177,8 +177,8 @@ func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, label
 	return advs
 }
 
-// gradPass computes input gradients through the training arena's
-// input-only pass on a weight-sharing evaluation clone of model:
+// gradPass computes input gradients through the arena's
+// input-gradient pass on a weight-sharing evaluation clone of model:
 // dropout stays off (clones carry no RNG) and model keeps clean state.
 // The clone and its arena are made at the first gradient, so a caller
 // that stops before needing one (a stream the model already
@@ -196,7 +196,7 @@ func (p *gradPass) batch(samples [][]*tensor.Tensor, labels []int) *tensor.Tenso
 		p.clone = p.model.CloneArchitecture()
 		p.ts = p.clone.AcquireTrainScratch()
 	}
-	return p.clone.InputGradSumScratch(p.ts.StackFramesInto(samples), labels, p.ts)
+	return p.clone.InputGradSumScratch(samples, labels, p.ts)
 }
 
 // single is batch for one sample's frames. The result, like the

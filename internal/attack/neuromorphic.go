@@ -16,7 +16,7 @@ import (
 // positions where the true-label loss gradient is steepest, until the
 // surrogate model misclassifies or the budget is exhausted. It ranks
 // the cells of every voxel frame by that frame's own gradient, which
-// the training arena's input-only pass yields per time step.
+// the arena's input-gradient pass yields per time step.
 type Sparse struct {
 	// MaxIter bounds the greedy iterations.
 	MaxIter int

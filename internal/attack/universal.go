@@ -40,8 +40,8 @@ func (u *Universal) Name() string { return "UAP" }
 // on weight-sharing model clones. The gradient ascent then walks the
 // still-correct samples serially, because each delta update feeds the
 // next sample's gradient (the algorithm's sequential core). Each of
-// its gradients is a batch of one through the training arena's
-// input-only pass, on one clone made at the first gradient. Freezing
+// its gradients is a batch of one through the arena's
+// input-gradient pass, on one clone made at the first gradient. Freezing
 // the scan at the epoch boundary is what makes the scan parallel; it
 // only defers "already fooled" credit by at most one epoch. Encoder
 // randomness is pre-split per (epoch, sample, phase) and the kernels

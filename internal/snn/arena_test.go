@@ -8,9 +8,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// arenaCase is one (network, input shape) pair covering the three layer
+// arenaCase is one (network, input shape) pair covering the layer
 // stacks the arena must reproduce exactly: pure dense, conv+avgpool and
-// the DVS topology with dropout.
+// the DVS topology with dropout, once as an evaluation net without a
+// dropout RNG and once with a live one, on which inference must still
+// treat dropout as the identity.
 type arenaCase struct {
 	name  string
 	net   *Network
@@ -23,7 +25,16 @@ func arenaCases() []arenaCase {
 		{"dense", DenseNet(cfg, 144, 32, 10, rng.New(1)), []int{12, 12}},
 		{"mnist-conv", MNISTNet(cfg, 1, 12, 12, true, rng.New(2)), []int{1, 12, 12}},
 		{"dvs", DVSNet(DefaultConfig(1.0, 6), 16, 16, 11, true, rng.New(3), nil), []int{2, 16, 16}},
+		{"dvs-dropout-rng", DVSNet(DefaultConfig(1.0, 6), 16, 16, 11, true, rng.New(3), rng.New(4)), []int{2, 16, 16}},
 	}
+}
+
+// inferLogits runs the arena's inference pass, the one PredictBatchInto
+// runs, over samples and returns a copy of the (B, classes) logits.
+func inferLogits(net *Network, samples ...[]*tensor.Tensor) *tensor.Tensor {
+	ts := net.AcquireTrainScratch()
+	defer net.ReleaseTrain(ts)
+	return net.forwardPass(samples, ts, passInfer).Clone()
 }
 
 // spikeFrames builds steps sparse 0/1 frames of the given shape.
@@ -57,18 +68,15 @@ func analogFrames(r *rng.RNG, steps int, shape []int) []*tensor.Tensor {
 	return out
 }
 
-// TestForwardScratchMatchesForward pins the arena logits to the
-// allocating path's under ==, per sample on spike and analog inputs
-// and batched against ForwardSamples.
+// TestForwardScratchMatchesForward pins the inference pass's logits to
+// the allocating path's under ==, for lone samples on spike and analog
+// inputs and batched against ForwardSamples.
 func TestForwardScratchMatchesForward(t *testing.T) {
 	for _, tc := range arenaCases() {
 		r := rng.New(11)
 		steps := tc.net.Cfg.Steps
-		check := func(input string, want *tensor.Tensor, frames []*tensor.Tensor, batch int) {
+		check := func(input string, want, got *tensor.Tensor) {
 			t.Helper()
-			s := tc.net.AcquireScratch()
-			defer tc.net.Release(s)
-			got := tc.net.forwardScratch(frames, s, batch)
 			if !tensor.SameShape(want, got) {
 				t.Fatalf("%s %s: shape %v vs %v", tc.name, input, want.Shape, got.Shape)
 			}
@@ -79,14 +87,19 @@ func TestForwardScratchMatchesForward(t *testing.T) {
 				}
 			}
 		}
+		// A lone sample is a batch of one: its logits carry a batch axis.
+		lone := func(frames []*tensor.Tensor) *tensor.Tensor {
+			want := tc.net.Forward(frames, false)
+			return want.Reshape(1, want.Len())
+		}
 		for trial := 0; trial < 3; trial++ {
 			frames := spikeFrames(r, steps, tc.shape)
-			check(fmt.Sprintf("spike trial %d", trial), tc.net.Forward(frames, false), frames, 0)
+			check(fmt.Sprintf("spike trial %d", trial), lone(frames), inferLogits(tc.net, frames))
 		}
 		analog := analogFrames(r, steps, tc.shape)
-		check("analog", tc.net.Forward(analog, false), analog, 0)
+		check("analog", lone(analog), inferLogits(tc.net, analog))
 		samples := [][]*tensor.Tensor{spikeFrames(r, steps, tc.shape), analogFrames(r, steps, tc.shape), spikeFrames(r, steps, tc.shape)}
-		check("batch 3", tc.net.ForwardSamples(samples, false), StackFrames(samples, steps), len(samples))
+		check("batch 3", tc.net.ForwardSamples(samples, false), inferLogits(tc.net, samples...))
 	}
 }
 
@@ -118,8 +131,8 @@ func TestPredictBatchArenaMatchesPerSample(t *testing.T) {
 }
 
 // TestArenaShapeChanges drives one network through alternating batch
-// sizes and the per-sample path, so every arena buffer is resized and
-// reused; each configuration must keep matching the allocating path.
+// sizes, so every arena buffer is resized and reused; each
+// configuration must keep matching the allocating path.
 func TestArenaShapeChanges(t *testing.T) {
 	tc := arenaCases()[1]
 	r := rng.New(13)
@@ -190,23 +203,25 @@ func TestArenaWithMask(t *testing.T) {
 	}
 	frames := spikeFrames(rng.New(16), tc.net.Cfg.Steps, tc.shape)
 	want := tc.net.Forward(frames, false)
-	s := tc.net.AcquireScratch()
-	got := tc.net.forwardScratch(frames, s, 0)
+	got := inferLogits(tc.net, frames)
+	if got.Len() != want.Len() {
+		t.Fatalf("masked logits: %d, want %d", got.Len(), want.Len())
+	}
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("masked logit %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
-	tc.net.Release(s)
 }
 
 // TestPredictZeroAllocs asserts the arena's headline property: after
 // warm-up, the Predict hot path allocates nothing — no tensors, no
-// headers — at any worker count. Per-sample FP32 inference dispatches
-// no pool kernel: conv layers scatter their spikes serially and dense
-// layers gather theirs. The 16×16 MNIST and 32×32 DVS nets at T = 8 are
-// large enough that a GEMM there would cross the pool's parallel
-// threshold, so the two-worker run would catch one.
+// headers, not even the batch of one it wraps the sample in — at any
+// worker count. FP32 inference dispatches no pool kernel: conv layers
+// scatter their spikes serially and dense layers run the serial GEMM.
+// The 16×16 MNIST and 32×32 DVS nets at T = 8 are large enough that a
+// parallel kernel would be worth dispatching there, so the two-worker
+// run would catch one.
 func TestPredictZeroAllocs(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	cases := append(arenaCases(),
@@ -290,18 +305,27 @@ func TestPredictBatchIntoVariableBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPredictScratchReuse exercises a caller-held arena across many
-// predictions, the long-evaluation-loop pattern.
-func TestPredictScratchReuse(t *testing.T) {
+// TestPredictArenaReuse runs many predictions through Predict and
+// PredictBatchInto: each must match the allocating path, and all of
+// them must recycle the one arena parked on the network's free list.
+func TestPredictArenaReuse(t *testing.T) {
 	tc := arenaCases()[2]
 	r := rng.New(19)
-	s := tc.net.AcquireScratch()
-	defer tc.net.Release(s)
+	ts := tc.net.AcquireTrainScratch()
+	tc.net.ReleaseTrain(ts)
+	out := make([]int, 1)
 	for trial := 0; trial < 5; trial++ {
 		frames := spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
 		want := tc.net.Forward(frames, false).Argmax()
-		if got := tc.net.PredictScratch(frames, s); got != want {
+		if got := tc.net.Predict(frames); got != want {
 			t.Fatalf("trial %d: %d, want %d", trial, got, want)
+		}
+		tc.net.PredictBatchInto([][]*tensor.Tensor{frames}, out)
+		if out[0] != want {
+			t.Fatalf("trial %d: PredictBatchInto %d, want %d", trial, out[0], want)
+		}
+		if len(tc.net.trainFree) != 1 || tc.net.trainFree[0] != ts {
+			t.Fatalf("trial %d: free list %v, want the one parked arena", trial, tc.net.trainFree)
 		}
 	}
 }
@@ -315,14 +339,4 @@ func TestPredictBatchIntoLengthMismatch(t *testing.T) {
 		}
 	}()
 	tc.net.PredictBatchInto([][]*tensor.Tensor{frames}, make([]int, 2))
-}
-
-func init() {
-	// Guard against accidental metric drift in the suite above: the
-	// cases must stay arena-capable or every test silently weakens.
-	for _, tc := range arenaCases() {
-		if !tc.net.arenaCapable() {
-			panic(fmt.Sprintf("snn: arena test case %q not arena-capable", tc.name))
-		}
-	}
 }

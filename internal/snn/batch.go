@@ -14,18 +14,6 @@ import (
 // every kernel preserves the per-element accumulation order; only the
 // order in which *gradient sums across samples* accumulate differs.
 
-// Batchable reports whether every layer implements BatchLayer (all
-// built-in layers do). Helpers fall back to the per-sample path when it
-// is false, so custom layers keep working unbatched.
-func (n *Network) Batchable() bool {
-	for _, l := range n.Layers {
-		if _, ok := l.(BatchLayer); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // StepForwardBatch runs one batched time step through all layers.
 func (n *Network) StepForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range n.Layers {
@@ -49,7 +37,7 @@ func (n *Network) StepBackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 // ForwardBatch processes a batch of samples: frames[t] is the batched
 // input at step t, shape (B, sample shape...); if fewer frames than
 // Steps are supplied the last frame repeats. It returns the accumulated
-// readout logits, shape (B, classes). Requires Batchable().
+// readout logits, shape (B, classes).
 func (n *Network) ForwardBatch(frames []*tensor.Tensor, train bool) *tensor.Tensor {
 	if len(frames) == 0 {
 		panic("snn: ForwardBatch with no input frames")
@@ -79,30 +67,14 @@ func (n *Network) BackwardBatch(gradLogits *tensor.Tensor) []*tensor.Tensor {
 }
 
 // ForwardSamples stacks per-sample frame sequences and runs one batched
-// forward, returning (B, classes) logits. When the network is not
-// batchable it falls back to per-sample Forward calls.
-//
-//axsnn:allow-alloc legacy allocating batch API; the zero-alloc path is PredictBatchInto
+// forward, returning (B, classes) logits.
 func (n *Network) ForwardSamples(samples [][]*tensor.Tensor, train bool) *tensor.Tensor {
-	if !n.Batchable() {
-		var logits *tensor.Tensor
-		for b, fr := range samples {
-			out := n.Forward(fr, train)
-			if logits == nil {
-				logits = tensor.New(len(samples), out.Len())
-			}
-			copy(logits.Data[b*out.Len():(b+1)*out.Len()], out.Data)
-		}
-		return logits
-	}
 	return n.ForwardBatch(StackFrames(samples, n.Cfg.Steps), train)
 }
 
 // PredictBatch returns the argmax class of every sample in one batched
-// pass. Batchable built-in networks run against the inference arena:
-// frames are stacked step by step into one reused buffer and every
-// layer draws its working memory from the network's scratch pool, so
-// the steady state allocates nothing but the result slice.
+// pass on the arena (see PredictBatchInto); the steady state allocates
+// nothing but the result slice.
 func (n *Network) PredictBatch(samples [][]*tensor.Tensor) []int {
 	if len(samples) == 0 {
 		return nil
@@ -114,7 +86,9 @@ func (n *Network) PredictBatch(samples [][]*tensor.Tensor) []int {
 
 // PredictBatchInto is PredictBatch writing the predicted classes into a
 // caller-owned slice (len(out) == len(samples)) — the fully
-// allocation-free form of the batched hot path.
+// allocation-free form of the batched hot path. It runs the arena's
+// inference pass, which caches nothing for a backward, at the
+// network's precision tier.
 func (n *Network) PredictBatchInto(samples [][]*tensor.Tensor, out []int) {
 	if len(out) != len(samples) {
 		panic(fmt.Sprintf("snn: PredictBatchInto out length %d, want %d", len(out), len(samples))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
@@ -122,18 +96,19 @@ func (n *Network) PredictBatchInto(samples [][]*tensor.Tensor, out []int) {
 	if len(samples) == 0 {
 		return
 	}
-	if n.arenaCapable() && n.Batchable() {
-		s := n.AcquireScratch()
-		defer n.Release(s)
-		n.predictBatchScratch(samples, s, out)
-		return
-	}
-	logits := n.ForwardSamples(samples, false)
-	batch := len(samples)
-	per := logits.Len() / batch
+	ts := n.AcquireTrainScratch()
+	defer n.ReleaseTrain(ts)
+	logits := n.forwardPass(samples, ts, passInfer)
+	classes := logits.Len() / len(samples)
 	for b := range out {
-		row := tensor.FromSlice(logits.Data[b*per:(b+1)*per], per) //axsnn:allow-alloc non-batchable fallback: one header per row on the legacy path
-		out[b] = row.Argmax()
+		row := logits.Data[b*classes : (b+1)*classes]
+		best, bi := row[0], 0
+		for j, v := range row {
+			if v > best {
+				best, bi = v, j
+			}
+		}
+		out[b] = bi
 	}
 }
 
@@ -166,7 +141,7 @@ func StackFrames(samples [][]*tensor.Tensor, steps int) []*tensor.Tensor {
 
 // InputGradientBatch computes dL/dframe_t for a batch of samples in one
 // allocating batched BPTT pass, accumulating parameter gradients on the
-// way. The attacks run the training arena's input-only pass instead
+// way. The attacks run the arena's input-gradient pass instead
 // (InputGradSumScratch); this form stays as the tests' oracle for it.
 // It runs on a weight-sharing evaluation clone, so dropout stays
 // disabled and the caller's network keeps clean state. frames[t] is

@@ -44,9 +44,6 @@ func TestForwardBatchMatchesLooped(t *testing.T) {
 		"dense": {1, 12, 12},
 	}
 	for name, net := range nets {
-		if !net.Batchable() {
-			t.Fatalf("%s: built-in network not batchable", name)
-		}
 		for _, density := range []float64{0, 0.15, 0.8} {
 			samples := randFrames(r, 7, cfg.Steps, density, shapes[name]...)
 			batched := net.ForwardBatch(StackFrames(samples, cfg.Steps), false)
@@ -64,10 +61,10 @@ func TestForwardBatchMatchesLooped(t *testing.T) {
 	}
 }
 
-// TestMaxPoolDVSBatchMatchesLooped covers the max-pool and dropout
-// layers through the DVS topology (dropout passes through on clones and
-// in eval mode, so predictions must still agree).
-func TestMaxPoolDVSBatchMatchesLooped(t *testing.T) {
+// TestDVSBatchMatchesLooped covers the DVS topology's input pool and
+// dropout layer (dropout passes through on clones and in eval mode, so
+// predictions must still agree).
+func TestDVSBatchMatchesLooped(t *testing.T) {
 	r := rng.New(43)
 	cfg := DefaultConfig(0.8, 4)
 	net := DVSNet(cfg, 16, 16, 5, true, rng.New(3), nil)

@@ -11,16 +11,15 @@ import (
 // Conv2D is a 2-D convolution over (C,H,W) inputs. Weights are stored
 // as (OutC, InC·KH·KW) plus a per-output-channel bias.
 //
-// The arena inference forward (forwardArena) is event-driven: each
-// nonzero input scatters through its kernel taps, so its cost follows
-// the layer's synaptic operations. So is the training arena's
-// input-only forward, the one attack crafting runs. The training step's
-// forward lowers to an im2col panel and runs one GEMM, because the
-// weight gradient consumes that panel. The allocating inference forward
-// (Forward, ForwardBatch with train false) lowers and runs a GEMM too,
-// and serves as the arena's test oracle. The INT8 tier lowers to im2row
-// rows for its int8 GEMM.
-// Per-forward caches (the transposed and mask-applied weights) live
+// The layer's one arena forward, ForwardBatchInto, picks its kernel by
+// pass kind. The inference and input-gradient passes are event-driven:
+// each nonzero input scatters through its kernel taps, so their cost
+// follows the layer's synaptic operations. The training step lowers to
+// an im2col panel and runs one GEMM, because the weight gradient
+// consumes that panel. Inference at the INT8 tier lowers to im2row rows
+// for its int8 GEMM. The allocating forward (Forward, ForwardBatch)
+// lowers and runs a GEMM too, and serves as the arena's test oracle;
+// its per-forward caches (the transposed and mask-applied weights) live
 // until Reset, which every network-level pass calls first.
 type Conv2D struct {
 	Geom tensor.Conv2DGeom
@@ -51,12 +50,12 @@ type Conv2D struct {
 }
 
 // rowsOrient selects the GEMM orientation of the allocating inference
-// forward; the arena forward does not lower. When the filter bank is
-// wide or the receptive field large, lowering to im2row rows lets
-// spike-sparse rows ride the GEMM skip-zero fast path; tiny banks over
-// tiny receptive fields keep the classic im2col panel, whose long
-// contiguous inner loops beat the sparse win when the per-spike work is
-// only a handful of output channels.
+// forward. When the filter bank is wide or the receptive field large,
+// lowering to im2row rows lets spike-sparse rows ride the GEMM
+// skip-zero fast path; tiny banks over tiny receptive fields keep the
+// classic im2col panel, whose long contiguous inner loops beat the
+// sparse win when the per-spike work is only a handful of output
+// channels.
 func (c *Conv2D) rowsOrient() bool {
 	return c.OutC >= 16 || c.Geom.InC*c.Geom.KH*c.Geom.KW >= 32
 }
@@ -220,64 +219,6 @@ func (c *Conv2D) forwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// forwardArena implements arenaLayer, the inference forward behind
-// Predict, PredictBatch, serving and evaluation. It is event-driven:
-// tensor.ConvScatterInto does work in proportion to the nonzero inputs
-// and adds each output's terms in the order the allocating path's
-// im2row GEMM does (see its doc), so the logits match Forward. The
-// accumulator, output tensor and once-per-pass weight panels come from
-// the arena.
-func (c *Conv2D) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	g := c.Geom
-	b := batch
-	if b == 0 {
-		b = 1
-	}
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
-	ckk := g.InC * g.KH * g.KW
-	chw := g.InC * g.InH * g.InW
-	if x.Len() != b*chw {
-		panic(fmt.Sprintf("snn: Conv2D input %s does not match geom %+v (batch %d)", shapeStr(x.Shape), g, b)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-
-	var out *tensor.Tensor
-	if batch == 0 {
-		out = s.buf3(li, slotOut, c.OutC, oh, ow)
-	} else {
-		out = s.buf4(li, slotOut, b, c.OutC, oh, ow)
-	}
-	if c.useInt8 {
-		// Quantized tier: the panel already carries the prune mask, so
-		// the effW/wT derivations are skipped entirely.
-		return c.forwardArenaInt8(x, s, li, batch, out)
-	}
-
-	// Effective weights, re-derived once per pass — the cadence the
-	// allocating path gets from Reset clearing its caches.
-	w := c.W
-	if c.Mask != nil {
-		effW, fresh := s.once2(li, slotEffW, c.OutC, ckk)
-		if fresh {
-			copy(effW.Data, c.W.Data)
-			effW.Mul(c.Mask)
-		}
-		w = effW
-	}
-
-	wT, fresh := s.once2(li, slotWT, ckk, c.OutC)
-	if fresh {
-		tensor.TransposeInto(wT, w)
-	}
-	outT := s.buf2(li, slotGemm, b*n, c.OutC)
-	for bi := 0; bi < b; bi++ {
-		sample := s.view3(li, slotInView, x.Data[bi*chw:(bi+1)*chw], g.InC, g.InH, g.InW)
-		tensor.ConvScatterInto(outT.Data[bi*n*c.OutC:(bi+1)*n*c.OutC], sample, wT.Data, c.OutC, g)
-	}
-	c.scatterRowsBias(out, outT, b, n)
-	return out
-}
-
 // trainEffW returns the weight matrix with the prune mask applied from
 // the arena's once-per-pass slot (the cadence Reset gives the
 // allocating path), or the raw weights when unmasked. Forward derives
@@ -294,29 +235,53 @@ func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	return effW
 }
 
-// ForwardBatchInto implements trainLayer: the training forward
-// (ForwardBatch(x, true)) with the per-step im2col panel cached in the
-// arena's step ring instead of freshly allocated, and the GEMM result,
-// output tensor and weight panels all reused. An input-only pass caches
-// no panel, since only the weight gradient reads it, and runs the
-// inference scatter instead.
+// ForwardBatchInto implements trainLayer, the layer's one arena
+// forward; output, accumulators and once-per-pass weight panels come
+// from the arena. A training pass lowers each step to the im2col panel
+// the weight-gradient GEMM reads, keeps it in the arena's step ring and
+// runs one GEMM, matching forwardBatch's train branch. The other passes
+// cache nothing. Inference at the INT8 tier lowers to im2row rows and
+// runs the int8 GEMM against the prebuilt panel, which already carries
+// the prune mask. Otherwise the forward is event-driven:
+// tensor.ConvScatterInto does work in proportion to the nonzero inputs
+// and adds each output's terms in the order the allocating path's
+// im2row GEMM does (see its doc), so the logits match Forward.
 func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("snn: Conv2D batch input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
 	g := c.Geom
+	chw := g.InC * g.InH * g.InW
+	if x.Rank() != 4 || x.Len() != x.Shape[0]*chw {
+		panic(fmt.Sprintf("snn: Conv2D batch input %s does not match geom %+v", shapeStr(x.Shape), g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
 	batch := x.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
 	n := oh * ow
 	ckk := g.InC * g.KH * g.KW
-	chw := g.InC * g.InH * g.InW
-	w := c.trainEffW(ts, li)
 	out := ts.buf4(li, slotOut, -1, batch, c.OutC, oh, ow)
-	if ts.inputOnly {
-		// forwardArena's event-driven scatter on the arena's buffers.
+	switch {
+	case ts.pass == passTrain:
+		cols := ts.buf2(li, slotLow, t, ckk, batch*n)
+		for b := 0; b < batch; b++ {
+			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
+			tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
+		}
+		big := ts.buf2(li, slotGemm, -1, c.OutC, batch*n)
+		tensor.MatMulInto(big, c.trainEffW(ts, li), cols)
+		c.scatterColsBias(out, big, batch, n)
+	case ts.pass == passInfer && c.useInt8:
+		// Always rows-orient: per-row activation quantization is what
+		// makes the result batch-shape invariant.
+		rows := ts.buf2(li, slotLow, -1, batch*n, ckk)
+		for b := 0; b < batch; b++ {
+			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
+			tensor.ConvInt8Into(rows.Data, b*n, sample, g)
+		}
+		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
+		tensor.MatMulInt8Into(outT.Data, rows.Data, batch*n, ckk, c.panel.Codes, c.panel.Steps, c.OutC, &c.i8)
+		c.scatterRowsBias(out, outT, batch, n)
+	default:
 		wT, fresh := ts.once2(li, slotWT, ckk, c.OutC)
 		if fresh {
-			tensor.TransposeInto(wT, w)
+			tensor.TransposeInto(wT, c.trainEffW(ts, li))
 		}
 		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
 		for b := 0; b < batch; b++ {
@@ -324,20 +289,7 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 			tensor.ConvScatterInto(outT.Data[b*n*c.OutC:(b+1)*n*c.OutC], sample, wT.Data, c.OutC, g)
 		}
 		c.scatterRowsBias(out, outT, batch, n)
-		return out
 	}
-
-	// The training step lowers to the im2col panel — the layout the
-	// weight-gradient kernel consumes, matching forwardBatch's train
-	// branch.
-	cols := ts.buf2(li, slotLow, t, ckk, batch*n)
-	for b := 0; b < batch; b++ {
-		sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-		tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
-	}
-	big := ts.buf2(li, slotGemm, -1, c.OutC, batch*n)
-	tensor.MatMulInto(big, w, cols)
-	c.scatterColsBias(out, big, batch, n)
 	return out
 }
 
@@ -346,9 +298,9 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 // spike-sparse column-skip kernel — the cached im2col panel is the
 // transposed operand and is mostly zero taps, so its dead columns skip
 // wholesale (bit-identical accumulation, see tensor.MatMulTColSkipAcc).
-// An input-only pass skips the bias and weight gradients. With needDX
-// false (no parameter layer below) the input-gradient GEMM and col2im
-// scatter are skipped entirely.
+// An input-gradient pass skips the bias and weight gradients. With
+// needDX false (no parameter layer below) the input-gradient GEMM and
+// col2im scatter are skipped entirely.
 func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	batch := grad.Shape[0]
@@ -371,7 +323,7 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 			}
 		}
 	}
-	if !ts.inputOnly {
+	if ts.pass == passTrain {
 		for oc := 0; oc < c.OutC; oc++ {
 			row := g2B.Data[oc*batch*n : (oc+1)*batch*n]
 			var s float32
@@ -551,8 +503,7 @@ func (d *Dense) nonzero(x []float32) []int {
 
 // forwardInto computes out = w·x + b for one sample. Spiking inputs are
 // mostly zeros, so the dot products gather only the nonzero indices;
-// dense inputs fall back to the straight loops. Shared by Forward and
-// forwardArena so the arena stays bit-identical by construction.
+// dense inputs fall back to the straight loops.
 func (d *Dense) forwardInto(w, x, out *tensor.Tensor) {
 	idx := d.nonzero(x.Data)
 	if 2*len(idx) <= d.In {
@@ -609,46 +560,6 @@ func (d *Dense) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// forwardArena implements arenaLayer: the per-sample path keeps the
-// spike-sparse gather loops, the batched path the single GEMM; outputs
-// and weight panels live in the arena.
-func (d *Dense) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if d.useInt8 {
-		// Quantized tier: the panel already carries the prune mask.
-		return d.forwardArenaInt8(x, s, li, batch)
-	}
-	w := d.W
-	if d.Mask != nil {
-		effW, fresh := s.once2(li, slotEffW, d.Out, d.In)
-		if fresh {
-			copy(effW.Data, d.W.Data)
-			effW.Mul(d.Mask)
-		}
-		w = effW
-	}
-	if batch == 0 {
-		if x.Len() != d.In {
-			panic(fmt.Sprintf("snn: Dense input %d, want %d", x.Len(), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-		}
-		out := s.buf1(li, slotOut, d.Out)
-		d.forwardInto(w, x, out)
-		return out
-	}
-	wT, fresh := s.once2(li, slotWT, d.In, d.Out)
-	if fresh {
-		tensor.TransposeInto(wT, w)
-	}
-	out := s.buf2(li, slotOut, batch, d.Out)
-	tensor.MatMulInto(out, x, wT)
-	for b := 0; b < batch; b++ {
-		row := out.Data[b*d.Out : (b+1)*d.Out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
-	}
-	return out
-}
-
 // trainEffW is Conv2D.trainEffW for the dense layer.
 func (d *Dense) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	if d.Mask == nil {
@@ -662,29 +573,34 @@ func (d *Dense) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	return effW
 }
 
-// ForwardBatchInto implements trainLayer: ForwardBatch(x, true) with
-// the GEMM output, weight panels and the per-step input cache (the
-// allocating path's Clone) drawn from the arena. An input-only pass
-// keeps no input cache, since only the weight gradient reads it.
+// ForwardBatchInto implements trainLayer, the layer's one arena
+// forward: one GEMM against the once-per-pass transposed weights, sparse
+// input rows skipping wholesale, or at the INT8 tier in an inference
+// pass the int8 GEMM against the prebuilt panel (which already carries
+// the prune mask). A training pass also keeps the step's input (the
+// allocating path's Clone) in the arena for the weight gradient.
 func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	if x.Rank() != 2 || x.Shape[1] != d.In {
 		panic(fmt.Sprintf("snn: Dense batch input %s, want (B,%d)", shapeStr(x.Shape), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	batch := x.Shape[0]
-	w := d.trainEffW(ts, li)
-	wT, fresh := ts.once2(li, slotWT, d.In, d.Out)
-	if fresh {
-		tensor.TransposeInto(wT, w)
-	}
 	out := ts.buf2(li, slotOut, -1, batch, d.Out)
-	tensor.MatMulInto(out, x, wT)
+	if ts.pass == passInfer && d.useInt8 {
+		tensor.MatMulInt8Into(out.Data, x.Data, batch, d.In, d.panel.Codes, d.panel.Steps, d.Out, &d.i8)
+	} else {
+		wT, fresh := ts.once2(li, slotWT, d.In, d.Out)
+		if fresh {
+			tensor.TransposeInto(wT, d.trainEffW(ts, li))
+		}
+		tensor.MatMulInto(out, x, wT)
+	}
 	for b := 0; b < batch; b++ {
 		row := out.Data[b*d.Out : (b+1)*d.Out]
 		for o := range row {
 			row[o] += d.B.Data[o]
 		}
 	}
-	if !ts.inputOnly {
+	if ts.pass == passTrain {
 		xc := ts.buf2(li, slotXCache, t, batch, d.In)
 		copy(xc.Data, x.Data)
 	}
@@ -694,12 +610,12 @@ func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) 
 // BackwardBatchInto implements trainLayer: BackwardBatch against the
 // arena's per-step input cache, with the weight-gradient panel and the
 // input-gradient GEMM result reused. Kernels and accumulation order
-// match BackwardBatch exactly. An input-only pass skips the weight and
-// bias gradients; with needDX false (no parameter layer below) the
+// match BackwardBatch exactly. An input-gradient pass skips the weight
+// and bias gradients; with needDX false (no parameter layer below) the
 // input-gradient GEMM is skipped.
 func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	batch := grad.Shape[0]
-	if !ts.inputOnly {
+	if ts.pass == passTrain {
 		x := ts.buf2(li, slotXCache, t, batch, d.In)
 		// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip
 		// path, then the cheap transposed add — BackwardBatch's kernels

@@ -127,41 +127,11 @@ func (l *LIF) step(x *tensor.Tensor, train bool, batch int) *tensor.Tensor {
 	return out
 }
 
-// forwardArena implements arenaLayer: the membrane persists in the
+// ForwardBatchInto implements trainLayer: the membrane persists in the
 // arena (zeroed at pass start) and the spike output overwrites a
-// reusable buffer. The arithmetic is exactly step's, so outputs and
-// calibration statistics are bit-identical to the allocating path.
-func (l *LIF) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	b := batch
-	if b == 0 {
-		b = 1
-	}
-	v := s.stateBufShape(li, slotState, x.Shape)
-	out := s.bufShape(li, slotOut, x.Shape)
-	var spikes float64
-	var vSum float64
-	for i, inp := range x.Data {
-		vv := l.Decay*v.Data[i] + inp
-		vSum += float64(vv)
-		var o float32
-		if vv >= l.VTh {
-			o = 1
-			spikes++
-			vv -= l.VTh
-		}
-		out.Data[i] = o
-		v.Data[i] = vv
-	}
-	l.StatSpikes += spikes / float64(b)
-	l.StatVSum += vSum / float64(x.Len())
-	l.StatSteps++
-	l.StatUnits = x.Len() / b
-	return out
-}
-
-// ForwardBatchInto implements trainLayer: ForwardBatch(x, true) with
-// the membrane, spike output and per-step pre-reset cache drawn from
-// the training arena. Arithmetic and statistics match step exactly.
+// reusable buffer. Passes that run a backward also cache the step's
+// pre-reset potentials. Arithmetic and statistics match step exactly,
+// so calibration is bit-identical to the allocating path.
 func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	batch := x.Shape[0]
 	v := ts.stateBufShape(li, slotState, x.Shape)
@@ -180,11 +150,13 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 		out.Data[i] = o
 		v.Data[i] = vv
 	}
-	// Cache pre-reset potential: reconstruct from post state, exactly
-	// like step does, into this step's ring buffer.
-	pre := ts.bufShape(li, slotPre, t, x.Shape)
-	for i := range pre.Data {
-		pre.Data[i] = v.Data[i] + out.Data[i]*l.VTh
+	if ts.pass != passInfer {
+		// Cache pre-reset potential: reconstruct from post state, exactly
+		// like step does, into this step's ring buffer.
+		pre := ts.bufShape(li, slotPre, t, x.Shape)
+		for i := range pre.Data {
+			pre.Data[i] = v.Data[i] + out.Data[i]*l.VTh
+		}
 	}
 	l.StatSpikes += spikes / float64(batch)
 	l.StatVSum += vSum / float64(x.Len())
@@ -304,19 +276,13 @@ func (f *Flatten) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x.Reshape(x.Shape[0], x.Len()/x.Shape[0])
 }
 
-// forwardArena implements arenaLayer: the flattened result is a cached
-// header view over the input data — no copy, no allocation.
-func (f *Flatten) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		return s.view1(li, slotOutView, x.Data, x.Len())
-	}
-	return s.view2(li, slotOutView, x.Data, batch, x.Len()/batch)
-}
-
-// ForwardBatchInto implements trainLayer: a cached header view over the
-// input data, like the inference arena's path.
+// ForwardBatchInto implements trainLayer: the flattened result is a
+// cached header view over the input data — no copy, no allocation.
+// Passes that run a backward record the input shape for it.
 func (f *Flatten) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
+	if ts.pass != passInfer {
+		f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
+	}
 	return ts.view2(li, slotOutView, x.Data, x.Shape[0], x.Len()/x.Shape[0])
 }
 

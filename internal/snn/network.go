@@ -29,18 +29,11 @@ type Network struct {
 	Cfg    Config
 	Layers []Layer
 
-	// Inference-arena bookkeeping (arena.go): parked scratch arenas and
-	// the cached arena-capable layer view.
-	scratchFree []*Scratch
-	arenaLs     []arenaLayer
-	arenaInit   bool
-
-	// Training-arena bookkeeping (train_arena.go): parked train arenas,
-	// the cached train-capable layer view, and the lowest parameter
-	// layer index (layers at or below it skip input-gradient work).
+	// Arena bookkeeping (train_arena.go): parked arenas, the cached
+	// arena layer view, and the lowest parameter layer index (layers at
+	// or below it skip input-gradient work).
 	trainFree  []*TrainScratch
 	trainLs    []trainLayer
-	trainInit  bool
 	paramFloor int
 
 	// Inference precision tier (tier.go): FP32 exact or INT8 quantized.
@@ -118,24 +111,14 @@ func (n *Network) Backward(gradLogits *tensor.Tensor) []*tensor.Tensor {
 	return grads
 }
 
-// Predict returns the argmax class for a sample. Built-in layer stacks
-// run against a reusable inference arena (see arena.go), which makes the
-// steady-state hot path allocation-free; networks with custom layers
-// fall back to the allocating Forward. Results are identical either way.
+// Predict returns the argmax class for a sample: PredictBatchInto on a
+// batch of one, so it runs the arena's inference pass and its steady
+// state allocates nothing.
 func (n *Network) Predict(frames []*tensor.Tensor) int {
-	if n.arenaCapable() {
-		s := n.AcquireScratch()
-		defer n.Release(s)
-		return n.forwardScratch(frames, s, 0).Argmax()
-	}
-	return n.Forward(frames, false).Argmax()
-}
-
-// PredictScratch is Predict against a caller-held arena, for long
-// evaluation loops that want to amortize even the acquire/release pair.
-// The network must be arena-capable (all built-in layers are).
-func (n *Network) PredictScratch(frames []*tensor.Tensor, s *Scratch) int {
-	return n.forwardScratch(frames, s, 0).Argmax()
+	one := [1][]*tensor.Tensor{frames}
+	var class [1]int
+	n.PredictBatchInto(one[:], class[:])
+	return class[0]
 }
 
 // ParamLayers returns the layers holding trainable parameters.
@@ -220,8 +203,6 @@ func (n *Network) CloneArchitecture() *Network {
 			out.Layers = append(out.Layers, NewLIF(v.VTh, v.Decay, v.Beta))
 		case *AvgPool:
 			out.Layers = append(out.Layers, NewAvgPool(v.K))
-		case *MaxPool:
-			out.Layers = append(out.Layers, NewMaxPool(v.K))
 		case *Dropout:
 			// Evaluation clones never train; drop the RNG dependency.
 			out.Layers = append(out.Layers, &Dropout{P: v.P})

@@ -40,32 +40,15 @@ func (p *AvgPool) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// forwardArena implements arenaLayer: samples pool directly into one
-// reused output tensor through cached sample views.
-func (p *AvgPool) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-		out := s.buf3(li, slotOut, c, (h+p.K-1)/p.K, (w+p.K-1)/p.K)
-		tensor.AvgPool2DInto(out, x, p.K)
-		return out
-	}
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	out := s.buf4(li, slotOut, b, c, oh, ow)
-	for bi := 0; bi < b; bi++ {
-		sv := s.view3(li, slotInView, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
-		dv := s.view3(li, slotOutView, out.Data[bi*c*oh*ow:(bi+1)*c*oh*ow], c, oh, ow)
-		tensor.AvgPool2DInto(dv, sv, p.K)
-	}
-	return out
-}
-
 // ForwardBatchInto implements trainLayer: samples pool into one reused
-// output tensor; the input dims the backward needs live in the arena.
+// output tensor through cached sample views. Passes that run a backward
+// keep the input dims it needs in the arena.
 func (p *AvgPool) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	dims := ts.ints(li, slotDims, -1, 3)
-	dims[0], dims[1], dims[2] = c, h, w
+	if ts.pass != passInfer {
+		dims := ts.ints(li, slotDims, -1, 3)
+		dims[0], dims[1], dims[2] = c, h, w
+	}
 	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
 	out := ts.buf4(li, slotOut, -1, b, c, oh, ow)
 	for bi := 0; bi < b; bi++ {
@@ -134,149 +117,6 @@ func sampleView(x *tensor.Tensor, b int) *tensor.Tensor {
 	return tensor.FromSlice(x.Data[b*per:(b+1)*per], x.Shape[1:]...)
 }
 
-// MaxPool is non-overlapping max pooling with window K.
-type MaxPool struct {
-	K      int
-	args   [][]int
-	inDims [][3]int
-}
-
-// NewMaxPool returns a max-pooling layer with window k.
-func NewMaxPool(k int) *MaxPool { return &MaxPool{K: k} }
-
-// Name implements Layer.
-func (p *MaxPool) Name() string { return "maxpool" }
-
-// Forward implements Layer.
-func (p *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out, arg := tensor.MaxPool2D(x, p.K)
-	if train {
-		p.args = append(p.args, arg)
-		p.inDims = append(p.inDims, [3]int{x.Shape[0], x.Shape[1], x.Shape[2]})
-	}
-	return out
-}
-
-// ForwardBatch implements BatchLayer: per-sample argmax indices are
-// concatenated in batch order for the backward scatter.
-func (p *MaxPool) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	batch, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	out := tensor.New(batch, c, oh, ow)
-	var args []int
-	if train {
-		args = make([]int, 0, batch*c*oh*ow)
-	}
-	for b := 0; b < batch; b++ {
-		po, arg := tensor.MaxPool2D(sampleView(x, b), p.K)
-		copy(out.Data[b*c*oh*ow:(b+1)*c*oh*ow], po.Data)
-		if train {
-			args = append(args, arg...)
-		}
-	}
-	if train {
-		p.args = append(p.args, args)
-		p.inDims = append(p.inDims, [3]int{c, h, w})
-	}
-	return out
-}
-
-// forwardArena implements arenaLayer: inference needs no argmax
-// bookkeeping, so the arena path uses the Into kernel that skips it.
-func (p *MaxPool) forwardArena(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-		out := s.buf3(li, slotOut, c, (h+p.K-1)/p.K, (w+p.K-1)/p.K)
-		tensor.MaxPool2DInto(out, x, p.K)
-		return out
-	}
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	out := s.buf4(li, slotOut, b, c, oh, ow)
-	for bi := 0; bi < b; bi++ {
-		sv := s.view3(li, slotInView, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
-		dv := s.view3(li, slotOutView, out.Data[bi*c*oh*ow:(bi+1)*c*oh*ow], c, oh, ow)
-		tensor.MaxPool2DInto(dv, sv, p.K)
-	}
-	return out
-}
-
-// ForwardBatchInto implements trainLayer: the per-sample argmax indices
-// land in the arena's per-step int ring instead of a fresh slice.
-func (p *MaxPool) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	b, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	dims := ts.ints(li, slotDims, -1, 3)
-	dims[0], dims[1], dims[2] = c, h, w
-	oh, ow := (h+p.K-1)/p.K, (w+p.K-1)/p.K
-	per := c * oh * ow
-	arg := ts.ints(li, slotArg, t, b*per)
-	out := ts.buf4(li, slotOut, -1, b, c, oh, ow)
-	for bi := 0; bi < b; bi++ {
-		sv := ts.view3(li, slotInView, x.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
-		dv := ts.view3(li, slotOutView, out.Data[bi*per:(bi+1)*per], c, oh, ow)
-		tensor.MaxPool2DWithArgInto(dv, arg[bi*per:(bi+1)*per], sv, p.K)
-	}
-	return out
-}
-
-// BackwardBatchInto implements trainLayer: BackwardBatch routing the
-// gradient through the arena's per-step argmax ring into one reused
-// input-shaped tensor.
-func (p *MaxPool) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
-	if !needDX {
-		return nil
-	}
-	dims := ts.ints(li, slotDims, -1, 3)
-	c, h, w := dims[0], dims[1], dims[2]
-	batch := grad.Shape[0]
-	per := grad.Len() / batch
-	arg := ts.ints(li, slotArg, t, batch*per)
-	out := ts.buf4(li, slotGrad, -1, batch, c, h, w)
-	for bi := 0; bi < batch; bi++ {
-		gv := ts.view3(li, slotInView, grad.Data[bi*per:(bi+1)*per], c, grad.Shape[2], grad.Shape[3])
-		dv := ts.view3(li, slotOutView, out.Data[bi*c*h*w:(bi+1)*c*h*w], c, h, w)
-		tensor.MaxPool2DBackwardInto(dv, gv, arg[bi*per:(bi+1)*per])
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (p *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(p.args)
-	if n == 0 {
-		panic("snn: MaxPool.Backward without cached forward step")
-	}
-	arg := p.args[n-1]
-	d := p.inDims[n-1]
-	p.args = p.args[:n-1]
-	p.inDims = p.inDims[:n-1]
-	return tensor.MaxPool2DBackward(grad, arg, d[0], d[1], d[2])
-}
-
-// BackwardBatch implements BatchLayer.
-func (p *MaxPool) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(p.args)
-	if n == 0 {
-		panic("snn: MaxPool.Backward without cached forward step")
-	}
-	arg := p.args[n-1]
-	d := p.inDims[n-1]
-	p.args = p.args[:n-1]
-	p.inDims = p.inDims[:n-1]
-	batch := grad.Shape[0]
-	out := tensor.New(batch, d[0], d[1], d[2])
-	chw := d[0] * d[1] * d[2]
-	per := grad.Len() / batch
-	for b := 0; b < batch; b++ {
-		dx := tensor.MaxPool2DBackward(sampleView(grad, b), arg[b*per:(b+1)*per], d[0], d[1], d[2])
-		copy(out.Data[b*chw:(b+1)*chw], dx.Data)
-	}
-	return out
-}
-
-// Reset implements Layer.
-func (p *MaxPool) Reset() { p.args = p.args[:0]; p.inDims = p.inDims[:0] }
-
 // Dropout zeroes a random unit subset during training, with inverted
 // scaling. The mask is drawn once per sample (on the first step after
 // Reset) and reused across time steps, the convention for SNN training.
@@ -322,17 +162,13 @@ func (d *Dropout) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return d.Forward(x, train)
 }
 
-// forwardArena implements arenaLayer: inference dropout is the identity.
-func (d *Dropout) forwardArena(x *tensor.Tensor, _ *Scratch, _, _ int) *tensor.Tensor {
-	return x
-}
-
 // ForwardBatchInto implements trainLayer: the mask is drawn once per
 // pass into an arena buffer (consuming the RNG stream exactly like the
-// allocating path) and applied into a reused output tensor. Evaluation
-// clones carry no RNG, so they pass through like Forward does.
+// allocating path) and applied into a reused output tensor. Inference
+// passes through, and so do evaluation clones, which carry no RNG,
+// like Forward does.
 func (d *Dropout) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
-	if d.P <= 0 || d.r == nil {
+	if ts.pass == passInfer || d.P <= 0 || d.r == nil {
 		return x
 	}
 	mask, fresh := ts.onceShape(li, slotMask, x.Shape)

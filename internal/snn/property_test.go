@@ -115,7 +115,7 @@ func TestPropGradientsFinite(t *testing.T) {
 		clone := net.CloneArchitecture()
 		ts := clone.AcquireTrainScratch()
 		defer clone.ReleaseTrain(ts)
-		clone.InputGradSumScratch(ts.StackFramesInto([][]*tensor.Tensor{frames}), []int{int(seed % 3)}, ts)
+		clone.InputGradSumScratch([][]*tensor.Tensor{frames}, []int{int(seed % 3)}, ts)
 		for _, g := range ts.InputGradSteps() {
 			for _, v := range g.Data {
 				if v != v || v > 1e10 || v < -1e10 {

@@ -19,7 +19,7 @@ func TestPredictBatchIntoReleasesOnPanic(t *testing.T) {
 	r := rng.New(2)
 	samples := [][]*tensor.Tensor{
 		spikeFrames(r, cfg.Steps, []int{4, 4}),
-		spikeFrames(r, cfg.Steps, []int{2, 4}), // wrong frame size: panics in predictBatchScratch
+		spikeFrames(r, cfg.Steps, []int{2, 4}), // wrong frame size: panics while stacking the batch
 	}
 	out := make([]int, len(samples))
 
@@ -31,7 +31,7 @@ func TestPredictBatchIntoReleasesOnPanic(t *testing.T) {
 		}()
 		net.PredictBatchInto(samples, out)
 	}()
-	if got := len(net.scratchFree); got != 1 {
+	if got := len(net.trainFree); got != 1 {
 		t.Fatalf("after a panicking batch, %d arenas parked on the free list, want 1 (deferred Release must run)", got)
 	}
 

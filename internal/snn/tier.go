@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/quant"
-	"repro/internal/tensor"
 )
 
 // PrecisionTier selects the numeric path inference runs on. The serve
@@ -85,9 +84,11 @@ func (n *Network) BuildInt8Panels() error {
 
 // SetTier switches the network's inference tier. TierINT8 requires
 // BuildInt8Panels to have run (and to be re-run after any weight or
-// mask mutation). Training and the allocating legacy forwards always
-// run FP32; the tier governs the arena inference path that Predict,
-// PredictBatch and the serve/stream tiers ride.
+// mask mutation). The tier is a kernel choice inside the arena's
+// inference pass, the one Predict, PredictBatchInto and the
+// serve/stream tiers ride: at TierINT8 Conv2D and Dense run the int8
+// kernels there. Training, the attacks' input-gradient pass and the
+// allocating forwards always run FP32.
 func (n *Network) SetTier(t PrecisionTier) error {
 	if t == TierINT8 {
 		for i, l := range n.Layers {
@@ -118,53 +119,3 @@ func (n *Network) SetTier(t PrecisionTier) error {
 
 // Tier returns the network's current inference tier.
 func (n *Network) Tier() PrecisionTier { return n.tier }
-
-// forwardArenaInt8 is Conv2D's quantized arena forward: an im2row
-// lowering and the int8 GEMM against the prebuilt panel (which already
-// carries the prune mask, so no effW pass is needed), then the FP32
-// arena path's transpose and bias epilogue. Always rows-orient: per-row
-// activation quantization is what makes the result batch-shape
-// invariant.
-func (c *Conv2D) forwardArenaInt8(x *tensor.Tensor, s *Scratch, li, batch int, out *tensor.Tensor) *tensor.Tensor {
-	g := c.Geom
-	b := batch
-	if b == 0 {
-		b = 1
-	}
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
-	ckk := g.InC * g.KH * g.KW
-	chw := g.InC * g.InH * g.InW
-	rows := s.buf2(li, slotLow, b*n, ckk)
-	for bi := 0; bi < b; bi++ {
-		sample := s.view3(li, slotInView, x.Data[bi*chw:(bi+1)*chw], g.InC, g.InH, g.InW)
-		tensor.ConvInt8Into(rows.Data, bi*n, sample, g)
-	}
-	outT := s.buf2(li, slotGemm, b*n, c.OutC)
-	tensor.MatMulInt8Into(outT.Data, rows.Data, b*n, ckk, c.panel.Codes, c.panel.Steps, c.OutC, &c.i8)
-	c.scatterRowsBias(out, outT, b, n)
-	return out
-}
-
-// forwardArenaInt8 is Dense's quantized arena forward: one int8 GEMM
-// against the prebuilt panel (m=1 for the per-sample layout), then the
-// same bias add as the FP32 path.
-func (d *Dense) forwardArenaInt8(x *tensor.Tensor, s *Scratch, li, batch int) *tensor.Tensor {
-	if batch == 0 {
-		out := s.buf1(li, slotOut, d.Out)
-		tensor.MatMulInt8Into(out.Data, x.Data, 1, d.In, d.panel.Codes, d.panel.Steps, d.Out, &d.i8)
-		for o := range out.Data {
-			out.Data[o] += d.B.Data[o]
-		}
-		return out
-	}
-	out := s.buf2(li, slotOut, batch, d.Out)
-	tensor.MatMulInt8Into(out.Data, x.Data, batch, d.In, d.panel.Codes, d.panel.Steps, d.Out, &d.i8)
-	for b := 0; b < batch; b++ {
-		row := out.Data[b*d.Out : (b+1)*d.Out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
-	}
-	return out
-}

@@ -63,21 +63,15 @@ func TestInt8TierDeterministic(t *testing.T) {
 
 	// Reference: per-sample logits at one worker.
 	tensor.SetWorkers(1)
-	s := net.AcquireScratch()
 	var want [][]float32
 	for b := range samples {
-		logits := net.forwardScratch(samples[b], s, 0)
-		want = append(want, append([]float32(nil), logits.Data...))
+		want = append(want, inferLogits(net, samples[b]).Data)
 	}
-	net.Release(s)
 
 	for _, workers := range []int{1, 2, 4} {
 		tensor.SetWorkers(workers)
 		// Full batch: every sample's row must equal its solo logits.
-		s := net.AcquireScratch()
-		out := make([]int, batch)
-		net.predictBatchScratch(samples, s, out)
-		logits := s.bufShape(netLayer, slotLogits, []int{batch, len(want[0])})
+		logits := inferLogits(net, samples...)
 		for b := range samples {
 			row := logits.Data[b*len(want[0]) : (b+1)*len(want[0])]
 			for j, v := range row {
@@ -87,7 +81,6 @@ func TestInt8TierDeterministic(t *testing.T) {
 				}
 			}
 		}
-		net.Release(s)
 	}
 }
 
@@ -104,16 +97,13 @@ func TestInt8TierClonePropagation(t *testing.T) {
 	}
 	r := rng.New(29)
 	frames := spikeFrames(r, net.Cfg.Steps, []int{2, 16, 16})
-	s1, s2 := net.AcquireScratch(), clone.AcquireScratch()
-	a := net.forwardScratch(frames, s1, 0)
-	b := clone.forwardScratch(frames, s2, 0)
+	a := inferLogits(net, frames)
+	b := inferLogits(clone, frames)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("clone logit %d: %v vs %v", i, b.Data[i], a.Data[i])
 		}
 	}
-	net.Release(s1)
-	clone.Release(s2)
 
 	// DeepClone is for mutation: it must NOT carry panels or tier.
 	deep := net.DeepClone()
@@ -137,17 +127,14 @@ func TestInt8TierTracksFP32(t *testing.T) {
 		if err := net.SetTier(TierFP32); err != nil {
 			t.Fatal(err)
 		}
-		s := net.AcquireScratch()
-		ref := net.forwardScratch(frames, s, 0)
-		refData := append([]float32(nil), ref.Data...)
+		ref := inferLogits(net, frames)
+		refData := ref.Data
 		refClass := ref.Argmax()
-		net.Release(s)
 
 		if err := net.SetTier(TierINT8); err != nil {
 			t.Fatal(err)
 		}
-		s = net.AcquireScratch()
-		q := net.forwardScratch(frames, s, 0)
+		q := inferLogits(net, frames)
 		var maxAbs, maxDiff float64
 		for i := range refData {
 			if a := math.Abs(float64(refData[i])); a > maxAbs {
@@ -176,7 +163,6 @@ func TestInt8TierTracksFP32(t *testing.T) {
 			t.Fatalf("trial %d: INT8 argmax %d vs FP32 %d despite margin %v > drift %v",
 				trial, q.Argmax(), refClass, top-second, maxDiff)
 		}
-		net.Release(s)
 	}
 }
 
@@ -190,17 +176,66 @@ func TestInt8TierZeroAllocSteadyState(t *testing.T) {
 	}
 	r := rng.New(53)
 	frames := spikeFrames(r, net.Cfg.Steps, []int{2, 16, 16})
-	s := net.AcquireScratch()
-	defer net.Release(s)
 	for _, workers := range []int{1, 2} {
 		tensor.SetWorkers(workers)
-		net.PredictScratch(frames, s) // warm shapes and scratch
+		net.Predict(frames) // warm shapes and scratch
 		allocs := testing.AllocsPerRun(20, func() {
-			net.PredictScratch(frames, s)
+			net.Predict(frames)
 		})
 		if allocs != 0 {
-			t.Errorf("steady-state INT8 PredictScratch at %d workers allocates %v/op, want 0", workers, allocs)
+			t.Errorf("steady-state INT8 Predict at %d workers allocates %v/op, want 0", workers, allocs)
 		}
+	}
+}
+
+// The tier is an inference-only kernel choice: an input-gradient pass on
+// an INT8-tier clone, the attacks' pass, returns the FP32 gradient and
+// its per-step terms bit for bit, on a pruned net too.
+func TestInt8TierInputGradIsFP32(t *testing.T) {
+	// A low threshold keeps every layer spiking, so the readout sees
+	// activity and the INT8 kernels change the logits.
+	net := DVSNet(DefaultConfig(0.25, 6), 16, 16, 11, true, rng.New(3), nil)
+	randomMasks(net, rng.New(61))
+	if err := net.BuildInt8Panels(); err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(62)
+	samples := make([][]*tensor.Tensor, 3)
+	labels := make([]int, len(samples))
+	for b := range samples {
+		samples[b] = spikeFrames(r, net.Cfg.Steps, []int{2, 16, 16})
+		labels[b] = b + 2
+	}
+	pass := func(tier PrecisionTier) (*tensor.Tensor, []*tensor.Tensor) {
+		clone := net.CloneArchitecture()
+		if err := clone.SetTier(tier); err != nil {
+			t.Fatal(err)
+		}
+		ts := clone.AcquireTrainScratch()
+		defer clone.ReleaseTrain(ts)
+		sum := clone.InputGradSumScratch(samples, labels, ts).Clone()
+		var steps []*tensor.Tensor
+		for _, g := range ts.InputGradSteps() {
+			steps = append(steps, g.Clone())
+		}
+		return sum, steps
+	}
+	wantSum, wantSteps := pass(TierFP32)
+	gotSum, gotSteps := pass(TierINT8)
+	mustMatchTensors(t, "INT8-tier input gradient", []*tensor.Tensor{wantSum}, []*tensor.Tensor{gotSum})
+	mustMatchTensors(t, "INT8-tier per-step input gradients", wantSteps, gotSteps)
+	// And the tier really is live on that clone: its inference differs.
+	q := net.CloneArchitecture()
+	if err := q.SetTier(TierINT8); err != nil {
+		t.Fatal(err)
+	}
+	fp, i8 := inferLogits(net, samples...), inferLogits(q, samples...)
+	same := true
+	for i := range fp.Data {
+		same = same && fp.Data[i] == i8.Data[i]
+	}
+	if same {
+		t.Fatal("INT8 inference logits equal FP32's; the test would not notice a tier leak")
 	}
 }
 

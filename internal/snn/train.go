@@ -45,43 +45,29 @@ func clipGradients(grads []*tensor.Tensor, clip float64) {
 }
 
 // disableTrainArena is a test hook: when set, Train/TrainFrames run the
-// allocating minibatch path even on arena-capable networks, which the
-// equivalence tests use as the bit-identity reference.
+// allocating minibatch path instead of the arena, which the equivalence
+// tests use as the bit-identity reference.
 var disableTrainArena bool
 
 // trainStep runs one minibatch (forward, loss, backward) and returns
 // the summed loss. With a training arena the whole step draws from
-// reusable buffers (zero steady-state allocations); otherwise batchable
-// networks take the allocating batched path: one ForwardBatch/
-// BackwardBatch per minibatch instead of per-sample loops. Gradients
-// accumulate the same per-sample terms every way; only the float32
-// summation order across samples differs between batched and
-// per-sample (arena and allocating batched are bit-identical).
+// reusable buffers (zero steady-state allocations); without one (the
+// disableTrainArena hook) it takes the allocating batched path, one
+// ForwardBatch/BackwardBatch per minibatch. The two are bit-identical.
 func trainStep(n *Network, samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) float64 {
 	if ts != nil {
 		return n.TrainStepScratch(samples, labels, ts)
 	}
-	if n.Batchable() {
-		logits := n.ForwardBatch(StackFrames(samples, n.Cfg.Steps), true)
-		loss, grad := SoftmaxCrossEntropyBatch(logits, labels)
-		n.BackwardBatch(grad)
-		return loss
-	}
-	total := 0.0
-	for i, fr := range samples {
-		logits := n.Forward(fr, true)
-		loss, grad := SoftmaxCrossEntropy(logits, labels[i])
-		total += loss
-		n.Backward(grad)
-	}
-	return total
+	logits := n.ForwardBatch(StackFrames(samples, n.Cfg.Steps), true)
+	loss, grad := SoftmaxCrossEntropyBatch(logits, labels)
+	n.BackwardBatch(grad)
+	return loss
 }
 
 // acquireTrainArena returns the training arena Train/TrainFrames use,
-// or nil when the network cannot run on it (custom layers) or the test
-// hook forces the allocating reference path.
+// or nil when the test hook forces the allocating reference path.
 func acquireTrainArena(n *Network) *TrainScratch {
-	if disableTrainArena || !n.TrainArenaCapable() {
+	if disableTrainArena {
 		return nil
 	}
 	return n.AcquireTrainScratch()
@@ -111,10 +97,10 @@ func zeroGrads(n *Network, ts *TrainScratch) {
 }
 
 // Train fits the network on a static image dataset with BPTT, one
-// batched BPTT pass per minibatch. Built-in layer stacks run against a
-// training arena acquired for the whole fit, so the per-minibatch
-// steady state (stacking, forward, loss, backward, clipping, optimizer
-// step) allocates no tensors; only the per-sample encoding still does.
+// batched BPTT pass per minibatch, against one arena acquired for the
+// whole fit, so the per-minibatch steady state (stacking, forward,
+// loss, backward, clipping, optimizer step) allocates no tensors; only
+// the per-sample encoding still does.
 func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 16
@@ -154,8 +140,8 @@ func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 
 // TrainFrames fits the network on a pre-voxelized frame dataset (the DVS
 // path): samples[i] is the frame sequence, labels[i] the class. Like
-// Train, built-in layer stacks run the whole fit against one training
-// arena, making the steady-state minibatch cycle allocation-free.
+// Train, it runs the whole fit against one arena, making the
+// steady-state minibatch cycle allocation-free.
 func TrainFrames(n *Network, samples [][]*tensor.Tensor, labels []int, opt TrainOptions) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 8
@@ -271,12 +257,13 @@ func countCorrect(clones []*Network, samples [][]*tensor.Tensor, labels []int) i
 	return correct
 }
 
-// Calibrate runs the network in training=false mode over calibration
-// samples to populate LIF spike/membrane statistics (used by the
-// approximation-level equation). Statistics are reset first.
+// Calibrate populates the LIF spike/membrane statistics the
+// approximation-level equation reads: it resets them, then runs Predict
+// on each calibration sample in turn. It measures at the network's
+// precision tier; every caller calibrates an FP32 master.
 func Calibrate(n *Network, frames [][]*tensor.Tensor) {
 	n.ResetStats()
 	for _, f := range frames {
-		n.Forward(f, false)
+		n.Predict(f)
 	}
 }

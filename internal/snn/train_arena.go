@@ -6,54 +6,60 @@ import (
 	"repro/internal/tensor"
 )
 
-// The training arena. PR 2's inference Scratch closed the forward-only
-// allocation hole, but every BPTT minibatch still allocated fresh
-// per-step forward caches (LIF pre-reset potentials, conv im2col
-// panels, pool argmax maps, dense input clones), fresh gradient tensors
-// on the way back, and a fresh StackFrames batch — exactly where
-// training, adversarial crafting and the experiment grids spend their
-// wall-clock. A TrainScratch owns all of those buffers, keyed by
-// (layer, slot, time step), so a steady-state training step allocates
-// no tensors at all once shapes have been seen.
+// The arena. Every pass over a network draws its working memory from a
+// TrainScratch, which owns the buffers keyed by (layer, slot, time
+// step), so a steady-state pass allocates no tensors once shapes have
+// been seen. Each layer has one arena forward, ForwardBatchInto, and one
+// arena backward, BackwardBatchInto; the entry point sets the pass kind,
+// and the pass kind decides what the forward caches:
+//
+//   - train (TrainStepScratch) is full BPTT: it accumulates every
+//     parameter gradient, so Conv2D caches each step's im2col panel for
+//     the weight-gradient GEMM, Dense its input, LIF its pre-reset
+//     potentials, and dropout draws its masks.
+//   - input-gradient (InputGradSumScratch) is the attacks' pass: it
+//     computes only dL/dx, so it caches only what that reads (LIF
+//     pre-reset potentials, pool dims) and its conv forward runs the
+//     event-driven scatter (tensor.ConvScatterInto) instead of lowering.
+//   - inference (Predict, PredictBatchInto) caches nothing and runs no
+//     backward: dropout is the identity, convs scatter, and at the INT8
+//     tier Conv2D and Dense run the int8 kernels, here and only here.
 //
 // Layout: per-step caches (what the reverse pass pops) are a ring of
 // Cfg.Steps buffers per (layer, slot), addressed by folding the step
-// into the slot space; per-layer transients (outputs, gradient buffers)
-// and once-per-pass panels (effective weights, dropout masks) reuse a
-// single buffer. Because the caches are indexed by step rather than
-// pushed on stacks, the backward pass can also skip work the allocating
-// path could not: layers at or below the lowest parameter layer never
-// compute input gradients unless the caller asked for them (attacks
-// do, Train does not).
-//
-// Two passes run on the arena, and the entry point picks the mode.
-// TrainStepScratch is full BPTT: it accumulates every parameter
-// gradient, so Conv2D caches each step's im2col panel and Dense its
-// input for the weight-gradient GEMMs. InputGradSumScratch is the
-// attack's input-only pass: crafting needs only dL/dx, so it computes
-// no parameter gradient and caches nothing that only a weight gradient
-// reads. Its conv forward runs the event-driven inference scatter
-// (tensor.ConvScatterInto, as forwardArena does) instead of lowering.
+// into the slot space; per-layer transients (outputs, gradient buffers,
+// the stacked input frame) and once-per-pass panels (effective weights,
+// dropout masks) reuse a single buffer. Because the caches are indexed
+// by step rather than pushed on stacks, the backward pass can also skip
+// work the allocating path could not: layers at or below the lowest
+// parameter layer never compute input gradients unless the caller asked
+// for them (attacks do, Train does not). No backward reads a stacked
+// input frame, so every pass stacks step t's frames into one reused
+// buffer as it reaches step t.
 //
 // Lifecycle: Network.AcquireTrainScratch hands out an arena (recycled
 // from a per-network free list) that also caches the network's
 // parameter and gradient tensor lists; Network.ReleaseTrain returns it.
-// snn.Train/TrainFrames acquire one per fit and the gradient attacks
-// one per crafting call, so callers keep the old one-line APIs. A
-// TrainScratch belongs to one network and must not be shared between
-// goroutines; concurrent training uses clones, each with its own arena.
+// snn.Train/TrainFrames acquire one per fit, the gradient attacks one
+// per crafting call, and Predict/PredictBatchInto one per call, so
+// callers keep their one-line APIs. A TrainScratch belongs to one
+// network and must not be shared between goroutines; concurrent work
+// runs on CloneArchitecture clones, each with its own arenas.
 //
-// Correctness: the arena passes run the same serial kernels in the
-// same accumulation order as the allocating ForwardBatch/BackwardBatch,
-// so losses, input gradients and trained weights are bit-identical to
-// the pre-arena path, and to themselves at any worker count (pinned by
-// train_arena_test.go).
-// Two kernel swaps change no value. The conv weight-gradient GEMM runs
-// tensor.MatMulTColSkipAcc instead of MatMulTAcc, and skips exact zero
-// products only. The input-only conv forward's scatter adds each
-// output's terms in the im2col GEMM's ascending-p order and differs
-// from it only by ±0 products (tensor.TestConvScatterMatchesGEMM), so
-// the input gradients are unchanged.
+// Correctness: the arena passes add every term in the same order as
+// the allocating ForwardBatch/BackwardBatch, so logits, losses, input
+// gradients and trained weights are bit-identical to them under ==,
+// and to themselves at any worker count (pinned by arena_test.go and
+// train_arena_test.go). Three kernel swaps change no value. The conv
+// weight-gradient GEMM runs tensor.MatMulTColSkipAcc instead of
+// MatMulTAcc and skips exact zero products only. The conv scatter adds
+// each output's terms in ascending receptive-field position p, the
+// order of the im2row GEMM's inner loop; the im2col GEMM adds the same
+// nonzero terms in the same order and differs only by ±0 products
+// (tensor.TestConvScatterMatchesGEMM pins both). Dense's GEMM skips
+// zero inputs, so for a lone sample it adds the nonzero terms of the
+// allocating per-sample forward in the same order, and differs from it
+// at most by ±0 products.
 
 // trainSlotStride folds the time step into the slot space: per-step
 // slot s at step t lives at s + trainSlotStride·(t+1), per-pass slots
@@ -66,48 +72,59 @@ var _ [trainSlotStride - slotCount]struct{} // slots must fit the stride
 // the per-pass/per-layer instance.
 func tslot(slot, t int) int { return slot + trainSlotStride*(t+1) }
 
-// TrainScratch is a per-network arena of reusable BPTT buffers.
+// passKind is what an arena pass computes; the entry point sets it.
+type passKind int
+
+const (
+	// passTrain is TrainStepScratch's BPTT: it caches what the parameter
+	// and input gradients read, and dropout draws masks.
+	passTrain passKind = iota
+	// passInputGrad is InputGradSumScratch's pass: it caches only what
+	// dL/dx reads and computes no parameter gradient.
+	passInputGrad
+	// passInfer is Predict/PredictBatchInto's forward: it caches
+	// nothing, dropout is the identity, and the precision tier picks
+	// the Conv2D and Dense kernels.
+	passInfer
+)
+
+// TrainScratch is a per-network arena of reusable buffers: the one
+// arena the training, input-gradient and inference passes all run on.
 type TrainScratch struct {
-	sc    Scratch
-	steps int
+	sc Scratch
 
 	// params/grads are the network's parameter and gradient tensors,
 	// cached so the train loop (gradient clipping, optimizer steps,
 	// zeroing) never rebuilds the slices.
 	params, grads []*tensor.Tensor
 
-	// frames is the reusable header slice StackFramesInto returns.
-	frames []*tensor.Tensor
-
-	// intm holds reusable int scratch (pool argmax rings, pool dims,
-	// GEMM nonzero-index buffers), keyed like the tensor buffers.
+	// intm holds reusable int scratch (pool dims, GEMM nonzero-index
+	// buffers), keyed like the tensor buffers.
 	intm map[slotKey][]int
 
-	// inputOnly marks an InputGradSumScratch pass: Conv2D and Dense
-	// compute no parameter gradient and cache nothing only a weight
-	// gradient reads.
-	inputOnly bool
+	// pass is the kind of the running pass.
+	pass passKind
 
 	// gradSteps holds the per-step input gradients of the last
-	// input-only pass, in forward order (see InputGradSteps).
+	// input-gradient pass, in forward order (see InputGradSteps).
 	gradSteps []*tensor.Tensor
 }
 
-// trainLayer is implemented by every built-in layer: training-mode
-// batched forward/backward (ForwardBatch(x, true) semantics) that draw
-// all working memory from the arena. li is the layer's position, t the
-// time step (forward ascending, backward descending). BackwardBatchInto
-// may return nil when needDX is false — the caller does not need the
-// input gradient, so layers without parameters below them skip that
-// work entirely.
+// trainLayer is implemented by every built-in layer: its one batched
+// arena forward and backward, drawing all working memory from the
+// arena. li is the layer's position, t the time step (forward
+// ascending, backward descending), and ts.pass says what the forward
+// caches. BackwardBatchInto may return nil when needDX is false — the
+// caller does not need the input gradient, so layers without parameters
+// below them skip that work entirely.
 type trainLayer interface {
 	BatchLayer
 	ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor
 	BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor
 }
 
-// Buffer accessors: thin wrappers folding the step into the inference
-// Scratch machinery (sizing, shape reuse, state zeroing, generations).
+// Buffer accessors: thin wrappers folding the step into the Scratch
+// machinery (sizing, shape reuse, state zeroing, generations).
 
 func (ts *TrainScratch) buf2(li, slot, t, a, b int) *tensor.Tensor {
 	return ts.sc.buf2(li, tslot(slot, t), a, b)
@@ -171,53 +188,19 @@ func (ts *TrainScratch) ZeroGrads() {
 	}
 }
 
-// StackFramesInto assembles per-sample frame sequences into the arena's
-// per-step batched frame buffers — StackFrames reusing one ring of
-// Cfg.Steps tensors across minibatches. The returned slice and tensors
-// are owned by the arena and valid until the next StackFramesInto.
-func (ts *TrainScratch) StackFramesInto(samples [][]*tensor.Tensor) []*tensor.Tensor {
-	if len(samples) == 0 {
-		panic("snn: StackFramesInto with no samples")
-	}
-	batch := len(samples)
-	shape := samples[0][0].Shape
-	per := samples[0][0].Len()
-	if cap(ts.frames) < ts.steps {
-		ts.frames = make([]*tensor.Tensor, ts.steps) //axsnn:allow-alloc frame ring allocated once per arena
-	}
-	frames := ts.frames[:ts.steps]
-	for t := 0; t < ts.steps; t++ {
-		f := ts.sc.sized(netLayer, tslot(slotFrame, t), batch*per).t
-		if len(f.Shape) != 1+len(shape) {
-			f.Shape = make([]int, 1+len(shape)) //axsnn:allow-alloc rank changes at most once per slot
-		}
-		f.Shape[0] = batch
-		copy(f.Shape[1:], shape)
-		for b, fr := range samples {
-			src := fr[min(t, len(fr)-1)]
-			if src.Len() != per {
-				panic(fmt.Sprintf("snn: StackFramesInto sample %d frame size %d, want %d", b, src.Len(), per)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-			}
-			copy(f.Data[b*per:(b+1)*per], src.Data)
-		}
-		frames[t] = f
-	}
-	return frames
-}
-
-// TrainArenaCapable reports whether every layer supports the training
-// arena (all built-in layers do), caching the layer view on first use.
+// trainLayers returns the network's layers as arena layers, caching the
+// view and the lowest parameter layer index on first use. Every
+// built-in layer is one; a network holding any other layer panics.
 //
-//axsnn:allow-alloc caches the training layer view; runs once per network
-func (n *Network) TrainArenaCapable() bool {
-	if !n.trainInit {
-		n.trainInit = true
+//axsnn:allow-alloc caches the arena layer view; runs once per network
+func (n *Network) trainLayers() []trainLayer {
+	if n.trainLs == nil {
 		n.paramFloor = len(n.Layers)
 		ls := make([]trainLayer, 0, len(n.Layers))
 		for i, l := range n.Layers {
 			tl, ok := l.(trainLayer)
 			if !ok {
-				return false
+				panic(fmt.Sprintf("snn: layer %d (%T) has no arena pass", i, l))
 			}
 			if _, isParam := l.(ParamLayer); isParam && i < n.paramFloor {
 				n.paramFloor = i
@@ -226,57 +209,83 @@ func (n *Network) TrainArenaCapable() bool {
 		}
 		n.trainLs = ls
 	}
-	return n.trainLs != nil
+	return n.trainLs
 }
 
-// AcquireTrainScratch returns a training arena for this network,
-// recycled from the network's free list when one is parked there. Pair
-// with ReleaseTrain. Not safe for concurrent use — concurrent training
-// runs on clones, each owning its arena. The arena caches the network's
+// AcquireTrainScratch returns an arena for this network, recycled from
+// the network's free list when one is parked there. Pair with
+// ReleaseTrain. Not safe for concurrent use — concurrent work runs on
+// clones, each owning its arenas. The arena caches the network's
 // Params/Grads lists, so acquire a fresh one after structural surgery
 // that replaces parameter tensors.
 func (n *Network) AcquireTrainScratch() *TrainScratch {
 	if k := len(n.trainFree); k > 0 {
 		ts := n.trainFree[k-1]
 		n.trainFree = n.trainFree[:k-1]
-		ts.steps = n.Cfg.Steps
 		return ts
 	}
+	return newTrainScratch(n)
+}
+
+// newTrainScratch builds an empty arena for n.
+//
+//axsnn:allow-alloc builds an arena once; recycled via the free list thereafter
+func newTrainScratch(n *Network) *TrainScratch {
 	return &TrainScratch{
 		sc:     Scratch{m: make(map[slotKey]*scratchEntry)},
-		steps:  n.Cfg.Steps,
 		params: n.Params(),
 		grads:  n.Grads(),
 		intm:   make(map[slotKey][]int),
 	}
 }
 
-// ReleaseTrain parks a training arena for reuse by the next
-// AcquireTrainScratch, dropping any borrowed data references.
+// ReleaseTrain parks an arena for reuse by the next AcquireTrainScratch,
+// dropping any borrowed data references.
 func (n *Network) ReleaseTrain(ts *TrainScratch) {
 	if ts == nil {
 		return
 	}
 	ts.sc.release()
-	n.trainFree = append(n.trainFree, ts)
+	n.trainFree = append(n.trainFree, ts) //axsnn:allow-alloc free list grows to the high-water mark of live arenas
 }
 
-// forwardTrainScratch runs a training-mode batched forward pass against
-// the arena and returns the accumulated logits, which live in the arena
-// and are valid until its next pass. frames[t] is (B, sample shape...).
-func (n *Network) forwardTrainScratch(frames []*tensor.Tensor, ts *TrainScratch) *tensor.Tensor {
-	if len(frames) == 0 {
-		panic("snn: ForwardBatch with no input frames")
+// forwardPass runs one forward pass of the given kind over a batch of
+// per-sample frame lists and returns the accumulated (B, classes)
+// logits, which live in the arena and are valid until its next pass.
+// At step t every sample contributes frame t, or its last frame once it
+// has no more (a single frame is a static image presented every step),
+// stacked into one reused (B, frame shape...) buffer.
+func (n *Network) forwardPass(samples [][]*tensor.Tensor, ts *TrainScratch, pass passKind) *tensor.Tensor {
+	if len(samples) == 0 {
+		panic("snn: arena pass with no samples")
 	}
-	if !n.TrainArenaCapable() {
-		panic("snn: network has non-arena layers; use ForwardBatch")
+	for _, fr := range samples {
+		if len(fr) == 0 {
+			panic("snn: arena pass sample with no input frames")
+		}
 	}
-	n.Reset()
+	ls := n.trainLayers()
+	ts.pass = pass
 	ts.sc.begin()
+	batch := len(samples)
+	shape := samples[0][0].Shape
+	per := samples[0][0].Len()
 	var logits *tensor.Tensor
 	for t := 0; t < n.Cfg.Steps; t++ {
-		x := frames[min(t, len(frames)-1)]
-		for li, l := range n.trainLs {
+		x := ts.sc.sized(netLayer, tslot(slotFrame, -1), batch*per).t
+		if len(x.Shape) != 1+len(shape) {
+			x.Shape = make([]int, 1+len(shape)) //axsnn:allow-alloc rank changes at most once per slot
+		}
+		x.Shape[0] = batch
+		copy(x.Shape[1:], shape)
+		for b, fr := range samples {
+			src := fr[min(t, len(fr)-1)]
+			if src.Len() != per {
+				panic(fmt.Sprintf("snn: sample %d frame size %d, want %d", b, src.Len(), per)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+			}
+			copy(x.Data[b*per:(b+1)*per], src.Data)
+		}
+		for li, l := range ls {
 			x = l.ForwardBatchInto(x, ts, li, t)
 		}
 		if logits == nil {
@@ -288,30 +297,32 @@ func (n *Network) forwardTrainScratch(frames []*tensor.Tensor, ts *TrainScratch)
 	return logits
 }
 
-// backwardTrainScratch completes BPTT after forwardTrainScratch. A
-// training pass accumulates parameter gradients and returns nil; layers
-// below the lowest parameter layer skip their input-gradient work
-// entirely. An input-only pass returns Σ_t dL/dframe_t (the
-// attack-crafting quantity), summed in ascending step order exactly
-// like encoding.SumFrameGradients folds the allocating path's per-step
-// list, and keeps the per-step terms in gradSteps.
-func (n *Network) backwardTrainScratch(gradLogits *tensor.Tensor, ts *TrainScratch) *tensor.Tensor {
+// backwardPass completes BPTT after a train or input-gradient
+// forwardPass. A training pass accumulates parameter gradients and
+// returns nil; layers below the lowest parameter layer skip their
+// input-gradient work entirely. An input-gradient pass returns
+// Σ_t dL/dframe_t (the attack-crafting quantity), summed in ascending
+// step order exactly like encoding.SumFrameGradients folds the
+// allocating path's per-step list, and keeps the per-step terms in
+// gradSteps.
+func (n *Network) backwardPass(gradLogits *tensor.Tensor, ts *TrainScratch) *tensor.Tensor {
+	inputGrad := ts.pass == passInputGrad
 	for t := n.Cfg.Steps - 1; t >= 0; t-- {
 		g := gradLogits
 		for li := len(n.trainLs) - 1; li >= 0; li-- {
-			needDX := ts.inputOnly || li > n.paramFloor
+			needDX := inputGrad || li > n.paramFloor
 			g = n.trainLs[li].BackwardBatchInto(g, ts, li, t, needDX)
 			if g == nil {
 				break
 			}
 		}
-		if ts.inputOnly {
+		if inputGrad {
 			step := ts.bufShape(netLayer, slotGradStep, t, g.Shape)
 			copy(step.Data, g.Data)
 			ts.gradSteps[t] = step
 		}
 	}
-	if !ts.inputOnly {
+	if !inputGrad {
 		return nil
 	}
 	sum := ts.bufShape(netLayer, slotGradSum, -1, ts.gradSteps[0].Shape)
@@ -323,43 +334,42 @@ func (n *Network) backwardTrainScratch(gradLogits *tensor.Tensor, ts *TrainScrat
 }
 
 // TrainStepScratch runs one batched training minibatch against the
-// arena — frame stacking, training-mode forward, softmax cross-entropy,
-// BPTT gradient accumulation — and returns the summed loss. Gradients
-// accumulate into the network's gradient tensors exactly like the
-// allocating trainStep (the caller zeroes and consumes them); in the
-// steady state the whole step performs zero tensor allocations.
+// arena — training-mode forward, softmax cross-entropy, BPTT gradient
+// accumulation — and returns the summed loss. samples[b] is sample b's
+// frame list and labels[b] its class. Gradients accumulate into the
+// network's gradient tensors exactly like the allocating trainStep
+// (the caller zeroes and consumes them); in the steady state the whole
+// step performs zero tensor allocations.
 func (n *Network) TrainStepScratch(samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) float64 {
-	ts.inputOnly = false
-	frames := ts.StackFramesInto(samples)
-	logits := n.forwardTrainScratch(frames, ts)
+	logits := n.forwardPass(samples, ts, passTrain)
 	grad := ts.bufShape(netLayer, slotLossGrad, -1, logits.Shape)
 	loss := SoftmaxCrossEntropyBatchInto(logits, labels, grad)
-	n.backwardTrainScratch(grad, ts)
+	n.backwardPass(grad, ts)
 	return loss
 }
 
 // InputGradSumScratch computes Σ_t dL/dframe_t for a batch in one
-// arena-backed input-only BPTT pass — the attack-crafting hot path.
-// frames[t] is (B, sample shape...), labels[b] the loss label of
-// sample b. The returned (B, sample shape...) tensor lives in the arena
-// and is valid until its next pass. The pass computes no parameter
-// gradient: the network's gradient tensors are left exactly as they
-// were. Callers run it on a weight-sharing CloneArchitecture clone, so
-// dropout stays off and the caller's network keeps clean state.
-func (n *Network) InputGradSumScratch(frames []*tensor.Tensor, labels []int, ts *TrainScratch) *tensor.Tensor {
-	ts.inputOnly = true
+// arena-backed input-gradient BPTT pass — the attack-crafting hot path.
+// samples[b] is sample b's frame list and labels[b] its loss label, as
+// for TrainStepScratch. The returned (B, frame shape...) tensor lives
+// in the arena and is valid until its next pass. The pass computes no
+// parameter gradient: the network's gradient tensors are left exactly
+// as they were. Callers run it on a weight-sharing CloneArchitecture
+// clone, so dropout stays off and the caller's network keeps clean
+// state. It runs FP32 at any precision tier.
+func (n *Network) InputGradSumScratch(samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) *tensor.Tensor {
 	if cap(ts.gradSteps) < n.Cfg.Steps {
 		ts.gradSteps = make([]*tensor.Tensor, n.Cfg.Steps) //axsnn:allow-alloc step ring allocated once per arena
 	}
 	ts.gradSteps = ts.gradSteps[:n.Cfg.Steps]
-	logits := n.forwardTrainScratch(frames, ts)
+	logits := n.forwardPass(samples, ts, passInputGrad)
 	grad := ts.bufShape(netLayer, slotLossGrad, -1, logits.Shape)
 	SoftmaxCrossEntropyBatchInto(logits, labels, grad)
-	return n.backwardTrainScratch(grad, ts)
+	return n.backwardPass(grad, ts)
 }
 
 // InputGradSteps returns the per-step input gradients dL/dframe_t of
 // the arena's last InputGradSumScratch pass, t = 0..Steps-1, each
-// (B, sample shape...): the terms that pass summed. The slice and its
+// (B, frame shape...): the terms that pass summed. The slice and its
 // tensors live in the arena and are valid until its next pass.
 func (ts *TrainScratch) InputGradSteps() []*tensor.Tensor { return ts.gradSteps }

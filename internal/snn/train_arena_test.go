@@ -211,7 +211,7 @@ func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 
 						clone := net.CloneArchitecture()
 						ts := clone.AcquireTrainScratch()
-						got := clone.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+						got := clone.InputGradSumScratch(samples, labels, ts)
 						if !tensor.SameShape(want, got) {
 							t.Fatalf("%s: shape %v vs %v", name, got.Shape, want.Shape)
 						}
@@ -247,18 +247,20 @@ func TestInputGradSumScratchLeavesGrads(t *testing.T) {
 			samples[b] = spikeFrames(r, net.Cfg.Steps, tc.shape)
 			labels[b] = b % tc.classes
 		}
-		net.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+		net.InputGradSumScratch(samples, labels, ts)
 		mustMatchTensors(t, tc.name+" grads after an input-only pass", want, net.Grads())
 		net.ReleaseTrain(ts)
 	}
 }
 
-// TestTrainAndInputPassesAlternate runs TrainStepScratch and
-// InputGradSumScratch in turn on one arena. Between them the conv GEMM
-// slot flips between (OutC, B·N) and (B·N, OutC), and the input-only
-// pass writes no im2col panel or dense input cache. Every loss,
-// parameter gradient and input gradient must equal a twin's computed
-// on a fresh arena per call, and the alternation must stay
+// TestTrainAndInputPassesAlternate rotates the arena's three pass kinds
+// (TrainStepScratch, InputGradSumScratch and the inference pass) on one
+// network, every pass recycling the one arena parked on its free list.
+// Between them the conv GEMM slot flips between (OutC, B·N) and
+// (B·N, OutC), and only the training pass writes the im2col panel and
+// dense input cache. Every loss, parameter gradient, input gradient and
+// logit must equal a twin's computed on a fresh arena per call, and the
+// rotation, with inference through PredictBatchInto, must stay
 // allocation-free at 1 and 2 workers.
 func TestTrainAndInputPassesAlternate(t *testing.T) {
 	defer tensor.SetWorkers(0)
@@ -267,35 +269,49 @@ func TestTrainAndInputPassesAlternate(t *testing.T) {
 		for _, tc := range trainCases() {
 			// Twins: dropout draws the same masks in the same call order.
 			shared, twin := tc.build(), tc.build()
-			ts := shared.AcquireTrainScratch()
+			parked := shared.AcquireTrainScratch()
+			shared.ReleaseTrain(parked)
+			acquire := func(name string) *TrainScratch {
+				ts := shared.AcquireTrainScratch()
+				if ts != parked || len(shared.trainFree) != 0 {
+					t.Fatalf("%s: every pass must recycle the one parked arena", name)
+				}
+				return ts
+			}
 			fresh := func() *TrainScratch {
 				twin.trainFree = nil // never recycle: a new arena per call
 				return twin.AcquireTrainScratch()
 			}
 			r := rng.New(54)
-			for call := 0; call < 6; call++ {
+			for call := 0; call < 9; call++ {
 				name := fmt.Sprintf("%s w%d call %d", tc.name, workers, call)
-				batch := 2 + call%3
+				batch := 2 + call%4
 				samples := make([][]*tensor.Tensor, batch)
 				labels := make([]int, batch)
 				for b := range samples {
 					samples[b] = spikeFrames(r, shared.Cfg.Steps, tc.shape)
 					labels[b] = (b + call) % tc.classes
 				}
-				tf := fresh()
-				if call%2 == 0 {
+				ts, tf := acquire(name), fresh()
+				switch call % 3 {
+				case 0:
 					ts.ZeroGrads()
 					tf.ZeroGrads()
 					got, want := shared.TrainStepScratch(samples, labels, ts), twin.TrainStepScratch(samples, labels, tf)
 					if got != want {
 						t.Fatalf("%s: loss %v, want %v", name, got, want)
 					}
-				} else {
-					got := shared.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
-					want := twin.InputGradSumScratch(tf.StackFramesInto(samples), labels, tf)
+				case 1:
+					got := shared.InputGradSumScratch(samples, labels, ts)
+					want := twin.InputGradSumScratch(samples, labels, tf)
 					mustMatchTensors(t, name+" input grad", []*tensor.Tensor{want}, []*tensor.Tensor{got})
+				default:
+					got := shared.forwardPass(samples, ts, passInfer)
+					want := twin.forwardPass(samples, tf, passInfer)
+					mustMatchTensors(t, name+" logits", []*tensor.Tensor{want}, []*tensor.Tensor{got})
 				}
 				mustMatchTensors(t, name+" grads", twin.Grads(), shared.Grads())
+				shared.ReleaseTrain(ts)
 				twin.ReleaseTrain(tf)
 			}
 
@@ -306,17 +322,23 @@ func TestTrainAndInputPassesAlternate(t *testing.T) {
 				samples[b] = spikeFrames(r, shared.Cfg.Steps, tc.shape)
 				labels[b] = b % tc.classes
 			}
+			out := make([]int, len(samples))
 			cycle := func() {
+				ts := shared.AcquireTrainScratch()
 				ts.ZeroGrads()
 				shared.TrainStepScratch(samples, labels, ts)
-				shared.InputGradSumScratch(ts.StackFramesInto(samples), labels, ts)
+				shared.InputGradSumScratch(samples, labels, ts)
+				shared.ReleaseTrain(ts)
+				shared.PredictBatchInto(samples, out)
 			}
-			cycle() // warm both modes at this batch size
+			cycle() // warm all three passes at this batch size
 			cycle()
 			if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
-				t.Errorf("%s at %d workers: alternating passes allocate %.1f objects/op in steady state, want 0", tc.name, workers, avg)
+				t.Errorf("%s at %d workers: rotating passes allocate %.1f objects/op in steady state, want 0", tc.name, workers, avg)
 			}
-			shared.ReleaseTrain(ts)
+			if len(shared.trainFree) != 1 || shared.trainFree[0] != parked {
+				t.Errorf("%s at %d workers: the rotation left %d arenas parked, want the one", tc.name, workers, len(shared.trainFree))
+			}
 		}
 	}
 }
@@ -412,10 +434,7 @@ func TestInputGradSumScratchZeroAllocs(t *testing.T) {
 		samples[b] = spikeFrames(r, net.Cfg.Steps, tc.shape)
 		labels[b] = b % tc.classes
 	}
-	pass := func() {
-		frames := ts.StackFramesInto(samples)
-		net.InputGradSumScratch(frames, labels, ts)
-	}
+	pass := func() { net.InputGradSumScratch(samples, labels, ts) }
 	for _, workers := range []int{1, 2} {
 		tensor.SetWorkers(workers)
 		pass()
@@ -453,7 +472,7 @@ func TestSoftmaxCrossEntropyBatchIntoMatches(t *testing.T) {
 }
 
 // TestTrainScratchPoolRecycles pins the acquire/release free-list
-// contract mirroring the inference arena's.
+// contract.
 func TestTrainScratchPoolRecycles(t *testing.T) {
 	net := trainCases()[0].build()
 	ts := net.AcquireTrainScratch()

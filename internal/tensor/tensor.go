@@ -485,105 +485,6 @@ func AvgPool2DBackwardInto(out, grad *Tensor, k int) {
 	}
 }
 
-// MaxPool2D performs non-overlapping max pooling with window k and also
-// returns the flat argmax indices used by the backward pass.
-func MaxPool2D(x *Tensor, k int) (*Tensor, []int) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh, ow := (h+k-1)/k, (w+k-1)/k
-	out := New(c, oh, ow)
-	arg := make([]int, c*oh*ow)
-	MaxPool2DWithArgInto(out, arg, x, k)
-	return out, arg
-}
-
-// MaxPool2DWithArgInto pools x into the caller-owned (C,OutH,OutW)
-// tensor out and writes the flat argmax indices into arg (len
-// C·OutH·OutW), overwriting both — the allocation-free form of
-// MaxPool2D the training arena uses for its per-step argmax ring.
-func MaxPool2DWithArgInto(out *Tensor, arg []int, x *Tensor, k int) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh, ow := (h+k-1)/k, (w+k-1)/k
-	if out.Rank() != 3 || out.Shape[0] != c || out.Shape[1] != oh || out.Shape[2] != ow {
-		panic(fmt.Sprintf("tensor: MaxPool2DWithArgInto dst %v, want [%d %d %d]", out.Shape, c, oh, ow)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	if len(arg) != c*oh*ow {
-		panic(fmt.Sprintf("tensor: MaxPool2DWithArgInto arg %d, want %d", len(arg), c*oh*ow)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	for ci := 0; ci < c; ci++ {
-		for oi := 0; oi < oh; oi++ {
-			for oj := 0; oj < ow; oj++ {
-				best := float32(math.Inf(-1))
-				bi := -1
-				for di := 0; di < k; di++ {
-					for dj := 0; dj < k; dj++ {
-						i, j := oi*k+di, oj*k+dj
-						if i < h && j < w {
-							v := x.Data[(ci*h+i)*w+j]
-							if v > best {
-								best, bi = v, (ci*h+i)*w+j
-							}
-						}
-					}
-				}
-				o := (ci*oh+oi)*ow + oj
-				out.Data[o] = best
-				arg[o] = bi
-			}
-		}
-	}
-}
-
-// MaxPool2DInto pools x into the caller-owned (C,OutH,OutW) tensor dst,
-// overwriting every element. It skips the argmax bookkeeping MaxPool2D
-// keeps for the backward pass — the inference-arena form.
-func MaxPool2DInto(out, x *Tensor, k int) {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh, ow := (h+k-1)/k, (w+k-1)/k
-	if out.Rank() != 3 || out.Shape[0] != c || out.Shape[1] != oh || out.Shape[2] != ow {
-		panic(fmt.Sprintf("tensor: MaxPool2DInto dst %v, want [%d %d %d]", out.Shape, c, oh, ow)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	for ci := 0; ci < c; ci++ {
-		for oi := 0; oi < oh; oi++ {
-			for oj := 0; oj < ow; oj++ {
-				best := float32(math.Inf(-1))
-				for di := 0; di < k; di++ {
-					for dj := 0; dj < k; dj++ {
-						i, j := oi*k+di, oj*k+dj
-						if i < h && j < w {
-							if v := x.Data[(ci*h+i)*w+j]; v > best {
-								best = v
-							}
-						}
-					}
-				}
-				out.Data[(ci*oh+oi)*ow+oj] = best
-			}
-		}
-	}
-}
-
-// MaxPool2DBackward routes the pooled gradient to the argmax positions.
-func MaxPool2DBackward(grad *Tensor, arg []int, c, h, w int) *Tensor {
-	out := New(c, h, w)
-	MaxPool2DBackwardInto(out, grad, arg)
-	return out
-}
-
-// MaxPool2DBackwardInto routes the pooled gradient to the argmax
-// positions of the caller-owned input-shaped tensor out, overwriting its
-// contents — the allocation-free form the training arena uses.
-func MaxPool2DBackwardInto(out, grad *Tensor, arg []int) {
-	if len(arg) != grad.Len() {
-		panic(fmt.Sprintf("tensor: MaxPool2DBackwardInto arg %d, want %d", len(arg), grad.Len())) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	out.Zero()
-	for o, idx := range arg {
-		if idx >= 0 {
-			out.Data[idx] += grad.Data[o]
-		}
-	}
-}
-
 // Softmax returns the softmax of a rank-1 tensor (numerically stable).
 func Softmax(x *Tensor) *Tensor {
 	out := New(x.Shape...)

@@ -359,30 +359,6 @@ func TestAvgPoolRaggedEdges(t *testing.T) {
 	}
 }
 
-func TestMaxPoolAndBackward(t *testing.T) {
-	x := FromSlice([]float32{
-		1, 5, 2, 0,
-		3, 4, 1, 9,
-		0, 0, 7, 1,
-		2, 1, 3, 4,
-	}, 1, 4, 4)
-	p, arg := MaxPool2D(x, 2)
-	want := []float32{5, 9, 2, 7}
-	for i, v := range p.Data {
-		if v != want[i] {
-			t.Fatalf("MaxPool = %v, want %v", p.Data, want)
-		}
-	}
-	g := FromSlice([]float32{1, 1, 1, 1}, 1, 2, 2)
-	back := MaxPool2DBackward(g, arg, 1, 4, 4)
-	if back.Data[0*4+1] != 1 || back.Data[1*4+3] != 1 || back.Data[3*4+0] != 1 || back.Data[2*4+2] != 1 {
-		t.Fatalf("MaxPool backward wrong: %v", back.Data)
-	}
-	if !almostEq(back.Sum(), 4, 1e-6) {
-		t.Fatal("max pool backward mass wrong")
-	}
-}
-
 func TestSoftmax(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3}, 3)
 	s := Softmax(x)
