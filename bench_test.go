@@ -16,6 +16,7 @@ import (
 	"io"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/attack"
 	"repro/internal/dataset"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/dvs"
 	"repro/internal/encoding"
 	"repro/internal/exp"
+	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/snn"
 	"repro/internal/stream"
@@ -312,15 +314,17 @@ func BenchmarkGEMM(b *testing.B) {
 
 // BenchmarkConvForward measures one batch-4 inference convolution at
 // the served DVSNet-lite's two conv shapes, at the input density the
-// traced closed-fp32 bench measures and at 4× that, with two kernels:
-// kernel=scatter is the event-driven tensor.ConvScatterInto the arena
-// runs, and kernel=gemm is the lowering plus MatMulInto it ran before,
-// in the orientation Conv2D.rowsOrient picks for the shape. The bias
-// epilogue is left out of both. Inputs take the AvgPool levels {¼, ½,
-// ¾, 1} that feed these layers. Kernels run serially, as they do
-// inside a serving session. ns/SOP divides by the nonzero inputs times
-// the live fan-out, as the bench trace counts SOPs, so a kernel whose
-// time follows the spikes keeps it flat across densities.
+// traced closed-fp32 bench measures and at 4× that, with three kernels:
+// kernel=scatter is the event-driven tensor.ConvScatterInto the FP32
+// arena runs, kernel=gemm is the lowering plus MatMulInto it ran
+// before, in the orientation Conv2D.rowsOrient picks for the shape, and
+// kernel=int8 is the INT8 tier's tensor.ConvScatterInt8Into over
+// per-channel codes. The bias epilogue is left out of all three. Inputs
+// take the AvgPool levels {¼, ½, ¾, 1} that feed these layers. Kernels
+// run serially, as they do inside a serving session. ns/SOP divides by
+// the nonzero inputs times the live fan-out, as the bench trace counts
+// SOPs, so a kernel whose time follows the spikes keeps it flat across
+// densities.
 func BenchmarkConvForward(b *testing.B) {
 	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
@@ -346,6 +350,12 @@ func BenchmarkConvForward(b *testing.B) {
 			w.Data[i] = r.NormFloat32()
 		}
 		wT := tensor.Transpose(w)
+		panel, err := quant.QuantizePerChannel(w, sh.outC)
+		if err != nil {
+			b.Fatal(err)
+		}
+		codesT := panel.TransposedCodes()
+		fieldStep, acc32 := make([]float32, n), make([]int32, n*sh.outC)
 		fanOut := float64(w.Len()*n) / float64(chw)
 		for _, density := range []float64{sh.density, 4 * sh.density} {
 			samples := make([]*tensor.Tensor, batch)
@@ -388,6 +398,11 @@ func BenchmarkConvForward(b *testing.B) {
 						tensor.Im2ColStripeInto(low.Data, batch*n, i*n, x, g)
 					}
 					tensor.MatMulInto(gemm, w, low)
+				}},
+				{"int8", func() {
+					for i, x := range samples {
+						tensor.ConvScatterInt8Into(acc.Data[i*n*sh.outC:(i+1)*n*sh.outC], x, codesT, panel.Steps, sh.outC, g, fieldStep, acc32)
+					}
 				}},
 			}
 			for _, k := range kernels {
@@ -446,10 +461,12 @@ func BenchmarkPredict(b *testing.B) {
 // BenchmarkPredictInt8 measures the same steady-state inference hot
 // path through the quantized INT8 tier: per-channel int8 weight panels
 // (built cold, before the timer), int32 accumulation, float32 epilogue.
-// The int8 kernel is serial and reuses the arena's scratch, so allocs/op
-// is 0 at any worker count. CI's zero-alloc and ns/op gates cover this
-// benchmark; compare against BenchmarkPredict for the quantization
-// speedup on this topology.
+// The int8 kernels are serial and reuse the arena's scratch, so
+// allocs/op is 0 at any worker count. CI's zero-alloc and ns/op gates
+// cover this benchmark. On this topology INT8 is slower than FP32: its
+// conv scatter also takes each receptive field's max, quantizes the
+// inputs against it and converts the integer sums back to float32.
+// BenchmarkPredictTiers measures the ratio within one run.
 func BenchmarkPredictInt8(b *testing.B) {
 	r := rng.New(1)
 	cfg := snn.DefaultConfig(0.5, 8)
@@ -469,6 +486,51 @@ func BenchmarkPredictInt8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = net.Predict(frames)
 	}
+}
+
+// BenchmarkPredictTiers measures the INT8 tier against FP32 within one
+// run, on BenchmarkPredict's net and input: each iteration times a block
+// of FP32 Predict calls and a block of INT8 ones, switching the tier
+// between blocks and alternating which goes first, so both tiers see
+// the same host load. It reports each tier's ns per Predict and
+// int8/fp32, their ratio, which a host's speed swings cancel out of.
+func BenchmarkPredictTiers(b *testing.B) {
+	const block = 8
+	r := rng.New(1)
+	cfg := snn.DefaultConfig(0.5, 8)
+	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
+	if err := net.BuildInt8Panels(); err != nil {
+		b.Fatal(err)
+	}
+	img := dataset.RenderDigit(3, dataset.DefaultSynthConfig(), r)
+	frames := encoding.Rate{}.Encode(img, cfg.Steps, r)
+	tiers := [2]snn.PrecisionTier{snn.TierFP32, snn.TierINT8}
+	var elapsed [2]time.Duration
+	run := func(k int) {
+		if err := net.SetTier(tiers[k]); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		for j := 0; j < block; j++ {
+			_ = net.Predict(frames)
+		}
+		elapsed[k] += time.Since(start)
+	}
+	run(0) // warm both tiers' arena shapes
+	run(1)
+	elapsed = [2]time.Duration{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i % 2)
+		run(1 - i%2)
+	}
+	b.StopTimer()
+	fp := float64(elapsed[0].Nanoseconds()) / float64(b.N*block)
+	i8 := float64(elapsed[1].Nanoseconds()) / float64(b.N*block)
+	b.ReportMetric(fp, "fp32_ns/predict")
+	b.ReportMetric(i8, "int8_ns/predict")
+	b.ReportMetric(i8/fp, "int8/fp32")
 }
 
 // BenchmarkPredictFresh is the pre-arena baseline: the same inference

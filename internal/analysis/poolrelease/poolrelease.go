@@ -1,9 +1,9 @@
 // Package poolrelease checks that every pooled acquire is paired with
 // a deferred release in the same function, on all paths. The serving
-// stack's bounded pools (the snn inference and training arenas, the
-// serve clone pool) leak units under error and panic paths when a
-// release is manual — exactly the leak class a panicking batch exposed
-// in stream.classifyBatch before its release was deferred.
+// stack's bounded pools (the snn arena free list, the serve clone pool,
+// the stream batch-slot pool) leak units under error and panic paths
+// when a release is manual — exactly the leak class a panicking batch
+// exposed in stream.classifyBatch before its release was deferred.
 //
 // For each call to a known acquire method the analyzer requires one of:
 //
@@ -43,9 +43,9 @@ var Analyzer = &analysis.Analyzer{
 
 // pairs maps acquire method names to their paired release method names.
 var pairs = map[string]string{
-	"AcquireScratch":      "Release",
 	"AcquireTrainScratch": "ReleaseTrain",
 	"AcquireClone":        "ReleaseClone",
+	"AcquireCloneTier":    "ReleaseClone",
 	"AcquireSlot":         "ReleaseSlot",
 }
 

@@ -2,45 +2,53 @@ package pool
 
 // Good defers the release directly.
 func Good(p *Pool) float64 {
-	u := p.AcquireScratch()
-	defer p.Release(u)
+	u := p.AcquireTrainScratch()
+	defer p.ReleaseTrain(u)
 	return u.data[0]
 }
 
 // GoodLit releases inside a deferred function literal.
 func GoodLit(p *Pool) float64 {
-	u := p.AcquireScratch()
-	defer func() {
-		p.Release(u)
-	}()
-	return u.data[0]
-}
-
-// GoodTrain covers the training-arena pair.
-func GoodTrain(p *Pool) float64 {
 	u := p.AcquireTrainScratch()
-	defer p.ReleaseTrain(u)
+	defer func() {
+		p.ReleaseTrain(u)
+	}()
 	return u.data[0]
 }
 
 // Plain releases manually: a panic or early return before the release
 // leaks the unit.
 func Plain(p *Pool) float64 {
-	u := p.AcquireScratch()
+	u := p.AcquireTrainScratch()
 	v := u.data[0]
-	p.Release(u) // want `Release of u must be deferred`
+	p.ReleaseTrain(u) // want `ReleaseTrain of u must be deferred`
 	return v
 }
 
 // Leak never releases.
 func Leak(p *Pool) float64 {
-	u := p.AcquireScratch() // want `AcquireScratch result u is never released`
+	u := p.AcquireTrainScratch() // want `AcquireTrainScratch result u is never released`
 	return u.data[0]
 }
 
 // Discard drops the result on the floor.
 func Discard(p *Pool) {
 	p.AcquireClone() // want `result of AcquireClone is discarded`
+}
+
+// CloneTierGood pairs the tiered clone acquire with the clone release.
+func CloneTierGood(p *Pool) float64 {
+	u := p.AcquireCloneTier()
+	defer p.ReleaseClone(u)
+	return u.data[0]
+}
+
+// CloneTierPlain releases the tiered clone manually.
+func CloneTierPlain(p *Pool) float64 {
+	u := p.AcquireCloneTier()
+	v := u.data[0]
+	p.ReleaseClone(u) // want `ReleaseClone of u must be deferred`
+	return v
 }
 
 // SlotGood pairs the frame-slot acquire with a deferred release.
@@ -60,10 +68,10 @@ func SlotLeak(p *Pool) float64 {
 func LoopDefer(p *Pool, n int) {
 	var u *Unit
 	for i := 0; i < n; i++ {
-		u = p.AcquireScratch() // want `released by a defer outside it`
+		u = p.AcquireTrainScratch() // want `released by a defer outside it`
 	}
 	if u != nil {
-		defer p.Release(u)
+		defer p.ReleaseTrain(u)
 	}
 }
 
@@ -73,8 +81,8 @@ func LoopScoped(p *Pool, n int) float64 {
 	var acc float64
 	for i := 0; i < n; i++ {
 		func() {
-			u := p.AcquireScratch()
-			defer p.Release(u)
+			u := p.AcquireTrainScratch()
+			defer p.ReleaseTrain(u)
 			acc += u.data[0]
 		}()
 	}
@@ -83,7 +91,7 @@ func LoopScoped(p *Pool, n int) float64 {
 
 // Handout transfers ownership to the caller.
 func Handout(p *Pool) *Unit {
-	u := p.AcquireScratch()
+	u := p.AcquireTrainScratch()
 	return u
 }
 
@@ -98,7 +106,7 @@ var global *Unit
 
 // Publish parks the unit in a package variable.
 func Publish(p *Pool) {
-	g := p.AcquireScratch()
+	g := p.AcquireTrainScratch()
 	global = g
 }
 
@@ -106,14 +114,14 @@ func Publish(p *Pool) {
 //
 //axsnn:allow-manual-release the unit is released by Close, not here
 func ManualFunc(p *Pool) {
-	u := p.AcquireScratch()
+	u := p.AcquireTrainScratch()
 	u.data[0] = 1
 }
 
 // ManualLine excuses one manual release with a reason.
 func ManualLine(p *Pool) float64 {
-	u := p.AcquireScratch()
+	u := p.AcquireTrainScratch()
 	v := u.data[0]
-	p.Release(u) //axsnn:allow-manual-release benchmarked loop body; defer cost measured and rejected
+	p.ReleaseTrain(u) //axsnn:allow-manual-release benchmarked loop body; defer cost measured and rejected
 	return v
 }

@@ -9,7 +9,7 @@ type Unit struct{ data []float64 }
 // Pool is a bounded free-list pool.
 type Pool struct{ free []*Unit }
 
-func (p *Pool) AcquireScratch() *Unit {
+func (p *Pool) AcquireTrainScratch() *Unit {
 	if n := len(p.free); n > 0 {
 		u := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -18,11 +18,10 @@ func (p *Pool) AcquireScratch() *Unit {
 	return &Unit{data: make([]float64, 64)}
 }
 
-func (p *Pool) Release(u *Unit) { p.free = append(p.free, u) }
+func (p *Pool) ReleaseTrain(u *Unit) { p.free = append(p.free, u) }
 
-func (p *Pool) AcquireTrainScratch() *Unit { return p.AcquireScratch() }
-func (p *Pool) ReleaseTrain(u *Unit)       { p.Release(u) }
-func (p *Pool) AcquireClone() *Unit        { return p.AcquireScratch() }
-func (p *Pool) ReleaseClone(u *Unit)       { p.Release(u) }
-func (p *Pool) AcquireSlot() *Unit         { return p.AcquireScratch() }
-func (p *Pool) ReleaseSlot(u *Unit)        { p.Release(u) }
+func (p *Pool) AcquireClone() *Unit     { return p.AcquireTrainScratch() }
+func (p *Pool) AcquireCloneTier() *Unit { return p.AcquireTrainScratch() }
+func (p *Pool) ReleaseClone(u *Unit)    { p.ReleaseTrain(u) }
+func (p *Pool) AcquireSlot() *Unit      { return p.AcquireTrainScratch() }
+func (p *Pool) ReleaseSlot(u *Unit)     { p.ReleaseTrain(u) }

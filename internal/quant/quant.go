@@ -270,6 +270,19 @@ func QuantizePerChannel(t *tensor.Tensor, rows int) (*Int8Panel, error) {
 	return p, nil
 }
 
+// TransposedCodes returns the panel's codes as a Cols×Rows row-major
+// matrix: row c holds column c of every output channel, the layout the
+// int8 conv scatter reads (tensor.ConvScatterInt8Into).
+func (p *Int8Panel) TransposedCodes() []int8 {
+	out := make([]int8, len(p.Codes))
+	for r := 0; r < p.Rows; r++ {
+		for c := 0; c < p.Cols; c++ {
+			out[c*p.Rows+r] = p.Codes[r*p.Cols+c]
+		}
+	}
+	return out
+}
+
 // ApplyPerChannel fake-quantizes a (rows × cols) weight matrix to INT8
 // with one symmetric step per row, in place, by round-tripping through
 // QuantizePerChannel's codes — the fake-quantized values are exactly

@@ -25,7 +25,7 @@ type slotKey struct {
 const (
 	slotOut      = iota // layer output buffer
 	slotState           // persistent per-pass state (LIF membrane)
-	slotLow             // conv im2col panel (training) or int8 im2row rows
+	slotLow             // conv im2col panel (training)
 	slotGemm            // GEMM result panel
 	slotEffW            // mask-applied weights, once per pass
 	slotWT              // transposed weights, once per pass
@@ -47,6 +47,8 @@ const (
 	slotGradSum         // summed input gradient (network-level)
 	slotLossGrad        // dL/dlogits buffer (network-level)
 	slotIdx             // nonzero-index scratch for col-skip GEMMs
+	slotActStep         // int8 conv receptive-field activation steps (inference)
+	slotAcc             // int8 conv int32 accumulators (inference)
 	slotCount           // number of slots; must stay <= trainSlotStride
 )
 

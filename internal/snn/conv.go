@@ -14,13 +14,14 @@ import (
 // The layer's one arena forward, ForwardBatchInto, picks its kernel by
 // pass kind. The inference and input-gradient passes are event-driven:
 // each nonzero input scatters through its kernel taps, so their cost
-// follows the layer's synaptic operations. The training step lowers to
-// an im2col panel and runs one GEMM, because the weight gradient
-// consumes that panel. Inference at the INT8 tier lowers to im2row rows
-// for its int8 GEMM. The allocating forward (Forward, ForwardBatch)
-// lowers and runs a GEMM too, and serves as the arena's test oracle;
-// its per-forward caches (the transposed and mask-applied weights) live
-// until Reset, which every network-level pass calls first.
+// follows the layer's synaptic operations. At the INT8 tier inference
+// scatters too, through int8 weight columns into int32 accumulators.
+// The training step lowers to an im2col panel and runs one GEMM,
+// because the weight gradient consumes that panel. The allocating
+// forward (Forward, ForwardBatch) lowers and runs a GEMM too, and
+// serves as the arena's test oracle; its per-forward caches (the
+// transposed and mask-applied weights) live until Reset, which every
+// network-level pass calls first.
 type Conv2D struct {
 	Geom tensor.Conv2DGeom
 	OutC int
@@ -41,12 +42,13 @@ type Conv2D struct {
 	wT         *tensor.Tensor // transposed effective weights, valid until Reset
 	lowScratch *tensor.Tensor // inference-mode lowering buffer, reused across steps
 
-	// Int8 tier state (tier.go): the per-channel panel built cold by
-	// Network.BuildInt8Panels (shared read-only between clones), the
-	// latch SetTier flips, and the kernel's activation scratch.
+	// Int8 tier state (tier.go): the per-channel panel and its codes
+	// transposed to (InC·KH·KW, OutC) for the scatter, both built cold
+	// by Network.BuildInt8Panels and shared read-only between clones,
+	// and the latch SetTier flips.
 	panel   *quant.Int8Panel
+	codesT  []int8
 	useInt8 bool
-	i8      tensor.Int8Scratch
 }
 
 // rowsOrient selects the GEMM orientation of the allocating inference
@@ -240,12 +242,13 @@ func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 // from the arena. A training pass lowers each step to the im2col panel
 // the weight-gradient GEMM reads, keeps it in the arena's step ring and
 // runs one GEMM, matching forwardBatch's train branch. The other passes
-// cache nothing. Inference at the INT8 tier lowers to im2row rows and
-// runs the int8 GEMM against the prebuilt panel, which already carries
-// the prune mask. Otherwise the forward is event-driven:
-// tensor.ConvScatterInto does work in proportion to the nonzero inputs
-// and adds each output's terms in the order the allocating path's
-// im2row GEMM does (see its doc), so the logits match Forward.
+// cache nothing and are event-driven. Inference at the INT8 tier runs
+// tensor.ConvScatterInt8Into over the prebuilt transposed codes, which
+// already carry the prune mask, with its field steps and int32
+// accumulators drawn from the arena. Otherwise tensor.ConvScatterInto
+// does work in proportion to the nonzero inputs and adds each output's
+// terms in the order the allocating path's im2row GEMM does (see its
+// doc), so the logits match Forward.
 func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	g := c.Geom
 	chw := g.InC * g.InH * g.InW
@@ -268,15 +271,13 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 		tensor.MatMulInto(big, c.trainEffW(ts, li), cols)
 		c.scatterColsBias(out, big, batch, n)
 	case ts.pass == passInfer && c.useInt8:
-		// Always rows-orient: per-row activation quantization is what
-		// makes the result batch-shape invariant.
-		rows := ts.buf2(li, slotLow, -1, batch*n, ckk)
+		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
+		fieldStep := ts.buf2(li, slotActStep, -1, oh, ow)
+		acc := ts.int32s(li, slotAcc, -1, n*c.OutC)
 		for b := 0; b < batch; b++ {
 			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.ConvInt8Into(rows.Data, b*n, sample, g)
+			tensor.ConvScatterInt8Into(outT.Data[b*n*c.OutC:(b+1)*n*c.OutC], sample, c.codesT, c.panel.Steps, c.OutC, g, fieldStep.Data, acc)
 		}
-		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
-		tensor.MatMulInt8Into(outT.Data, rows.Data, batch*n, ckk, c.panel.Codes, c.panel.Steps, c.OutC, &c.i8)
 		c.scatterRowsBias(out, outT, batch, n)
 	default:
 		wT, fresh := ts.once2(li, slotWT, ckk, c.OutC)

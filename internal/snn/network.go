@@ -189,7 +189,7 @@ func (n *Network) CloneArchitecture() *Network {
 		switch v := l.(type) {
 		case *Conv2D:
 			c := &Conv2D{Geom: v.Geom, OutC: v.OutC, W: v.W, B: v.B, Mask: v.Mask,
-				panel: v.panel, useInt8: v.useInt8}
+				panel: v.panel, codesT: v.codesT, useInt8: v.useInt8}
 			c.dW = tensor.New(v.dW.Shape...)
 			c.dB = tensor.New(v.dB.Shape...)
 			out.Layers = append(out.Layers, c)
@@ -245,7 +245,7 @@ func (n *Network) DeepClone() *Network {
 	for _, l := range out.Layers {
 		switch v := l.(type) {
 		case *Conv2D:
-			v.panel, v.useInt8 = nil, false
+			v.panel, v.codesT, v.useInt8 = nil, nil, false
 		case *Dense:
 			v.panel, v.useInt8 = nil, false
 		}

@@ -17,9 +17,11 @@ type PrecisionTier int
 const (
 	// TierFP32 is the exact float32 path — the default.
 	TierFP32 PrecisionTier = iota
-	// TierINT8 runs weighted layers on per-channel int8 panels with
-	// int32 accumulation (tensor.MatMulInt8Into). Requires
-	// BuildInt8Panels first.
+	// TierINT8 runs weighted layers on per-channel int8 weights with
+	// int32 accumulation: Conv2D scatters each nonzero input through
+	// its transposed codes (tensor.ConvScatterInt8Into), Dense runs the
+	// int8 GEMM (tensor.MatMulInt8Into). Requires BuildInt8Panels
+	// first.
 	TierINT8
 )
 
@@ -47,11 +49,13 @@ func ParseTier(s string) (PrecisionTier, error) {
 }
 
 // BuildInt8Panels quantizes every weighted layer's effective (mask-
-// applied) weights to per-channel int8 panels. It is a cold operation:
-// call it once at load or hot-swap time, after weights and prune masks
-// are final — the hot path only ever reads the finished panels
-// (mutating W or Mask afterwards leaves the panels stale until the next
-// call). Clones made by CloneArchitecture share the panels read-only.
+// applied) weights to per-channel int8 panels, and transposes each
+// Conv2D's codes to the (InC·KH·KW, OutC) columns its scatter reads. It
+// is a cold operation: call it once at load or hot-swap time, after
+// weights and prune masks are final — the hot path only ever reads the
+// finished panels (mutating W or Mask afterwards leaves the panels
+// stale until the next call). Clones made by CloneArchitecture share
+// the panels read-only.
 func (n *Network) BuildInt8Panels() error {
 	for i, l := range n.Layers {
 		switch v := l.(type) {
@@ -65,7 +69,7 @@ func (n *Network) BuildInt8Panels() error {
 			if err != nil {
 				return fmt.Errorf("snn: layer %d (conv2d): %w", i, err)
 			}
-			v.panel = p
+			v.panel, v.codesT = p, p.TransposedCodes()
 		case *Dense:
 			eff := v.W
 			if v.Mask != nil {

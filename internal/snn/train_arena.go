@@ -99,8 +99,10 @@ type TrainScratch struct {
 	params, grads []*tensor.Tensor
 
 	// intm holds reusable int scratch (pool dims, GEMM nonzero-index
-	// buffers), keyed like the tensor buffers.
+	// buffers) and i32m the int8 conv accumulators, keyed like the
+	// tensor buffers.
 	intm map[slotKey][]int
+	i32m map[slotKey][]int32
 
 	// pass is the kind of the running pass.
 	pass passKind
@@ -165,11 +167,21 @@ func (ts *TrainScratch) viewShape(li, slot int, data []float32, shape []int) *te
 // ints returns a reusable int scratch of length n for (layer, slot,
 // step). Contents persist between forward and backward of one pass.
 func (ts *TrainScratch) ints(li, slot, t, n int) []int {
-	k := slotKey{li, tslot(slot, t)}
-	b := ts.intm[k]
+	return sizedSlice(ts.intm, slotKey{li, tslot(slot, t)}, n)
+}
+
+// int32s is ints for int32 scratch.
+func (ts *TrainScratch) int32s(li, slot, t, n int) []int32 {
+	return sizedSlice(ts.i32m, slotKey{li, tslot(slot, t)}, n)
+}
+
+// sizedSlice returns m[k] resliced to n, growing it only when n exceeds
+// its capacity.
+func sizedSlice[E any](m map[slotKey][]E, k slotKey, n int) []E {
+	b := m[k]
 	if cap(b) < n {
-		b = make([]int, n) //axsnn:allow-alloc grows only when the slot length increases
-		ts.intm[k] = b
+		b = make([]E, n) //axsnn:allow-alloc grows only when the slot length increases
+		m[k] = b
 	}
 	return b[:n]
 }
@@ -236,6 +248,7 @@ func newTrainScratch(n *Network) *TrainScratch {
 		params: n.Params(),
 		grads:  n.Grads(),
 		intm:   make(map[slotKey][]int),
+		i32m:   make(map[slotKey][]int32),
 	}
 }
 

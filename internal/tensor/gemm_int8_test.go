@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // testPanel quantizes an (n×k) float32 weight matrix to a per-row
@@ -199,6 +202,145 @@ func TestMatMulInt8ZeroAllocSteadyState(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("steady-state MatMulInt8Into at %d workers allocates %v/op, want 0", workers, allocs)
 		}
+	}
+}
+
+// quantizeInt8 must round exactly as math.Round and clamp to ±127:
+// checked at every float32 within 8 ulps of each integer and half
+// integer in [-130, 130], on random values, and on signed zeros,
+// subnormals and infinities.
+func TestQuantizeInt8MatchesRound(t *testing.T) {
+	ref := func(v float32) int8 {
+		return int8(max(-127, min(127, math.Round(float64(v)))))
+	}
+	check := func(v float32) {
+		if got, want := quantizeInt8(v, 1), ref(v); got != want {
+			t.Fatalf("quantizeInt8(%v) = %d, want %d", v, got, want)
+		}
+	}
+	for k := -260; k <= 260; k++ {
+		v := float32(k) / 2
+		for i := 0; i < 8; i++ {
+			check(v)
+			check(-v)
+			v = math.Nextafter32(v, float32(math.Inf(1)))
+		}
+		v = float32(k) / 2
+		for i := 0; i < 8; i++ {
+			v = math.Nextafter32(v, float32(math.Inf(-1)))
+			check(v)
+		}
+	}
+	r := rng.New(13)
+	for i := 0; i < 100000; i++ {
+		check(float32(r.Float64()*300 - 150))
+		check(r.NormFloat32() * float32(math.Pow(2, float64(r.Intn(40)-30))))
+	}
+	for _, v := range []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1))} {
+		check(v)
+	}
+}
+
+// transposeCodes turns an (n×k) code panel into the (k×n) layout
+// ConvScatterInt8Into reads.
+func transposeCodes(codes []int8, n, k int) []int8 {
+	out := make([]int8, len(codes))
+	for j := 0; j < n; j++ {
+		for p := 0; p < k; p++ {
+			out[p*n+j] = codes[j*k+p]
+		}
+	}
+	return out
+}
+
+// convInt8Inputs returns the sample kinds the int8 conv oracle runs:
+// AvgPool levels {¼, ½, ¾, 1} over a range of densities, analog values
+// of both signs, an all-zero sample, a single nonzero, and subnormal
+// values whose field step underflows to 0, so every code takes the
+// ±127 clamp and the epilogue yields signed zeros.
+func convInt8Inputs(r *rng.RNG, g Conv2DGeom) map[string]*Tensor {
+	shape := []int{g.InC, g.InH, g.InW}
+	in := map[string]*Tensor{}
+	for _, d := range []float64{0.02, 0.1, 0.35, 1} {
+		x := New(shape...)
+		for i := range x.Data {
+			if r.Float64() < d {
+				x.Data[i] = float32(1+r.Intn(4)) / 4
+			}
+		}
+		in[fmt.Sprintf("levels d=%.2f", d)] = x
+	}
+	for _, d := range []float64{0.1, 0.7} {
+		in[fmt.Sprintf("analog d=%.2f", d)] = randSparse(r, d, shape...)
+	}
+	in["zero"] = New(shape...)
+	one := New(shape...)
+	one.Data[r.Intn(one.Len())] = r.NormFloat32()
+	in["single"] = one
+	sub := New(shape...)
+	for i := range sub.Data {
+		if r.Float64() < 0.3 {
+			sub.Data[i] = float32(r.Intn(9)-4) * math.SmallestNonzeroFloat32
+		}
+	}
+	in["subnormal"] = sub
+	return in
+}
+
+// ConvScatterInt8Into must equal the im2row lowering followed by
+// MatMulInt8Into under Float32bits, signed zeros included, over every
+// stride, pad, kernel size and channel count the geometry loop covers.
+func TestConvScatterInt8MatchesGEMM(t *testing.T) {
+	r := rng.New(31)
+	nan := float32(math.NaN())
+	for _, inC := range []int{1, 2, 3, 8} {
+		for _, k := range []int{1, 3, 5} {
+			for _, stride := range []int{1, 2} {
+				for pad := 0; pad <= 2; pad++ {
+					g := Conv2DGeom{InC: inC, InH: 7, InW: 10, KH: k, KW: k, Stride: stride, Pad: pad}
+					n, ckk := g.OutH()*g.OutW(), inC*k*k
+					for _, outC := range []int{1, 7, 16} {
+						w := randSparse(r, 0.8, outC, ckk)
+						codes, steps := testPanel(w.Data, outC, ckk)
+						codesT := transposeCodes(codes, outC, ckk)
+						for name, x := range convInt8Inputs(r, g) {
+							want := make([]float32, n*outC)
+							var sc Int8Scratch
+							MatMulInt8Into(want, Im2Row(x, g).Data, n, ckk, codes, steps, outC, &sc)
+							got := make([]float32, n*outC)
+							for i := range got {
+								got[i] = nan
+							}
+							ConvScatterInt8Into(got, x, codesT, steps, outC, g, make([]float32, n), make([]int32, n*outC))
+							for i := range want {
+								if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+									t.Fatalf("%+v outC=%d %s: (%d,%d) = %v, im2row int8 GEMM %v",
+										g, outC, name, i/outC, i%outC, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestConvScatterInt8ZeroAlloc(t *testing.T) {
+	r := rng.New(5)
+	g := Conv2DGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	const outC = 16
+	n, ckk := g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+	codes, steps := testPanel(randSparse(r, 1, outC, ckk).Data, outC, ckk)
+	codesT := transposeCodes(codes, outC, ckk)
+	x := randSparse(r, 0.2, g.InC, g.InH, g.InW)
+	dst, fieldStep, acc := make([]float32, n*outC), make([]float32, n), make([]int32, n*outC)
+	allocs := testing.AllocsPerRun(50, func() {
+		ConvScatterInt8Into(dst, x, codesT, steps, outC, g, fieldStep, acc)
+	})
+	if allocs != 0 {
+		t.Errorf("ConvScatterInt8Into allocates %v/op, want 0", allocs)
 	}
 }
 
