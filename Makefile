@@ -23,9 +23,12 @@ fmt:
 
 # Standard vet, then the repo's own analyzers (internal/analysis)
 # driven package-by-package through go vet's -vettool protocol — the
-# incremental, build-cached form of `make lint`.
+# incremental, build-cached form of `make lint`. The arm64 pass vets the
+# portable half of the float32 multiply-add kernel (amd64 runs its SSE
+# assembly, whose frame offsets the amd64 pass's asmdecl checks).
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/snn
 	$(GO) build -o $(LINTBIN) ./cmd/axsnn-lint
 	$(GO) vet -vettool=$(LINTBIN) ./...
 

@@ -316,7 +316,8 @@ func BenchmarkGEMM(b *testing.B) {
 // the served DVSNet-lite's two conv shapes, at the input density the
 // traced closed-fp32 bench measures and at 4× that, with three kernels:
 // kernel=scatter is the event-driven tensor.ConvScatterInto the FP32
-// arena runs, kernel=gemm is the lowering plus MatMulInto it ran
+// arena runs, on the tap-reversed panel tensor.ConvScatterWeightsInto
+// builds once per pass, kernel=gemm is the lowering plus MatMulInto it ran
 // before, in the orientation Conv2D.rowsOrient picks for the shape, and
 // kernel=int8 is the INT8 tier's tensor.ConvScatterInt8Into over
 // per-channel codes. The bias epilogue is left out of all three. Inputs
@@ -350,6 +351,8 @@ func BenchmarkConvForward(b *testing.B) {
 			w.Data[i] = r.NormFloat32()
 		}
 		wT := tensor.Transpose(w)
+		wR := tensor.New(ckk, sh.outC)
+		tensor.ConvScatterWeightsInto(wR, w, g)
 		panel, err := quant.QuantizePerChannel(w, sh.outC)
 		if err != nil {
 			b.Fatal(err)
@@ -383,7 +386,7 @@ func BenchmarkConvForward(b *testing.B) {
 			}{
 				{"scatter", func() {
 					for i, x := range samples {
-						tensor.ConvScatterInto(acc.Data[i*n*sh.outC:(i+1)*n*sh.outC], x, wT.Data, sh.outC, g)
+						tensor.ConvScatterInto(acc.Data[i*n*sh.outC:(i+1)*n*sh.outC], x, wR.Data, sh.outC, g)
 					}
 				}},
 				{"gemm", func() {

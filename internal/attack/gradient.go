@@ -10,6 +10,8 @@
 package attack
 
 import (
+	"sync"
+
 	"repro/internal/dataset"
 	"repro/internal/encoding"
 	"repro/internal/rng"
@@ -73,7 +75,9 @@ func (g *Gradient) Name() string {
 // and any stochastic encoding. It is PerturbBatch for a batch of one
 // that draws from r itself rather than from an RNG split off it.
 func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r *rng.RNG) *tensor.Tensor {
-	return g.perturbBlock(model, []*tensor.Tensor{img}, []int{label}, []*rng.RNG{r})[0]
+	grads := gradPass{model: model}
+	defer grads.release()
+	return g.perturbBlock(&grads, []*tensor.Tensor{img}, []int{label}, []*rng.RNG{r})[0]
 }
 
 // PerturbBatch crafts adversarial images for a whole batch in lockstep:
@@ -88,11 +92,14 @@ func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r 
 // clone for the whole crafting session: it computes no parameter
 // gradient, and frame stacking, the forward caches and the BPTT
 // buffers are all reused across iterations, so the inner loop
-// allocates only the encoded frames. Its gradients equal the
-// allocating InputGradientBatch chain's bit for bit, which the tests
-// keep as their oracle.
+// allocates only the encoded frames. Direct coding allocates none: its
+// image goes in as one static frame, which the pass presents at every
+// step. Its gradients equal the allocating InputGradientBatch chain's
+// bit for bit, which the tests keep as their oracle.
 func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, labels []int, r *rng.RNG) []*tensor.Tensor {
-	return g.perturbBlock(model, imgs, labels, splitRNGs(r, len(imgs)))
+	grads := gradPass{model: model}
+	defer grads.release()
+	return g.perturbBlock(&grads, imgs, labels, splitRNGs(r, len(imgs)))
 }
 
 // splitRNGs splits one RNG per sample from r, in sample order.
@@ -104,8 +111,9 @@ func splitRNGs(r *rng.RNG, n int) []*rng.RNG {
 	return rngs
 }
 
-// perturbBlock is PerturbBatch over pre-split per-sample RNGs.
-func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, labels []int, rngs []*rng.RNG) []*tensor.Tensor {
+// perturbBlock is PerturbBatch over pre-split per-sample RNGs, taking
+// its gradients from grads, which the caller owns and releases.
+func (g *Gradient) perturbBlock(grads *gradPass, imgs []*tensor.Tensor, labels []int, rngs []*rng.RNG) []*tensor.Tensor {
 	batch := len(imgs)
 	if batch == 0 {
 		return nil
@@ -144,14 +152,20 @@ func (g *Gradient) perturbBlock(model *snn.Network, imgs []*tensor.Tensor, label
 		}
 	}
 
-	grads := gradPass{model: model}
-	defer grads.release()
 	lossLabels := make([]int, batch)
 	samples := make([][]*tensor.Tensor, batch)
 	per := imgs[0].Len()
+	_, static := g.Encoder.(encoding.Direct)
 	for it := 0; it < g.Steps; it++ {
 		for i := range advs {
-			samples[i] = g.Encoder.Encode(advs[i], model.Cfg.Steps, rngs[i])
+			if static {
+				// Direct coding repeats the image every step, which the
+				// pass does with a lone frame; Encode would copy it
+				// once per step.
+				samples[i] = advs[i : i+1]
+				continue
+			}
+			samples[i] = g.Encoder.Encode(advs[i], grads.model.Cfg.Steps, rngs[i])
 		}
 		dir := float32(alpha)
 		if g.Target >= 0 {
@@ -213,17 +227,59 @@ func (p *gradPass) release() {
 	}
 }
 
+// gradPool lends gradPasses to the blocks PerturbSet crafts
+// concurrently and takes them back, so a set grows one clone and arena
+// per block in flight rather than one per block. It is a mutex-guarded
+// free list rather than a bounded channel, so get never blocks,
+// however many blocks run at once.
+type gradPool struct {
+	model *snn.Network
+	mu    sync.Mutex
+	free  []*gradPass //axsnn:guardedby mu
+}
+
+// get returns a parked gradPass, or a new one when none is free.
+func (gp *gradPool) get() *gradPass {
+	gp.mu.Lock()
+	defer gp.mu.Unlock()
+	if k := len(gp.free); k > 0 {
+		p := gp.free[k-1]
+		gp.free = gp.free[:k-1]
+		return p
+	}
+	return &gradPass{model: gp.model}
+}
+
+// put parks p for the next block.
+func (gp *gradPool) put(p *gradPass) {
+	gp.mu.Lock()
+	gp.free = append(gp.free, p)
+	gp.mu.Unlock()
+}
+
+// release releases every parked gradPass; call it once no block runs.
+func (gp *gradPool) release() {
+	gp.mu.Lock()
+	defer gp.mu.Unlock()
+	for _, p := range gp.free {
+		p.release()
+	}
+	gp.free = nil
+}
+
 // craftChunk is the most samples PerturbSet crafts in one batched pass.
 const craftChunk = 32
 
 // PerturbSet crafts an adversarial copy of a whole dataset against
 // model. One RNG is split per sample up front, in sample order, and
 // blocks of at most craftChunk/Workers() samples fan out over the
-// shared worker pool, each crafting through the batched path on its own
-// clone and training arena. Every image depends only on its sample and
-// its RNG, so the result equals PerturbBatch over craftChunk-sample
-// chunks at any worker count. Dividing the block by the worker count
-// keeps the live arenas at about one craftChunk-sample arena's memory.
+// shared worker pool, each crafting through the batched path on a
+// clone and training arena no other running block uses. Blocks reuse
+// the clones and arenas of blocks that finished, so a set makes one per
+// block in flight. Every image depends only on its sample and its RNG,
+// so the result equals PerturbBatch over craftChunk-sample chunks at
+// any worker count. Dividing the block by the worker count keeps the
+// live arenas at about one craftChunk-sample arena's memory.
 func (g *Gradient) PerturbSet(model *snn.Network, set *dataset.Set, r *rng.RNG) *dataset.Set {
 	adv := set.Clone()
 	n := len(adv.Samples)
@@ -233,8 +289,12 @@ func (g *Gradient) PerturbSet(model *snn.Network, set *dataset.Set, r *rng.RNG) 
 	for i, s := range adv.Samples {
 		imgs[i], labels[i] = s.Image, s.Label
 	}
+	pool := gradPool{model: model}
+	defer pool.release()
 	tensor.ParallelFor(n, max(1, craftChunk/tensor.Workers()), func(lo, hi int) {
-		for i, a := range g.perturbBlock(model, imgs[lo:hi], labels[lo:hi], rngs[lo:hi]) {
+		grads := pool.get()
+		defer pool.put(grads)
+		for i, a := range g.perturbBlock(grads, imgs[lo:hi], labels[lo:hi], rngs[lo:hi]) {
 			adv.Samples[lo+i].Image = a
 		}
 	})

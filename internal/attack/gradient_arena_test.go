@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -125,11 +127,19 @@ func TestPerturbBatchArenaMatchesReference(t *testing.T) {
 }
 
 // TestGradientPerturbSetWorkerInvariance pins PerturbSet's sample-level
-// fan-out: PGD with a random start and the stochastic Rate encoder must
-// craft bit-identical images at every worker count, equal to
-// PerturbBatch run over craftChunk-sample chunks from the same RNG. 37
-// samples split unevenly at every block size.
+// fan-out: PGD with a random start must craft bit-identical images at
+// every worker count, equal to PerturbBatch run over craftChunk-sample
+// chunks from the same RNG, under the stochastic Rate encoder and under
+// Direct, whose image goes in as one static frame. 37 samples split
+// unevenly at every block size, and blocks reuse the gradient passes of
+// blocks that finished.
 func TestGradientPerturbSetWorkerInvariance(t *testing.T) {
+	for _, enc := range []encoding.Encoder{encoding.Rate{}, encoding.Direct{}} {
+		t.Run(enc.Name(), func(t *testing.T) { checkPerturbSetWorkerInvariance(t, enc) })
+	}
+}
+
+func checkPerturbSetWorkerInvariance(t *testing.T, enc encoding.Encoder) {
 	defer tensor.SetWorkers(0)
 	net := snn.MNISTNet(snn.DefaultConfig(0.5, 5), 1, 12, 12, true, rng.New(34))
 	dcfg := dataset.DefaultSynthConfig()
@@ -137,7 +147,7 @@ func TestGradientPerturbSetWorkerInvariance(t *testing.T) {
 	set := dataset.GenerateSynth(37, dcfg, 35)
 	atk := PGD(0.3)
 	atk.Steps = 3
-	atk.Encoder = encoding.Rate{}
+	atk.Encoder = enc
 
 	tensor.SetWorkers(1)
 	r := rng.New(56)
@@ -163,5 +173,55 @@ func TestGradientPerturbSetWorkerInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGradPoolLendsEachPassToOneBlock checks PerturbSet's free list:
+// a parked pass is handed out again rather than a new one made, but
+// only once, and under concurrent blocks no pass is ever lent to two
+// at once.
+func TestGradPoolLendsEachPassToOneBlock(t *testing.T) {
+	defer tensor.SetWorkers(0)
+	pool := gradPool{model: snn.DenseNet(snn.DefaultConfig(0.5, 2), 4, 4, 2, rng.New(1))}
+	a := pool.get()
+	pool.put(a)
+	b, c := pool.get(), pool.get()
+	if b != a {
+		t.Fatal("a parked pass was not reused")
+	}
+	if c == a {
+		t.Fatal("a parked pass was lent twice")
+	}
+	pool.put(b)
+	pool.put(c)
+
+	tensor.SetWorkers(4)
+	var mu sync.Mutex
+	lent := map[*gradPass]bool{}
+	var passes sync.Map
+	tensor.ParallelFor(64, 1, func(lo, hi int) {
+		p := pool.get()
+		defer pool.put(p)
+		passes.Store(p, true)
+		mu.Lock()
+		twice := lent[p]
+		lent[p] = true
+		mu.Unlock()
+		if twice {
+			t.Error("a pass was lent to two blocks at once")
+		}
+		runtime.Gosched()
+		mu.Lock()
+		lent[p] = false
+		mu.Unlock()
+	})
+	made := 0
+	passes.Range(func(any, any) bool { made++; return true })
+	if made > max(2, tensor.Workers()) {
+		t.Errorf("64 blocks on %d workers used %d passes, want at most one per block in flight", tensor.Workers(), made)
+	}
+	pool.release()
+	if len(pool.free) != 0 {
+		t.Errorf("release left %d passes parked", len(pool.free))
 	}
 }

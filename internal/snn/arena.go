@@ -28,7 +28,7 @@ const (
 	slotLow             // conv im2col panel (training)
 	slotGemm            // GEMM result panel
 	slotEffW            // mask-applied weights, once per pass
-	slotWT              // transposed weights, once per pass
+	slotWT              // transposed weights (Conv2D's tap-reversed), once per pass
 	slotInView          // view of one input sample
 	slotOutView         // view of one output sample
 	slotLogits          // accumulated readout (network-level)

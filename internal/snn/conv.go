@@ -14,7 +14,10 @@ import (
 // The layer's one arena forward, ForwardBatchInto, picks its kernel by
 // pass kind. The inference and input-gradient passes are event-driven:
 // each nonzero input scatters through its kernel taps, so their cost
-// follows the layer's synaptic operations. At the INT8 tier inference
+// follows the layer's synaptic operations. They read a weight panel
+// built once per pass, Wᵀ with each kernel row's taps reversed, so one
+// input's taps along a kernel row are one contiguous multiply-add run
+// (tensor.ConvScatterWeightsInto). At the INT8 tier inference
 // scatters too, through int8 weight columns into int32 accumulators.
 // The training step lowers to an im2col panel and runs one GEMM,
 // because the weight gradient consumes that panel. The allocating
@@ -245,10 +248,10 @@ func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 // cache nothing and are event-driven. Inference at the INT8 tier runs
 // tensor.ConvScatterInt8Into over the prebuilt transposed codes, which
 // already carry the prune mask, with its field steps and int32
-// accumulators drawn from the arena. Otherwise tensor.ConvScatterInto
-// does work in proportion to the nonzero inputs and adds each output's
-// terms in the order the allocating path's im2row GEMM does (see its
-// doc), so the logits match Forward.
+// accumulators drawn from the arena. Otherwise tensor.ConvScatterInto,
+// over the tap-reversed panel, does work in proportion to the nonzero
+// inputs and adds each output's terms in the order the allocating
+// path's im2row GEMM does (see its doc), so the logits match Forward.
 func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	g := c.Geom
 	chw := g.InC * g.InH * g.InW
@@ -280,14 +283,14 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 		}
 		c.scatterRowsBias(out, outT, batch, n)
 	default:
-		wT, fresh := ts.once2(li, slotWT, ckk, c.OutC)
+		wR, fresh := ts.once2(li, slotWT, ckk, c.OutC)
 		if fresh {
-			tensor.TransposeInto(wT, c.trainEffW(ts, li))
+			tensor.ConvScatterWeightsInto(wR, c.trainEffW(ts, li), g)
 		}
 		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
 		for b := 0; b < batch; b++ {
 			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.ConvScatterInto(outT.Data[b*n*c.OutC:(b+1)*n*c.OutC], sample, wT.Data, c.OutC, g)
+			tensor.ConvScatterInto(outT.Data[b*n*c.OutC:(b+1)*n*c.OutC], sample, wR.Data, c.OutC, g)
 		}
 		c.scatterRowsBias(out, outT, batch, n)
 	}

@@ -12,6 +12,11 @@
 // bit-identical at any worker count. Parallelism lives one grain up:
 // callers fan samples, sessions and window batches out over
 // ParallelFor, each block running these kernels on its own data.
+//
+// The unit-stride inner loops of MatMul and TMatMul are axpy calls
+// (y += a·x): SSE assembly on amd64, a Go loop elsewhere, rounding each
+// element exactly as the scalar loop y[j] += a*x[j] does on amd64 (see
+// axpy_amd64.go). MatMulT's dot products stay scalar Go.
 package tensor
 
 import "fmt"
@@ -73,14 +78,9 @@ func matMulRows(cd, ad, bd []float32, m, k, n int) {
 		for i := 0; i < m; i++ {
 			arow := ad[i*k : (i+1)*k]
 			crow := cd[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
+			for p, av := range arow {
+				if av != 0 {
+					axpy(av, bd[p*n:(p+1)*n], crow)
 				}
 			}
 		}
@@ -100,12 +100,8 @@ func matMulRows(cd, ad, bd []float32, m, k, n int) {
 				arow := ad[i*k+kb : i*k+kEnd]
 				crow := cd[i*n+jb : i*n+jEnd]
 				for pp, av := range arow {
-					if av == 0 {
-						continue
-					}
-					brow := bd[(kb+pp)*n+jb : (kb+pp)*n+jEnd]
-					for jj, bv := range brow {
-						crow[jj] += av * bv
+					if av != 0 {
+						axpy(av, bd[(kb+pp)*n+jb:(kb+pp)*n+jEnd], crow)
 					}
 				}
 			}
@@ -294,12 +290,8 @@ func TMatMulAcc(dst, a, b *Tensor) {
 		arow := ad[p*m : (p+1)*m]
 		brow := bd[p*n : (p+1)*n]
 		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := cd[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
+			if av != 0 {
+				axpy(av, brow, cd[i*n:(i+1)*n])
 			}
 		}
 	}

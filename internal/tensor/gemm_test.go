@@ -379,9 +379,10 @@ func TestIm2RowMatchesIm2Col(t *testing.T) {
 	}
 }
 
-// TestConvScatterMatchesGEMM pins the event-driven convolution to both
-// GEMM lowerings it replaces: bit for bit against Im2Row(x)·Wᵀ, whose
-// terms it adds in the same order, and under == (±0 alike) against
+// TestConvScatterMatchesGEMM pins the event-driven convolution, fed the
+// tap-reversed panel ConvScatterWeightsInto builds, to both GEMM
+// lowerings it replaces: bit for bit against Im2Row(x)·Wᵀ, whose terms
+// it adds in the same order, and under == (±0 alike) against
 // W·Im2Col(x), which skips zero weights where the scatter skips zero
 // inputs. The weights carry -0 entries, as a masked negative weight
 // does, and dst starts out as NaN so an uncleared cell shows.
@@ -407,6 +408,8 @@ func TestConvScatterMatchesGEMM(t *testing.T) {
 							}
 						}
 						wT := Transpose(w)
+						wR := New(ckk, outC)
+						ConvScatterWeightsInto(wR, w, g)
 						for _, density := range []float64{0, 0.02, 0.1, 0.5, 1} {
 							for _, levels := range []bool{false, true} {
 								x := randSparse(r, density, inC, g.InH, g.InW)
@@ -421,7 +424,7 @@ func TestConvScatterMatchesGEMM(t *testing.T) {
 								for i := range dst {
 									dst[i] = nan
 								}
-								ConvScatterInto(dst, x, wT.Data, outC, g)
+								ConvScatterInto(dst, x, wR.Data, outC, g)
 								rows := MatMul(Im2Row(x, g), wT)
 								cols := MatMul(w, Im2Col(x, g))
 								for j := 0; j < n; j++ {
@@ -438,6 +441,70 @@ func TestConvScatterMatchesGEMM(t *testing.T) {
 									}
 								}
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCol2ImStride1MatchesLoop pins Col2ImStripeInto's stride-1 runs to
+// the per-element scatter-add they replace, under math.Float32bits,
+// over pads 0–2, kernels 1, 3 and 5, inputs narrower than the kernel,
+// a stripe inside a wider batched matrix (colOff > 0) and an x that
+// already holds values, with signed zeros, subnormals and large
+// magnitudes among the terms.
+func TestCol2ImStride1MatchesLoop(t *testing.T) {
+	r := rng.New(33)
+	specials := []float32{float32(math.Copysign(0, -1)), 0, math.SmallestNonzeroFloat32, -3e-39, 1e30, -1e30}
+	val := func() float32 {
+		if r.Intn(4) == 0 {
+			return specials[r.Intn(len(specials))]
+		}
+		return (r.Float32() - 0.5) * 4
+	}
+	for _, k := range []int{1, 3, 5} {
+		for pad := 0; pad <= 2; pad++ {
+			for _, hw := range [][2]int{{6, 7}, {3, 2}, {1, 5}} {
+				g := Conv2DGeom{InC: 2, InH: hw[0], InW: hw[1], KH: k, KW: k, Stride: 1, Pad: pad}
+				oh, ow := g.OutH(), g.OutW()
+				if oh <= 0 || ow <= 0 {
+					continue
+				}
+				n, ckk := oh*ow, g.InC*k*k
+				for _, colOff := range []int{0, n, 2*n + 3} {
+					rowStride := colOff + n + 2
+					src := make([]float32, ckk*rowStride)
+					for i := range src {
+						src[i] = val()
+					}
+					got := New(g.InC, g.InH, g.InW)
+					for i := range got.Data {
+						got.Data[i] = val()
+					}
+					want := got.Clone()
+					Col2ImStripeInto(got, src, rowStride, colOff, g)
+					row := 0
+					for c := 0; c < g.InC; c++ {
+						for ki := 0; ki < k; ki++ {
+							for kj := 0; kj < k; kj++ {
+								for oi := 0; oi < oh; oi++ {
+									for oj := 0; oj < ow; oj++ {
+										si, sj := oi+ki-pad, oj+kj-pad
+										if si >= 0 && si < g.InH && sj >= 0 && sj < g.InW {
+											want.Data[(c*g.InH+si)*g.InW+sj] += src[row*rowStride+colOff+oi*ow+oj]
+										}
+									}
+								}
+								row++
+							}
+						}
+					}
+					for i, v := range got.Data {
+						if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+							t.Fatalf("%+v colOff=%d: x[%d] = %v (%08x), loop %v (%08x)",
+								g, colOff, i, v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
 						}
 					}
 				}

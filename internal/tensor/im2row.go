@@ -1,3 +1,8 @@
+// Convolution lowerings and their transposes (im2row, im2col, col2im)
+// and the event-driven scatter convolution. The scatter's and the
+// stride-1 col2im's inner loops are axpy runs (see axpy_amd64.go); the
+// lowerings only move values. Each keeps its per-element order of
+// adds, so it agrees bit for bit with the per-element loop it replaced.
 package tensor
 
 import "fmt"
@@ -88,24 +93,34 @@ func im2RowScatter(dst []float32, x *Tensor, g Conv2DGeom, ckk int) {
 // ConvScatterInto is the event-driven convolution of one (C,H,W)
 // sample: it clears the channel-last (OutH*OutW, outC) accumulator dst
 // and visits each nonzero input (c, y, x) in raster order, adding
-// v·wT[p,:] into the row of every output position that kernel tap
-// p = (c, ky, kx) reaches. wT is the (C*KH*KW, outC) transposed weight
-// matrix. The work is at most nnz·KH·KW·outC multiply-adds: one per
-// input spike per synapse, the SOP count the energy model prices.
+// v·W[:,p] into the row of every output position that kernel tap
+// p = (c, ky, kx) reaches. The work is at most nnz·KH·KW·outC
+// multiply-adds: one per input spike per synapse, the SOP count the
+// energy model prices.
 //
-// dst equals Im2Row(x)·wT bit for bit. Raster order hands each output
+// wR is the (C*KH*KW, outC) weight panel ConvScatterWeightsInto builds:
+// Wᵀ with each kernel row's taps reversed, so row (c, ky, KW−1−kx)
+// holds tap (c, ky, kx). At stride 1 the taps one input reaches in a
+// kernel row land on consecutive output columns, in the order opposite
+// to kx. Reversed, their weights form one contiguous run that lines up
+// with those outputs' accumulator rows, so each (input, kernel row) is
+// a single axpy. At larger strides each tap is one outC-long axpy.
+//
+// dst equals Im2Row(x)·Wᵀ bit for bit. Raster order hands each output
 // its terms in ascending p, which is the order the GEMM's k loop adds
-// them in, and both skip exactly the zero inputs. The im2col form
-// W·Im2Col(x) skips zero weights instead of zero inputs; the terms the
-// two differ by are ±0 products, so it agrees under ==.
-func ConvScatterInto(dst []float32, x *Tensor, wT []float32, outC int, g Conv2DGeom) {
+// them in, and both skip exactly the zero inputs. An input reaches an
+// output through at most one tap, so batching its taps into one run
+// reorders no output's terms. The im2col form W·Im2Col(x) skips zero
+// weights instead of zero inputs; the terms the two differ by are ±0
+// products, so it agrees under ==.
+func ConvScatterInto(dst []float32, x *Tensor, wR []float32, outC int, g Conv2DGeom) {
 	if x.Rank() != 3 || x.Shape[0] != g.InC || x.Shape[1] != g.InH || x.Shape[2] != g.InW {
 		panic(fmt.Sprintf("tensor: ConvScatter input %v does not match geom %+v", x.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	oh, ow := g.OutH(), g.OutW()
 	ckk := g.InC * g.KH * g.KW
-	if len(dst) != oh*ow*outC || len(wT) != ckk*outC {
-		panic(fmt.Sprintf("tensor: ConvScatter dst %d, wT %d, want %d, %d", len(dst), len(wT), oh*ow*outC, ckk*outC)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	if len(dst) != oh*ow*outC || len(wR) != ckk*outC {
+		panic(fmt.Sprintf("tensor: ConvScatter dst %d, wR %d, want %d, %d", len(dst), len(wR), oh*ow*outC, ckk*outC)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	clear(dst)
 	st := g.Stride
@@ -126,18 +141,21 @@ func ConvScatterInto(dst []float32, x *Tensor, wT []float32, outC int, g Conv2DG
 				if v := x.Data[idx]; v != 0 {
 					mj := max(0, qj-ow+1)
 					kj0, oj0 := rj+mj*st, qj-mj
+					// At stride 1, the taps kj0..kj0+nj-1 of a kernel
+					// row reach the output columns oj0..oj0-nj+1.
+					nj := min(g.KW-kj0, oj0+1)
 					for ki, oi := ki0, oi0; ki < g.KH && oi >= 0; ki, oi = ki+st, oi-1 {
-						wOff := (base + ki*g.KW + kj0) * outC
-						oOff := (oi*ow + oj0) * outC
+						// wRow holds tap kj0, which reaches output o.
+						wRow := base + ki*g.KW + g.KW - 1 - kj0
+						o := oi*ow + oj0
+						if st == 1 {
+							// Rows wRow-nj+1..wRow meet outputs o-nj+1..o.
+							axpy(v, wR[(wRow-nj+1)*outC:(wRow+1)*outC], dst[(o-nj+1)*outC:(o+1)*outC])
+							continue
+						}
 						for kj, oj := kj0, oj0; kj < g.KW && oj >= 0; kj, oj = kj+st, oj-1 {
-							w := wT[wOff : wOff+outC]
-							o := dst[oOff : oOff+outC]
-							o = o[:len(w)]
-							for m, wv := range w {
-								o[m] += v * wv
-							}
-							wOff += st * outC
-							oOff -= outC
+							axpy(v, wR[wRow*outC:(wRow+1)*outC], dst[o*outC:(o+1)*outC])
+							wRow, o = wRow-st, o-1
 						}
 					}
 				}
@@ -149,6 +167,24 @@ func ConvScatterInto(dst []float32, x *Tensor, wT []float32, outC int, g Conv2DG
 			if ri++; ri == st {
 				ri, qi = 0, qi+1
 			}
+		}
+	}
+}
+
+// ConvScatterWeightsInto writes ConvScatterInto's weight panel for the
+// (outC, C*KH*KW) weight matrix w into the (C*KH*KW, outC) tensor dst:
+// row (c, ky, KW−1−kx) of dst holds the outC weights of tap (c, ky, kx).
+// A layer builds it once per pass, where it would otherwise transpose.
+func ConvScatterWeightsInto(dst, w *Tensor, g Conv2DGeom) {
+	ckk := g.InC * g.KH * g.KW
+	if w.Rank() != 2 || w.Shape[1] != ckk || dst.Rank() != 2 || dst.Shape[0] != ckk || dst.Shape[1] != w.Shape[0] {
+		panic(fmt.Sprintf("tensor: ConvScatterWeightsInto %v ← %v for geom %+v", dst.Shape, w.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
+	outC := w.Shape[0]
+	for oc := 0; oc < outC; oc++ {
+		for p, v := range w.Data[oc*ckk : (oc+1)*ckk] {
+			kj := p % g.KW
+			dst.Data[(p+g.KW-1-2*kj)*outC+oc] = v
 		}
 	}
 }
@@ -276,7 +312,8 @@ func im2ColStripeScatter(dst []float32, rowStride, colOff int, x *Tensor, g Conv
 
 // Col2ImStripeInto is the transpose of Im2ColStripeInto: it
 // scatter-adds one sample's column stripe of a batched column-gradient
-// matrix into the (C,H,W) input-gradient tensor x.
+// matrix into the (C,H,W) input-gradient tensor x. At stride 1 each
+// output row's in-bounds columns add as one axpy run.
 func Col2ImStripeInto(x *Tensor, src []float32, rowStride, colOff int, g Conv2DGeom) {
 	if x.Rank() != 3 || x.Shape[0] != g.InC || x.Shape[1] != g.InH || x.Shape[2] != g.InW {
 		panic(fmt.Sprintf("tensor: Col2ImStripe output %v does not match geom %+v", x.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
@@ -288,6 +325,22 @@ func Col2ImStripeInto(x *Tensor, src []float32, rowStride, colOff int, g Conv2DG
 		for ki := 0; ki < g.KH; ki++ {
 			for kj := 0; kj < g.KW; kj++ {
 				in := src[row*rowStride+colOff : row*rowStride+colOff+oh*ow]
+				row++
+				if g.Stride == 1 {
+					// Output column oj reads input column oj+kj-Pad, so
+					// the columns lo..hi-1 that land inside the input are
+					// one run per output row. Each input element takes
+					// at most one term per tap, so the runs add every
+					// element's terms in the per-element loop's order.
+					lo, hi := max(0, g.Pad-kj), min(ow, g.InW+g.Pad-kj)
+					for oi := 0; oi < oh && lo < hi; oi++ {
+						if si := oi + ki - g.Pad; si >= 0 && si < g.InH {
+							dOff := si*g.InW + lo + kj - g.Pad
+							axpy(1, in[oi*ow+lo:oi*ow+hi], plane[dOff:dOff+hi-lo])
+						}
+					}
+					continue
+				}
 				idx := 0
 				for oi := 0; oi < oh; oi++ {
 					si := oi*g.Stride + ki - g.Pad
@@ -299,7 +352,6 @@ func Col2ImStripeInto(x *Tensor, src []float32, rowStride, colOff int, g Conv2DG
 						idx++
 					}
 				}
-				row++
 			}
 		}
 	}
