@@ -170,20 +170,23 @@ func BenchmarkSNNInferenceBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
 
-// BenchmarkSNNTrainStep measures one BPTT forward+backward pass.
+// BenchmarkSNNTrainStep measures one BPTT forward+backward pass over a
+// single sample as a batch of one, through the allocating
+// ForwardSamples/BackwardBatch path.
 func BenchmarkSNNTrainStep(b *testing.B) {
 	r := rng.New(2)
 	cfg := snn.DefaultConfig(0.5, 8)
 	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
 	dcfg := dataset.DefaultSynthConfig()
 	img := dataset.RenderDigit(5, dcfg, r)
-	frames := encoding.Rate{}.Encode(img, cfg.Steps, r)
+	samples := [][]*tensor.Tensor{encoding.Rate{}.Encode(img, cfg.Steps, r)}
+	labels := []int{5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logits := net.Forward(frames, true)
-		_, grad := snn.SoftmaxCrossEntropy(logits, 5)
-		net.Backward(grad)
+		logits := net.ForwardSamples(samples, true)
+		_, grad := snn.SoftmaxCrossEntropyBatch(logits, labels)
+		net.BackwardBatch(grad)
 		net.ZeroGrads()
 	}
 }
@@ -317,8 +320,9 @@ func BenchmarkGEMM(b *testing.B) {
 // traced closed-fp32 bench measures and at 4× that, with three kernels:
 // kernel=scatter is the event-driven tensor.ConvScatterInto the FP32
 // arena runs, on the tap-reversed panel tensor.ConvScatterWeightsInto
-// builds once per pass, kernel=gemm is the lowering plus MatMulInto it ran
-// before, in the orientation Conv2D.rowsOrient picks for the shape, and
+// builds once per pass, kernel=gemm is a lowering plus MatMulInto (im2row
+// rows for conv2's wider filter bank, where spike-sparse rows ride the
+// GEMM's skip-zero path, and the im2col panel for conv1), and
 // kernel=int8 is the INT8 tier's tensor.ConvScatterInt8Into over
 // per-channel codes. The bias epilogue is left out of all three. Inputs
 // take the AvgPool levels {¼, ½, ¾, 1} that feed these layers. Kernels
@@ -335,7 +339,7 @@ func BenchmarkConvForward(b *testing.B) {
 		g       tensor.Conv2DGeom
 		outC    int
 		density float64 // traced conv input density
-		rows    bool    // the im2row orientation, as rowsOrient picks it
+		rows    bool    // kernel=gemm lowers to im2row rows, not the im2col panel
 	}{
 		{"conv1", tensor.Conv2DGeom{InC: 2, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8, 0.086, false},
 		{"conv2", tensor.Conv2DGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 16, 0.035, true},
@@ -537,18 +541,19 @@ func BenchmarkPredictTiers(b *testing.B) {
 }
 
 // BenchmarkPredictFresh is the pre-arena baseline: the same inference
-// through the allocating Forward path.
+// as a batch of one through the allocating ForwardSamples path, whose
+// convs lower to an im2col panel and run a GEMM.
 func BenchmarkPredictFresh(b *testing.B) {
 	r := rng.New(1)
 	cfg := snn.DefaultConfig(0.5, 8)
 	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
 	dcfg := dataset.DefaultSynthConfig()
 	img := dataset.RenderDigit(3, dcfg, r)
-	frames := encoding.Rate{}.Encode(img, cfg.Steps, r)
+	samples := [][]*tensor.Tensor{encoding.Rate{}.Encode(img, cfg.Steps, r)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = net.Forward(frames, false).Argmax()
+		_ = net.ForwardSamples(samples, false).Argmax()
 	}
 }
 

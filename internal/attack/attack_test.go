@@ -193,9 +193,9 @@ func TestFrameAttackDistortsLogits(t *testing.T) {
 	n := 10
 	for i := 0; i < n; i++ {
 		s := set.Samples[i]
-		clean := net.Forward(s.Stream.Voxelize(net.Cfg.Steps), false)
+		clean := net.ForwardSamples([][]*tensor.Tensor{s.Stream.Voxelize(net.Cfg.Steps)}, false)
 		adv := atk.Perturb(net, s.Stream, s.Label)
-		dirty := net.Forward(adv.Voxelize(net.Cfg.Steps), false)
+		dirty := net.ForwardSamples([][]*tensor.Tensor{adv.Voxelize(net.Cfg.Steps)}, false)
 		for j := range clean.Data {
 			distortion += math.Abs(float64(dirty.Data[j] - clean.Data[j]))
 			scale += math.Abs(float64(clean.Data[j]))

@@ -69,8 +69,8 @@ func analogFrames(r *rng.RNG, steps int, shape []int) []*tensor.Tensor {
 }
 
 // TestForwardScratchMatchesForward pins the inference pass's logits to
-// the allocating path's under ==, for lone samples on spike and analog
-// inputs and batched against ForwardSamples.
+// the allocating path's under ==, for lone samples (batches of one) on
+// spike and analog inputs and for a batch of three.
 func TestForwardScratchMatchesForward(t *testing.T) {
 	for _, tc := range arenaCases() {
 		r := rng.New(11)
@@ -87,17 +87,12 @@ func TestForwardScratchMatchesForward(t *testing.T) {
 				}
 			}
 		}
-		// A lone sample is a batch of one: its logits carry a batch axis.
-		lone := func(frames []*tensor.Tensor) *tensor.Tensor {
-			want := tc.net.Forward(frames, false)
-			return want.Reshape(1, want.Len())
-		}
 		for trial := 0; trial < 3; trial++ {
 			frames := spikeFrames(r, steps, tc.shape)
-			check(fmt.Sprintf("spike trial %d", trial), lone(frames), inferLogits(tc.net, frames))
+			check(fmt.Sprintf("spike trial %d", trial), forwardOne(tc.net, frames, false), inferLogits(tc.net, frames))
 		}
 		analog := analogFrames(r, steps, tc.shape)
-		check("analog", lone(analog), inferLogits(tc.net, analog))
+		check("analog", forwardOne(tc.net, analog, false), inferLogits(tc.net, analog))
 		samples := [][]*tensor.Tensor{spikeFrames(r, steps, tc.shape), analogFrames(r, steps, tc.shape), spikeFrames(r, steps, tc.shape)}
 		check("batch 3", tc.net.ForwardSamples(samples, false), inferLogits(tc.net, samples...))
 	}
@@ -143,7 +138,7 @@ func TestArenaShapeChanges(t *testing.T) {
 		}
 		got := tc.net.PredictBatch(samples)
 		for b := range samples {
-			want := tc.net.Forward(samples[b], false).Argmax()
+			want := forwardOne(tc.net, samples[b], false).Argmax()
 			if got[b] != want {
 				t.Fatalf("batch %d sample %d: %d, want %d", batch, b, got[b], want)
 			}
@@ -153,25 +148,32 @@ func TestArenaShapeChanges(t *testing.T) {
 
 // TestArenaStatsMatch pins that the arena path accumulates the exact
 // LIF calibration statistics of the allocating path — the approx
-// package's level equation depends on them.
+// package's level equation depends on them — for a lone sample and for
+// a batch of three, where both normalize the statistics per sample.
 func TestArenaStatsMatch(t *testing.T) {
 	for _, tc := range arenaCases() {
 		r := rng.New(14)
-		frames := spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
-		clone := tc.net.DeepClone()
+		steps := tc.net.Cfg.Steps
+		lone := [][]*tensor.Tensor{spikeFrames(r, steps, tc.shape)}
+		batch3 := [][]*tensor.Tensor{spikeFrames(r, steps, tc.shape), analogFrames(r, steps, tc.shape), spikeFrames(r, steps, tc.shape)}
+		for _, in := range []struct {
+			name    string
+			samples [][]*tensor.Tensor
+		}{{"lone", lone}, {"batch 3", batch3}} {
+			clone := tc.net.DeepClone()
+			tc.net.ResetStats()
+			tc.net.ForwardSamples(in.samples, false)
+			clone.ResetStats()
+			clone.PredictBatch(in.samples)
 
-		tc.net.ResetStats()
-		tc.net.Forward(frames, false)
-		clone.ResetStats()
-		clone.Predict(frames)
-
-		a, b := tc.net.LIFLayers(), clone.LIFLayers()
-		for i := range a {
-			if a[i].StatSpikes != b[i].StatSpikes || a[i].StatVSum != b[i].StatVSum ||
-				a[i].StatSteps != b[i].StatSteps || a[i].StatUnits != b[i].StatUnits {
-				t.Fatalf("%s LIF %d stats diverge: %+v vs %+v", tc.name, i,
-					[4]float64{a[i].StatSpikes, a[i].StatVSum, float64(a[i].StatSteps), float64(a[i].StatUnits)},
-					[4]float64{b[i].StatSpikes, b[i].StatVSum, float64(b[i].StatSteps), float64(b[i].StatUnits)})
+			a, b := tc.net.LIFLayers(), clone.LIFLayers()
+			for i := range a {
+				if a[i].StatSpikes != b[i].StatSpikes || a[i].StatVSum != b[i].StatVSum ||
+					a[i].StatSteps != b[i].StatSteps || a[i].StatUnits != b[i].StatUnits {
+					t.Fatalf("%s %s LIF %d stats diverge: %+v vs %+v", tc.name, in.name, i,
+						[4]float64{a[i].StatSpikes, a[i].StatVSum, float64(a[i].StatSteps), float64(a[i].StatUnits)},
+						[4]float64{b[i].StatSpikes, b[i].StatVSum, float64(b[i].StatSteps), float64(b[i].StatUnits)})
+				}
 			}
 		}
 	}
@@ -202,7 +204,7 @@ func TestArenaWithMask(t *testing.T) {
 		}
 	}
 	frames := spikeFrames(rng.New(16), tc.net.Cfg.Steps, tc.shape)
-	want := tc.net.Forward(frames, false)
+	want := forwardOne(tc.net, frames, false)
 	got := inferLogits(tc.net, frames)
 	if got.Len() != want.Len() {
 		t.Fatalf("masked logits: %d, want %d", got.Len(), want.Len())
@@ -269,7 +271,7 @@ func TestPredictBatchIntoZeroAllocs(t *testing.T) {
 // arena reuse a streaming pipeline's narrower tail round depends on:
 // once an arena has seen its high-water batch, every *smaller* batch
 // must reslice the same buffers — zero allocations — and still
-// classify each sample exactly as the per-sample path does (a shorter
+// classify each sample exactly as Predict on it alone does (a shorter
 // batch reslices state buffers over memory a larger pass dirtied, so
 // this doubles as the stale-state regression).
 func TestPredictBatchIntoVariableBatchZeroAllocs(t *testing.T) {
@@ -316,7 +318,7 @@ func TestPredictArenaReuse(t *testing.T) {
 	out := make([]int, 1)
 	for trial := 0; trial < 5; trial++ {
 		frames := spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
-		want := tc.net.Forward(frames, false).Argmax()
+		want := forwardOne(tc.net, frames, false).Argmax()
 		if got := tc.net.Predict(frames); got != want {
 			t.Fatalf("trial %d: %d, want %d", trial, got, want)
 		}

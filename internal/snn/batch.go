@@ -6,22 +6,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// The batched execution path: a whole minibatch advances through every
-// layer in one kernel call per step, instead of per-sample Go loops.
-// Tensors carry the batch on the leading axis — frames are
-// (B,C,H,W), dense activations (B,F), logits (B,classes). Results are
-// numerically identical to running the per-sample path on each sample:
-// every kernel preserves the per-element accumulation order; only the
-// order in which *gradient sums across samples* accumulate differs.
+// The allocating execution path, the arena's test oracle: a whole
+// minibatch advances through every layer in one kernel call per step.
+// Tensors carry the batch on the leading axis — frames are (B,C,H,W),
+// dense activations (B,F), logits (B,classes) — and a lone sample is a
+// batch of one. Every kernel keeps each sample's accumulation order, so
+// a sample's logits and input gradients do not depend on the batch it
+// runs in; only the order in which *gradient sums across samples*
+// accumulate does.
 
 // StepForwardBatch runs one batched time step through all layers.
 func (n *Network) StepForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range n.Layers {
-		bl, ok := l.(BatchLayer)
-		if !ok {
-			panic(fmt.Sprintf("snn: layer %s does not implement BatchLayer", l.Name())) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-		}
-		x = bl.ForwardBatch(x, train)
+		x = l.ForwardBatch(x, train)
 	}
 	return x
 }
@@ -29,7 +26,7 @@ func (n *Network) StepForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor 
 // StepBackwardBatch runs one reverse batched time step.
 func (n *Network) StepBackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].(BatchLayer).BackwardBatch(grad)
+		grad = n.Layers[i].BackwardBatch(grad)
 	}
 	return grad
 }
@@ -56,8 +53,9 @@ func (n *Network) ForwardBatch(frames []*tensor.Tensor, train bool) *tensor.Tens
 }
 
 // BackwardBatch completes BPTT after a training ForwardBatch:
-// gradLogits is dL/d(accumulated logits), shape (B, classes). It
-// returns per-step batched input gradients in forward order.
+// gradLogits is dL/d(accumulated logits), shape (B, classes); since
+// logits = Σ_t out_t, every reverse step receives the same top gradient.
+// It returns per-step batched input gradients in forward order.
 func (n *Network) BackwardBatch(gradLogits *tensor.Tensor) []*tensor.Tensor {
 	grads := make([]*tensor.Tensor, n.Cfg.Steps)
 	for t := n.Cfg.Steps - 1; t >= 0; t-- {
@@ -115,11 +113,16 @@ func (n *Network) PredictBatchInto(samples [][]*tensor.Tensor, out []int) {
 // StackFrames assembles per-sample frame sequences into per-step
 // batched tensors: out[t] has shape (B, frame shape...). A sample with
 // fewer frames than steps contributes its last frame to the remaining
-// steps (the same repeat rule as Network.Forward); a sample with a
+// steps (the same repeat rule as the arena passes); a sample with a
 // single frame is a static image presented every step.
 func StackFrames(samples [][]*tensor.Tensor, steps int) []*tensor.Tensor {
 	if len(samples) == 0 {
 		panic("snn: StackFrames with no samples")
+	}
+	for _, fr := range samples {
+		if len(fr) == 0 {
+			panic("snn: StackFrames sample with no input frames")
+		}
 	}
 	batch := len(samples)
 	shape := samples[0][0].Shape

@@ -28,10 +28,24 @@ func randFrames(r *rng.RNG, batch, steps int, density float64, shape ...int) [][
 	return out
 }
 
+// forwardOne runs frames through the allocating path as a batch of one
+// and returns its (1, classes) logits.
+func forwardOne(n *Network, frames []*tensor.Tensor, train bool) *tensor.Tensor {
+	return n.ForwardSamples([][]*tensor.Tensor{frames}, train)
+}
+
+// backwardOne runs a training forward and BPTT over frames as a batch
+// of one against label, accumulating parameter gradients. It returns
+// the loss and the per-step (1, frame shape...) input gradients.
+func backwardOne(n *Network, frames []*tensor.Tensor, label int) (float64, []*tensor.Tensor) {
+	loss, grad := SoftmaxCrossEntropyBatch(forwardOne(n, frames, true), []int{label})
+	return loss, n.BackwardBatch(grad)
+}
+
 // TestForwardBatchMatchesLooped pins the batched-path contract: for any
-// batch, ForwardBatch logits must match running Network.Forward on each
-// sample individually (the kernels preserve per-element accumulation
-// order, so the tolerance is tight).
+// batch, ForwardBatch logits must match running each sample as a batch
+// of one bit for bit (every kernel keeps each sample's accumulation
+// order, and both runs take the same kernels).
 func TestForwardBatchMatchesLooped(t *testing.T) {
 	r := rng.New(41)
 	cfg := DefaultConfig(0.6, 5)
@@ -48,10 +62,10 @@ func TestForwardBatchMatchesLooped(t *testing.T) {
 			samples := randFrames(r, 7, cfg.Steps, density, shapes[name]...)
 			batched := net.ForwardBatch(StackFrames(samples, cfg.Steps), false)
 			for b, fr := range samples {
-				single := net.Forward(fr, false)
+				single := forwardOne(net, fr, false)
 				for j, v := range single.Data {
 					got := batched.Data[b*single.Len()+j]
-					if math.Abs(float64(got-v)) > 1e-5 {
+					if math.Float32bits(got) != math.Float32bits(v) {
 						t.Fatalf("%s d=%.2f sample %d logit %d: batched %v vs looped %v",
 							name, density, b, j, got, v)
 					}
@@ -78,9 +92,10 @@ func TestDVSBatchMatchesLooped(t *testing.T) {
 }
 
 // TestBackwardBatchMatchesLooped checks that one batched training pass
-// accumulates the same parameter gradients as per-sample passes (the
+// accumulates the same parameter gradients as batches of one (the
 // per-sample gradient terms are identical; only their summation order
-// across the batch differs, so the comparison uses a scaled tolerance).
+// across the batch differs, so that comparison uses a scaled tolerance)
+// and yields each sample's input gradients bit for bit.
 func TestBackwardBatchMatchesLooped(t *testing.T) {
 	r := rng.New(44)
 	cfg := DefaultConfig(0.6, 4)
@@ -100,10 +115,9 @@ func TestBackwardBatchMatchesLooped(t *testing.T) {
 	lossLoop := 0.0
 	loopGradsIn := make([][]*tensor.Tensor, len(samples))
 	for i, fr := range samples {
-		lg := b.Forward(fr, true)
-		loss, g := SoftmaxCrossEntropy(lg, labels[i])
+		loss, gradsIn := backwardOne(b, fr, labels[i])
 		lossLoop += loss
-		loopGradsIn[i] = b.Backward(g)
+		loopGradsIn[i] = gradsIn
 	}
 
 	if math.Abs(lossBatch-lossLoop) > 1e-6*math.Max(1, math.Abs(lossLoop)) {
@@ -126,7 +140,7 @@ func TestBackwardBatchMatchesLooped(t *testing.T) {
 			for j := 0; j < per; j++ {
 				got := gradsIn[tstep].Data[i*per+j]
 				want := loopGradsIn[i][tstep].Data[j]
-				if math.Abs(float64(got-want)) > 1e-5 {
+				if math.Float32bits(got) != math.Float32bits(want) {
 					t.Fatalf("input grad step %d sample %d elem %d: %v vs %v",
 						tstep, i, j, got, want)
 				}

@@ -21,10 +21,9 @@ import (
 // scatters too, through int8 weight columns into int32 accumulators.
 // The training step lowers to an im2col panel and runs one GEMM,
 // because the weight gradient consumes that panel. The allocating
-// forward (Forward, ForwardBatch) lowers and runs a GEMM too, and
-// serves as the arena's test oracle; its per-forward caches (the
-// transposed and mask-applied weights) live until Reset, which every
-// network-level pass calls first.
+// forward, ForwardBatch, runs that im2col GEMM in every mode and serves
+// as the arena's test oracle; its mask-applied weights live until
+// Reset, which every network-level pass calls first.
 type Conv2D struct {
 	Geom tensor.Conv2DGeom
 	OutC int
@@ -39,11 +38,9 @@ type Conv2D struct {
 	dW *tensor.Tensor
 	dB *tensor.Tensor
 
-	rows []*tensor.Tensor // cached lowering matrices per step (training)
+	cols []*tensor.Tensor // cached im2col panels per step (training)
 
-	effW       *tensor.Tensor // mask-applied weights, valid until Reset
-	wT         *tensor.Tensor // transposed effective weights, valid until Reset
-	lowScratch *tensor.Tensor // inference-mode lowering buffer, reused across steps
+	effW *tensor.Tensor // mask-applied weights, valid until Reset
 
 	// Int8 tier state (tier.go): the per-channel panel and its codes
 	// transposed to (InC·KH·KW, OutC) for the scatter, both built cold
@@ -52,17 +49,6 @@ type Conv2D struct {
 	panel   *quant.Int8Panel
 	codesT  []int8
 	useInt8 bool
-}
-
-// rowsOrient selects the GEMM orientation of the allocating inference
-// forward. When the filter bank is wide or the receptive field large,
-// lowering to im2row rows lets spike-sparse rows ride the GEMM
-// skip-zero fast path; tiny banks over tiny receptive fields keep the
-// classic im2col panel, whose long contiguous inner loops beat the
-// sparse win when the per-spike work is only a handful of output
-// channels.
-func (c *Conv2D) rowsOrient() bool {
-	return c.OutC >= 16 || c.Geom.InC*c.Geom.KH*c.Geom.KW >= 32
 }
 
 // NewConv2D creates a convolution with Kaiming-uniform-ish Gaussian init.
@@ -111,36 +97,9 @@ func (c *Conv2D) effectiveW() *tensor.Tensor {
 	return c.effW
 }
 
-// transposedW returns effectiveW transposed to (InC·KH·KW, OutC),
-// cached until the next Reset.
-func (c *Conv2D) transposedW() *tensor.Tensor {
-	if c.wT == nil {
-		c.wT = tensor.Transpose(c.effectiveW())
-	}
-	return c.wT
-}
-
-// Forward implements Layer (single sample, (C,H,W)).
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("snn: Conv2D input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	g := c.Geom
-	out := c.forwardBatch(x.Reshape(1, g.InC, g.InH, g.InW), train)
-	return out.Reshape(c.OutC, g.OutH(), g.OutW())
-}
-
-// ForwardBatch implements BatchLayer ((B,C,H,W) → (B,OutC,OutH,OutW)).
-func (c *Conv2D) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("snn: Conv2D batch input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	return c.forwardBatch(x, train)
-}
-
-// scatterRowsBias de-interleaves a rows-orient GEMM result (B·N, OutC)
-// into (B, OutC, N) output layout, adding the channel bias. Shared by
-// the allocating and arena forwards so they stay bit-identical.
+// scatterRowsBias de-interleaves a channel-last result (B·N, OutC), as
+// the arena's scatters leave it, into (B, OutC, N) output layout,
+// adding the channel bias.
 func (c *Conv2D) scatterRowsBias(out, outT *tensor.Tensor, batch, n int) {
 	for b := 0; b < batch; b++ {
 		for j := 0; j < n; j++ {
@@ -167,7 +126,14 @@ func (c *Conv2D) scatterColsBias(out, big *tensor.Tensor, batch, n int) {
 	}
 }
 
-func (c *Conv2D) forwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
+// ForwardBatch implements Layer ((B,C,H,W) → (B,OutC,OutH,OutW)): the
+// batch lowers to one im2col panel and runs one GEMM, whose per-output
+// sums the arena's scatter reproduces under ==. A training forward
+// keeps the panel for the weight gradient.
+func (c *Conv2D) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("snn: Conv2D batch input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
 	g := c.Geom
 	batch := x.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
@@ -175,59 +141,25 @@ func (c *Conv2D) forwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
 
-	var low *tensor.Tensor // lowering: (B·N, CKK) rows or (CKK, B·N) cols
-	if train {
-		low = tensor.New(batch * n * ckk)
-	} else {
-		if c.lowScratch == nil || c.lowScratch.Len() != batch*n*ckk {
-			c.lowScratch = tensor.New(batch * n * ckk)
-		}
-		low = c.lowScratch
+	cols := tensor.New(ckk, batch*n)
+	for b := 0; b < batch; b++ {
+		sample := tensor.FromSlice(x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
+		tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
 	}
-
-	var out *tensor.Tensor
-	if !train && c.rowsOrient() {
-		rows := low.Reshape(batch*n, ckk)
-		for b := 0; b < batch; b++ {
-			sample := tensor.FromSlice(x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2RowInto(rows.Data[b*n*ckk:(b+1)*n*ckk], sample, g)
-		}
-		// (B·N, CKK) · (CKK, OutC): sparse receptive-field rows skip.
-		outT := tensor.MatMul(rows, c.transposedW())
-		out = tensor.New(batch, c.OutC, oh, ow)
-		c.scatterRowsBias(out, outT, batch, n)
-	} else {
-		cols := low.Reshape(ckk, batch*n)
-		for b := 0; b < batch; b++ {
-			sample := tensor.FromSlice(x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
-		}
-		// (OutC, CKK) · (CKK, B·N): one panel GEMM for the batch.
-		big := tensor.MatMul(c.effectiveW(), cols)
-		if batch == 1 {
-			for oc := 0; oc < c.OutC; oc++ {
-				row := big.Data[oc*n : (oc+1)*n]
-				bias := c.B.Data[oc]
-				for j := range row {
-					row[j] += bias
-				}
-			}
-			out = big.Reshape(1, c.OutC, oh, ow)
-		} else {
-			out = tensor.New(batch, c.OutC, oh, ow)
-			c.scatterColsBias(out, big, batch, n)
-		}
-	}
+	// (OutC, CKK) · (CKK, B·N): one panel GEMM for the batch.
+	big := tensor.MatMul(c.effectiveW(), cols)
+	out := tensor.New(batch, c.OutC, oh, ow)
+	c.scatterColsBias(out, big, batch, n)
 	if train {
-		c.rows = append(c.rows, low)
+		c.cols = append(c.cols, cols)
 	}
 	return out
 }
 
 // trainEffW returns the weight matrix with the prune mask applied from
 // the arena's once-per-pass slot (the cadence Reset gives the
-// allocating path), or the raw weights when unmasked. Forward derives
-// it; the backward calls of the same pass reuse it.
+// allocating path), or the raw weights when unmasked. The forward
+// derives it; the backward calls of the same pass reuse it.
 func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	if c.Mask == nil {
 		return c.W
@@ -244,14 +176,15 @@ func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 // forward; output, accumulators and once-per-pass weight panels come
 // from the arena. A training pass lowers each step to the im2col panel
 // the weight-gradient GEMM reads, keeps it in the arena's step ring and
-// runs one GEMM, matching forwardBatch's train branch. The other passes
-// cache nothing and are event-driven. Inference at the INT8 tier runs
+// runs one GEMM, matching ForwardBatch. The other passes cache nothing
+// and are event-driven. Inference at the INT8 tier runs
 // tensor.ConvScatterInt8Into over the prebuilt transposed codes, which
 // already carry the prune mask, with its field steps and int32
 // accumulators drawn from the arena. Otherwise tensor.ConvScatterInto,
 // over the tap-reversed panel, does work in proportion to the nonzero
-// inputs and adds each output's terms in the order the allocating
-// path's im2row GEMM does (see its doc), so the logits match Forward.
+// inputs and adds each output's nonzero terms in the order
+// ForwardBatch's im2col GEMM does (see its doc), so the logits match
+// ForwardBatch's under ==.
 func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	g := c.Geom
 	chw := g.InC * g.InH * g.InW
@@ -297,7 +230,7 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: backwardBatch against the
+// BackwardBatchInto implements trainLayer: BackwardBatch against the
 // arena's cached panel for this step. The weight-gradient GEMM runs the
 // spike-sparse column-skip kernel — the cached im2col panel is the
 // transposed operand and is mostly zero taps, so its dead columns skip
@@ -355,50 +288,29 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 	return dx
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := c.Geom
-	dx := c.backwardBatch(grad.Reshape(1, c.OutC, g.OutH(), g.OutW()))
-	return dx.Reshape(g.InC, g.InH, g.InW)
-}
-
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer against this step's cached im2col
+// panel.
 func (c *Conv2D) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return c.backwardBatch(grad)
-}
-
-func (c *Conv2D) backwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	nc := len(c.rows)
+	nc := len(c.cols)
 	if nc == 0 {
-		panic("snn: Conv2D.Backward without cached forward step")
+		panic("snn: Conv2D.BackwardBatch without cached forward step")
 	}
-	low := c.rows[nc-1]
-	c.rows = c.rows[:nc-1]
+	cols := c.cols[nc-1]
+	c.cols = c.cols[:nc-1]
 
 	g := c.Geom
 	batch := grad.Shape[0]
 	oh, ow := g.OutH(), g.OutW()
 	n := oh * ow
-	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
 	dx := tensor.New(batch, g.InC, g.InH, g.InW)
 
-	// Training forwards always cache the im2col panel (the im2row
-	// orientation only serves inference), so the backward kernels are
-	// the classic panel forms.
-	cols := low.Reshape(ckk, batch*n)
-	// g2B[oc, b·N+j] = grad[b, oc, j]; for a single sample the gradient
-	// already is that matrix.
-	var g2B *tensor.Tensor
-	if batch == 1 {
-		g2B = grad.Reshape(c.OutC, n)
-	} else {
-		g2B = tensor.New(c.OutC, batch*n)
-		for b := 0; b < batch; b++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				copy(g2B.Data[oc*batch*n+b*n:oc*batch*n+(b+1)*n],
-					grad.Data[(b*c.OutC+oc)*n:(b*c.OutC+oc+1)*n])
-			}
+	// g2B[oc, b·N+j] = grad[b, oc, j].
+	g2B := tensor.New(c.OutC, batch*n)
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < c.OutC; oc++ {
+			copy(g2B.Data[oc*batch*n+b*n:oc*batch*n+(b+1)*n],
+				grad.Data[(b*c.OutC+oc)*n:(b*c.OutC+oc+1)*n])
 		}
 	}
 	for oc := 0; oc < c.OutC; oc++ {
@@ -421,9 +333,8 @@ func (c *Conv2D) backwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 
 // Reset implements Layer.
 func (c *Conv2D) Reset() {
-	c.rows = c.rows[:0]
+	c.cols = c.cols[:0]
 	c.effW = nil
-	c.wT = nil
 }
 
 // Params implements ParamLayer.
@@ -432,8 +343,7 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 // Grads implements ParamLayer.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.dW, c.dB} }
 
-// Dense is a fully connected layer y = Wx + b over rank-1 inputs (or
-// (B,In) batches).
+// Dense is a fully connected layer y = Wx + b over (B,In) batches.
 type Dense struct {
 	In, Out int
 
@@ -450,7 +360,6 @@ type Dense struct {
 
 	effW *tensor.Tensor // mask-applied weights, valid until Reset
 	wT   *tensor.Tensor // transposed effective weights, valid until Reset
-	idx  []int          // scratch: nonzero input indices (spike fast path)
 
 	// Int8 tier state (tier.go), mirroring Conv2D's.
 	panel   *quant.Int8Panel
@@ -493,58 +402,7 @@ func (d *Dense) transposedW() *tensor.Tensor {
 	return d.wT
 }
 
-// nonzero fills d.idx with the indices of nonzero elements of x.
-func (d *Dense) nonzero(x []float32) []int {
-	idx := d.idx[:0]
-	for i, v := range x {
-		if v != 0 {
-			idx = append(idx, i) //axsnn:allow-alloc grows d.idx to the densest frame seen, then reuses it
-		}
-	}
-	d.idx = idx
-	return idx
-}
-
-// forwardInto computes out = w·x + b for one sample. Spiking inputs are
-// mostly zeros, so the dot products gather only the nonzero indices;
-// dense inputs fall back to the straight loops.
-func (d *Dense) forwardInto(w, x, out *tensor.Tensor) {
-	idx := d.nonzero(x.Data)
-	if 2*len(idx) <= d.In {
-		for o := 0; o < d.Out; o++ {
-			row := w.Data[o*d.In : (o+1)*d.In]
-			var s float32
-			for _, i := range idx {
-				s += row[i] * x.Data[i]
-			}
-			out.Data[o] = s + d.B.Data[o]
-		}
-	} else {
-		for o := 0; o < d.Out; o++ {
-			row := w.Data[o*d.In : (o+1)*d.In]
-			var s float32
-			for i, xv := range x.Data {
-				s += row[i] * xv
-			}
-			out.Data[o] = s + d.B.Data[o]
-		}
-	}
-}
-
-// Forward implements Layer (single sample).
-func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Len() != d.In {
-		panic(fmt.Sprintf("snn: Dense input %d, want %d", x.Len(), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	out := tensor.New(d.Out)
-	d.forwardInto(d.effectiveW(), x, out)
-	if train {
-		d.xs = append(d.xs, x.Clone())
-	}
-	return out
-}
-
-// ForwardBatch implements BatchLayer ((B,In) → (B,Out)): one GEMM
+// ForwardBatch implements Layer ((B,In) → (B,Out)): one GEMM
 // against the transposed weights, sparse input rows skipping wholesale.
 func (d *Dense) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 2 || x.Shape[1] != d.In {
@@ -642,55 +500,11 @@ func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t i
 	return dx
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(d.xs)
-	if n == 0 {
-		panic("snn: Dense.Backward without cached forward step")
-	}
-	x := d.xs[n-1]
-	d.xs = d.xs[:n-1]
-
-	idx := d.nonzero(x.Data)
-	sparse := 2*len(idx) <= d.In
-	for o := 0; o < d.Out; o++ {
-		g := grad.Data[o]
-		if g == 0 {
-			continue
-		}
-		drow := d.dW.Data[o*d.In : (o+1)*d.In]
-		if sparse {
-			for _, i := range idx {
-				drow[i] += g * x.Data[i]
-			}
-		} else {
-			for i, xv := range x.Data {
-				drow[i] += g * xv
-			}
-		}
-		d.dB.Data[o] += g
-	}
-
-	w := d.effectiveW()
-	dx := tensor.New(d.In)
-	for o := 0; o < d.Out; o++ {
-		g := grad.Data[o]
-		if g == 0 {
-			continue
-		}
-		row := w.Data[o*d.In : (o+1)*d.In]
-		for i, wv := range row {
-			dx.Data[i] += g * wv
-		}
-	}
-	return dx
-}
-
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (d *Dense) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 	n := len(d.xs)
 	if n == 0 {
-		panic("snn: Dense.Backward without cached forward step")
+		panic("snn: Dense.BackwardBatch without cached forward step")
 	}
 	x := d.xs[n-1]
 	d.xs = d.xs[:n-1]

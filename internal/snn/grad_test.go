@@ -16,10 +16,10 @@ import (
 // directionally (cosine similarity between BPTT and finite differences of
 // the smoothed loss must be clearly positive).
 
-// lossOf runs a forward pass and returns the cross-entropy loss.
+// lossOf runs a forward pass over frames as a batch of one and returns
+// the cross-entropy loss.
 func lossOf(n *Network, frames []*tensor.Tensor, label int) float64 {
-	logits := n.Forward(frames, false)
-	l, _ := SoftmaxCrossEntropy(logits, label)
+	l, _ := SoftmaxCrossEntropyBatch(forwardOne(n, frames, false), []int{label})
 	return l
 }
 
@@ -43,10 +43,8 @@ func TestLinearNetworkGradCheck(t *testing.T) {
 	label := 2
 
 	// Analytic gradients.
-	logits := n.Forward(frames, true)
-	_, gradLogits := SoftmaxCrossEntropy(logits, label)
 	n.ZeroGrads()
-	inGrads := n.Backward(gradLogits)
+	_, inGrads := backwardOne(n, frames, label)
 
 	// Check weight gradient of the dense layer numerically.
 	const eps = 1e-3
@@ -121,13 +119,11 @@ func TestSpikingGradientAscendsLoss(t *testing.T) {
 		label := trial % 4
 		base := lossOf(n, frames, label)
 
-		logits := n.Forward(frames, true)
-		_, gradLogits := SoftmaxCrossEntropy(logits, label)
 		n.ZeroGrads()
-		inGrads := n.Backward(gradLogits)
+		_, inGrads := backwardOne(n, frames, label)
 		g := tensor.New(16)
 		for _, ig := range inGrads {
-			g.Add(ig)
+			g.Add(ig.Reshape(16))
 		}
 		if g.L2Norm() == 0 {
 			continue
@@ -166,14 +162,12 @@ func TestCacheDisciplineAcrossSamples(t *testing.T) {
 	}
 	frames := []*tensor.Tensor{frame}
 	for round := 0; round < 3; round++ {
-		logits := n.Forward(frames, true)
-		_, g := SoftmaxCrossEntropy(logits, 1)
-		n.Backward(g)
+		backwardOne(n, frames, 1)
 	}
 	// If caches leaked, the conv layers would have grown `cols` slices.
 	for _, l := range n.Layers {
-		if c, ok := l.(*Conv2D); ok && len(c.rows) != 0 {
-			t.Fatalf("conv cache leaked: %d entries", len(c.rows))
+		if c, ok := l.(*Conv2D); ok && len(c.cols) != 0 {
+			t.Fatalf("conv cache leaked: %d entries", len(c.cols))
 		}
 		if d, ok := l.(*Dense); ok && len(d.xs) != 0 {
 			t.Fatalf("dense cache leaked: %d entries", len(d.xs))

@@ -3,13 +3,17 @@
 // dropout layers, a network container, and surrogate-gradient
 // backpropagation-through-time training.
 //
-// Execution model: a network processes one sample as T time steps. Each
-// layer's Forward is called once per step in layer order and caches what
-// its backward pass needs; Backward is then called T times in *reverse*
-// step order, popping those caches. Between samples Reset clears all
-// state. This mirrors how mainstream SNN frameworks (SpikingJelly, Norse)
-// unroll BPTT, with the standard simplifications: the spike nonlinearity
-// uses a fast-sigmoid surrogate derivative and the reset path is detached.
+// Execution model: a network processes a batch of samples as T time
+// steps; tensors carry the batch on the leading axis, so a lone sample
+// is a batch of one. Each layer's ForwardBatch is called once per step
+// in layer order and caches what its backward pass needs; BackwardBatch
+// is then called T times in *reverse* step order, popping those caches.
+// Between batches Reset clears all state. This mirrors how mainstream
+// SNN frameworks (SpikingJelly, Norse) unroll BPTT, with the standard
+// simplifications: the spike nonlinearity uses a fast-sigmoid surrogate
+// derivative and the reset path is detached. These allocating methods
+// are the test oracle of each layer's arena pair (train_arena.go),
+// which every program path runs.
 package snn
 
 import (
@@ -18,16 +22,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// Layer is one stage of the unrolled network.
+// Layer is one stage of the unrolled network. The leading axis of the
+// tensors passed to ForwardBatch/BackwardBatch is the batch dimension,
+// and every sample advances one time step in a single kernel call.
 type Layer interface {
-	// Forward advances the layer one time step. train enables
+	// ForwardBatch advances the layer one time step. train enables
 	// behaviours like dropout and backward caching.
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	// Backward consumes the gradient w.r.t. this step's output and
+	ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor
+	// BackwardBatch consumes the gradient w.r.t. this step's output and
 	// returns the gradient w.r.t. this step's input. Steps must be
-	// processed in reverse order of Forward calls.
-	Backward(grad *tensor.Tensor) *tensor.Tensor
-	// Reset clears membrane state and caches between samples.
+	// processed in reverse order of ForwardBatch calls.
+	BackwardBatch(grad *tensor.Tensor) *tensor.Tensor
+	// Reset clears membrane state and caches between batches.
 	Reset()
 	// Name identifies the layer type for diagnostics/serialization.
 	Name() string
@@ -40,16 +46,9 @@ type ParamLayer interface {
 	Grads() []*tensor.Tensor
 }
 
-// BatchLayer is a Layer that can advance a whole minibatch per call:
-// the leading axis of the tensors passed to ForwardBatch/BackwardBatch
-// is the batch dimension, and every sample advances one time step in a
-// single kernel invocation. All built-in layers implement it; a network
-// whose layers all do exposes Network.ForwardBatch/BackwardBatch.
-type BatchLayer interface {
-	Layer
-	ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor
-	BackwardBatch(grad *tensor.Tensor) *tensor.Tensor
-}
+// BatchLayer is an alias of Layer, whose methods are all batched; it
+// stays for callers that name it.
+type BatchLayer = Layer
 
 // LIF is a layer of leaky integrate-and-fire neurons applied elementwise
 // to its input current: V ← λV + I; spike where V ≥ Vth; soft reset
@@ -80,22 +79,12 @@ func NewLIF(vth, decay, beta float32) *LIF {
 // Name implements Layer.
 func (l *LIF) Name() string { return "lif" }
 
-// Forward implements Layer.
-func (l *LIF) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.step(x, train, 1)
-}
-
-// ForwardBatch implements BatchLayer: the membrane state takes the
-// batch shape and every sample's neurons advance in one pass. Spike and
+// ForwardBatch implements Layer: the membrane state takes the batch
+// shape and every sample's neurons advance in one pass. Spike and
 // membrane statistics are normalized per sample so calibration is
 // batch-size invariant.
 func (l *LIF) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return l.step(x, train, x.Shape[0])
-}
-
-// step advances the LIF dynamics one time step over x holding batch
-// samples (batch=1 for the per-sample path).
-func (l *LIF) step(x *tensor.Tensor, train bool, batch int) *tensor.Tensor {
+	batch := x.Shape[0]
 	if l.v == nil || !tensor.SameShape(l.v, x) {
 		l.v = tensor.New(x.Shape...)
 	}
@@ -130,8 +119,8 @@ func (l *LIF) step(x *tensor.Tensor, train bool, batch int) *tensor.Tensor {
 // ForwardBatchInto implements trainLayer: the membrane persists in the
 // arena (zeroed at pass start) and the spike output overwrites a
 // reusable buffer. Passes that run a backward also cache the step's
-// pre-reset potentials. Arithmetic and statistics match step exactly,
-// so calibration is bit-identical to the allocating path.
+// pre-reset potentials. Arithmetic and statistics match ForwardBatch
+// exactly, so calibration is bit-identical to the allocating path.
 func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	batch := x.Shape[0]
 	v := ts.stateBufShape(li, slotState, x.Shape)
@@ -152,7 +141,7 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 	}
 	if ts.pass != passInfer {
 		// Cache pre-reset potential: reconstruct from post state, exactly
-		// like step does, into this step's ring buffer.
+		// like ForwardBatch does, into this step's ring buffer.
 		pre := ts.bufShape(li, slotPre, t, x.Shape)
 		for i := range pre.Data {
 			pre.Data[i] = v.Data[i] + out.Data[i]*l.VTh
@@ -165,8 +154,8 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: Backward against the arena's
-// per-step pre-reset cache. The dL/dV carry updates in place — the
+// BackwardBatchInto implements trainLayer: BackwardBatch against the
+// arena's per-step pre-reset cache. The dL/dV carry updates in place — the
 // allocating path's fresh output plus Clone collapse into one buffer,
 // with identical values (dv reads the previous step's carry element
 // before overwriting it).
@@ -192,19 +181,13 @@ func (l *LIF) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int
 	return carry
 }
 
-// BackwardBatch implements BatchLayer: the surrogate gradient is
-// elementwise, so the batched pass is the per-sample pass over the
-// larger state.
+// BackwardBatch implements Layer: dL/dI_t = dL/dS_t · σ'(V_t − Vth) +
+// λ·carry, elementwise over the batch, with the reset path detached
+// (standard SNN BPTT practice).
 func (l *LIF) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return l.Backward(grad)
-}
-
-// Backward implements Layer: dL/dI_t = dL/dS_t · σ'(V_t − Vth) + λ·carry,
-// with the reset path detached (standard SNN BPTT practice).
-func (l *LIF) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := len(l.preVs)
 	if n == 0 {
-		panic("snn: LIF.Backward without cached forward step")
+		panic("snn: LIF.BackwardBatch without cached forward step")
 	}
 	pre := l.preVs[n-1]
 	l.preVs = l.preVs[:n-1]
@@ -256,7 +239,7 @@ func (l *LIF) MeanMembrane() float64 {
 	return l.StatVSum / float64(l.StatSteps)
 }
 
-// Flatten reshapes (C,H,W) inputs to rank-1 vectors.
+// Flatten reshapes each sample of a (B, C,H,W) batch to a vector.
 type Flatten struct {
 	inShape []int
 }
@@ -264,13 +247,7 @@ type Flatten struct {
 // Name implements Layer.
 func (f *Flatten) Name() string { return "flatten" }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
-	return x.Reshape(x.Len())
-}
-
-// ForwardBatch implements BatchLayer: (B, d...) reshapes to (B, Πd).
+// ForwardBatch implements Layer: (B, d...) reshapes to (B, Πd).
 func (f *Flatten) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
 	return x.Reshape(x.Shape[0], x.Len()/x.Shape[0])
@@ -295,12 +272,7 @@ func (f *Flatten) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t
 	return ts.viewShape(li, slotGradView, grad.Data, f.inShape)
 }
 
-// Backward implements Layer.
-func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
-}
-
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (f *Flatten) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 	return grad.Reshape(f.inShape...)
 }

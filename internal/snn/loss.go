@@ -78,12 +78,3 @@ func SoftmaxCrossEntropyBatchInto(logits *tensor.Tensor, labels []int, grad *ten
 	}
 	return total
 }
-
-// NegTargetLoss returns a loss whose *descent* direction reduces the
-// target class probability — attacks maximize the true-class loss, which
-// is the same gradient with opposite sign. Provided for readability in
-// attack code: gradient ascent on SoftmaxCrossEntropy(label).
-func NegTargetLoss(logits *tensor.Tensor, label int) (float64, *tensor.Tensor) {
-	loss, grad := SoftmaxCrossEntropy(logits, label)
-	return -loss, grad.Scale(-1)
-}

@@ -22,9 +22,9 @@ func DefaultConfig(vth float32, steps int) Config {
 	return Config{VTh: vth, Steps: steps, Decay: 0.9, Beta: 4}
 }
 
-// Network is an ordered stack of layers processing one sample as
-// Config.Steps time steps. The final layer acts as a non-spiking readout:
-// its per-step outputs are accumulated into logits.
+// Network is an ordered stack of layers processing a batch of samples
+// as Config.Steps time steps. The final layer acts as a non-spiking
+// readout: its per-step outputs are accumulated into logits.
 type Network struct {
 	Cfg    Config
 	Layers []Layer
@@ -59,56 +59,6 @@ func (n *Network) ResetStats() {
 			lif.ResetStats()
 		}
 	}
-}
-
-// StepForward runs one time step through all layers.
-func (n *Network) StepForward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// StepBackward runs one reverse time step, returning the gradient w.r.t.
-// this step's input frame.
-func (n *Network) StepBackward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	return grad
-}
-
-// Forward processes a full sample (frames[t] is the input at step t; if
-// fewer frames than Steps are supplied the last frame repeats, and a
-// single frame means a static image presented every step). It returns the
-// accumulated readout logits.
-func (n *Network) Forward(frames []*tensor.Tensor, train bool) *tensor.Tensor {
-	if len(frames) == 0 {
-		panic("snn: Forward with no input frames")
-	}
-	n.Reset()
-	var logits *tensor.Tensor
-	for t := 0; t < n.Cfg.Steps; t++ {
-		f := frames[min(t, len(frames)-1)]
-		out := n.StepForward(f, train)
-		if logits == nil {
-			logits = tensor.New(out.Shape...)
-		}
-		logits.Add(out)
-	}
-	return logits
-}
-
-// Backward completes BPTT after a training Forward: gradLogits is
-// dL/d(accumulated logits); since logits = Σ_t out_t, every reverse step
-// receives the same top gradient. It returns per-step input gradients in
-// forward order (index t), which attacks use to reach the pixels.
-func (n *Network) Backward(gradLogits *tensor.Tensor) []*tensor.Tensor {
-	grads := make([]*tensor.Tensor, n.Cfg.Steps)
-	for t := n.Cfg.Steps - 1; t >= 0; t-- {
-		grads[t] = n.StepBackward(gradLogits.Clone())
-	}
-	return grads
 }
 
 // Predict returns the argmax class for a sample: PredictBatchInto on a
@@ -180,8 +130,8 @@ func (n *Network) SetVTh(vth float32) {
 // CloneArchitecture builds a structurally identical network with *shared*
 // parameter tensors but independent state/caches/masks/grad buffers. Use
 // it to evaluate one trained model concurrently from several goroutines:
-// workers may run Forward/Backward freely as long as nobody writes to the
-// shared weights. The precision tier and any int8 panels carry over:
+// workers may run any pass freely as long as nobody writes to the shared
+// weights. The precision tier and any int8 panels carry over:
 // panels are shared read-only, scratch is per-clone.
 func (n *Network) CloneArchitecture() *Network {
 	out := &Network{Cfg: n.Cfg, tier: n.tier}

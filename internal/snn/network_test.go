@@ -81,15 +81,29 @@ func TestPredictShapeIndependence(t *testing.T) {
 	}
 }
 
+// TestForwardPanicsOnEmptyInput pins that every entry point names a
+// missing input instead of failing on an index: the allocating path
+// with no frames or a frameless sample, and the arena's pass (through
+// Predict) with a frameless sample.
 func TestForwardPanicsOnEmptyInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	r := rng.New(14)
-	net := DenseNet(DefaultConfig(1, 4), 4, 8, 2, r)
-	net.Forward(nil, false)
+	net := DenseNet(DefaultConfig(1, 4), 4, 8, 2, rng.New(14))
+	for _, tc := range []struct {
+		name, want string
+		run        func()
+	}{
+		{"ForwardBatch", "snn: ForwardBatch with no input frames", func() { net.ForwardBatch(nil, false) }},
+		{"ForwardSamples", "snn: StackFrames sample with no input frames", func() { net.ForwardSamples([][]*tensor.Tensor{nil}, false) }},
+		{"Predict", "snn: arena pass sample with no input frames", func() { net.Predict(nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic %v, want %q", got, tc.want)
+				}
+			}()
+			tc.run()
+		})
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -233,10 +247,10 @@ func TestCalibratePopulatesStats(t *testing.T) {
 func TestDropoutTrainVsEval(t *testing.T) {
 	r := rng.New(26)
 	d := NewDropout(0.5, r)
-	x := tensor.New(1000)
+	x := tensor.New(1, 1000)
 	x.Fill(1)
 	// Eval: identity.
-	y := d.Forward(x, false)
+	y := d.ForwardBatch(x, false)
 	for _, v := range y.Data {
 		if v != 1 {
 			t.Fatal("dropout must be identity in eval mode")
@@ -244,7 +258,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	}
 	// Train: ~half dropped, survivors scaled by 2.
 	d.Reset()
-	y = d.Forward(x, true)
+	y = d.ForwardBatch(x, true)
 	zeros, twos := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -260,7 +274,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 		t.Fatalf("dropout rate off: %d/1000 dropped", zeros)
 	}
 	// Mask persists across steps within one sample.
-	y2 := d.Forward(x, true)
+	y2 := d.ForwardBatch(x, true)
 	for i := range y.Data {
 		if y.Data[i] != y2.Data[i] {
 			t.Fatal("dropout mask must persist across time steps")
@@ -268,7 +282,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	}
 	// And is redrawn after Reset.
 	d.Reset()
-	y3 := d.Forward(x, true)
+	y3 := d.ForwardBatch(x, true)
 	same := true
 	for i := range y.Data {
 		if y.Data[i] != y3.Data[i] {
@@ -296,14 +310,12 @@ func TestSGDAndAdamReduceLoss(t *testing.T) {
 		label := 2
 		first, last := 0.0, 0.0
 		for it := 0; it < 40; it++ {
-			logits := n.Forward(frames, true)
-			loss, g := SoftmaxCrossEntropy(logits, label)
+			n.ZeroGrads()
+			loss, _ := backwardOne(n, frames, label)
 			if it == 0 {
 				first = loss
 			}
 			last = loss
-			n.ZeroGrads()
-			n.Backward(g)
 			opt.Step(n.Params(), n.Grads(), 1)
 		}
 		if last >= first {

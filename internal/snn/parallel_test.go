@@ -144,8 +144,8 @@ func TestSaveLoadPreservesMasks(t *testing.T) {
 	img := tensor.New(16)
 	img.Fill(0.8)
 	fr := []*tensor.Tensor{img}
-	la := a.Forward(fr, false)
-	lb := b.Forward(fr, false)
+	la := forwardOne(a, fr, false)
+	lb := forwardOne(b, fr, false)
 	for i := range la.Data {
 		if la.Data[i] != lb.Data[i] {
 			t.Fatal("masked networks diverge after round-trip")

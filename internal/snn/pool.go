@@ -17,15 +17,7 @@ func NewAvgPool(k int) *AvgPool { return &AvgPool{K: k} }
 // Name implements Layer.
 func (p *AvgPool) Name() string { return "avgpool" }
 
-// Forward implements Layer.
-func (p *AvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		p.inDims = append(p.inDims, [3]int{x.Shape[0], x.Shape[1], x.Shape[2]})
-	}
-	return tensor.AvgPool2D(x, p.K)
-}
-
-// ForwardBatch implements BatchLayer: samples pool independently.
+// ForwardBatch implements Layer: samples pool independently.
 func (p *AvgPool) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	batch, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if train {
@@ -78,22 +70,11 @@ func (p *AvgPool) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t
 	return out
 }
 
-// Backward implements Layer.
-func (p *AvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(p.inDims)
-	if n == 0 {
-		panic("snn: AvgPool.Backward without cached forward step")
-	}
-	d := p.inDims[n-1]
-	p.inDims = p.inDims[:n-1]
-	return tensor.AvgPool2DBackward(grad, p.K, d[1], d[2])
-}
-
-// BackwardBatch implements BatchLayer.
+// BackwardBatch implements Layer.
 func (p *AvgPool) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 	n := len(p.inDims)
 	if n == 0 {
-		panic("snn: AvgPool.Backward without cached forward step")
+		panic("snn: AvgPool.BackwardBatch without cached forward step")
 	}
 	d := p.inDims[n-1]
 	p.inDims = p.inDims[:n-1]
@@ -134,8 +115,9 @@ func NewDropout(p float32, r *rng.RNG) *Dropout { return &Dropout{P: p, r: r} }
 // Name implements Layer.
 func (d *Dropout) Name() string { return "dropout" }
 
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+// ForwardBatch implements Layer: the mask matches the batched shape, so
+// every sample draws its own mask, once per network reset.
+func (d *Dropout) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// Evaluation clones carry no RNG: dropout is then a pass-through even
 	// when caches are being recorded (e.g. attack gradient computation).
 	if !train || d.P <= 0 || d.r == nil {
@@ -156,17 +138,11 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardBatch implements BatchLayer: the mask matches the batched
-// shape, so every sample draws its own mask, once per network reset.
-func (d *Dropout) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return d.Forward(x, train)
-}
-
 // ForwardBatchInto implements trainLayer: the mask is drawn once per
 // pass into an arena buffer (consuming the RNG stream exactly like the
 // allocating path) and applied into a reused output tensor. Inference
 // passes through, and so do evaluation clones, which carry no RNG,
-// like Forward does.
+// like ForwardBatch does.
 func (d *Dropout) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	if ts.pass == passInfer || d.P <= 0 || d.r == nil {
 		return x
@@ -207,19 +183,14 @@ func (d *Dropout) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t
 	return out
 }
 
-// Backward implements Layer.
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// BackwardBatch implements Layer.
+func (d *Dropout) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 	if d.mask == nil {
 		return grad
 	}
 	out := grad.Clone()
 	out.Mul(d.mask)
 	return out
-}
-
-// BackwardBatch implements BatchLayer.
-func (d *Dropout) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return d.Backward(grad)
 }
 
 // Reset implements Layer.

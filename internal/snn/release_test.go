@@ -38,7 +38,7 @@ func TestPredictBatchIntoReleasesOnPanic(t *testing.T) {
 	// The parked arena must still serve correct predictions.
 	good := [][]*tensor.Tensor{samples[0]}
 	net.PredictBatchInto(good, out[:1])
-	if want := net.Forward(samples[0], false).Argmax(); out[0] != want {
+	if want := forwardOne(net, samples[0], false).Argmax(); out[0] != want {
 		t.Fatalf("prediction after recovered panic: %d, want %d", out[0], want)
 	}
 }

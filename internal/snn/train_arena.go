@@ -50,16 +50,13 @@ import (
 // the allocating ForwardBatch/BackwardBatch, so logits, losses, input
 // gradients and trained weights are bit-identical to them under ==,
 // and to themselves at any worker count (pinned by arena_test.go and
-// train_arena_test.go). Three kernel swaps change no value. The conv
+// train_arena_test.go). Two kernel swaps change no value. The conv
 // weight-gradient GEMM runs tensor.MatMulTColSkipAcc instead of
 // MatMulTAcc and skips exact zero products only. The conv scatter adds
 // each output's terms in ascending receptive-field position p, the
-// order of the im2row GEMM's inner loop; the im2col GEMM adds the same
-// nonzero terms in the same order and differs only by ±0 products
-// (tensor.TestConvScatterMatchesGEMM pins both). Dense's GEMM skips
-// zero inputs, so for a lone sample it adds the nonzero terms of the
-// allocating per-sample forward in the same order, and differs from it
-// at most by ±0 products.
+// order of the im2row GEMM's inner loop; the allocating ForwardBatch's
+// im2col GEMM adds the same nonzero terms in the same order and differs
+// only by ±0 products (tensor.TestConvScatterMatchesGEMM pins both).
 
 // trainSlotStride folds the time step into the slot space: per-step
 // slot s at step t lives at s + trainSlotStride·(t+1), per-pass slots
@@ -120,7 +117,7 @@ type TrainScratch struct {
 // caller does not need the input gradient, so layers without parameters
 // below them skip that work entirely.
 type trainLayer interface {
-	BatchLayer
+	Layer
 	ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor
 	BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor
 }
