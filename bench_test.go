@@ -294,8 +294,10 @@ func BenchmarkTrainStepFresh(b *testing.B) {
 }
 
 // BenchmarkGEMM measures the blocked serial MatMul on a panel shaped
-// like a batched convolution lowering — the kernel the training
-// forward funnels into.
+// like a batched convolution lowering, which only the allocating
+// oracle's conv forward still runs: every arena conv pass scatters
+// (BenchmarkConvForward, BenchmarkConvWeightGrad). Dense layers run the
+// same kernel on (B, In)·(In, Out).
 func BenchmarkGEMM(b *testing.B) {
 	r := rng.New(3)
 	w := tensor.New(32, 288)
@@ -410,6 +412,103 @@ func BenchmarkConvForward(b *testing.B) {
 					for i, x := range samples {
 						tensor.ConvScatterInt8Into(acc.Data[i*n*sh.outC:(i+1)*n*sh.outC], x, codesT, panel.Steps, sh.outC, g, fieldStep, acc32)
 					}
+				}},
+			}
+			for _, k := range kernels {
+				b.Run(fmt.Sprintf("%s/density=%.3f/kernel=%s", sh.name, density, k.name), func(b *testing.B) {
+					k.run()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						k.run()
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*sops), "ns/SOP")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkConvWeightGrad measures one training step's conv weight
+// gradient with two kernels. kernel=scatter is what the training arena
+// runs: each sample's nonzero inputs scatter the channel-last output
+// gradient into a zeroed tap-reversed panel
+// (tensor.ConvWeightGradScatterAcc), which tensor.AddConvScatterWeights
+// folds into dW. kernel=gemm lowers the batch to its im2col panel and
+// runs tensor.MatMulTAcc, the allocating oracle's kernel. The shapes are
+// BenchmarkConvForward's two DVSNet-lite convs at batch 4, at the traced
+// density and 4× it, and offline-pgd's conv1 (MNISTNet lite, 1→6 at
+// 16×16, batch 16) on dense analog input, as the Direct encoder
+// presents an image. Gradients are dense, and the layout copies both
+// kernels need (channel-last gT, the (OutC, B·N) g2B) are left out.
+// ns/SOP divides by the nonzero inputs times the live fan-out, as in
+// BenchmarkConvForward.
+func BenchmarkConvWeightGrad(b *testing.B) {
+	tensor.SetWorkers(1)
+	defer tensor.SetWorkers(0)
+	dvs1 := tensor.Conv2DGeom{InC: 2, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	dvs2 := tensor.Conv2DGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	mnist1 := tensor.Conv2DGeom{InC: 1, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	shapes := []struct {
+		name        string
+		g           tensor.Conv2DGeom
+		outC, batch int
+		densities   []float64
+		analog      bool // uniform (0, 1) values rather than AvgPool levels
+	}{
+		{"conv1", dvs1, 8, 4, []float64{0.086, 4 * 0.086}, false},
+		{"conv2", dvs2, 16, 4, []float64{0.035, 4 * 0.035}, false},
+		{"mnist-conv1", mnist1, 6, 16, []float64{1}, true},
+	}
+	for _, sh := range shapes {
+		g, batch := sh.g, sh.batch
+		n := g.OutH() * g.OutW()
+		ckk := g.InC * g.KH * g.KW
+		chw := g.InC * g.InH * g.InW
+		r := rng.New(9)
+		g2B := tensor.New(sh.outC, batch*n)
+		for i := range g2B.Data {
+			g2B.Data[i] = r.NormFloat32()
+		}
+		gT := tensor.Transpose(g2B)
+		dW, dR := tensor.New(sh.outC, ckk), tensor.New(ckk, sh.outC)
+		cols := tensor.New(ckk, batch*n)
+		fanOut := float64(sh.outC*ckk*n) / float64(chw)
+		for _, density := range sh.densities {
+			samples := make([]*tensor.Tensor, batch)
+			nnz := 0
+			for i := range samples {
+				samples[i] = tensor.New(g.InC, g.InH, g.InW)
+				for j := range samples[i].Data {
+					if r.Float64() >= density {
+						continue
+					}
+					if sh.analog {
+						samples[i].Data[j] = 1 - r.Float32()
+					} else {
+						samples[i].Data[j] = float32(1+r.Intn(4)) / 4
+					}
+					nnz++
+				}
+			}
+			sops := float64(nnz) * fanOut
+			kernels := []struct {
+				name string
+				run  func()
+			}{
+				{"scatter", func() {
+					dR.Zero()
+					for i, x := range samples {
+						tensor.ConvWeightGradScatterAcc(dR.Data, x, gT.Data[i*n*sh.outC:(i+1)*n*sh.outC], sh.outC, g)
+					}
+					tensor.AddConvScatterWeights(dW, dR, g)
+				}},
+				{"gemm", func() {
+					for i, x := range samples {
+						tensor.Im2ColStripeInto(cols.Data, batch*n, i*n, x, g)
+					}
+					tensor.MatMulTAcc(dW, g2B, cols)
 				}},
 			}
 			for _, k := range kernels {

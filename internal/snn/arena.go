@@ -25,8 +25,7 @@ type slotKey struct {
 const (
 	slotOut      = iota // layer output buffer
 	slotState           // persistent per-pass state (LIF membrane)
-	slotLow             // conv im2col panel (training)
-	slotGemm            // GEMM result panel
+	slotOutT            // conv channel-last result panel (B·N, OutC)
 	slotEffW            // mask-applied weights, once per pass
 	slotWT              // transposed weights (Conv2D's tap-reversed), once per pass
 	slotInView          // view of one input sample
@@ -35,18 +34,18 @@ const (
 	slotFrame           // batched input frame (network-level)
 	slotPre             // LIF pre-reset potential, per step (training)
 	slotCarry           // LIF dL/dV carry across reverse steps (training)
-	slotXCache          // dense input cache, per step (training)
+	slotXCache          // Dense and Conv2D input cache, per step (training)
 	slotGrad            // layer input-gradient buffer (training)
 	slotGradView        // view of the gradient in another shape (training)
-	slotDW              // dense per-step weight-gradient panel (training)
+	slotDW              // per-step weight-gradient panel: Dense's dWᵀ, Conv2D's tap-reversed dW (training)
 	slotMask            // dropout mask, once per pass (training)
 	slotDims            // pool input dims, per pass (training)
 	slotG2B             // conv gradient de-interleave panel (training)
+	slotGradT           // conv channel-last output gradient (B·N, OutC) (training)
 	slotDCols           // conv column-gradient panel (training)
 	slotGradStep        // per-step input-gradient copy (network-level)
 	slotGradSum         // summed input gradient (network-level)
 	slotLossGrad        // dL/dlogits buffer (network-level)
-	slotIdx             // nonzero-index scratch for col-skip GEMMs
 	slotActStep         // int8 conv receptive-field activation steps (inference)
 	slotAcc             // int8 conv int32 accumulators (inference)
 	slotCount           // number of slots; must stay <= trainSlotStride

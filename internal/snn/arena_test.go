@@ -146,10 +146,14 @@ func TestArenaShapeChanges(t *testing.T) {
 	}
 }
 
-// TestArenaStatsMatch pins that the arena path accumulates the exact
-// LIF calibration statistics of the allocating path — the approx
-// package's level equation depends on them — for a lone sample and for
-// a batch of three, where both normalize the statistics per sample.
+// TestArenaStatsMatch pins that the arena's calibration pass
+// accumulates the exact LIF calibration statistics of the allocating
+// path — the approx package's level equation depends on them — for a
+// lone sample (through Calibrate itself) and for a batch of three (the
+// same pass on the whole batch), where both normalize the statistics
+// per sample. A PredictBatch pass, on the arena a Calibrate parked,
+// must count the same spikes, steps and units, which the serve tier's
+// SOP estimate reads, and leave StatVSum as it found it.
 func TestArenaStatsMatch(t *testing.T) {
 	for _, tc := range arenaCases() {
 		r := rng.New(14)
@@ -160,19 +164,41 @@ func TestArenaStatsMatch(t *testing.T) {
 			name    string
 			samples [][]*tensor.Tensor
 		}{{"lone", lone}, {"batch 3", batch3}} {
-			clone := tc.net.DeepClone()
+			calib, pred := tc.net.DeepClone(), tc.net.DeepClone()
 			tc.net.ResetStats()
 			tc.net.ForwardSamples(in.samples, false)
-			clone.ResetStats()
-			clone.PredictBatch(in.samples)
+			if len(in.samples) == 1 {
+				Calibrate(calib, in.samples)
+			} else {
+				calib.ResetStats()
+				ts := calib.AcquireTrainScratch()
+				ts.membraneSum = true
+				calib.forwardPass(in.samples, ts, passInfer)
+				calib.ReleaseTrain(ts)
+			}
+			// pred calibrates first, so PredictBatch recycles the arena
+			// Calibrate ran on.
+			Calibrate(pred, in.samples)
+			const untouched = 12.5
+			pred.ResetStats()
+			for _, l := range pred.LIFLayers() {
+				l.StatVSum = untouched
+			}
+			pred.PredictBatch(in.samples)
 
-			a, b := tc.net.LIFLayers(), clone.LIFLayers()
+			stats := func(l *LIF) [4]float64 {
+				return [4]float64{l.StatSpikes, l.StatVSum, float64(l.StatSteps), float64(l.StatUnits)}
+			}
+			a, b, p := tc.net.LIFLayers(), calib.LIFLayers(), pred.LIFLayers()
 			for i := range a {
 				if a[i].StatSpikes != b[i].StatSpikes || a[i].StatVSum != b[i].StatVSum ||
 					a[i].StatSteps != b[i].StatSteps || a[i].StatUnits != b[i].StatUnits {
-					t.Fatalf("%s %s LIF %d stats diverge: %+v vs %+v", tc.name, in.name, i,
-						[4]float64{a[i].StatSpikes, a[i].StatVSum, float64(a[i].StatSteps), float64(a[i].StatUnits)},
-						[4]float64{b[i].StatSpikes, b[i].StatVSum, float64(b[i].StatSteps), float64(b[i].StatUnits)})
+					t.Fatalf("%s %s LIF %d calibration stats diverge: %+v vs %+v", tc.name, in.name, i, stats(a[i]), stats(b[i]))
+				}
+				if a[i].StatSpikes != p[i].StatSpikes || p[i].StatVSum != untouched ||
+					a[i].StatSteps != p[i].StatSteps || a[i].StatUnits != p[i].StatUnits {
+					t.Fatalf("%s %s LIF %d PredictBatch stats %+v, want %+v with StatVSum left at %v",
+						tc.name, in.name, i, stats(p[i]), stats(a[i]), untouched)
 				}
 			}
 		}

@@ -11,19 +11,22 @@ import (
 // Conv2D is a 2-D convolution over (C,H,W) inputs. Weights are stored
 // as (OutC, InC·KH·KW) plus a per-output-channel bias.
 //
-// The layer's one arena forward, ForwardBatchInto, picks its kernel by
-// pass kind. The inference and input-gradient passes are event-driven:
-// each nonzero input scatters through its kernel taps, so their cost
-// follows the layer's synaptic operations. They read a weight panel
+// The layer's arena pair is event-driven in every pass: each nonzero
+// input scatters through its kernel taps, so the cost follows the
+// layer's synaptic operations. The FP32 forward reads a weight panel
 // built once per pass, Wᵀ with each kernel row's taps reversed, so one
 // input's taps along a kernel row are one contiguous multiply-add run
-// (tensor.ConvScatterWeightsInto). At the INT8 tier inference
-// scatters too, through int8 weight columns into int32 accumulators.
-// The training step lowers to an im2col panel and runs one GEMM,
-// because the weight gradient consumes that panel. The allocating
-// forward, ForwardBatch, runs that im2col GEMM in every mode and serves
-// as the arena's test oracle; its mask-applied weights live until
-// Reset, which every network-level pass calls first.
+// (tensor.ConvScatterWeightsInto). At the INT8 tier inference scatters
+// too, through int8 weight columns into int32 accumulators. A training
+// step caches its input rather than an im2col panel, and the weight
+// gradient scatters the output gradient from that input's nonzeros into
+// a panel of the same tap-reversed layout
+// (tensor.ConvWeightGradScatterAcc). The input gradient stays a GEMM
+// plus col2im. The allocating forward, ForwardBatch, lowers to im2col
+// and runs one GEMM in every mode, and its backward runs the GEMM
+// weight gradient, so it stays an independent test oracle; its
+// mask-applied weights live until Reset, which every network-level pass
+// calls first.
 type Conv2D struct {
 	Geom tensor.Conv2DGeom
 	OutC int
@@ -38,7 +41,7 @@ type Conv2D struct {
 	dW *tensor.Tensor
 	dB *tensor.Tensor
 
-	cols []*tensor.Tensor // cached im2col panels per step (training)
+	cols []*tensor.Tensor // cached im2col panels per step (ForwardBatch training)
 
 	effW *tensor.Tensor // mask-applied weights, valid until Reset
 
@@ -174,17 +177,15 @@ func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 
 // ForwardBatchInto implements trainLayer, the layer's one arena
 // forward; output, accumulators and once-per-pass weight panels come
-// from the arena. A training pass lowers each step to the im2col panel
-// the weight-gradient GEMM reads, keeps it in the arena's step ring and
-// runs one GEMM, matching ForwardBatch. The other passes cache nothing
-// and are event-driven. Inference at the INT8 tier runs
-// tensor.ConvScatterInt8Into over the prebuilt transposed codes, which
-// already carry the prune mask, with its field steps and int32
-// accumulators drawn from the arena. Otherwise tensor.ConvScatterInto,
-// over the tap-reversed panel, does work in proportion to the nonzero
-// inputs and adds each output's nonzero terms in the order
-// ForwardBatch's im2col GEMM does (see its doc), so the logits match
-// ForwardBatch's under ==.
+// from the arena. Every pass is event-driven. Inference at the INT8
+// tier runs tensor.ConvScatterInt8Into over the prebuilt transposed
+// codes, which already carry the prune mask, with its field steps and
+// int32 accumulators drawn from the arena. Every other pass runs
+// tensor.ConvScatterInto over the tap-reversed panel: it does work in
+// proportion to the nonzero inputs and adds each output's nonzero terms
+// in the order ForwardBatch's im2col GEMM does (see its doc), so the
+// outputs match ForwardBatch's. A training pass also keeps the step's
+// input in the arena's step ring, which the weight gradient scatters.
 func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	g := c.Geom
 	chw := g.InC * g.InH * g.InW
@@ -196,48 +197,41 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 	n := oh * ow
 	ckk := g.InC * g.KH * g.KW
 	out := ts.buf4(li, slotOut, -1, batch, c.OutC, oh, ow)
-	switch {
-	case ts.pass == passTrain:
-		cols := ts.buf2(li, slotLow, t, ckk, batch*n)
-		for b := 0; b < batch; b++ {
-			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
-		}
-		big := ts.buf2(li, slotGemm, -1, c.OutC, batch*n)
-		tensor.MatMulInto(big, c.trainEffW(ts, li), cols)
-		c.scatterColsBias(out, big, batch, n)
-	case ts.pass == passInfer && c.useInt8:
-		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
+	outT := ts.buf2(li, slotOutT, -1, batch*n, c.OutC)
+	if ts.pass == passInfer && c.useInt8 {
 		fieldStep := ts.buf2(li, slotActStep, -1, oh, ow)
 		acc := ts.int32s(li, slotAcc, -1, n*c.OutC)
 		for b := 0; b < batch; b++ {
 			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
 			tensor.ConvScatterInt8Into(outT.Data[b*n*c.OutC:(b+1)*n*c.OutC], sample, c.codesT, c.panel.Steps, c.OutC, g, fieldStep.Data, acc)
 		}
-		c.scatterRowsBias(out, outT, batch, n)
-	default:
+	} else {
 		wR, fresh := ts.once2(li, slotWT, ckk, c.OutC)
 		if fresh {
 			tensor.ConvScatterWeightsInto(wR, c.trainEffW(ts, li), g)
 		}
-		outT := ts.buf2(li, slotGemm, -1, batch*n, c.OutC)
 		for b := 0; b < batch; b++ {
 			sample := ts.view3(li, slotInView, x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
 			tensor.ConvScatterInto(outT.Data[b*n*c.OutC:(b+1)*n*c.OutC], sample, wR.Data, c.OutC, g)
 		}
-		c.scatterRowsBias(out, outT, batch, n)
+	}
+	c.scatterRowsBias(out, outT, batch, n)
+	if ts.pass == passTrain {
+		xc := ts.buf2(li, slotXCache, t, batch, chw)
+		copy(xc.Data, x.Data)
 	}
 	return out
 }
 
 // BackwardBatchInto implements trainLayer: BackwardBatch against the
-// arena's cached panel for this step. The weight-gradient GEMM runs the
-// spike-sparse column-skip kernel — the cached im2col panel is the
-// transposed operand and is mostly zero taps, so its dead columns skip
-// wholesale (bit-identical accumulation, see tensor.MatMulTColSkipAcc).
-// An input-gradient pass skips the bias and weight gradients. With
-// needDX false (no parameter layer below) the input-gradient GEMM and
-// col2im scatter are skipped entirely.
+// arena's cached input for this step. The weight gradient is
+// input-driven: each sample's nonzero inputs scatter the channel-last
+// output gradient into a tap-reversed panel
+// (tensor.ConvWeightGradScatterAcc), which folds into dW once per step
+// and adds the same terms in the same order as BackwardBatch's GEMM
+// minus its exact zero products. An input-gradient pass skips the bias
+// and weight gradients. With needDX false (no parameter layer below)
+// the input-gradient GEMM and col2im scatter are skipped entirely.
 func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	batch := grad.Shape[0]
@@ -246,6 +240,39 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 	ckk := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
 
+	if ts.pass == passTrain {
+		// dB sums each channel over (b, j) in ascending order, as
+		// BackwardBatch's g2B rows do.
+		for oc := 0; oc < c.OutC; oc++ {
+			var s float32
+			for b := 0; b < batch; b++ {
+				for _, v := range grad.Data[(b*c.OutC+oc)*n : (b*c.OutC+oc+1)*n] {
+					s += v
+				}
+			}
+			c.dB.Data[oc] += s
+		}
+		// gT[b·N+j, oc] = grad[b, oc, j], the scatter's channel-last rows.
+		gT := ts.buf2(li, slotGradT, -1, batch*n, c.OutC)
+		for b := 0; b < batch; b++ {
+			for oc := 0; oc < c.OutC; oc++ {
+				for j, v := range grad.Data[(b*c.OutC+oc)*n : (b*c.OutC+oc+1)*n] {
+					gT.Data[(b*n+j)*c.OutC+oc] = v
+				}
+			}
+		}
+		dR := ts.buf2(li, slotDW, -1, ckk, c.OutC)
+		dR.Zero()
+		xc := ts.buf2(li, slotXCache, t, batch, chw)
+		for b := 0; b < batch; b++ {
+			sample := ts.view3(li, slotInView, xc.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
+			tensor.ConvWeightGradScatterAcc(dR.Data, sample, gT.Data[b*n*c.OutC:(b+1)*n*c.OutC], c.OutC, g)
+		}
+		tensor.AddConvScatterWeights(c.dW, dR, g)
+	}
+	if !needDX {
+		return nil
+	}
 	// g2B[oc, b·N+j] = grad[b, oc, j]; for a single sample the gradient
 	// already is that matrix.
 	var g2B *tensor.Tensor
@@ -259,22 +286,6 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 					grad.Data[(b*c.OutC+oc)*n:(b*c.OutC+oc)*n+n])
 			}
 		}
-	}
-	if ts.pass == passTrain {
-		for oc := 0; oc < c.OutC; oc++ {
-			row := g2B.Data[oc*batch*n : (oc+1)*batch*n]
-			var s float32
-			for _, v := range row {
-				s += v
-			}
-			c.dB.Data[oc] += s
-		}
-		// dW += g2B·colsᵀ over the nonzero panel columns only.
-		cols := ts.buf2(li, slotLow, t, ckk, batch*n)
-		tensor.MatMulTColSkipAcc(c.dW, g2B, cols, ts.ints(li, slotIdx, -1, batch*n))
-	}
-	if !needDX {
-		return nil
 	}
 	// dX = col2im(Wᵀ·g2B) per sample.
 	dcols := ts.buf2(li, slotDCols, -1, ckk, batch*n)

@@ -64,8 +64,11 @@ type LIF struct {
 
 	// Calibration statistics used by the approximation-level equation
 	// (approx package): accumulated over forward steps until ResetStats.
+	// Every forward pass counts spikes, steps and units; StatVSum is
+	// accumulated only by Calibrate's pass (and the allocating
+	// ForwardBatch), so read it, and MeanMembrane, after Calibrate.
 	StatSpikes float64 // total output spikes
-	StatVSum   float64 // sum of mean pre-reset membrane potential per step
+	StatVSum   float64 // sum of mean pre-reset membrane potential per step (Calibrate only)
 	StatSteps  int     // forward steps counted
 	StatUnits  int     // neurons per step (set on first forward)
 }
@@ -119,22 +122,31 @@ func (l *LIF) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 // ForwardBatchInto implements trainLayer: the membrane persists in the
 // arena (zeroed at pass start) and the spike output overwrites a
 // reusable buffer. Passes that run a backward also cache the step's
-// pre-reset potentials. Arithmetic and statistics match ForwardBatch
-// exactly, so calibration is bit-identical to the allocating path.
+// pre-reset potentials. Arithmetic matches ForwardBatch exactly.
+// StatSpikes, StatSteps and StatUnits take ForwardBatch's values in
+// every pass; StatVSum, a serial float64 sum over every membrane, only
+// in the calibration pass (the arena's membraneSum switch, which only
+// Calibrate sets), and no other pass touches it.
 func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	batch := x.Shape[0]
 	v := ts.stateBufShape(li, slotState, x.Shape)
 	out := ts.bufShape(li, slotOut, -1, x.Shape)
-	var spikes float64
-	var vSum float64
+	decay, vth := l.Decay, l.VTh
+	if ts.membraneSum {
+		var vSum float64
+		for i, inp := range x.Data {
+			vSum += float64(decay*v.Data[i] + inp)
+		}
+		l.StatVSum += vSum / float64(x.Len())
+	}
+	spikes := 0
 	for i, inp := range x.Data {
-		vv := l.Decay*v.Data[i] + inp
-		vSum += float64(vv)
+		vv := decay*v.Data[i] + inp
 		var o float32
-		if vv >= l.VTh {
+		if vv >= vth {
 			o = 1
 			spikes++
-			vv -= l.VTh
+			vv -= vth
 		}
 		out.Data[i] = o
 		v.Data[i] = vv
@@ -144,11 +156,10 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 		// like ForwardBatch does, into this step's ring buffer.
 		pre := ts.bufShape(li, slotPre, t, x.Shape)
 		for i := range pre.Data {
-			pre.Data[i] = v.Data[i] + out.Data[i]*l.VTh
+			pre.Data[i] = v.Data[i] + out.Data[i]*vth
 		}
 	}
-	l.StatSpikes += spikes / float64(batch)
-	l.StatVSum += vSum / float64(x.Len())
+	l.StatSpikes += float64(spikes) / float64(batch)
 	l.StatSteps++
 	l.StatUnits = x.Len() / batch
 	return out
@@ -231,7 +242,9 @@ func (l *LIF) MeanSpikesPerStep() float64 {
 	return l.StatSpikes / float64(l.StatSteps)
 }
 
-// MeanMembrane returns the average pre-reset membrane potential per step.
+// MeanMembrane returns the average pre-reset membrane potential per
+// step, which only Calibrate's pass accumulates: after any other pass it
+// reads whatever the last calibration left.
 func (l *LIF) MeanMembrane() float64 {
 	if l.StatSteps == 0 {
 		return 0

@@ -258,12 +258,17 @@ func countCorrect(clones []*Network, samples [][]*tensor.Tensor, labels []int) i
 }
 
 // Calibrate populates the LIF spike/membrane statistics the
-// approximation-level equation reads: it resets them, then runs Predict
-// on each calibration sample in turn. It measures at the network's
-// precision tier; every caller calibrates an FP32 master.
+// approximation-level equation reads: it resets them, then runs the
+// inference pass on each calibration sample in turn, as a batch of one,
+// with the membrane sum on. It is the only pass that accumulates
+// StatVSum. It measures at the network's precision tier; every caller
+// calibrates an FP32 master.
 func Calibrate(n *Network, frames [][]*tensor.Tensor) {
 	n.ResetStats()
-	for _, f := range frames {
-		n.Predict(f)
+	ts := n.AcquireTrainScratch()
+	defer n.ReleaseTrain(ts)
+	ts.membraneSum = true
+	for i := range frames {
+		n.forwardPass(frames[i:i+1], ts, passInfer)
 	}
 }

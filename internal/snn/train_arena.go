@@ -14,16 +14,19 @@ import (
 // and the pass kind decides what the forward caches:
 //
 //   - train (TrainStepScratch) is full BPTT: it accumulates every
-//     parameter gradient, so Conv2D caches each step's im2col panel for
-//     the weight-gradient GEMM, Dense its input, LIF its pre-reset
-//     potentials, and dropout draws its masks.
+//     parameter gradient, so Conv2D and Dense cache each step's input
+//     for the weight gradient, LIF its pre-reset potentials, and dropout
+//     draws its masks.
 //   - input-gradient (InputGradSumScratch) is the attacks' pass: it
 //     computes only dL/dx, so it caches only what that reads (LIF
-//     pre-reset potentials, pool dims) and its conv forward runs the
-//     event-driven scatter (tensor.ConvScatterInto) instead of lowering.
+//     pre-reset potentials, pool dims).
 //   - inference (Predict, PredictBatchInto) caches nothing and runs no
-//     backward: dropout is the identity, convs scatter, and at the INT8
-//     tier Conv2D and Dense run the int8 kernels, here and only here.
+//     backward: dropout is the identity, and at the INT8 tier Conv2D
+//     and Dense run the int8 kernels, here and only here. Calibrate's
+//     inference pass alone also sums the LIF membranes (membraneSum).
+//
+// Every FP32 conv forward is the event-driven scatter
+// (tensor.ConvScatterInto).
 //
 // Layout: per-step caches (what the reverse pass pops) are a ring of
 // Cfg.Steps buffers per (layer, slot), addressed by folding the step
@@ -41,7 +44,8 @@ import (
 // from a per-network free list) that also caches the network's
 // parameter and gradient tensor lists; Network.ReleaseTrain returns it.
 // snn.Train/TrainFrames acquire one per fit, the gradient attacks one
-// per crafting call, and Predict/PredictBatchInto one per call, so
+// per crafting call, and Predict/PredictBatchInto and Calibrate one per
+// call, so
 // callers keep their one-line APIs. A TrainScratch belongs to one
 // network and must not be shared between goroutines; concurrent work
 // runs on CloneArchitecture clones, each with its own arenas.
@@ -51,12 +55,14 @@ import (
 // gradients and trained weights are bit-identical to them under ==,
 // and to themselves at any worker count (pinned by arena_test.go and
 // train_arena_test.go). Two kernel swaps change no value. The conv
-// weight-gradient GEMM runs tensor.MatMulTColSkipAcc instead of
-// MatMulTAcc and skips exact zero products only. The conv scatter adds
-// each output's terms in ascending receptive-field position p, the
-// order of the im2row GEMM's inner loop; the allocating ForwardBatch's
-// im2col GEMM adds the same nonzero terms in the same order and differs
-// only by ±0 products (tensor.TestConvScatterMatchesGEMM pins both).
+// scatter adds each output's terms in ascending receptive-field
+// position p, the order of the im2row GEMM's inner loop; the allocating
+// ForwardBatch's im2col GEMM adds the same nonzero terms in the same
+// order and differs only by ±0 products (tensor.TestConvScatterMatchesGEMM
+// pins both). The input-driven conv weight gradient reaches each tap's
+// outputs in ascending (sample, position) order, the order of
+// MatMulTAcc's dot product, and skips only that dot product's ±0
+// products of zero inputs (tensor.TestConvWeightGradScatterMatchesGEMM).
 
 // trainSlotStride folds the time step into the slot space: per-step
 // slot s at step t lives at s + trainSlotStride·(t+1), per-pass slots
@@ -103,6 +109,11 @@ type TrainScratch struct {
 
 	// pass is the kind of the running pass.
 	pass passKind
+
+	// membraneSum makes the LIF layers accumulate StatVSum, a serial
+	// float64 sum no other pass needs. Only Calibrate sets it, and
+	// ReleaseTrain clears it.
+	membraneSum bool
 
 	// gradSteps holds the per-step input gradients of the last
 	// input-gradient pass, in forward order (see InputGradSteps).
@@ -256,6 +267,7 @@ func (n *Network) ReleaseTrain(ts *TrainScratch) {
 		return
 	}
 	ts.sc.release()
+	ts.membraneSum = false
 	n.trainFree = append(n.trainFree, ts) //axsnn:allow-alloc free list grows to the high-water mark of live arenas
 }
 

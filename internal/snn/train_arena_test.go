@@ -256,12 +256,11 @@ func TestInputGradSumScratchLeavesGrads(t *testing.T) {
 // TestTrainAndInputPassesAlternate rotates the arena's three pass kinds
 // (TrainStepScratch, InputGradSumScratch and the inference pass) on one
 // network, every pass recycling the one arena parked on its free list.
-// Between them the conv GEMM slot flips between (OutC, B·N) and
-// (B·N, OutC), and only the training pass writes the im2col panel and
-// dense input cache. Every loss, parameter gradient, input gradient and
-// logit must equal a twin's computed on a fresh arena per call, and the
-// rotation, with inference through PredictBatchInto, must stay
-// allocation-free at 1 and 2 workers.
+// Between them only the training pass writes the conv and dense input
+// caches and the weight-gradient panels. Every loss, parameter
+// gradient, input gradient and logit must equal a twin's computed on a
+// fresh arena per call, and the rotation, with inference through
+// PredictBatchInto, must stay allocation-free at 1 and 2 workers.
 func TestTrainAndInputPassesAlternate(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, workers := range []int{1, 2} {

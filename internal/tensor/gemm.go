@@ -185,58 +185,6 @@ func MatMulTAcc(dst, a, b *Tensor) {
 	}
 }
 
-// MatMulTColSkipAcc accumulates dst += A·Bᵀ like MatMulTAcc, but
-// exploits row sparsity of B: for every row j of B the nonzero column
-// indices are gathered once into idx, and all m dot products against
-// that row touch only those — O(n·k + m·nnz) instead of O(m·n·k). This
-// is the spike-sparse weight-gradient kernel: in conv BPTT the cached
-// im2col panel (mostly zero spike taps) is the transposed operand, so
-// the backward GEMM rides the same sparsity the forward skip-zero paths
-// do. idx is caller-owned scratch with len >= k, so the steady state
-// allocates nothing.
-//
-// Every output element receives one completed dot product, accumulated
-// over the nonzero k indices in ascending order. The skipped terms are
-// exact zero products, so the result equals MatMulTAcc bit-for-bit
-// (under the ==-comparison that treats ±0 alike).
-func MatMulTColSkipAcc(dst, a, b *Tensor, idx []int) {
-	checkGEMM("MatMulT", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTColSkipAcc dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	if len(idx) < k {
-		panic(fmt.Sprintf("tensor: MatMulTColSkipAcc idx scratch %d, want >= %d", len(idx), k)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	cd, ad, bd := dst.Data, a.Data, b.Data
-	for j := 0; j < n; j++ {
-		brow := bd[j*k : (j+1)*k]
-		nz := 0
-		for p, v := range brow {
-			if v != 0 {
-				idx[nz] = p
-				nz++
-			}
-		}
-		if nz == 0 {
-			continue
-		}
-		gather := idx[:nz]
-		for i := 0; i < m; i++ {
-			arow := ad[i*k : (i+1)*k]
-			var s float32
-			for _, p := range gather {
-				s += arow[p] * brow[p]
-			}
-			cd[i*n+j] += s
-		}
-	}
-}
-
 // TMatMul computes C = Aᵀ·B for A (k×m) and B (k×n), returning m×n.
 // Zero elements of A skip their inner loop (the spike fast path). Every
 // output element accumulates its k terms in ascending order, so the

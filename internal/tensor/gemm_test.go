@@ -209,42 +209,6 @@ func TestIntoVariantsMatch(t *testing.T) {
 	}
 }
 
-// TestMatMulTColSkipAccMatchesDense pins the column-skip weight-gradient
-// kernel to MatMulTAcc across shapes, sparsities and worker counts: the
-// skipped terms are exact zero products, so results must compare equal.
-func TestMatMulTColSkipAccMatchesDense(t *testing.T) {
-	defer SetWorkers(0)
-	r := rng.New(25)
-	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
-		for _, c := range gemmCases {
-			for _, density := range densities {
-				a := randSparse(r, 1, c.m, c.k)       // gradients: dense
-				b := randSparse(r, density, c.n, c.k) // spikes: sparse
-				want := randSparse(r, 1, c.m, c.n)
-				dst := want.Clone()
-				MatMulTAcc(want, a, b)
-				MatMulTColSkipAcc(dst, a, b, make([]int, c.k))
-				for i := range want.Data {
-					if dst.Data[i] != want.Data[i] {
-						t.Fatalf("MatMulTColSkipAcc (%v, d=%.2f, w=%d) differs at %d: %v vs %v",
-							c, density, workers, i, dst.Data[i], want.Data[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestMatMulTColSkipAccShortIdxPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("undersized idx scratch must panic")
-		}
-	}()
-	MatMulTColSkipAcc(New(2, 2), New(2, 8), New(2, 8), make([]int, 4))
-}
-
 func TestAddTransposed(t *testing.T) {
 	r := rng.New(15)
 	o := randSparse(r, 1, 4, 6)
@@ -437,6 +401,79 @@ func TestConvScatterMatchesGEMM(t *testing.T) {
 										if got != cols.Data[oc*n+j] {
 											t.Fatalf("%+v outC=%d d=%.2f levels=%v: (%d,%d) = %v, im2col GEMM %v",
 												g, outC, density, levels, j, oc, got, cols.Data[oc*n+j])
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvWeightGradScatterMatchesGEMM pins the input-driven weight
+// gradient to the GEMM it replaces, over TestConvScatterMatchesGEMM's
+// geometries, channel counts, densities and levels: samples scattered
+// in order into one zeroed tap-reversed panel, then folded into dW by
+// AddConvScatterWeights, must equal MatMulTAcc(dW, g2B, cols) bit for
+// bit, with cols the batch stacked by Im2ColStripeInto and g2B its
+// (outC, B·N) output gradient. The gradients carry ±0 entries, and dW
+// starts out holding nonzero values, as it does across time steps.
+func TestConvWeightGradScatterMatchesGEMM(t *testing.T) {
+	r := rng.New(29)
+	negZero := float32(math.Copysign(0, -1))
+	for inC := 1; inC <= 3; inC++ {
+		for _, k := range [][2]int{{3, 3}, {1, 1}, {5, 3}} {
+			for _, stride := range []int{1, 2} {
+				for pad := 0; pad <= 2; pad++ {
+					g := Conv2DGeom{InC: inC, InH: 3 + 2*inC, InW: 11 - 2*inC, KH: k[0], KW: k[1], Stride: stride, Pad: pad}
+					n := g.OutH() * g.OutW()
+					ckk := inC * g.KH * g.KW
+					chw := inC * g.InH * g.InW
+					for _, outC := range []int{1, 6, 17} {
+						for _, batch := range []int{1, 3} {
+							g2B := randSparse(r, 1, outC, batch*n)
+							for i := range g2B.Data {
+								switch r.Intn(6) {
+								case 0:
+									g2B.Data[i] = negZero
+								case 1:
+									g2B.Data[i] = 0
+								}
+							}
+							gT := New(batch*n, outC)
+							for oc := 0; oc < outC; oc++ {
+								for j := 0; j < batch*n; j++ {
+									gT.Data[j*outC+oc] = g2B.Data[oc*batch*n+j]
+								}
+							}
+							for _, density := range []float64{0, 0.02, 0.1, 0.5, 1} {
+								for _, levels := range []bool{false, true} {
+									x := randSparse(r, density, batch, inC, g.InH, g.InW)
+									if levels {
+										for i, v := range x.Data {
+											if v != 0 {
+												x.Data[i] = float32(1+r.Intn(4)) / 4
+											}
+										}
+									}
+									want := randSparse(r, 1, outC, ckk)
+									got := want.Clone()
+									cols := New(ckk, batch*n)
+									dR := New(ckk, outC)
+									for b := 0; b < batch; b++ {
+										sample := FromSlice(x.Data[b*chw:(b+1)*chw], inC, g.InH, g.InW)
+										Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
+										ConvWeightGradScatterAcc(dR.Data, sample, gT.Data[b*n*outC:(b+1)*n*outC], outC, g)
+									}
+									AddConvScatterWeights(got, dR, g)
+									MatMulTAcc(want, g2B, cols)
+									for i := range want.Data {
+										if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+											t.Fatalf("%+v outC=%d batch=%d d=%.2f levels=%v: dW[%d,%d] = %v, GEMM %v",
+												g, outC, batch, density, levels, i/ckk, i%ckk, got.Data[i], want.Data[i])
 										}
 									}
 								}

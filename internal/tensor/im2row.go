@@ -1,8 +1,9 @@
 // Convolution lowerings and their transposes (im2row, im2col, col2im)
-// and the event-driven scatter convolution. The scatter's and the
-// stride-1 col2im's inner loops are axpy runs (see axpy_amd64.go); the
-// lowerings only move values. Each keeps its per-element order of
-// adds, so it agrees bit for bit with the per-element loop it replaced.
+// and the event-driven scatter convolution with its input-driven weight
+// gradient. The scatters' and the stride-1 col2im's inner loops are
+// axpy runs (see axpy_amd64.go); the lowerings only move values. Each
+// keeps its per-element order of adds, so it agrees bit for bit with
+// the GEMM or per-element loop it replaced.
 package tensor
 
 import "fmt"
@@ -171,22 +172,115 @@ func ConvScatterInto(dst []float32, x *Tensor, wR []float32, outC int, g Conv2DG
 	}
 }
 
+// ConvWeightGradScatterAcc is the weight gradient of ConvScatterInto,
+// driven by the same input events: for one (C,H,W) sample x and its
+// channel-last (OutH*OutW, outC) output gradient gT, it adds v·gT[j,:]
+// into row p of the (C*KH*KW, outC) panel dR for every nonzero input v
+// and every output j that v reaches through tap p. dR has
+// ConvScatterWeightsInto's tap-reversed layout, so ConvScatterInto's
+// tap walk applies unchanged: at stride 1 each (input, kernel row) is
+// one axpy of a run of gT rows into a run of dR rows.
+// AddConvScatterWeights folds the panel into an (outC, C*KH*KW) weight
+// gradient.
+//
+// Run over a batch's samples in order into a panel zeroed once, then
+// folded, it adds the same dW as MatMulTAcc(dW, g2B, cols), with cols
+// the batch's Im2ColStripeInto panel and g2B the (outC, B·OutH*OutW)
+// gradient, bit for bit on finite values. For a fixed tap p, raster
+// order reaches the outputs j in ascending (b, j), the order of the dot
+// product's k loop, and each panel cell starts at +0 as its sum does.
+// The terms the kernel skips are the products of a zero input, which
+// are ±0 and change no sum that starts at +0.
+func ConvWeightGradScatterAcc(dR []float32, x *Tensor, gT []float32, outC int, g Conv2DGeom) {
+	if x.Rank() != 3 || x.Shape[0] != g.InC || x.Shape[1] != g.InH || x.Shape[2] != g.InW {
+		panic(fmt.Sprintf("tensor: ConvWeightGradScatter input %v does not match geom %+v", x.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
+	oh, ow := g.OutH(), g.OutW()
+	ckk := g.InC * g.KH * g.KW
+	if len(gT) != oh*ow*outC || len(dR) != ckk*outC {
+		panic(fmt.Sprintf("tensor: ConvWeightGradScatter gT %d, dR %d, want %d, %d", len(gT), len(dR), oh*ow*outC, ckk*outC)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
+	// ConvScatterInto's tap walk, kept as a copy: one walker shared by
+	// both directions made the forward slower on the served shapes.
+	st := g.Stride
+	idx := 0
+	for c := 0; c < g.InC; c++ {
+		base := c * g.KH * g.KW
+		qi, ri := g.Pad/st, g.Pad%st
+		for si := 0; si < g.InH; si++ {
+			mi := max(0, qi-oh+1)
+			ki0, oi0 := ri+mi*st, qi-mi
+			qj, rj := g.Pad/st, g.Pad%st
+			for sj := 0; sj < g.InW; sj++ {
+				if v := x.Data[idx]; v != 0 {
+					mj := max(0, qj-ow+1)
+					kj0, oj0 := rj+mj*st, qj-mj
+					nj := min(g.KW-kj0, oj0+1)
+					for ki, oi := ki0, oi0; ki < g.KH && oi >= 0; ki, oi = ki+st, oi-1 {
+						wRow := base + ki*g.KW + g.KW - 1 - kj0
+						o := oi*ow + oj0
+						if st == 1 {
+							// Outputs o-nj+1..o meet rows wRow-nj+1..wRow.
+							axpy(v, gT[(o-nj+1)*outC:(o+1)*outC], dR[(wRow-nj+1)*outC:(wRow+1)*outC])
+							continue
+						}
+						for kj, oj := kj0, oj0; kj < g.KW && oj >= 0; kj, oj = kj+st, oj-1 {
+							axpy(v, gT[o*outC:(o+1)*outC], dR[wRow*outC:(wRow+1)*outC])
+							wRow, o = wRow-st, o-1
+						}
+					}
+				}
+				idx++
+				if rj++; rj == st {
+					rj, qj = 0, qj+1
+				}
+			}
+			if ri++; ri == st {
+				ri, qi = 0, qi+1
+			}
+		}
+	}
+}
+
 // ConvScatterWeightsInto writes ConvScatterInto's weight panel for the
 // (outC, C*KH*KW) weight matrix w into the (C*KH*KW, outC) tensor dst:
 // row (c, ky, KW−1−kx) of dst holds the outC weights of tap (c, ky, kx).
 // A layer builds it once per pass, where it would otherwise transpose.
 func ConvScatterWeightsInto(dst, w *Tensor, g Conv2DGeom) {
+	outC := checkConvScatterWeights("ConvScatterWeightsInto", dst, w, g)
 	ckk := g.InC * g.KH * g.KW
-	if w.Rank() != 2 || w.Shape[1] != ckk || dst.Rank() != 2 || dst.Shape[0] != ckk || dst.Shape[1] != w.Shape[0] {
-		panic(fmt.Sprintf("tensor: ConvScatterWeightsInto %v ← %v for geom %+v", dst.Shape, w.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	outC := w.Shape[0]
 	for oc := 0; oc < outC; oc++ {
 		for p, v := range w.Data[oc*ckk : (oc+1)*ckk] {
 			kj := p % g.KW
 			dst.Data[(p+g.KW-1-2*kj)*outC+oc] = v
 		}
 	}
+}
+
+// AddConvScatterWeights folds a panel in ConvScatterWeightsInto's
+// layout back into weight layout, accumulating: w[oc, p] += r[p', oc],
+// where row p' of r holds tap p. It adds ConvWeightGradScatterAcc's
+// panel into a weight gradient.
+func AddConvScatterWeights(w, r *Tensor, g Conv2DGeom) {
+	outC := checkConvScatterWeights("AddConvScatterWeights", r, w, g)
+	ckk := g.InC * g.KH * g.KW
+	for oc := 0; oc < outC; oc++ {
+		row := w.Data[oc*ckk : (oc+1)*ckk]
+		for p := range row {
+			kj := p % g.KW
+			row[p] += r.Data[(p+g.KW-1-2*kj)*outC+oc]
+		}
+	}
+}
+
+// checkConvScatterWeights checks a (C*KH*KW, outC) panel against an
+// (outC, C*KH*KW) weight matrix and returns outC.
+func checkConvScatterWeights(op string, panel, w *Tensor, g Conv2DGeom) int {
+	ckk := g.InC * g.KH * g.KW
+	if w.Rank() != 2 || w.Shape[1] != ckk || panel.Rank() != 2 || panel.Shape[0] != ckk || panel.Shape[1] != w.Shape[0] {
+		panic(fmt.Sprintf("tensor: %s panel %v, weights %v for geom %+v", op, panel.Shape, w.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+	}
+	return w.Shape[0]
 }
 
 // im2RowDense is the gather form: every output row is filled from its
@@ -220,9 +314,9 @@ func im2RowDense(dst []float32, x *Tensor, g Conv2DGeom, oh, ow, ckk int) {
 // OutH*OutW) lowering lands at dst[r*rowStride + colOff + j]. With
 // rowStride = OutH*OutW and colOff = 0 this is exactly Im2Col; batched
 // convolution uses rowStride = B·OutH*OutW and colOff = b·OutH*OutW so
-// one GEMM covers the whole batch. When the input is mostly zeros
-// (spike frames — the training-forward hot case), the stripe is cleared
-// and only the nonzero pixels scatter, O(nnz·KH·KW) instead of
+// one GEMM covers the whole batch, as the allocating Conv2D oracle
+// does. When the input is mostly zeros (spike frames), the stripe is
+// cleared and only the nonzero pixels scatter, O(nnz·KH·KW) instead of
 // O(C·KH·KW·OutH·OutW); the panel contents are identical either way.
 func Im2ColStripeInto(dst []float32, rowStride, colOff int, x *Tensor, g Conv2DGeom) {
 	if x.Rank() != 3 || x.Shape[0] != g.InC || x.Shape[1] != g.InH || x.Shape[2] != g.InW {

@@ -459,6 +459,24 @@ func AvgPool2DBackwardInto(out, grad *Tensor, k int) {
 		panic(fmt.Sprintf("tensor: AvgPool2DBackwardInto dst %v for grad %v", out.Shape, grad.Shape)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	h, w := out.Shape[1], out.Shape[2]
+	if k == 2 && h == 2*oh && w == 2*ow {
+		// The common 2×2 window on even planes: every window is whole and
+		// disjoint, so each cell is written once as 0 + g/4, the value
+		// zeroing then adding leaves (the 0 + turns a −0 into +0).
+		for ci := 0; ci < c; ci++ {
+			src := grad.Data[ci*oh*ow : (ci+1)*oh*ow]
+			plane := out.Data[ci*h*w : (ci+1)*h*w]
+			for oi := 0; oi < oh; oi++ {
+				top := plane[2*oi*w : (2*oi+1)*w]
+				bot := plane[(2*oi+1)*w : (2*oi+2)*w]
+				for oj, gv := range src[oi*ow : (oi+1)*ow] {
+					g := 0 + gv/4
+					top[2*oj], top[2*oj+1], bot[2*oj], bot[2*oj+1] = g, g, g, g
+				}
+			}
+		}
+		return
+	}
 	out.Zero()
 	for ci := 0; ci < c; ci++ {
 		for oi := 0; oi < oh; oi++ {

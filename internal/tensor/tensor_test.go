@@ -341,6 +341,70 @@ func TestAvgPoolBackwardConservesMass(t *testing.T) {
 	}
 }
 
+// avgPoolBackwardLoop is AvgPool2DBackwardInto's general loop: zero the
+// input-shaped tensor, then add g/n into every in-bounds cell of each
+// window.
+func avgPoolBackwardLoop(out, grad *Tensor, k int) {
+	c, oh, ow := grad.Shape[0], grad.Shape[1], grad.Shape[2]
+	h, w := out.Shape[1], out.Shape[2]
+	out.Zero()
+	for ci := 0; ci < c; ci++ {
+		for oi := 0; oi < oh; oi++ {
+			for oj := 0; oj < ow; oj++ {
+				n := 0
+				for di := 0; di < k; di++ {
+					for dj := 0; dj < k; dj++ {
+						if oi*k+di < h && oj*k+dj < w {
+							n++
+						}
+					}
+				}
+				g := grad.Data[(ci*oh+oi)*ow+oj] / float32(n)
+				for di := 0; di < k; di++ {
+					for dj := 0; dj < k; dj++ {
+						if i, j := oi*k+di, oj*k+dj; i < h && j < w {
+							out.Data[(ci*h+i)*w+j] += g
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAvgPoolBackwardMatchesLoop pins AvgPool2DBackwardInto, including
+// its 2×2 fast path on even planes, to the general loop under
+// math.Float32bits, with ±0, NaN, ±Inf and subnormal gradients and an
+// output that starts out as NaN so an unwritten cell shows.
+func TestAvgPoolBackwardMatchesLoop(t *testing.T) {
+	r := rng.New(41)
+	specials := []float32{float32(math.Copysign(0, -1)), 0, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.SmallestNonzeroFloat32, -3e-39}
+	for _, tc := range []struct{ c, h, w, k int }{
+		{1, 2, 2, 2}, {3, 4, 6, 2}, {2, 16, 16, 2}, // the fast path
+		{2, 5, 5, 2}, {1, 4, 5, 2}, {2, 3, 4, 2}, {2, 6, 6, 3}, {1, 4, 4, 1}, // the general loop
+	} {
+		oh, ow := (tc.h+tc.k-1)/tc.k, (tc.w+tc.k-1)/tc.k
+		grad := New(tc.c, oh, ow)
+		for i := range grad.Data {
+			if r.Intn(3) == 0 {
+				grad.Data[i] = specials[r.Intn(len(specials))]
+			} else {
+				grad.Data[i] = r.NormFloat32()
+			}
+		}
+		got, want := New(tc.c, tc.h, tc.w), New(tc.c, tc.h, tc.w)
+		got.Fill(float32(math.NaN()))
+		AvgPool2DBackwardInto(got, grad, tc.k)
+		avgPoolBackwardLoop(want, grad, tc.k)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%+v: cell %d = %v (%#x), loop %v (%#x)", tc, i,
+					got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+			}
+		}
+	}
+}
+
 func TestAvgPoolRaggedEdges(t *testing.T) {
 	x := New(1, 5, 5)
 	x.Fill(2)
