@@ -24,11 +24,18 @@ fmt:
 # Standard vet, then the repo's own analyzers (internal/analysis)
 # driven package-by-package through go vet's -vettool protocol — the
 # incremental, build-cached form of `make lint`. The arm64 pass vets the
-# portable half of the float32 multiply-add kernel (amd64 runs its SSE
-# assembly, whose frame offsets the amd64 pass's asmdecl checks).
+# portable half of the float32 kernels (axpy and the LIF step and
+# gradient; amd64 runs their SSE assembly, whose frame offsets the amd64
+# pass's asmdecl checks). The arm64 compiler fuses x*y + z into one
+# rounding unless the product is converted explicitly, and the portable
+# loops must round as amd64 does, so any fused multiply-add left in the
+# arm64 code of internal/tensor or internal/snn fails vet.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/snn
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/snn 2>&1) || { echo "$$asm"; exit 1; }; \
+	fma=$$(echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'); \
+	if [ -n "$$fma" ]; then echo "fused multiply-add on arm64 (round the product: float32(a*b) + c):"; echo "$$fma"; exit 1; fi
 	$(GO) build -o $(LINTBIN) ./cmd/axsnn-lint
 	$(GO) vet -vettool=$(LINTBIN) ./...
 
@@ -59,7 +66,7 @@ race:
 # One iteration of the hot-path benchmarks: keeps perf regressions
 # visible without burning CI minutes.
 bench:
-	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|ConvForward|ConvWeightGrad|PGDCraft|StreamWindow|StreamDecode|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
+	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|ConvForward|ConvWeightGrad|LIF|PGDCraft|StreamWindow|StreamDecode|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
 
 # The machine-readable benchmark artifact CI archives (inference +
 # training arenas, PGD crafting, event-domain attack/filter hot paths,

@@ -527,6 +527,76 @@ func BenchmarkConvWeightGrad(b *testing.B) {
 	}
 }
 
+// BenchmarkLIF measures one time step of a LIF layer over a batch, with
+// two kernels: kernel=sse is tensor.LIFStepInto and tensor.LIFGradInto,
+// which every arena pass runs (SSE on amd64), and kernel=go is the
+// portable loops tensor.LIFStepGo and tensor.LIFGradGo, a branch per
+// neuron. The ops are the forward without the pre-reset cache (the
+// inference pass, op=fwd), with it (the training and input-gradient
+// passes, op=fwd-pre), and the surrogate-gradient step on the last
+// time step (op=bwd-first, no carry yet) and on every other one
+// (op=bwd). The shapes are offline-pgd's lif1 (MNISTNet lite, 6×16×16,
+// batch 16) and the served DVSNet-lite lif1 (8×16×16, batch 4), at
+// both nets' threshold 1, leak 0.9 and sharpness 4. Each neuron's input
+// current is drawn once from a Gaussian with σ = 1 and the membrane
+// carries over from one iteration to the next as it does between
+// steps, so about 30% of the neurons spike per iteration, in a pattern
+// that varies from neuron to neuron. It reports ns/neuron; compare the
+// two kernels within one run.
+func BenchmarkLIF(b *testing.B) {
+	const vth, decay, beta = 1, 0.9, 4
+	shapes := []struct {
+		name         string
+		batch, units int
+	}{
+		{"mnist-lif1", 16, 6 * 16 * 16},
+		{"dvs-lif1", 4, 8 * 16 * 16},
+	}
+	type kernels struct {
+		step func(v, x, out, pre []float32, decay, vth float32) int
+		grad func(carry, grad, pre []float32, vth, beta, decay float32, first bool)
+	}
+	for _, sh := range shapes {
+		n := sh.batch * sh.units
+		r := rng.New(5)
+		x, grad := make([]float32, n), make([]float32, n)
+		for i := range x {
+			x[i], grad[i] = r.NormFloat32(), r.NormFloat32()
+		}
+		v, out, pre, carry := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+		tensor.LIFStepInto(v, x, out, pre, decay, vth) // a realistic pre-reset cache for the backward
+		for _, k := range []struct {
+			name string
+			kernels
+		}{
+			{"sse", kernels{tensor.LIFStepInto, tensor.LIFGradInto}},
+			{"go", kernels{tensor.LIFStepGo, tensor.LIFGradGo}},
+		} {
+			ops := []struct {
+				name string
+				run  func()
+			}{
+				{"fwd", func() { k.step(v, x, out, nil, decay, vth) }},
+				{"fwd-pre", func() { k.step(v, x, out, pre, decay, vth) }},
+				{"bwd-first", func() { k.grad(carry, grad, pre, vth, beta, decay, true) }},
+				{"bwd", func() { k.grad(carry, grad, pre, vth, beta, decay, false) }},
+			}
+			for _, op := range ops {
+				b.Run(fmt.Sprintf("%s/op=%s/kernel=%s", sh.name, op.name, k.name), func(b *testing.B) {
+					op.run()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						op.run()
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/neuron")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkPGDCraft measures the crafting the paper's Fig. 1 loop runs:
 // one PGD(1).PerturbSet over a 64-image synthetic set on the lite MNIST
 // net (16×16, T = 8), fanned out over the worker pool, each block on

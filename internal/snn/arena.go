@@ -94,13 +94,19 @@ func (s *Scratch) entry(layer, slot int) *scratchEntry {
 }
 
 // sized returns the entry with a data buffer of exactly n elements.
-// Reuse is capacity-based: the buffer reallocates only when n exceeds
-// the largest size the slot has ever held and shrinks by reslicing —
-// so a caller whose batch width varies pass to pass (a streaming
-// pipeline's last round classifies whatever windows remain: 4, 4, 1, …)
-// settles at the high-water size and then never allocates again.
 func (s *Scratch) sized(layer, slot, n int) *scratchEntry {
 	e := s.entry(layer, slot)
+	e.fit(n)
+	return e
+}
+
+// fit gives the entry a data buffer of exactly n elements. Reuse is
+// capacity-based: the buffer reallocates only when n exceeds the
+// largest size the slot has ever held and shrinks by reslicing — so a
+// caller whose batch width varies pass to pass (a streaming pipeline's
+// last round classifies whatever windows remain: 4, 4, 1, …) settles at
+// the high-water size and then never allocates again.
+func (e *scratchEntry) fit(n int) {
 	switch {
 	case e.t == nil || cap(e.t.Data) < n:
 		e.t = &tensor.Tensor{Data: make([]float32, n)} //axsnn:allow-alloc grows only past the slot's high-water capacity (a larger shape or batch); smaller sizes reslice
@@ -114,7 +120,30 @@ func (s *Scratch) sized(layer, slot, n int) *scratchEntry {
 			e.t.Zero()
 		}
 	}
-	return e
+}
+
+// fitShape is fit for an existing shape slice, setting the buffer's
+// shape to it.
+func (e *scratchEntry) fitShape(shape []int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	e.fit(n)
+	t := e.t
+	if len(t.Shape) != len(shape) {
+		t.Shape = make([]int, len(shape)) //axsnn:allow-alloc rank changes at most once per slot
+	}
+	copy(t.Shape, shape)
+	return t
+}
+
+// claim reports whether a once-per-pass entry still has to be filled
+// this pass (generation gen), and marks it filled.
+func (e *scratchEntry) claim(gen uint64) bool {
+	fresh := e.gen != gen
+	e.gen = gen
+	return fresh
 }
 
 // setShape2..4 reshape a tensor header in place, only allocating when
@@ -156,47 +185,33 @@ func (s *Scratch) buf4(layer, slot, a, b, c, d int) *tensor.Tensor {
 
 // bufShape is buf for an existing shape slice (e.g. mirroring an input).
 func (s *Scratch) bufShape(layer, slot int, shape []int) *tensor.Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	e := s.sized(layer, slot, n)
-	t := e.t
-	if len(t.Shape) != len(shape) {
-		t.Shape = make([]int, len(shape)) //axsnn:allow-alloc rank changes at most once per slot
-	}
-	copy(t.Shape, shape)
-	return t
+	return s.entry(layer, slot).fitShape(shape)
 }
 
 // stateBufShape is bufShape for a buffer that must persist across the
 // steps of one pass and read as zero at the start of every pass (the
 // LIF membrane).
 func (s *Scratch) stateBufShape(layer, slot int, shape []int) *tensor.Tensor {
-	s.entry(layer, slot).state = true
-	return s.bufShape(layer, slot, shape)
+	e := s.entry(layer, slot)
+	e.state = true
+	return e.fitShape(shape)
 }
 
 // once2 returns a once-per-pass buffer plus whether the caller must
 // (re)fill it this pass — the weight-panel cache (mask application,
 // transposition).
 func (s *Scratch) once2(layer, slot, a, b int) (*tensor.Tensor, bool) {
-	t := s.buf2(layer, slot, a, b)
-	e := s.entry(layer, slot)
-	fresh := e.gen != s.gen
-	e.gen = s.gen
-	return t, fresh
+	e := s.sized(layer, slot, a*b)
+	setShape2(e.t, a, b)
+	return e.t, e.claim(s.gen)
 }
 
 // onceShape is once2 for an arbitrary shape. The arena also uses the
 // freshness bit for per-pass state whose first use must see it
 // uninitialized (the LIF backward carry, the dropout mask).
 func (s *Scratch) onceShape(layer, slot int, shape []int) (*tensor.Tensor, bool) {
-	t := s.bufShape(layer, slot, shape)
 	e := s.entry(layer, slot)
-	fresh := e.gen != s.gen
-	e.gen = s.gen
-	return t, fresh
+	return e.fitShape(shape), e.claim(s.gen)
 }
 
 // view2 and view3 return a cached tensor header wrapping caller data —

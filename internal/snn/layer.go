@@ -52,7 +52,12 @@ type BatchLayer = Layer
 
 // LIF is a layer of leaky integrate-and-fire neurons applied elementwise
 // to its input current: V ← λV + I; spike where V ≥ Vth; soft reset
-// V ← V − Vth·spike.
+// V ← V − Vth·spike. The allocating ForwardBatch/BackwardBatch are
+// scalar Go loops; the arena pair runs tensor.LIFStepInto and
+// tensor.LIFGradInto, which compute the same values bit for bit, so the
+// arena-vs-oracle suites check those kernels against an independent
+// loop. Every product is rounded to float32 before its add, so no
+// architecture fuses them.
 type LIF struct {
 	VTh   float32 // threshold voltage
 	Decay float32 // membrane leak λ ∈ (0,1]
@@ -95,7 +100,7 @@ func (l *LIF) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 	var spikes float64
 	var vSum float64
 	for i, inp := range x.Data {
-		v := l.Decay*l.v.Data[i] + inp
+		v := float32(l.Decay*l.v.Data[i]) + inp
 		vSum += float64(v)
 		if v >= l.VTh {
 			out.Data[i] = 1
@@ -108,7 +113,7 @@ func (l *LIF) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 		// Cache pre-reset potential: reconstruct from post state.
 		pre := tensor.New(x.Shape...)
 		for i := range pre.Data {
-			pre.Data[i] = l.v.Data[i] + out.Data[i]*l.VTh
+			pre.Data[i] = l.v.Data[i] + float32(out.Data[i]*l.VTh)
 		}
 		l.preVs = append(l.preVs, pre)
 	}
@@ -121,8 +126,11 @@ func (l *LIF) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // ForwardBatchInto implements trainLayer: the membrane persists in the
 // arena (zeroed at pass start) and the spike output overwrites a
-// reusable buffer. Passes that run a backward also cache the step's
-// pre-reset potentials. Arithmetic matches ForwardBatch exactly.
+// reusable buffer. tensor.LIFStepInto updates the membranes, writes the
+// spikes and counts them in one pass, and in passes that run a backward
+// also caches the step's pre-reset potentials in that same pass. On
+// amd64 it is branch-free SSE whose lanes round exactly as
+// ForwardBatch's scalar loop, so the values match it bit for bit.
 // StatSpikes, StatSteps and StatUnits take ForwardBatch's values in
 // every pass; StatVSum, a serial float64 sum over every membrane, only
 // in the calibration pass (the arena's membraneSum switch, which only
@@ -135,30 +143,15 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 	if ts.membraneSum {
 		var vSum float64
 		for i, inp := range x.Data {
-			vSum += float64(decay*v.Data[i] + inp)
+			vSum += float64(float32(decay*v.Data[i]) + inp)
 		}
 		l.StatVSum += vSum / float64(x.Len())
 	}
-	spikes := 0
-	for i, inp := range x.Data {
-		vv := decay*v.Data[i] + inp
-		var o float32
-		if vv >= vth {
-			o = 1
-			spikes++
-			vv -= vth
-		}
-		out.Data[i] = o
-		v.Data[i] = vv
-	}
+	var pre []float32
 	if ts.pass != passInfer {
-		// Cache pre-reset potential: reconstruct from post state, exactly
-		// like ForwardBatch does, into this step's ring buffer.
-		pre := ts.bufShape(li, slotPre, t, x.Shape)
-		for i := range pre.Data {
-			pre.Data[i] = v.Data[i] + out.Data[i]*vth
-		}
+		pre = ts.bufShape(li, slotPre, t, x.Shape).Data
 	}
+	spikes := tensor.LIFStepInto(v.Data, x.Data, out.Data, pre, decay, vth)
 	l.StatSpikes += float64(spikes) / float64(batch)
 	l.StatSteps++
 	l.StatUnits = x.Len() / batch
@@ -168,27 +161,16 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 // BackwardBatchInto implements trainLayer: BackwardBatch against the
 // arena's per-step pre-reset cache. The dL/dV carry updates in place — the
 // allocating path's fresh output plus Clone collapse into one buffer,
-// with identical values (dv reads the previous step's carry element
-// before overwriting it).
+// with identical values (each element reads the previous step's carry
+// before overwriting it). tensor.LIFGradInto computes the surrogate four
+// lanes at a time on amd64, rounding each lane as BackwardBatch's loop.
 func (l *LIF) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
 		return nil
 	}
 	pre := ts.bufShape(li, slotPre, t, grad.Shape)
 	carry, fresh := ts.onceShape(li, slotCarry, grad.Shape)
-	for i, g := range grad.Data {
-		u := pre.Data[i] - l.VTh
-		if u < 0 {
-			u = -u
-		}
-		d := 1 + l.Beta*u
-		surr := l.Beta / (d * d)
-		dv := g * surr
-		if !fresh {
-			dv += l.Decay * carry.Data[i]
-		}
-		carry.Data[i] = dv
-	}
+	tensor.LIFGradInto(carry.Data, grad.Data, pre.Data, l.VTh, l.Beta, l.Decay, fresh)
 	return carry
 }
 
@@ -210,11 +192,11 @@ func (l *LIF) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 		if u < 0 {
 			u = -u
 		}
-		d := 1 + l.Beta*u
+		d := 1 + float32(l.Beta*u)
 		surr := l.Beta / (d * d)
-		dv := g * surr
+		dv := float32(g * surr)
 		if hasCarry {
-			dv += l.Decay * l.carry.Data[i]
+			dv += float32(l.Decay * l.carry.Data[i])
 		}
 		out.Data[i] = dv
 	}

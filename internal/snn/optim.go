@@ -42,8 +42,8 @@ func (s *SGD) Step(params, grads []*tensor.Tensor, scale float32) {
 		g := grads[i]
 		v := s.vel[i]
 		for j := range p.Data {
-			v[j] = s.Momentum*v[j] + g.Data[j]*scale
-			p.Data[j] -= s.LR * v[j]
+			v[j] = float32(s.Momentum*v[j]) + float32(g.Data[j]*scale)
+			p.Data[j] -= float32(s.LR * v[j])
 		}
 	}
 }
@@ -80,8 +80,8 @@ func (a *Adam) Step(params, grads []*tensor.Tensor, scale float32) {
 		m, v := a.m[i], a.v[i]
 		for j := range p.Data {
 			gj := g.Data[j] * scale
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*gj
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*gj*gj
+			m[j] = float32(a.Beta1*m[j]) + float32((1-a.Beta1)*gj)
+			v[j] = float32(a.Beta2*v[j]) + float32((1-a.Beta2)*gj*gj)
 			mh := m[j] / b1c
 			vh := v[j] / b2c
 			p.Data[j] -= a.LR * mh / (sqrt32(vh) + a.Eps)

@@ -32,7 +32,7 @@ func clipGradients(grads []*tensor.Tensor, clip float64) {
 	total := 0.0
 	for _, g := range grads {
 		n := g.L2Norm()
-		total += n * n
+		total += float64(n * n)
 	}
 	norm := math.Sqrt(total)
 	if norm <= clip {

@@ -54,7 +54,7 @@ import (
 // the allocating ForwardBatch/BackwardBatch, so logits, losses, input
 // gradients and trained weights are bit-identical to them under ==,
 // and to themselves at any worker count (pinned by arena_test.go and
-// train_arena_test.go). Two kernel swaps change no value. The conv
+// train_arena_test.go). Three kernel swaps change no value. The conv
 // scatter adds each output's terms in ascending receptive-field
 // position p, the order of the im2row GEMM's inner loop; the allocating
 // ForwardBatch's im2col GEMM adds the same nonzero terms in the same
@@ -63,6 +63,11 @@ import (
 // outputs in ascending (sample, position) order, the order of
 // MatMulTAcc's dot product, and skips only that dot product's ±0
 // products of zero inputs (tensor.TestConvWeightGradScatterMatchesGEMM).
+// The LIF kernels (tensor.LIFStepInto, LIFGradInto) replace the scalar
+// loops' branches with lane masks: each lane performs the scalar loop's
+// IEEE operations in the same order, and a lane that does not spike
+// subtracts +0, which leaves every value as the branch did
+// (tensor.TestLIFStepMatchesGo, TestLIFGradMatchesGo).
 
 // trainSlotStride folds the time step into the slot space: per-step
 // slot s at step t lives at s + trainSlotStride·(t+1), per-pass slots

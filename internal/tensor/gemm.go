@@ -149,7 +149,7 @@ func matMulTRows(cd, ad, bd []float32, m, k, n int) {
 			brow := bd[j*k : (j+1)*k]
 			var s float32
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float32(av * brow[p])
 			}
 			crow[j] = s
 		}
@@ -178,7 +178,7 @@ func MatMulTAcc(dst, a, b *Tensor) {
 			brow := bd[j*k : (j+1)*k]
 			var s float32
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float32(av * brow[p])
 			}
 			crow[j] += s
 		}

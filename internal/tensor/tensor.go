@@ -164,7 +164,7 @@ func (t *Tensor) Scale(s float32) *Tensor {
 func (t *Tensor) AddScaled(s float32, o *Tensor) *Tensor {
 	mustSameShape("AddScaled", t, o)
 	for i, v := range o.Data {
-		t.Data[i] += s * v
+		t.Data[i] += float32(s * v)
 	}
 	return t
 }
@@ -250,7 +250,7 @@ func (t *Tensor) Argmax() int {
 func (t *Tensor) L2Norm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
@@ -470,7 +470,7 @@ func AvgPool2DBackwardInto(out, grad *Tensor, k int) {
 				top := plane[2*oi*w : (2*oi+1)*w]
 				bot := plane[(2*oi+1)*w : (2*oi+2)*w]
 				for oj, gv := range src[oi*ow : (oi+1)*ow] {
-					g := 0 + gv/4
+					g := 0 + float32(gv/4)
 					top[2*oj], top[2*oj+1], bot[2*oj], bot[2*oj+1] = g, g, g, g
 				}
 			}
