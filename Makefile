@@ -66,7 +66,7 @@ race:
 # One iteration of the hot-path benchmarks: keeps perf regressions
 # visible without burning CI minutes.
 bench:
-	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|GEMM|ConvForward|ConvWeightGrad|LIF|PGDCraft|StreamWindow|StreamDecode|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
+	$(GO) test -run '^$$' -bench 'SNNInference|TrainStep|TrainFit|GEMM|ConvForward|ConvWeightGrad|LIF|PGDCraft|StreamWindow|StreamDecode|ServeWindow|ServeCreditWindow|ServeSlowConsumer|ServeRouted' -benchtime=1x . ./internal/stream ./internal/serve
 
 # The machine-readable benchmark artifact CI archives (inference +
 # training arenas, PGD crafting, event-domain attack/filter hot paths,

@@ -242,9 +242,12 @@ func trainStepFixture() (*snn.Network, [][]*tensor.Tensor, []int) {
 // minibatch cycle (zeroing, frame stacking, training forward, loss,
 // BPTT, optimizer step — gradient clipping is off here, as in the
 // default TrainOptions; the snn property test covers the clipped
-// cycle) against a TrainScratch. Kernels are serial and never dispatch
-// to the pool, so allocs/op is 0 at any worker count; CI gates this
-// benchmark (and BenchmarkPredict) at 0 allocs/op. Compare against
+// cycle) against a TrainScratch. The step fans out over
+// min(Workers(), 16) sample blocks on the shared pool, and the
+// optimizer over parameter ranges; blocks and fan-out bodies are built
+// by the warm-up step and pool launches allocate nothing, so allocs/op
+// is 0 at any worker count; CI gates this benchmark (and
+// BenchmarkPredict) at 0 allocs/op. Compare against
 // BenchmarkTrainStepFresh for what the arena eliminates.
 func BenchmarkTrainStep(b *testing.B) {
 	net, samples, labels := trainStepFixture()
@@ -267,6 +270,37 @@ func BenchmarkTrainStep(b *testing.B) {
 	// against the 0 allocs/op gate at -benchtime=1x.
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
+}
+
+// BenchmarkTrainFit times one snn.Train fit at offline-pgd's set-up
+// shape: the lite MNIST net on 600 synthetic 16×16 digits at T = 8,
+// two epochs of 16-sample minibatches, Direct coding, Adam 2e-3. Each
+// iteration runs a fit at one worker and then one at two, where every
+// minibatch fans out over two sample blocks; it reports ms/fit at each
+// budget and their ratio w2/w1, from which the host's speed swings
+// largely cancel.
+func BenchmarkTrainFit(b *testing.B) {
+	defer tensor.SetWorkers(0)
+	scfg := dataset.DefaultSynthConfig()
+	train := dataset.GenerateSynth(600, scfg, 4)
+	fit := func(workers int) time.Duration {
+		tensor.SetWorkers(workers)
+		net := snn.MNISTNet(snn.DefaultConfig(1.0, 8), 1, scfg.H, scfg.W, true, rng.New(4))
+		opt := snn.TrainOptions{Epochs: 2, BatchSize: 16, Optimizer: snn.NewAdam(2e-3), Encoder: encoding.Direct{}, Seed: 5}
+		t0 := time.Now()
+		snn.Train(net, train, opt)
+		return time.Since(t0)
+	}
+	var w1, w2 time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w1 += fit(1)
+		w2 += fit(2)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(w1.Milliseconds())/float64(b.N), "ms/fit-w1")
+	b.ReportMetric(float64(w2.Milliseconds())/float64(b.N), "ms/fit-w2")
+	b.ReportMetric(float64(w2)/float64(w1), "w2/w1")
 }
 
 // BenchmarkTrainStepFresh is the pre-arena baseline: the same minibatch

@@ -2,7 +2,6 @@ package defense
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/approx"
 	"repro/internal/attack"
@@ -52,8 +51,8 @@ type SearchConfig struct {
 	CalibN int
 	Seed   uint64
 
-	// Workers bounds training parallelism across (Vth, T) cells;
-	// 0 means GOMAXPROCS.
+	// Workers, when positive, caps how many (Vth, T) cells train at
+	// once; 0 leaves it to the shared pool's budget (tensor.Workers).
 	Workers int
 }
 
@@ -106,26 +105,20 @@ func PrecisionScalingSearch(cfg SearchConfig) SearchResult {
 		}
 	}
 
-	// The structural grid shares the pool's worker budget: training
-	// cells fan out up to that many goroutines, one model per cell,
-	// each training serially.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = tensor.Workers()
+	// The structural grid runs its cells on the shared pool, one model
+	// per cell, at most cfg.Workers cells at once when set. A fit whose
+	// cell holds a pool worker runs its sample blocks inline, so the
+	// pool stays the one fan-out.
+	grain := 1
+	if cfg.Workers > 0 {
+		grain = (len(cells) + cfg.Workers - 1) / cfg.Workers
 	}
-	sem := make(chan struct{}, workers)
 	outs := make([]cellOut, len(cells))
-	var wg sync.WaitGroup
-	for i, cell := range cells {
-		wg.Add(1)
-		go func(i int, vth float32, ts int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outs[i] = cellOut{order: i, cands: searchCell(cfg, vth, ts)}
-		}(i, cell.vth, cell.ts)
-	}
-	wg.Wait()
+	tensor.ParallelFor(len(cells), grain, func(lo, hi int) {
+		for i, cell := range cells[lo:hi] {
+			outs[lo+i] = cellOut{order: lo + i, cands: searchCell(cfg, cell.vth, cell.ts)}
+		}
+	})
 
 	var res SearchResult
 	for _, o := range outs {

@@ -69,7 +69,8 @@ type Options struct {
 	// MNISTDir, when set and containing the real IDX files, replaces
 	// the synthetic digit corpus.
 	MNISTDir string
-	// Workers bounds grid parallelism (0 = GOMAXPROCS).
+	// Workers, when positive, caps how many grid cells run at once; 0
+	// leaves it to the shared pool's budget (tensor.Workers).
 	Workers int
 }
 

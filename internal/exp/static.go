@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/approx"
 	"repro/internal/attack"
@@ -191,31 +190,35 @@ func runSweep(o Options) *sweepOut {
 
 		s.victims = make([][]*snn.Network, len(p.stepAxis))
 		s.clean = make([][]float64, len(p.stepAxis))
-		workers := o.Workers
-		if workers <= 0 {
-			workers = tensor.Workers()
-		}
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
 		for ti := range p.stepAxis {
 			s.victims[ti] = make([]*snn.Network, len(p.vthAxis))
 			s.clean[ti] = make([]float64, len(p.vthAxis))
-			for vi := range p.vthAxis {
-				wg.Add(1)
-				go func(ti, vi int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					vth := p.vthAxis[vi]
-					steps := p.scaledSteps(p.stepAxis[ti])
-					net := d.TrainAccurate(vth, steps)
-					s.victims[ti][vi] = net
-					s.clean[ti][vi] = d.EvaluateSet(net, test)
-				}(ti, vi)
-			}
 		}
-		wg.Wait()
+		forCells(o, len(p.stepAxis), len(p.vthAxis), func(ti, vi int) {
+			vth := p.vthAxis[vi]
+			steps := p.scaledSteps(p.stepAxis[ti])
+			net := d.TrainAccurate(vth, steps)
+			s.victims[ti][vi] = net
+			s.clean[ti][vi] = d.EvaluateSet(net, test)
+		})
 		return s
+	})
+}
+
+// forCells runs cell(ti, vi) for every cell of a steps × vths grid on
+// the shared worker pool, at most o.Workers cells at once when set. A
+// fit or evaluation whose cell holds a pool worker runs its own
+// fan-out inline, so the pool stays the one fan-out.
+func forCells(o Options, steps, vths int, cell func(ti, vi int)) {
+	n := steps * vths
+	grain := 1
+	if o.Workers > 0 {
+		grain = (n + o.Workers - 1) / o.Workers
+	}
+	tensor.ParallelFor(n, grain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cell(i/vths, i%vths)
+		}
 	})
 }
 
@@ -224,29 +227,16 @@ func gridFor(o Options, s *sweepOut, level float64, qs quant.Scale, adv *dataset
 	p := s.p
 	g := eval.Grid{Title: title, Steps: p.stepAxis, VThs: p.vthAxis}
 	g.Acc = make([][]float64, len(p.stepAxis))
-	workers := o.Workers
-	if workers <= 0 {
-		workers = tensor.Workers()
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
 	for ti := range p.stepAxis {
 		g.Acc[ti] = make([]float64, len(p.vthAxis))
-		for vi := range p.vthAxis {
-			wg.Add(1)
-			go func(ti, vi int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				victim := s.victims[ti][vi]
-				if level > 0 || qs != quant.FP32 {
-					victim, _ = s.d.Approximate(victim, level, qs)
-				}
-				g.Acc[ti][vi] = s.d.EvaluateSet(victim, adv)
-			}(ti, vi)
-		}
 	}
-	wg.Wait()
+	forCells(o, len(p.stepAxis), len(p.vthAxis), func(ti, vi int) {
+		victim := s.victims[ti][vi]
+		if level > 0 || qs != quant.FP32 {
+			victim, _ = s.d.Approximate(victim, level, qs)
+		}
+		g.Acc[ti][vi] = s.d.EvaluateSet(victim, adv)
+	})
 	return g
 }
 

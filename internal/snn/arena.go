@@ -37,11 +37,10 @@ const (
 	slotXCache          // Dense and Conv2D input cache, per step (training)
 	slotGrad            // layer input-gradient buffer (training)
 	slotGradView        // view of the gradient in another shape (training)
-	slotDW              // per-step weight-gradient panel: Dense's dWᵀ, Conv2D's tap-reversed dW (training)
 	slotMask            // dropout mask, once per pass (training)
 	slotDims            // pool input dims, per pass (training)
 	slotG2B             // conv gradient de-interleave panel (training)
-	slotGradT           // conv channel-last output gradient (B·N, OutC) (training)
+	slotGradOut         // output gradient kept for the reduction, per step parity: Conv2D's channel-last (B·N, OutC), Dense's copy (training)
 	slotDCols           // conv column-gradient panel (training)
 	slotGradStep        // per-step input-gradient copy (network-level)
 	slotGradSum         // summed input gradient (network-level)

@@ -9,10 +9,11 @@ import (
 )
 
 // arenaCase is one (network, input shape) pair covering the layer
-// stacks the arena must reproduce exactly: pure dense, conv+avgpool and
-// the DVS topology with dropout, once as an evaluation net without a
-// dropout RNG and once with a live one, on which inference must still
-// treat dropout as the identity.
+// stacks the arena must reproduce exactly: pure dense (once with odd
+// LIF widths, 10 and 5, which leave the LIF kernels' Go tail a
+// remainder), conv+avgpool and the DVS topology with dropout, once as
+// an evaluation net without a dropout RNG and once with a live one, on
+// which inference must still treat dropout as the identity.
 type arenaCase struct {
 	name  string
 	net   *Network
@@ -26,6 +27,7 @@ func arenaCases() []arenaCase {
 		{"mnist-conv", MNISTNet(cfg, 1, 12, 12, true, rng.New(2)), []int{1, 12, 12}},
 		{"dvs", DVSNet(DefaultConfig(1.0, 6), 16, 16, 11, true, rng.New(3), nil), []int{2, 16, 16}},
 		{"dvs-dropout-rng", DVSNet(DefaultConfig(1.0, 6), 16, 16, 11, true, rng.New(3), rng.New(4)), []int{2, 16, 16}},
+		{"dense-odd", DenseNet(cfg, 144, 10, 10, rng.New(6)), []int{12, 12}},
 	}
 }
 

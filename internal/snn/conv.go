@@ -224,14 +224,13 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 }
 
 // BackwardBatchInto implements trainLayer: BackwardBatch against the
-// arena's cached input for this step. The weight gradient is
-// input-driven: each sample's nonzero inputs scatter the channel-last
-// output gradient into a tap-reversed panel
-// (tensor.ConvWeightGradScatterAcc), which folds into dW once per step
-// and adds the same terms in the same order as BackwardBatch's GEMM
-// minus its exact zero products. An input-gradient pass skips the bias
-// and weight gradients. With needDX false (no parameter layer below)
-// the input-gradient GEMM and col2im scatter are skipped entirely.
+// arena's cached input for this step. A training pass leaves the weight
+// and bias gradients to the reduction (reduceStep): it lays the output
+// gradient out channel-last, the rows the input-driven weight-gradient
+// scatter reads, and records it with the step's cached input. An
+// input-gradient pass skips both. With needDX false (no parameter layer
+// below) the input-gradient GEMM and col2im scatter are skipped
+// entirely.
 func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	batch := grad.Shape[0]
@@ -241,19 +240,9 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 	chw := g.InC * g.InH * g.InW
 
 	if ts.pass == passTrain {
-		// dB sums each channel over (b, j) in ascending order, as
-		// BackwardBatch's g2B rows do.
-		for oc := 0; oc < c.OutC; oc++ {
-			var s float32
-			for b := 0; b < batch; b++ {
-				for _, v := range grad.Data[(b*c.OutC+oc)*n : (b*c.OutC+oc+1)*n] {
-					s += v
-				}
-			}
-			c.dB.Data[oc] += s
-		}
-		// gT[b·N+j, oc] = grad[b, oc, j], the scatter's channel-last rows.
-		gT := ts.buf2(li, slotGradT, -1, batch*n, c.OutC)
+		// gT[b·N+j, oc] = grad[b, oc, j], the channel-last rows the
+		// reduction's bias sums and weight-gradient scatter read.
+		gT := ts.buf2(li, slotGradOut, t&1, batch*n, c.OutC)
 		for b := 0; b < batch; b++ {
 			for oc := 0; oc < c.OutC; oc++ {
 				for j, v := range grad.Data[(b*c.OutC+oc)*n : (b*c.OutC+oc+1)*n] {
@@ -261,14 +250,7 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 				}
 			}
 		}
-		dR := ts.buf2(li, slotDW, -1, ckk, c.OutC)
-		dR.Zero()
-		xc := ts.buf2(li, slotXCache, t, batch, chw)
-		for b := 0; b < batch; b++ {
-			sample := ts.view3(li, slotInView, xc.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-			tensor.ConvWeightGradScatterAcc(dR.Data, sample, gT.Data[b*n*c.OutC:(b+1)*n*c.OutC], c.OutC, g)
-		}
-		tensor.AddConvScatterWeights(c.dW, dR, g)
+		*ts.stepGrad(li, t) = stepGrad{x: ts.cachedInput(li, t), g: gT}
 	}
 	if !needDX {
 		return nil
@@ -481,27 +463,18 @@ func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) 
 }
 
 // BackwardBatchInto implements trainLayer: BackwardBatch against the
-// arena's per-step input cache, with the weight-gradient panel and the
-// input-gradient GEMM result reused. Kernels and accumulation order
-// match BackwardBatch exactly. An input-gradient pass skips the weight
-// and bias gradients; with needDX false (no parameter layer below) the
-// input-gradient GEMM is skipped.
+// arena's per-step input cache, with the input-gradient GEMM result
+// reused. A training pass leaves the weight and bias gradients to the
+// reduction (reduceStep), recording the step's cached input and a copy
+// of its output gradient for it; an input-gradient pass skips them.
+// With needDX false (no parameter layer below) the input-gradient GEMM
+// is skipped.
 func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	batch := grad.Shape[0]
 	if ts.pass == passTrain {
-		x := ts.buf2(li, slotXCache, t, batch, d.In)
-		// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip
-		// path, then the cheap transposed add — BackwardBatch's kernels
-		// on a reusable panel.
-		dwT := ts.buf2(li, slotDW, -1, d.In, d.Out)
-		tensor.TMatMulInto(dwT, x, grad)
-		d.dW.AddTransposed(dwT)
-		for b := 0; b < batch; b++ {
-			row := grad.Data[b*d.Out : (b+1)*d.Out]
-			for o, g := range row {
-				d.dB.Data[o] += g
-			}
-		}
+		g := ts.buf2(li, slotGradOut, t&1, batch, d.Out)
+		copy(g.Data, grad.Data)
+		*ts.stepGrad(li, t) = stepGrad{x: ts.cachedInput(li, t), g: g}
 	}
 	if !needDX {
 		return nil

@@ -14,6 +14,15 @@
 // derivative and the reset path is detached. These allocating methods
 // are the test oracle of each layer's arena pair (train_arena.go),
 // which every program path runs.
+//
+// The arena runs the same unrolling. A training step splits its
+// minibatch into contiguous sample blocks over the shared worker pool
+// (train_block.go): the blocks run the forward, then step by step in
+// reverse the blocks run their backward chains and the parameter
+// layers reduce that step's weight gradients over the blocks in sample
+// order, so the weights match the whole-batch oracle's bit for bit at
+// any worker count. A static input (one frame at every step) runs the
+// layers before the first LIF once per pass.
 package snn
 
 import (

@@ -30,11 +30,14 @@ type Network struct {
 	Layers []Layer
 
 	// Arena bookkeeping (train_arena.go): parked arenas, the cached
-	// arena layer view, and the lowest parameter layer index (layers at
-	// or below it skip input-gradient work).
+	// arena layer view, the lowest parameter layer index (layers at or
+	// below it skip input-gradient work), and the number of leading
+	// layers whose output depends only on the step's input (a static
+	// input runs them once per pass).
 	trainFree  []*TrainScratch
 	trainLs    []trainLayer
 	paramFloor int
+	invariant  int
 
 	// Inference precision tier (tier.go): FP32 exact or INT8 quantized.
 	tier PrecisionTier

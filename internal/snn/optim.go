@@ -19,12 +19,37 @@ type Optimizer interface {
 	Step(params, grads []*tensor.Tensor, scale float32)
 }
 
+// optimGrain is the fewest parameter elements an optimizer step hands
+// one pool block: smaller tensors update inline.
+const optimGrain = 2048
+
+// elemStep fans an optimizer's elementwise update out over the shared
+// worker pool: each parameter's elements in contiguous ranges, each
+// element updated on its own, so the result is the same at any worker
+// count. The fan-out body is built once, with the moment state.
+type elemStep struct {
+	params, grads []*tensor.Tensor
+	i             int // the parameter being updated
+	body          func(lo, hi int)
+}
+
+// run applies the update to every parameter in turn.
+func (e *elemStep) run(params, grads []*tensor.Tensor) {
+	e.params, e.grads = params, grads
+	for e.i = range params {
+		tensor.ParallelFor(params[e.i].Len(), optimGrain, e.body)
+	}
+	e.params, e.grads = nil, nil
+}
+
 // SGD is stochastic gradient descent with classical momentum.
 type SGD struct {
 	LR       float32
 	Momentum float32
 
-	vel [][]float32
+	vel   [][]float32
+	scale float32
+	step  elemStep
 }
 
 // NewSGD returns an SGD optimizer.
@@ -37,14 +62,19 @@ func (s *SGD) Step(params, grads []*tensor.Tensor, scale float32) {
 		for i, p := range params {
 			s.vel[i] = make([]float32, p.Len())
 		}
+		s.step.body = s.update
 	}
-	for i, p := range params {
-		g := grads[i]
-		v := s.vel[i]
-		for j := range p.Data {
-			v[j] = float32(s.Momentum*v[j]) + float32(g.Data[j]*scale)
-			p.Data[j] -= float32(s.LR * v[j])
-		}
+	s.scale = scale
+	s.step.run(params, grads)
+}
+
+// update steps elements [lo, hi) of the running parameter.
+func (s *SGD) update(lo, hi int) {
+	i := s.step.i
+	p, g, v := s.step.params[i].Data[lo:hi], s.step.grads[i].Data[lo:hi], s.vel[i][lo:hi]
+	for j := range p {
+		v[j] = float32(s.Momentum*v[j]) + float32(g[j]*s.scale)
+		p[j] -= float32(s.LR * v[j])
 	}
 }
 
@@ -52,9 +82,12 @@ func (s *SGD) Step(params, grads []*tensor.Tensor, scale float32) {
 type Adam struct {
 	LR, Beta1, Beta2, Eps float32
 
-	t int
-	m [][]float32
-	v [][]float32
+	t        int
+	m        [][]float32
+	v        [][]float32
+	scale    float32
+	b1c, b2c float32
+	step     elemStep
 }
 
 // NewAdam returns Adam with the usual defaults for the moment decays.
@@ -71,20 +104,26 @@ func (a *Adam) Step(params, grads []*tensor.Tensor, scale float32) {
 			a.m[i] = make([]float32, p.Len())
 			a.v[i] = make([]float32, p.Len())
 		}
+		a.step.body = a.update
 	}
 	a.t++
-	b1c := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
-	b2c := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
-	for i, p := range params {
-		g := grads[i]
-		m, v := a.m[i], a.v[i]
-		for j := range p.Data {
-			gj := g.Data[j] * scale
-			m[j] = float32(a.Beta1*m[j]) + float32((1-a.Beta1)*gj)
-			v[j] = float32(a.Beta2*v[j]) + float32((1-a.Beta2)*gj*gj)
-			mh := m[j] / b1c
-			vh := v[j] / b2c
-			p.Data[j] -= a.LR * mh / (sqrt32(vh) + a.Eps)
-		}
+	a.scale = scale
+	a.b1c = 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
+	a.b2c = 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
+	a.step.run(params, grads)
+}
+
+// update steps elements [lo, hi) of the running parameter.
+func (a *Adam) update(lo, hi int) {
+	i := a.step.i
+	p, g := a.step.params[i].Data[lo:hi], a.step.grads[i].Data[lo:hi]
+	m, v := a.m[i][lo:hi], a.v[i][lo:hi]
+	for j := range p {
+		gj := g[j] * a.scale
+		m[j] = float32(a.Beta1*m[j]) + float32((1-a.Beta1)*gj)
+		v[j] = float32(a.Beta2*v[j]) + float32((1-a.Beta2)*gj*gj)
+		mh := m[j] / a.b1c
+		vh := v[j] / a.b2c
+		p[j] -= a.LR * mh / (sqrt32(vh) + a.Eps)
 	}
 }

@@ -140,15 +140,20 @@ func (d *Dropout) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // ForwardBatchInto implements trainLayer: the mask is drawn once per
 // pass into an arena buffer (consuming the RNG stream exactly like the
-// allocating path) and applied into a reused output tensor. Inference
-// passes through, and so do evaluation clones, which carry no RNG,
-// like ForwardBatch does.
+// allocating path) and applied into a reused output tensor. A training
+// block draws its own rows of the whole minibatch's mask: it first
+// skips the draws of the samples before it (the arena's offset;
+// Float32 takes one Uint64 per element). Inference passes through, and
+// so do evaluation clones, which carry no RNG, like ForwardBatch does.
 func (d *Dropout) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	if ts.pass == passInfer || d.P <= 0 || d.r == nil {
 		return x
 	}
 	mask, fresh := ts.onceShape(li, slotMask, x.Shape)
 	if fresh {
+		for i := ts.offset * (x.Len() / x.Shape[0]); i > 0; i-- {
+			d.r.Uint64()
+		}
 		keep := 1 - d.P
 		inv := 1 / keep
 		for i := range mask.Data {

@@ -96,11 +96,30 @@ func zeroGrads(n *Network, ts *TrainScratch) {
 	n.ZeroGrads()
 }
 
+// directFrames returns each sample's image as its one static frame
+// when enc is Direct coding, which presents the image itself at every
+// step and draws no randomness: the arena passes then present the
+// frame every step, and nothing is copied. It returns nil for any other
+// encoder.
+func directFrames(enc encoding.Encoder, samples []dataset.Sample) [][]*tensor.Tensor {
+	if _, ok := enc.(encoding.Direct); !ok {
+		return nil
+	}
+	imgs := make([]*tensor.Tensor, len(samples))
+	frames := make([][]*tensor.Tensor, len(samples))
+	for i, s := range samples {
+		imgs[i] = s.Image
+		frames[i] = imgs[i : i+1]
+	}
+	return frames
+}
+
 // Train fits the network on a static image dataset with BPTT, one
 // batched BPTT pass per minibatch, against one arena acquired for the
 // whole fit, so the per-minibatch steady state (stacking, forward,
 // loss, backward, clipping, optimizer step) allocates no tensors; only
-// the per-sample encoding still does.
+// the per-sample encoding still does, and Direct coding encodes nothing
+// (see directFrames).
 func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 16
@@ -112,6 +131,7 @@ func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 	for i := range idx {
 		idx[i] = i
 	}
+	static := directFrames(opt.Encoder, train.Samples)
 	samples := make([][]*tensor.Tensor, 0, opt.BatchSize)
 	labels := make([]int, 0, opt.BatchSize)
 	for epoch := 0; epoch < opt.Epochs; epoch++ {
@@ -125,7 +145,11 @@ func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 			samples, labels = samples[:0], labels[:0]
 			for _, i := range idx[b:end] {
 				s := train.Samples[i]
-				samples = append(samples, opt.Encoder.Encode(s.Image, n.Cfg.Steps, r))
+				if static != nil {
+					samples = append(samples, static[i])
+				} else {
+					samples = append(samples, opt.Encoder.Encode(s.Image, n.Cfg.Steps, r))
+				}
 				labels = append(labels, s.Label)
 			}
 			zeroGrads(n, ts)
@@ -190,12 +214,15 @@ const evalChunk = 32
 // memory, and each round's evalChunk-sample chunks are classified
 // concurrently (see countCorrect). The result is therefore the same at
 // any worker count, and identical to encoding every sample in order and
-// predicting each chunk serially. The caller's network is not touched.
+// predicting each chunk serially. Direct coding encodes nothing: each
+// image is one static frame (directFrames). The caller's network is not
+// touched.
 func Accuracy(n *Network, test *dataset.Set, enc encoding.Encoder, seed uint64) float64 {
 	if test.Len() == 0 {
 		return 0
 	}
 	clones := evalClones(n, test.Len())
+	static := directFrames(enc, test.Samples)
 	round := len(clones) * evalChunk
 	r := rng.New(seed)
 	samples := make([][]*tensor.Tensor, 0, round)
@@ -203,8 +230,12 @@ func Accuracy(n *Network, test *dataset.Set, enc encoding.Encoder, seed uint64) 
 	correct := 0
 	for b := 0; b < test.Len(); b += round {
 		samples, labels = samples[:0], labels[:0]
-		for _, s := range test.Samples[b:min(b+round, test.Len())] {
-			samples = append(samples, enc.Encode(s.Image, n.Cfg.Steps, r))
+		for i, s := range test.Samples[b:min(b+round, test.Len())] {
+			if static != nil {
+				samples = append(samples, static[b+i])
+			} else {
+				samples = append(samples, enc.Encode(s.Image, n.Cfg.Steps, r))
+			}
 			labels = append(labels, s.Label)
 		}
 		correct += countCorrect(clones, samples, labels)

@@ -16,7 +16,9 @@ import (
 //   - train (TrainStepScratch) is full BPTT: it accumulates every
 //     parameter gradient, so Conv2D and Dense cache each step's input
 //     for the weight gradient, LIF its pre-reset potentials, and dropout
-//     draws its masks.
+//     draws its masks. It runs on sample blocks (train_block.go), each
+//     block's pass on its own arena; the parameter layers leave each
+//     step's weight and bias gradients to a reduction over the blocks.
 //   - input-gradient (InputGradSumScratch) is the attacks' pass: it
 //     computes only dL/dx, so it caches only what that reads (LIF
 //     pre-reset potentials, pool dims).
@@ -27,6 +29,13 @@ import (
 //
 // Every FP32 conv forward is the event-driven scatter
 // (tensor.ConvScatterInto).
+//
+// A pass whose samples all present one input tensor at every step
+// runs the leading step-invariant layers (Conv2D, Dense, AvgPool,
+// Flatten, up to the first LIF or Dropout) only at step 0 and feeds
+// their output to the later steps; a training pass caches their inputs
+// at step 0 alone, and the backward and the reduction read them there
+// (cachedInput).
 //
 // Layout: per-step caches (what the reverse pass pops) are a ring of
 // Cfg.Steps buffers per (layer, slot), addressed by folding the step
@@ -45,16 +54,27 @@ import (
 // parameter and gradient tensor lists; Network.ReleaseTrain returns it.
 // snn.Train/TrainFrames acquire one per fit, the gradient attacks one
 // per crafting call, and Predict/PredictBatchInto and Calibrate one per
-// call, so
-// callers keep their one-line APIs. A TrainScratch belongs to one
-// network and must not be shared between goroutines; concurrent work
-// runs on CloneArchitecture clones, each with its own arenas.
+// call, so callers keep their one-line APIs. The first TrainStepScratch
+// on an arena builds its training fan-out: one weight-sharing clone and
+// arena per sample block (as many as the worker budget has asked for),
+// the reduction panels and the fan-out bodies. The arena owns them and
+// they park with it, so later fits on the network reuse them. A
+// TrainScratch belongs to one network and must not be shared between
+// goroutines; concurrent work runs on CloneArchitecture clones, each
+// with its own arenas.
 //
 // Correctness: the arena passes add every term in the same order as
 // the allocating ForwardBatch/BackwardBatch, so logits, losses, input
 // gradients and trained weights are bit-identical to them under ==,
 // and to themselves at any worker count (pinned by arena_test.go and
-// train_arena_test.go). Three kernel swaps change no value. The conv
+// train_arena_test.go). A sample's forward and reverse chain do not
+// depend on the batch it runs in, so splitting a minibatch into blocks
+// changes none of their values; the only sums across samples, each
+// step's dW and dB, are reduced over the blocks in sample order with
+// the whole-batch backward's kernels, steps folding in descending
+// order, and the loss sums over the assembled logits. Running the
+// step-invariant prefix once per pass computes the values running it
+// every step does. Three kernel swaps change no value. The conv
 // scatter adds each output's terms in ascending receptive-field
 // position p, the order of the im2row GEMM's inner loop; the allocating
 // ForwardBatch's im2col GEMM adds the same nonzero terms in the same
@@ -123,6 +143,25 @@ type TrainScratch struct {
 	// gradSteps holds the per-step input gradients of the last
 	// input-gradient pass, in forward order (see InputGradSteps).
 	gradSteps []*tensor.Tensor
+
+	// static is the number of leading layers the running pass runs only
+	// at step 0, because every sample's input is the same at every step
+	// (see forwardPass); 0 when some sample's input changes.
+	static int
+
+	// offset is the position of a training block's first sample in the
+	// caller's minibatch (0 on any other arena): dropout skips the
+	// draws of the samples before it.
+	offset int
+
+	// stepGrads holds, per (layer, step parity), what a training
+	// block's parameter layers leave for the weight-gradient reduction
+	// (train_block.go).
+	stepGrads []stepGrad
+
+	// fan is the training pass's fan-out over sample blocks, built by
+	// the first TrainStepScratch on this arena and kept with it.
+	fan *blockFan
 }
 
 // trainLayer is implemented by every built-in layer: its one batched
@@ -205,6 +244,22 @@ func (ts *TrainScratch) Params() []*tensor.Tensor { return ts.params }
 // Grads returns the gradient tensors aligned with Params.
 func (ts *TrainScratch) Grads() []*tensor.Tensor { return ts.grads }
 
+// stepGrad is layer li's reduction record for step t; steps t and t−1
+// have their own.
+func (ts *TrainScratch) stepGrad(li, t int) *stepGrad { return &ts.stepGrads[2*li+t&1] }
+
+// cachedInput is the input layer li's training forward cached for step
+// t, at step 0 for a layer the pass ran only at step 0. It only reads
+// the entry, whose shape the forward set: a static prefix's entry is
+// read by the reduction of step t+1 while the chain of step t looks it
+// up.
+func (ts *TrainScratch) cachedInput(li, t int) *tensor.Tensor {
+	if li < ts.static {
+		t = 0
+	}
+	return ts.sc.m[slotKey{li, tslot(slotXCache, t)}].t
+}
+
 // ZeroGrads clears every gradient tensor without rebuilding the slice
 // (the allocation-free form of Network.ZeroGrads).
 func (ts *TrainScratch) ZeroGrads() {
@@ -214,13 +269,14 @@ func (ts *TrainScratch) ZeroGrads() {
 }
 
 // trainLayers returns the network's layers as arena layers, caching the
-// view and the lowest parameter layer index on first use. Every
-// built-in layer is one; a network holding any other layer panics.
+// view, the lowest parameter layer index and the length of the
+// step-invariant prefix on first use. Every built-in layer is one; a
+// network holding any other layer panics.
 //
 //axsnn:allow-alloc caches the arena layer view; runs once per network
 func (n *Network) trainLayers() []trainLayer {
 	if n.trainLs == nil {
-		n.paramFloor = len(n.Layers)
+		n.paramFloor, n.invariant = len(n.Layers), len(n.Layers)
 		ls := make([]trainLayer, 0, len(n.Layers))
 		for i, l := range n.Layers {
 			tl, ok := l.(trainLayer)
@@ -229,6 +285,11 @@ func (n *Network) trainLayers() []trainLayer {
 			}
 			if _, isParam := l.(ParamLayer); isParam && i < n.paramFloor {
 				n.paramFloor = i
+			}
+			switch l.(type) {
+			case *Conv2D, *Dense, *AvgPool, *Flatten:
+			default:
+				n.invariant = min(n.invariant, i)
 			}
 			ls = append(ls, tl)
 		}
@@ -257,23 +318,64 @@ func (n *Network) AcquireTrainScratch() *TrainScratch {
 //axsnn:allow-alloc builds an arena once; recycled via the free list thereafter
 func newTrainScratch(n *Network) *TrainScratch {
 	return &TrainScratch{
-		sc:     Scratch{m: make(map[slotKey]*scratchEntry)},
-		params: n.Params(),
-		grads:  n.Grads(),
-		intm:   make(map[slotKey][]int),
-		i32m:   make(map[slotKey][]int32),
+		sc:        Scratch{m: make(map[slotKey]*scratchEntry)},
+		params:    n.Params(),
+		grads:     n.Grads(),
+		intm:      make(map[slotKey][]int),
+		i32m:      make(map[slotKey][]int32),
+		stepGrads: make([]stepGrad, 2*len(n.Layers)),
 	}
 }
 
 // ReleaseTrain parks an arena for reuse by the next AcquireTrainScratch,
-// dropping any borrowed data references.
+// dropping any borrowed data references, its training blocks' too.
 func (n *Network) ReleaseTrain(ts *TrainScratch) {
 	if ts == nil {
 		return
 	}
 	ts.sc.release()
+	if ts.fan != nil {
+		for _, bk := range ts.fan.blocks {
+			bk.ts.sc.release()
+		}
+	}
 	ts.membraneSum = false
 	n.trainFree = append(n.trainFree, ts) //axsnn:allow-alloc free list grows to the high-water mark of live arenas
+}
+
+// checkSamples panics unless every sample has input frames of one size
+// at each of the steps a pass reads.
+func checkSamples(samples [][]*tensor.Tensor, steps int) {
+	if len(samples) == 0 {
+		panic("snn: arena pass with no samples")
+	}
+	per := -1
+	for b, fr := range samples {
+		if len(fr) == 0 {
+			panic("snn: arena pass sample with no input frames")
+		}
+		if per < 0 {
+			per = fr[0].Len()
+		}
+		for _, f := range fr[:min(len(fr), steps)] {
+			if f.Len() != per {
+				panic(fmt.Sprintf("snn: sample %d frame size %d, want %d", b, f.Len(), per)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+			}
+		}
+	}
+}
+
+// staticInput reports whether every sample presents one tensor at every
+// step: a single frame, or the same *tensor.Tensor at each step read.
+func staticInput(samples [][]*tensor.Tensor, steps int) bool {
+	for _, fr := range samples {
+		for _, f := range fr[1:min(len(fr), steps)] {
+			if f != fr[0] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // forwardPass runs one forward pass of the given kind over a batch of
@@ -282,38 +384,47 @@ func (n *Network) ReleaseTrain(ts *TrainScratch) {
 // At step t every sample contributes frame t, or its last frame once it
 // has no more (a single frame is a static image presented every step),
 // stacked into one reused (B, frame shape...) buffer.
+//
+// When every sample's input is static, the layers before the first
+// stateful one (Conv2D, Dense, AvgPool and Flatten compute each step
+// from that step's input alone) would compute the same output at every
+// step, so they run only at step 0 and later steps start from their
+// step-0 output. The values are those of running them every step; a
+// training pass caches their inputs once, at step 0 (cachedInput).
 func (n *Network) forwardPass(samples [][]*tensor.Tensor, ts *TrainScratch, pass passKind) *tensor.Tensor {
-	if len(samples) == 0 {
-		panic("snn: arena pass with no samples")
-	}
-	for _, fr := range samples {
-		if len(fr) == 0 {
-			panic("snn: arena pass sample with no input frames")
-		}
-	}
+	checkSamples(samples, n.Cfg.Steps)
 	ls := n.trainLayers()
 	ts.pass = pass
 	ts.sc.begin()
+	ts.static = 0
+	if staticInput(samples, n.Cfg.Steps) {
+		ts.static = n.invariant
+	}
 	batch := len(samples)
 	shape := samples[0][0].Shape
 	per := samples[0][0].Len()
-	var logits *tensor.Tensor
+	var logits, fixed *tensor.Tensor
 	for t := 0; t < n.Cfg.Steps; t++ {
-		x := ts.sc.sized(netLayer, tslot(slotFrame, -1), batch*per).t
-		if len(x.Shape) != 1+len(shape) {
-			x.Shape = make([]int, 1+len(shape)) //axsnn:allow-alloc rank changes at most once per slot
+		first, x := 0, fixed
+		if t > 0 {
+			first = ts.static
 		}
-		x.Shape[0] = batch
-		copy(x.Shape[1:], shape)
-		for b, fr := range samples {
-			src := fr[min(t, len(fr)-1)]
-			if src.Len() != per {
-				panic(fmt.Sprintf("snn: sample %d frame size %d, want %d", b, src.Len(), per)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+		if first == 0 {
+			x = ts.sc.sized(netLayer, tslot(slotFrame, -1), batch*per).t
+			if len(x.Shape) != 1+len(shape) {
+				x.Shape = make([]int, 1+len(shape)) //axsnn:allow-alloc rank changes at most once per slot
 			}
-			copy(x.Data[b*per:(b+1)*per], src.Data)
+			x.Shape[0] = batch
+			copy(x.Shape[1:], shape)
+			for b, fr := range samples {
+				copy(x.Data[b*per:(b+1)*per], fr[min(t, len(fr)-1)].Data)
+			}
 		}
-		for li, l := range ls {
-			x = l.ForwardBatchInto(x, ts, li, t)
+		for li := first; li < len(ls); li++ {
+			x = ls[li].ForwardBatchInto(x, ts, li, t)
+			if li+1 == ts.static {
+				fixed = x
+			}
 		}
 		if logits == nil {
 			logits = ts.sc.bufShape(netLayer, slotLogits, x.Shape)
@@ -324,55 +435,18 @@ func (n *Network) forwardPass(samples [][]*tensor.Tensor, ts *TrainScratch, pass
 	return logits
 }
 
-// backwardPass completes BPTT after a train or input-gradient
-// forwardPass. A training pass accumulates parameter gradients and
-// returns nil; layers below the lowest parameter layer skip their
-// input-gradient work entirely. An input-gradient pass returns
-// Σ_t dL/dframe_t (the attack-crafting quantity), summed in ascending
-// step order exactly like encoding.SumFrameGradients folds the
-// allocating path's per-step list, and keeps the per-step terms in
-// gradSteps.
-func (n *Network) backwardPass(gradLogits *tensor.Tensor, ts *TrainScratch) *tensor.Tensor {
+// backwardStep runs step t's reverse chain after a train or
+// input-gradient forwardPass, from the top gradient g down to the
+// lowest layer whose input gradient is needed, and returns dL/dx_t. A
+// training pass needs none below the lowest parameter layer, so it
+// returns nil; its parameter layers leave their step gradients in
+// stepGrads for the reduction instead of accumulating them.
+func (n *Network) backwardStep(g *tensor.Tensor, ts *TrainScratch, t int) *tensor.Tensor {
 	inputGrad := ts.pass == passInputGrad
-	for t := n.Cfg.Steps - 1; t >= 0; t-- {
-		g := gradLogits
-		for li := len(n.trainLs) - 1; li >= 0; li-- {
-			needDX := inputGrad || li > n.paramFloor
-			g = n.trainLs[li].BackwardBatchInto(g, ts, li, t, needDX)
-			if g == nil {
-				break
-			}
-		}
-		if inputGrad {
-			step := ts.bufShape(netLayer, slotGradStep, t, g.Shape)
-			copy(step.Data, g.Data)
-			ts.gradSteps[t] = step
-		}
+	for li := len(n.trainLs) - 1; li >= 0 && g != nil; li-- {
+		g = n.trainLs[li].BackwardBatchInto(g, ts, li, t, inputGrad || li > n.paramFloor)
 	}
-	if !inputGrad {
-		return nil
-	}
-	sum := ts.bufShape(netLayer, slotGradSum, -1, ts.gradSteps[0].Shape)
-	sum.Zero()
-	for _, step := range ts.gradSteps {
-		sum.Add(step)
-	}
-	return sum
-}
-
-// TrainStepScratch runs one batched training minibatch against the
-// arena — training-mode forward, softmax cross-entropy, BPTT gradient
-// accumulation — and returns the summed loss. samples[b] is sample b's
-// frame list and labels[b] its class. Gradients accumulate into the
-// network's gradient tensors exactly like the allocating trainStep
-// (the caller zeroes and consumes them); in the steady state the whole
-// step performs zero tensor allocations.
-func (n *Network) TrainStepScratch(samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) float64 {
-	logits := n.forwardPass(samples, ts, passTrain)
-	grad := ts.bufShape(netLayer, slotLossGrad, -1, logits.Shape)
-	loss := SoftmaxCrossEntropyBatchInto(logits, labels, grad)
-	n.backwardPass(grad, ts)
-	return loss
+	return g
 }
 
 // InputGradSumScratch computes Σ_t dL/dframe_t for a batch in one
@@ -383,7 +457,10 @@ func (n *Network) TrainStepScratch(samples [][]*tensor.Tensor, labels []int, ts 
 // parameter gradient: the network's gradient tensors are left exactly
 // as they were. Callers run it on a weight-sharing CloneArchitecture
 // clone, so dropout stays off and the caller's network keeps clean
-// state. It runs FP32 at any precision tier.
+// state. It runs FP32 at any precision tier. The per-step terms stay
+// in the arena (InputGradSteps) and are summed in ascending step
+// order, exactly as encoding.SumFrameGradients folds the allocating
+// path's per-step list.
 func (n *Network) InputGradSumScratch(samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) *tensor.Tensor {
 	if cap(ts.gradSteps) < n.Cfg.Steps {
 		ts.gradSteps = make([]*tensor.Tensor, n.Cfg.Steps) //axsnn:allow-alloc step ring allocated once per arena
@@ -392,7 +469,18 @@ func (n *Network) InputGradSumScratch(samples [][]*tensor.Tensor, labels []int, 
 	logits := n.forwardPass(samples, ts, passInputGrad)
 	grad := ts.bufShape(netLayer, slotLossGrad, -1, logits.Shape)
 	SoftmaxCrossEntropyBatchInto(logits, labels, grad)
-	return n.backwardPass(grad, ts)
+	for t := n.Cfg.Steps - 1; t >= 0; t-- {
+		g := n.backwardStep(grad, ts, t)
+		step := ts.bufShape(netLayer, slotGradStep, t, g.Shape)
+		copy(step.Data, g.Data)
+		ts.gradSteps[t] = step
+	}
+	sum := ts.bufShape(netLayer, slotGradSum, -1, ts.gradSteps[0].Shape)
+	sum.Zero()
+	for _, step := range ts.gradSteps {
+		sum.Add(step)
+	}
+	return sum
 }
 
 // InputGradSteps returns the per-step input gradients dL/dframe_t of

@@ -27,6 +27,9 @@ func trainCases() []trainCase {
 		{"dvs-dropout", func() *Network {
 			return DVSNet(DefaultConfig(1.0, 6), 16, 16, 11, true, rng.New(3), rng.New(99))
 		}, []int{2, 16, 16}, 11},
+		// LIF widths 10 and 5 leave the LIF kernels' Go tail a remainder
+		// at every batch size, and odd batches split unevenly over blocks.
+		{"dense-odd", func() *Network { return DenseNet(cfg, 144, 10, 10, rng.New(6)) }, []int{12, 12}, 10},
 	}
 }
 
@@ -49,7 +52,8 @@ func mustMatchTensors(t *testing.T, label string, want, got []*tensor.Tensor) {
 // TestTrainStepScratchMatchesBatch pins the arena minibatch step —
 // loss, accumulated gradients and optimizer-updated weights — to the
 // allocating ForwardBatch/BackwardBatch path, across changing batch
-// sizes and at 1..N workers.
+// sizes (a lone sample, and batches that split unevenly over the
+// blocks) and at 1..N workers.
 func TestTrainStepScratchMatchesBatch(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, workers := range []int{1, 3} {
@@ -59,8 +63,7 @@ func TestTrainStepScratchMatchesBatch(t *testing.T) {
 			ts := arena.AcquireTrainScratch()
 			optR, optA := NewAdam(2e-3), NewAdam(2e-3)
 			r := rng.New(21)
-			for step := 0; step < 4; step++ {
-				batch := 2 + step // exercise buffer resizing
+			for step, batch := range []int{2, 3, 4, 5, 1} { // exercise buffer resizing
 				samples := make([][]*tensor.Tensor, batch)
 				labels := make([]int, batch)
 				for b := range samples {
@@ -92,43 +95,49 @@ func TestTrainStepScratchMatchesBatch(t *testing.T) {
 // TestTrainMatchesAllocatingPath trains twin networks over several
 // epochs — one through the arena, one through the seed allocating path
 // (the disableTrainArena hook) — and requires bit-identical weights, at
-// 1..N workers.
+// 1..4 workers, with rate coding and with Direct coding (one static
+// frame per sample, so the arena runs the step-invariant layers once).
+// Minibatches of 7 split unevenly over 2, 3 and 4 blocks, and each
+// epoch ends on a lone sample.
 func TestTrainMatchesAllocatingPath(t *testing.T) {
 	defer tensor.SetWorkers(0)
-	set := tinyTrainSet(48, 31)
-	for _, workers := range []int{1, 3} {
-		tensor.SetWorkers(workers)
-		opt := TrainOptions{
-			Epochs: 3, BatchSize: 8,
-			Encoder:  encoding.Rate{},
-			Seed:     7,
-			ClipNorm: 1.0,
+	set := tinyTrainSet(50, 31)
+	for _, enc := range []encoding.Encoder{encoding.Rate{}, encoding.Direct{}} {
+		for _, workers := range []int{1, 2, 3, 4} {
+			tensor.SetWorkers(workers)
+			opt := TrainOptions{
+				Epochs: 3, BatchSize: 7,
+				Encoder:  enc,
+				Seed:     7,
+				ClipNorm: 1.0,
+			}
+			ref := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
+			arena := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
+
+			disableTrainArena = true
+			refOpt := opt
+			refOpt.Optimizer = NewAdam(2e-3)
+			Train(ref, set, refOpt)
+			disableTrainArena = false
+
+			arenaOpt := opt
+			arenaOpt.Optimizer = NewAdam(2e-3)
+			Train(arena, set, arenaOpt)
+
+			mustMatchTensors(t, fmt.Sprintf("%s w%d trained weights", enc.Name(), workers), ref.Params(), arena.Params())
 		}
-		ref := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
-		arena := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
-
-		disableTrainArena = true
-		refOpt := opt
-		refOpt.Optimizer = NewAdam(2e-3)
-		Train(ref, set, refOpt)
-		disableTrainArena = false
-
-		arenaOpt := opt
-		arenaOpt.Optimizer = NewAdam(2e-3)
-		Train(arena, set, arenaOpt)
-
-		mustMatchTensors(t, "trained weights", ref.Params(), arena.Params())
 	}
 }
 
 // TestTrainFramesMatchesAllocatingPath is the DVS-path variant of the
-// epoch-level equivalence, covering dropout and the pool-bottomed
-// topology whose input gradients the arena elides.
+// epoch-level equivalence, covering dropout, whose stream every block
+// must draw exactly as the whole batch did, and the pool-bottomed
+// topology whose input gradients the arena elides, at 1..4 workers:
+// minibatches of 5 split unevenly, and each epoch ends on a lone sample.
 func TestTrainFramesMatchesAllocatingPath(t *testing.T) {
-	tensor.SetWorkers(1)
 	defer tensor.SetWorkers(0)
 	r := rng.New(41)
-	samples := make([][]*tensor.Tensor, 20)
+	samples := make([][]*tensor.Tensor, 21)
 	labels := make([]int, len(samples))
 	for i := range samples {
 		samples[i] = spikeFrames(r, 6, []int{2, 16, 16})
@@ -137,7 +146,7 @@ func TestTrainFramesMatchesAllocatingPath(t *testing.T) {
 	build := func() *Network {
 		return DVSNet(DefaultConfig(1.0, 6), 16, 16, 11, true, rng.New(5), rng.New(77))
 	}
-	opt := TrainOptions{Epochs: 2, BatchSize: 4, Seed: 9}
+	opt := TrainOptions{Epochs: 2, BatchSize: 5, Seed: 9}
 
 	ref := build()
 	disableTrainArena = true
@@ -146,12 +155,14 @@ func TestTrainFramesMatchesAllocatingPath(t *testing.T) {
 	TrainFrames(ref, samples, labels, refOpt)
 	disableTrainArena = false
 
-	arena := build()
-	arenaOpt := opt
-	arenaOpt.Optimizer = NewSGD(0.05, 0.9)
-	TrainFrames(arena, samples, labels, arenaOpt)
-
-	mustMatchTensors(t, "trained weights", ref.Params(), arena.Params())
+	for _, workers := range []int{1, 2, 3, 4} {
+		tensor.SetWorkers(workers)
+		arena := build()
+		arenaOpt := opt
+		arenaOpt.Optimizer = NewSGD(0.05, 0.9)
+		TrainFrames(arena, samples, labels, arenaOpt)
+		mustMatchTensors(t, fmt.Sprintf("w%d trained weights", workers), ref.Params(), arena.Params())
+	}
 }
 
 // randomMasks installs a random 0/1 prune mask on every Conv2D and
@@ -386,8 +397,9 @@ func TestTrainStepScratchWorkerInvariant(t *testing.T) {
 // TestTrainStepScratchZeroAllocs asserts the arena's headline property:
 // after warm-up, the whole steady-state minibatch cycle — zeroing,
 // frame stacking, training forward, loss, BPTT, clipping, optimizer
-// step — allocates nothing, at any worker count (kernels are serial
-// and never dispatch to the pool).
+// step — allocates nothing, at 1 and 2 workers: the step's sample
+// blocks, reduction buffers and fan-out bodies are built on the first
+// cycle, and the pool's launches allocate nothing.
 func TestTrainStepScratchZeroAllocs(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, workers := range []int{1, 2} {
