@@ -24,7 +24,6 @@ import (
 	"repro/internal/dvs"
 	"repro/internal/encoding"
 	"repro/internal/exp"
-	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/snn"
 	"repro/internal/stream"
@@ -170,57 +169,8 @@ func BenchmarkSNNInferenceBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
 
-// BenchmarkSNNTrainStep measures one BPTT forward+backward pass over a
-// single sample as a batch of one, through the allocating
-// ForwardSamples/BackwardBatch path.
-func BenchmarkSNNTrainStep(b *testing.B) {
-	r := rng.New(2)
-	cfg := snn.DefaultConfig(0.5, 8)
-	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
-	dcfg := dataset.DefaultSynthConfig()
-	img := dataset.RenderDigit(5, dcfg, r)
-	samples := [][]*tensor.Tensor{encoding.Rate{}.Encode(img, cfg.Steps, r)}
-	labels := []int{5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits := net.ForwardSamples(samples, true)
-		_, grad := snn.SoftmaxCrossEntropyBatch(logits, labels)
-		net.BackwardBatch(grad)
-		net.ZeroGrads()
-	}
-}
-
-// BenchmarkSNNTrainStepBatch measures one batched BPTT pass over a
-// 16-sample minibatch (the snn.Train hot loop), reporting per-sample
-// latency.
-func BenchmarkSNNTrainStepBatch(b *testing.B) {
-	const batch = 16
-	r := rng.New(2)
-	cfg := snn.DefaultConfig(0.5, 8)
-	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
-	dcfg := dataset.DefaultSynthConfig()
-	samples := make([][]*tensor.Tensor, batch)
-	labels := make([]int, batch)
-	for i := range samples {
-		labels[i] = i % 10
-		img := dataset.RenderDigit(labels[i], dcfg, r)
-		samples[i] = encoding.Rate{}.Encode(img, cfg.Steps, r)
-	}
-	frames := snn.StackFrames(samples, cfg.Steps)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		logits := net.ForwardBatch(frames, true)
-		_, grad := snn.SoftmaxCrossEntropyBatch(logits, labels)
-		net.BackwardBatch(grad)
-		net.ZeroGrads()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
-}
-
-// trainStepFixture builds the BenchmarkTrainStep/-Fresh workload: the
-// lite convolutional MNIST topology at T=8 with a 16-sample rate-coded
+// trainStepFixture builds the BenchmarkTrainStep workload: the lite
+// convolutional MNIST topology at T=8 with a 16-sample rate-coded
 // minibatch, the snn.Train hot loop's shape.
 func trainStepFixture() (*snn.Network, [][]*tensor.Tensor, []int) {
 	const batch = 16
@@ -247,8 +197,7 @@ func trainStepFixture() (*snn.Network, [][]*tensor.Tensor, []int) {
 // optimizer over parameter ranges; blocks and fan-out bodies are built
 // by the warm-up step and pool launches allocate nothing, so allocs/op
 // is 0 at any worker count; CI gates this benchmark (and
-// BenchmarkPredict) at 0 allocs/op. Compare against
-// BenchmarkTrainStepFresh for what the arena eliminates.
+// BenchmarkPredict) at 0 allocs/op.
 func BenchmarkTrainStep(b *testing.B) {
 	net, samples, labels := trainStepFixture()
 	ts := net.AcquireTrainScratch()
@@ -301,264 +250,6 @@ func BenchmarkTrainFit(b *testing.B) {
 	b.ReportMetric(float64(w1.Milliseconds())/float64(b.N), "ms/fit-w1")
 	b.ReportMetric(float64(w2.Milliseconds())/float64(b.N), "ms/fit-w2")
 	b.ReportMetric(float64(w2)/float64(w1), "w2/w1")
-}
-
-// BenchmarkTrainStepFresh is the pre-arena baseline: the same minibatch
-// cycle through the allocating StackFrames/ForwardBatch/BackwardBatch
-// path, so the two benchmarks differ only in arena use.
-func BenchmarkTrainStepFresh(b *testing.B) {
-	net, samples, labels := trainStepFixture()
-	opt := snn.NewAdam(2e-3)
-	scale := 1 / float32(len(samples))
-	step := func() {
-		net.ZeroGrads()
-		logits := net.ForwardBatch(snn.StackFrames(samples, net.Cfg.Steps), true)
-		_, grad := snn.SoftmaxCrossEntropyBatch(logits, labels)
-		net.BackwardBatch(grad)
-		opt.Step(net.Params(), net.Grads(), scale)
-	}
-	step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
-}
-
-// BenchmarkGEMM measures the blocked serial MatMul on a panel shaped
-// like a batched convolution lowering, which only the allocating
-// oracle's conv forward still runs: every arena conv pass scatters
-// (BenchmarkConvForward, BenchmarkConvWeightGrad). Dense layers run the
-// same kernel on (B, In)·(In, Out).
-func BenchmarkGEMM(b *testing.B) {
-	r := rng.New(3)
-	w := tensor.New(32, 288)
-	for i := range w.Data {
-		w.Data[i] = r.NormFloat32()
-	}
-	cols := tensor.New(288, 2048)
-	for i := range cols.Data {
-		if r.Float64() < 0.3 {
-			cols.Data[i] = 1
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(w, cols)
-	}
-}
-
-// BenchmarkConvForward measures one batch-4 inference convolution at
-// the served DVSNet-lite's two conv shapes, at the input density the
-// traced closed-fp32 bench measures and at 4× that, with three kernels:
-// kernel=scatter is the event-driven tensor.ConvScatterInto the FP32
-// arena runs, on the tap-reversed panel tensor.ConvScatterWeightsInto
-// builds once per pass, kernel=gemm is a lowering plus MatMulInto (im2row
-// rows for conv2's wider filter bank, where spike-sparse rows ride the
-// GEMM's skip-zero path, and the im2col panel for conv1), and
-// kernel=int8 is the INT8 tier's tensor.ConvScatterInt8Into over
-// per-channel codes. The bias epilogue is left out of all three. Inputs
-// take the AvgPool levels {¼, ½, ¾, 1} that feed these layers. Kernels
-// run serially, as they do inside a serving session. ns/SOP divides by
-// the nonzero inputs times the live fan-out, as the bench trace counts
-// SOPs, so a kernel whose time follows the spikes keeps it flat across
-// densities.
-func BenchmarkConvForward(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	const batch = 4
-	shapes := []struct {
-		name    string
-		g       tensor.Conv2DGeom
-		outC    int
-		density float64 // traced conv input density
-		rows    bool    // kernel=gemm lowers to im2row rows, not the im2col panel
-	}{
-		{"conv1", tensor.Conv2DGeom{InC: 2, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8, 0.086, false},
-		{"conv2", tensor.Conv2DGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 16, 0.035, true},
-	}
-	for _, sh := range shapes {
-		g := sh.g
-		n := g.OutH() * g.OutW()
-		ckk := g.InC * g.KH * g.KW
-		chw := g.InC * g.InH * g.InW
-		r := rng.New(9)
-		w := tensor.New(sh.outC, ckk)
-		for i := range w.Data {
-			w.Data[i] = r.NormFloat32()
-		}
-		wT := tensor.Transpose(w)
-		wR := tensor.New(ckk, sh.outC)
-		tensor.ConvScatterWeightsInto(wR, w, g)
-		panel, err := quant.QuantizePerChannel(w, sh.outC)
-		if err != nil {
-			b.Fatal(err)
-		}
-		codesT := panel.TransposedCodes()
-		fieldStep, acc32 := make([]float32, n), make([]int32, n*sh.outC)
-		fanOut := float64(w.Len()*n) / float64(chw)
-		for _, density := range []float64{sh.density, 4 * sh.density} {
-			samples := make([]*tensor.Tensor, batch)
-			nnz := 0
-			for i := range samples {
-				samples[i] = tensor.New(g.InC, g.InH, g.InW)
-				for j := range samples[i].Data {
-					if r.Float64() < density {
-						samples[i].Data[j] = float32(1+r.Intn(4)) / 4
-						nnz++
-					}
-				}
-			}
-			sops := float64(nnz) * fanOut
-			acc := tensor.New(batch*n, sh.outC)
-			var low, gemm *tensor.Tensor
-			if sh.rows {
-				low, gemm = tensor.New(batch*n, ckk), tensor.New(batch*n, sh.outC)
-			} else {
-				low, gemm = tensor.New(ckk, batch*n), tensor.New(sh.outC, batch*n)
-			}
-			kernels := []struct {
-				name string
-				run  func()
-			}{
-				{"scatter", func() {
-					for i, x := range samples {
-						tensor.ConvScatterInto(acc.Data[i*n*sh.outC:(i+1)*n*sh.outC], x, wR.Data, sh.outC, g)
-					}
-				}},
-				{"gemm", func() {
-					if sh.rows {
-						for i, x := range samples {
-							tensor.Im2RowInto(low.Data[i*n*ckk:(i+1)*n*ckk], x, g)
-						}
-						tensor.MatMulInto(gemm, low, wT)
-						return
-					}
-					for i, x := range samples {
-						tensor.Im2ColStripeInto(low.Data, batch*n, i*n, x, g)
-					}
-					tensor.MatMulInto(gemm, w, low)
-				}},
-				{"int8", func() {
-					for i, x := range samples {
-						tensor.ConvScatterInt8Into(acc.Data[i*n*sh.outC:(i+1)*n*sh.outC], x, codesT, panel.Steps, sh.outC, g, fieldStep, acc32)
-					}
-				}},
-			}
-			for _, k := range kernels {
-				b.Run(fmt.Sprintf("%s/density=%.3f/kernel=%s", sh.name, density, k.name), func(b *testing.B) {
-					k.run()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						k.run()
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*sops), "ns/SOP")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkConvWeightGrad measures one training step's conv weight
-// gradient with two kernels. kernel=scatter is what the training arena
-// runs: each sample's nonzero inputs scatter the channel-last output
-// gradient into a zeroed tap-reversed panel
-// (tensor.ConvWeightGradScatterAcc), which tensor.AddConvScatterWeights
-// folds into dW. kernel=gemm lowers the batch to its im2col panel and
-// runs tensor.MatMulTAcc, the allocating oracle's kernel. The shapes are
-// BenchmarkConvForward's two DVSNet-lite convs at batch 4, at the traced
-// density and 4× it, and offline-pgd's conv1 (MNISTNet lite, 1→6 at
-// 16×16, batch 16) on dense analog input, as the Direct encoder
-// presents an image. Gradients are dense, and the layout copies both
-// kernels need (channel-last gT, the (OutC, B·N) g2B) are left out.
-// ns/SOP divides by the nonzero inputs times the live fan-out, as in
-// BenchmarkConvForward.
-func BenchmarkConvWeightGrad(b *testing.B) {
-	tensor.SetWorkers(1)
-	defer tensor.SetWorkers(0)
-	dvs1 := tensor.Conv2DGeom{InC: 2, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	dvs2 := tensor.Conv2DGeom{InC: 8, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	mnist1 := tensor.Conv2DGeom{InC: 1, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	shapes := []struct {
-		name        string
-		g           tensor.Conv2DGeom
-		outC, batch int
-		densities   []float64
-		analog      bool // uniform (0, 1) values rather than AvgPool levels
-	}{
-		{"conv1", dvs1, 8, 4, []float64{0.086, 4 * 0.086}, false},
-		{"conv2", dvs2, 16, 4, []float64{0.035, 4 * 0.035}, false},
-		{"mnist-conv1", mnist1, 6, 16, []float64{1}, true},
-	}
-	for _, sh := range shapes {
-		g, batch := sh.g, sh.batch
-		n := g.OutH() * g.OutW()
-		ckk := g.InC * g.KH * g.KW
-		chw := g.InC * g.InH * g.InW
-		r := rng.New(9)
-		g2B := tensor.New(sh.outC, batch*n)
-		for i := range g2B.Data {
-			g2B.Data[i] = r.NormFloat32()
-		}
-		gT := tensor.Transpose(g2B)
-		dW, dR := tensor.New(sh.outC, ckk), tensor.New(ckk, sh.outC)
-		cols := tensor.New(ckk, batch*n)
-		fanOut := float64(sh.outC*ckk*n) / float64(chw)
-		for _, density := range sh.densities {
-			samples := make([]*tensor.Tensor, batch)
-			nnz := 0
-			for i := range samples {
-				samples[i] = tensor.New(g.InC, g.InH, g.InW)
-				for j := range samples[i].Data {
-					if r.Float64() >= density {
-						continue
-					}
-					if sh.analog {
-						samples[i].Data[j] = 1 - r.Float32()
-					} else {
-						samples[i].Data[j] = float32(1+r.Intn(4)) / 4
-					}
-					nnz++
-				}
-			}
-			sops := float64(nnz) * fanOut
-			kernels := []struct {
-				name string
-				run  func()
-			}{
-				{"scatter", func() {
-					dR.Zero()
-					for i, x := range samples {
-						tensor.ConvWeightGradScatterAcc(dR.Data, x, gT.Data[i*n*sh.outC:(i+1)*n*sh.outC], sh.outC, g)
-					}
-					tensor.AddConvScatterWeights(dW, dR, g)
-				}},
-				{"gemm", func() {
-					for i, x := range samples {
-						tensor.Im2ColStripeInto(cols.Data, batch*n, i*n, x, g)
-					}
-					tensor.MatMulTAcc(dW, g2B, cols)
-				}},
-			}
-			for _, k := range kernels {
-				b.Run(fmt.Sprintf("%s/density=%.3f/kernel=%s", sh.name, density, k.name), func(b *testing.B) {
-					k.run()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						k.run()
-					}
-					b.StopTimer()
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*sops), "ns/SOP")
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkLIF measures one time step of a LIF layer over a batch, with
@@ -741,23 +432,6 @@ func BenchmarkPredictTiers(b *testing.B) {
 	b.ReportMetric(fp, "fp32_ns/predict")
 	b.ReportMetric(i8, "int8_ns/predict")
 	b.ReportMetric(i8/fp, "int8/fp32")
-}
-
-// BenchmarkPredictFresh is the pre-arena baseline: the same inference
-// as a batch of one through the allocating ForwardSamples path, whose
-// convs lower to an im2col panel and run a GEMM.
-func BenchmarkPredictFresh(b *testing.B) {
-	r := rng.New(1)
-	cfg := snn.DefaultConfig(0.5, 8)
-	net := snn.MNISTNet(cfg, 1, 16, 16, true, r)
-	dcfg := dataset.DefaultSynthConfig()
-	img := dataset.RenderDigit(3, dcfg, r)
-	samples := [][]*tensor.Tensor{encoding.Rate{}.Encode(img, cfg.Steps, r)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = net.ForwardSamples(samples, false).Argmax()
-	}
 }
 
 // BenchmarkNeuromorphicPerturbSet measures the batched event-attack

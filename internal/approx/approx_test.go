@@ -93,8 +93,8 @@ func TestMaskActuallySilencesSynapses(t *testing.T) {
 		img.Data[i] = r.Float32()
 	}
 	frames := encoding.Direct{}.Encode(img, net.Cfg.Steps, nil)
-	a := net.ForwardSamples([][]*tensor.Tensor{frames}, false)
-	b := ax.ForwardSamples([][]*tensor.Tensor{frames}, false)
+	a := net.ForwardSamples([][]*tensor.Tensor{frames})
+	b := ax.ForwardSamples([][]*tensor.Tensor{frames})
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {

@@ -162,7 +162,7 @@ func MeasureEnergy(net *snn.Network, workload [][]*tensor.Tensor) EnergyReport {
 	inputSum := 0.0
 	for _, frames := range workload {
 		for t := 0; t < net.Cfg.Steps; t++ {
-			f := frames[minInt(t, len(frames)-1)]
+			f := frames[min(t, len(frames)-1)]
 			inputSum += f.Sum()
 		}
 	}
@@ -170,11 +170,4 @@ func MeasureEnergy(net *snn.Network, workload [][]*tensor.Tensor) EnergyReport {
 	// total the whole workload.
 	rep.SOPs, rep.PossibleSOPs = m.BatchSOPs(net, inputSum, 1)
 	return rep
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

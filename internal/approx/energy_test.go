@@ -79,7 +79,7 @@ func TestEnergyModelMatchesMeasure(t *testing.T) {
 	inputSum := 0.0
 	for _, frames := range calib {
 		for st := 0; st < net.Cfg.Steps; st++ {
-			f := frames[minInt(st, len(frames)-1)]
+			f := frames[min(st, len(frames)-1)]
 			inputSum += f.Sum()
 		}
 	}

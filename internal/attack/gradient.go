@@ -94,8 +94,9 @@ func (g *Gradient) Perturb(model *snn.Network, img *tensor.Tensor, label int, r 
 // buffers are all reused across iterations, so the inner loop
 // allocates only the encoded frames. Direct coding allocates none: its
 // image goes in as one static frame, which the pass presents at every
-// step. Its gradients equal the allocating InputGradientBatch chain's
-// bit for bit, which the tests keep as their oracle.
+// step. The snn tests pin the pass's gradients to their plain-loop
+// reference, and this package's tests pin the crafting to a loop that
+// takes them from a fresh clone and arena every iteration.
 func (g *Gradient) PerturbBatch(model *snn.Network, imgs []*tensor.Tensor, labels []int, r *rng.RNG) []*tensor.Tensor {
 	grads := gradPass{model: model}
 	defer grads.release()

@@ -12,10 +12,25 @@ import (
 	"repro/internal/tensor"
 )
 
-// perturbBatchReference replicates the pre-arena PerturbBatch inner
-// loop — allocating StackFrames + InputGradientBatch +
-// SumFrameGradients per iteration — so the arena-backed implementation
-// can be pinned against the seed behaviour bit-for-bit.
+// freshInputGrads runs the arena's input-gradient pass over samples on a
+// fresh weight-sharing clone and arena, and returns copies of the
+// summed input gradient and its per-step terms.
+func freshInputGrads(model *snn.Network, samples [][]*tensor.Tensor, labels []int) (*tensor.Tensor, []*tensor.Tensor) {
+	clone := model.CloneArchitecture()
+	ts := clone.AcquireTrainScratch()
+	defer clone.ReleaseTrain(ts)
+	sum := clone.InputGradSumScratch(samples, labels, ts).Clone()
+	var steps []*tensor.Tensor
+	for _, g := range ts.InputGradSteps() {
+		steps = append(steps, g.Clone())
+	}
+	return sum, steps
+}
+
+// perturbBatchReference replicates the PerturbBatch inner loop with a
+// fresh clone and arena for every iteration's gradients
+// (freshInputGrads), so the crafting session's one reused pass can be
+// pinned against it bit-for-bit.
 func perturbBatchReference(g *Gradient, model *snn.Network, imgs []*tensor.Tensor, labels []int, r *rng.RNG) []*tensor.Tensor {
 	batch := len(imgs)
 	rngs := make([]*rng.RNG, batch)
@@ -61,8 +76,7 @@ func perturbBatchReference(g *Gradient, model *snn.Network, imgs []*tensor.Tenso
 		} else {
 			copy(lossLabels, labels)
 		}
-		frames := snn.StackFrames(samples, model.Cfg.Steps)
-		grad := encoding.SumFrameGradients(snn.InputGradientBatch(model, frames, lossLabels))
+		grad, _ := freshInputGrads(model, samples, lossLabels)
 		for i, adv := range advs {
 			gi := tensor.FromSlice(grad.Data[i*per:(i+1)*per], adv.Shape...)
 			gi.Sign()
@@ -74,9 +88,9 @@ func perturbBatchReference(g *Gradient, model *snn.Network, imgs []*tensor.Tenso
 	return advs
 }
 
-// TestPerturbBatchArenaMatchesReference pins the arena-backed
-// PerturbBatch to the allocating seed path for PGD, BIM and a targeted
-// variant, on both dense and convolutional surrogates.
+// TestPerturbBatchArenaMatchesReference pins PerturbBatch to the
+// reference loop for PGD, BIM and a targeted variant, on both dense and
+// convolutional surrogates.
 func TestPerturbBatchArenaMatchesReference(t *testing.T) {
 	cfg := snn.DefaultConfig(0.5, 5)
 	nets := map[string]*snn.Network{

@@ -201,9 +201,9 @@ func TestUniversalComputeDeterminism(t *testing.T) {
 	}
 }
 
-// sparseReference is Sparse.Perturb as it ran before the input-only
-// arena pass, for Steps at least the model's: each iteration takes the
-// per-step gradients from the allocating InputGradientBatch chain at a
+// sparseReference is Sparse.Perturb for Steps at least the model's,
+// with a fresh clone and arena for every iteration's gradients
+// (freshInputGrads): each iteration takes the per-step gradients at a
 // batch of one and ranks frame t by step t's gradient.
 func sparseReference(s *Sparse, model *snn.Network, stream *dvs.Stream, label int) *dvs.Stream {
 	steps := s.Steps
@@ -222,7 +222,7 @@ func sparseReference(s *Sparse, model *snn.Network, stream *dvs.Stream, label in
 		if model.Predict(frames) != label {
 			return adv
 		}
-		stepGrads := snn.InputGradientBatch(model, snn.StackFrames([][]*tensor.Tensor{frames}, model.Cfg.Steps), []int{label})
+		_, stepGrads := freshInputGrads(model, [][]*tensor.Tensor{frames}, []int{label})
 		var cells []cell
 		for t, g := range stepGrads {
 			f := frames[t]

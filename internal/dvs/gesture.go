@@ -185,17 +185,3 @@ func GenerateGestureSet(n int, cfg GestureConfig, seed uint64) *Set {
 	})
 	return set
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

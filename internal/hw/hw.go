@@ -128,7 +128,7 @@ func profilesOf(net *snn.Network) []layerProfile {
 			pending = append(pending, wi)
 			wi++
 		case *snn.LIF:
-			rate := v.MeanSpikesPerStep() / float64(maxInt(1, v.StatUnits))
+			rate := v.MeanSpikesPerStep() / float64(max(1, v.StatUnits))
 			for _, j := range pending {
 				lifRate[j] = rate
 			}
@@ -319,11 +319,4 @@ func sumInt(xs []int) int {
 		s += x
 	}
 	return s
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

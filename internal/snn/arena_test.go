@@ -31,14 +31,6 @@ func arenaCases() []arenaCase {
 	}
 }
 
-// inferLogits runs the arena's inference pass, the one PredictBatchInto
-// runs, over samples and returns a copy of the (B, classes) logits.
-func inferLogits(net *Network, samples ...[]*tensor.Tensor) *tensor.Tensor {
-	ts := net.AcquireTrainScratch()
-	defer net.ReleaseTrain(ts)
-	return net.forwardPass(samples, ts, passInfer).Clone()
-}
-
 // spikeFrames builds steps sparse 0/1 frames of the given shape.
 func spikeFrames(r *rng.RNG, steps int, shape []int) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, steps)
@@ -71,8 +63,8 @@ func analogFrames(r *rng.RNG, steps int, shape []int) []*tensor.Tensor {
 }
 
 // TestForwardScratchMatchesForward pins the inference pass's logits to
-// the allocating path's under ==, for lone samples (batches of one) on
-// spike and analog inputs and for a batch of three.
+// the reference's under ==, for lone samples (batches of one) on spike
+// and analog inputs and for a batch of three.
 func TestForwardScratchMatchesForward(t *testing.T) {
 	for _, tc := range arenaCases() {
 		r := rng.New(11)
@@ -91,12 +83,12 @@ func TestForwardScratchMatchesForward(t *testing.T) {
 		}
 		for trial := 0; trial < 3; trial++ {
 			frames := spikeFrames(r, steps, tc.shape)
-			check(fmt.Sprintf("spike trial %d", trial), forwardOne(tc.net, frames, false), inferLogits(tc.net, frames))
+			check(fmt.Sprintf("spike trial %d", trial), refLogits(tc.net, frames), forwardOne(tc.net, frames))
 		}
 		analog := analogFrames(r, steps, tc.shape)
-		check("analog", forwardOne(tc.net, analog, false), inferLogits(tc.net, analog))
+		check("analog", refLogits(tc.net, analog), forwardOne(tc.net, analog))
 		samples := [][]*tensor.Tensor{spikeFrames(r, steps, tc.shape), analogFrames(r, steps, tc.shape), spikeFrames(r, steps, tc.shape)}
-		check("batch 3", tc.net.ForwardSamples(samples, false), inferLogits(tc.net, samples...))
+		check("batch 3", refLogits(tc.net, samples...), tc.net.ForwardSamples(samples))
 	}
 }
 
@@ -114,13 +106,13 @@ func TestPredictBatchArenaMatchesPerSample(t *testing.T) {
 					t.Fatalf("%s batch %d sample %d: %d, want %d", tc.name, batch, b, got[b], want)
 				}
 			}
-			// And against the pre-arena batched path.
-			logits := tc.net.ForwardSamples(samples, false)
+			// And against the reference.
+			logits := refLogits(tc.net, samples...)
 			per := logits.Len() / batch
 			for b := range samples {
 				want := tensor.FromSlice(logits.Data[b*per:(b+1)*per], per).Argmax()
 				if got[b] != want {
-					t.Fatalf("%s batch %d sample %d: arena %d, ForwardSamples %d", tc.name, batch, b, got[b], want)
+					t.Fatalf("%s batch %d sample %d: arena %d, reference %d", tc.name, batch, b, got[b], want)
 				}
 			}
 		}
@@ -129,7 +121,7 @@ func TestPredictBatchArenaMatchesPerSample(t *testing.T) {
 
 // TestArenaShapeChanges drives one network through alternating batch
 // sizes, so every arena buffer is resized and reused; each
-// configuration must keep matching the allocating path.
+// configuration must keep matching the reference.
 func TestArenaShapeChanges(t *testing.T) {
 	tc := arenaCases()[1]
 	r := rng.New(13)
@@ -140,7 +132,7 @@ func TestArenaShapeChanges(t *testing.T) {
 		}
 		got := tc.net.PredictBatch(samples)
 		for b := range samples {
-			want := forwardOne(tc.net, samples[b], false).Argmax()
+			want := refLogits(tc.net, samples[b]).Argmax()
 			if got[b] != want {
 				t.Fatalf("batch %d sample %d: %d, want %d", batch, b, got[b], want)
 			}
@@ -149,8 +141,8 @@ func TestArenaShapeChanges(t *testing.T) {
 }
 
 // TestArenaStatsMatch pins that the arena's calibration pass
-// accumulates the exact LIF calibration statistics of the allocating
-// path — the approx package's level equation depends on them — for a
+// accumulates the exact LIF calibration statistics of the reference —
+// the approx package's level equation depends on them — for a
 // lone sample (through Calibrate itself) and for a batch of three (the
 // same pass on the whole batch), where both normalize the statistics
 // per sample. A PredictBatch pass, on the arena a Calibrate parked,
@@ -168,7 +160,7 @@ func TestArenaStatsMatch(t *testing.T) {
 		}{{"lone", lone}, {"batch 3", batch3}} {
 			calib, pred := tc.net.DeepClone(), tc.net.DeepClone()
 			tc.net.ResetStats()
-			tc.net.ForwardSamples(in.samples, false)
+			refForward(tc.net, in.samples, false)
 			if len(in.samples) == 1 {
 				Calibrate(calib, in.samples)
 			} else {
@@ -208,8 +200,8 @@ func TestArenaStatsMatch(t *testing.T) {
 }
 
 // TestArenaWithMask pins arena equivalence for pruned networks (the
-// approx path installs weight masks, which the arena re-applies once
-// per pass like Reset did).
+// approx path installs weight masks, which the arena applies once per
+// pass).
 func TestArenaWithMask(t *testing.T) {
 	tc := arenaCases()[1]
 	mr := rng.New(15)
@@ -232,14 +224,48 @@ func TestArenaWithMask(t *testing.T) {
 		}
 	}
 	frames := spikeFrames(rng.New(16), tc.net.Cfg.Steps, tc.shape)
-	want := forwardOne(tc.net, frames, false)
-	got := inferLogits(tc.net, frames)
+	want := refLogits(tc.net, frames)
+	got := forwardOne(tc.net, frames)
 	if got.Len() != want.Len() {
 		t.Fatalf("masked logits: %d, want %d", got.Len(), want.Len())
 	}
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
 			t.Fatalf("masked logit %d: %v vs %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestLayerAdapterMatchesArena drives every arenaCases net the way the
+// benchmark's traced per-layer pass does, on a weight-sharing clone:
+// StackFrames, Network.Reset, then step by step through each layer's
+// ForwardBatch adapter. The summed readout must equal the arena's
+// inference logits under ==, at batches 1 and 3, and again after a
+// second Reset.
+func TestLayerAdapterMatchesArena(t *testing.T) {
+	for _, tc := range arenaCases() {
+		r := rng.New(23)
+		for _, batch := range []int{1, 3} {
+			samples := make([][]*tensor.Tensor, batch)
+			for b := range samples {
+				samples[b] = spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
+			}
+			if batch > 1 {
+				samples[1] = analogFrames(r, tc.net.Cfg.Steps, tc.shape)
+			}
+			want := tc.net.ForwardSamples(samples)
+			clone := tc.net.CloneArchitecture()
+			for pass := 0; pass < 2; pass++ {
+				clone.Reset()
+				got := tensor.New(want.Shape...)
+				for _, x := range StackFrames(samples, clone.Cfg.Steps) {
+					for _, l := range clone.Layers {
+						x = l.(BatchLayer).ForwardBatch(x, false)
+					}
+					got.Add(x)
+				}
+				mustMatchTensors(t, fmt.Sprintf("%s batch %d pass %d", tc.name, batch, pass), []*tensor.Tensor{want}, []*tensor.Tensor{got})
+			}
 		}
 	}
 }
@@ -336,8 +362,8 @@ func TestPredictBatchIntoVariableBatchZeroAllocs(t *testing.T) {
 }
 
 // TestPredictArenaReuse runs many predictions through Predict and
-// PredictBatchInto: each must match the allocating path, and all of
-// them must recycle the one arena parked on the network's free list.
+// PredictBatchInto: each must match the reference, and all of them
+// must recycle the one arena parked on the network's free list.
 func TestPredictArenaReuse(t *testing.T) {
 	tc := arenaCases()[2]
 	r := rng.New(19)
@@ -346,7 +372,7 @@ func TestPredictArenaReuse(t *testing.T) {
 	out := make([]int, 1)
 	for trial := 0; trial < 5; trial++ {
 		frames := spikeFrames(r, tc.net.Cfg.Steps, tc.shape)
-		want := forwardOne(tc.net, frames, false).Argmax()
+		want := refLogits(tc.net, frames).Argmax()
 		if got := tc.net.Predict(frames); got != want {
 			t.Fatalf("trial %d: %d, want %d", trial, got, want)
 		}

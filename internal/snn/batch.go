@@ -6,68 +6,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// The allocating execution path, the arena's test oracle: a whole
-// minibatch advances through every layer in one kernel call per step.
-// Tensors carry the batch on the leading axis — frames are (B,C,H,W),
-// dense activations (B,F), logits (B,classes) — and a lone sample is a
-// batch of one. Every kernel keeps each sample's accumulation order, so
-// a sample's logits and input gradients do not depend on the batch it
-// runs in; only the order in which *gradient sums across samples*
-// accumulate does.
+// Batched inference entry points. Tensors carry the batch on the
+// leading axis — frames are (B,C,H,W), dense activations (B,F), logits
+// (B,classes) — and a lone sample is a batch of one. Every kernel keeps
+// each sample's accumulation order, so a sample's logits and input
+// gradients do not depend on the batch it runs in.
 
-// StepForwardBatch runs one batched time step through all layers.
-func (n *Network) StepForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = l.ForwardBatch(x, train)
-	}
-	return x
-}
-
-// StepBackwardBatch runs one reverse batched time step.
-func (n *Network) StepBackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].BackwardBatch(grad)
-	}
-	return grad
-}
-
-// ForwardBatch processes a batch of samples: frames[t] is the batched
-// input at step t, shape (B, sample shape...); if fewer frames than
-// Steps are supplied the last frame repeats. It returns the accumulated
-// readout logits, shape (B, classes).
-func (n *Network) ForwardBatch(frames []*tensor.Tensor, train bool) *tensor.Tensor {
-	if len(frames) == 0 {
-		panic("snn: ForwardBatch with no input frames")
-	}
-	n.Reset()
-	var logits *tensor.Tensor
-	for t := 0; t < n.Cfg.Steps; t++ {
-		f := frames[min(t, len(frames)-1)]
-		out := n.StepForwardBatch(f, train)
-		if logits == nil {
-			logits = tensor.New(out.Shape...)
-		}
-		logits.Add(out)
-	}
-	return logits
-}
-
-// BackwardBatch completes BPTT after a training ForwardBatch:
-// gradLogits is dL/d(accumulated logits), shape (B, classes); since
-// logits = Σ_t out_t, every reverse step receives the same top gradient.
-// It returns per-step batched input gradients in forward order.
-func (n *Network) BackwardBatch(gradLogits *tensor.Tensor) []*tensor.Tensor {
-	grads := make([]*tensor.Tensor, n.Cfg.Steps)
-	for t := n.Cfg.Steps - 1; t >= 0; t-- {
-		grads[t] = n.StepBackwardBatch(gradLogits.Clone())
-	}
-	return grads
-}
-
-// ForwardSamples stacks per-sample frame sequences and runs one batched
-// forward, returning (B, classes) logits.
-func (n *Network) ForwardSamples(samples [][]*tensor.Tensor, train bool) *tensor.Tensor {
-	return n.ForwardBatch(StackFrames(samples, n.Cfg.Steps), train)
+// ForwardSamples runs the arena's inference pass over per-sample frame
+// lists, at the network's precision tier, and returns a copy of the
+// (B, classes) logits.
+func (n *Network) ForwardSamples(samples [][]*tensor.Tensor) *tensor.Tensor {
+	ts := n.AcquireTrainScratch()
+	defer n.ReleaseTrain(ts)
+	return n.forwardPass(samples, ts, passInfer).Clone()
 }
 
 // PredictBatch returns the argmax class of every sample in one batched
@@ -140,19 +91,4 @@ func StackFrames(samples [][]*tensor.Tensor, steps int) []*tensor.Tensor {
 		out[t] = f
 	}
 	return out
-}
-
-// InputGradientBatch computes dL/dframe_t for a batch of samples in one
-// allocating batched BPTT pass, accumulating parameter gradients on the
-// way. The attacks run the arena's input-gradient pass instead
-// (InputGradSumScratch); this form stays as the tests' oracle for it.
-// It runs on a weight-sharing evaluation clone, so dropout stays
-// disabled and the caller's network keeps clean state. frames[t] is
-// (B, sample shape...); labels[b] is the loss label of sample b. The
-// returned grads[t] is the batched gradient at step t.
-func InputGradientBatch(n *Network, frames []*tensor.Tensor, labels []int) []*tensor.Tensor {
-	clone := n.CloneArchitecture()
-	logits := clone.ForwardBatch(frames, true)
-	_, grad := SoftmaxCrossEntropyBatch(logits, labels)
-	return clone.BackwardBatch(grad)
 }

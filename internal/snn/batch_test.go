@@ -28,24 +28,37 @@ func randFrames(r *rng.RNG, batch, steps int, density float64, shape ...int) [][
 	return out
 }
 
-// forwardOne runs frames through the allocating path as a batch of one
-// and returns its (1, classes) logits.
-func forwardOne(n *Network, frames []*tensor.Tensor, train bool) *tensor.Tensor {
-	return n.ForwardSamples([][]*tensor.Tensor{frames}, train)
+// forwardOne runs frames through the arena's inference pass as a batch
+// of one and returns its (1, classes) logits.
+func forwardOne(n *Network, frames []*tensor.Tensor) *tensor.Tensor {
+	return n.ForwardSamples([][]*tensor.Tensor{frames})
 }
 
-// backwardOne runs a training forward and BPTT over frames as a batch
-// of one against label, accumulating parameter gradients. It returns
-// the loss and the per-step (1, frame shape...) input gradients.
+// backwardBatch runs one arena training step over samples against
+// labels, accumulating parameter gradients, then the arena's
+// input-gradient pass. It returns the summed loss and copies of the
+// per-step (B, frame shape...) input gradients.
+func backwardBatch(n *Network, samples [][]*tensor.Tensor, labels []int) (float64, []*tensor.Tensor) {
+	ts := n.AcquireTrainScratch()
+	defer n.ReleaseTrain(ts)
+	loss := n.TrainStepScratch(samples, labels, ts)
+	n.InputGradSumScratch(samples, labels, ts)
+	var steps []*tensor.Tensor
+	for _, g := range ts.InputGradSteps() {
+		steps = append(steps, g.Clone())
+	}
+	return loss, steps
+}
+
+// backwardOne is backwardBatch over frames as a batch of one.
 func backwardOne(n *Network, frames []*tensor.Tensor, label int) (float64, []*tensor.Tensor) {
-	loss, grad := SoftmaxCrossEntropyBatch(forwardOne(n, frames, true), []int{label})
-	return loss, n.BackwardBatch(grad)
+	return backwardBatch(n, [][]*tensor.Tensor{frames}, []int{label})
 }
 
 // TestForwardBatchMatchesLooped pins the batched-path contract: for any
-// batch, ForwardBatch logits must match running each sample as a batch
-// of one bit for bit (every kernel keeps each sample's accumulation
-// order, and both runs take the same kernels).
+// batch, the inference pass's logits must match running each sample as
+// a batch of one bit for bit (every kernel keeps each sample's
+// accumulation order, and both runs take the same kernels).
 func TestForwardBatchMatchesLooped(t *testing.T) {
 	r := rng.New(41)
 	cfg := DefaultConfig(0.6, 5)
@@ -60,9 +73,9 @@ func TestForwardBatchMatchesLooped(t *testing.T) {
 	for name, net := range nets {
 		for _, density := range []float64{0, 0.15, 0.8} {
 			samples := randFrames(r, 7, cfg.Steps, density, shapes[name]...)
-			batched := net.ForwardBatch(StackFrames(samples, cfg.Steps), false)
+			batched := net.ForwardSamples(samples)
 			for b, fr := range samples {
-				single := forwardOne(net, fr, false)
+				single := forwardOne(net, fr)
 				for j, v := range single.Data {
 					got := batched.Data[b*single.Len()+j]
 					if math.Float32bits(got) != math.Float32bits(v) {
@@ -91,11 +104,12 @@ func TestDVSBatchMatchesLooped(t *testing.T) {
 	}
 }
 
-// TestBackwardBatchMatchesLooped checks that one batched training pass
+// TestBackwardBatchMatchesLooped checks that one batched training step
 // accumulates the same parameter gradients as batches of one (the
 // per-sample gradient terms are identical; only their summation order
 // across the batch differs, so that comparison uses a scaled tolerance)
-// and yields each sample's input gradients bit for bit.
+// and that the batched input-gradient pass yields each sample's input
+// gradients bit for bit.
 func TestBackwardBatchMatchesLooped(t *testing.T) {
 	r := rng.New(44)
 	cfg := DefaultConfig(0.6, 4)
@@ -105,13 +119,9 @@ func TestBackwardBatchMatchesLooped(t *testing.T) {
 	labels := []int{0, 3, 1, 9, 4, 3}
 
 	a := build()
-	a.ZeroGrads()
-	logits := a.ForwardBatch(StackFrames(samples, cfg.Steps), true)
-	lossBatch, grad := SoftmaxCrossEntropyBatch(logits, labels)
-	gradsIn := a.BackwardBatch(grad)
+	lossBatch, gradsIn := backwardBatch(a, samples, labels)
 
 	b := build()
-	b.ZeroGrads()
 	lossLoop := 0.0
 	loopGradsIn := make([][]*tensor.Tensor, len(samples))
 	for i, fr := range samples {

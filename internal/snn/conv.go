@@ -22,11 +22,7 @@ import (
 // gradient scatters the output gradient from that input's nonzeros into
 // a panel of the same tap-reversed layout
 // (tensor.ConvWeightGradScatterAcc). The input gradient stays a GEMM
-// plus col2im. The allocating forward, ForwardBatch, lowers to im2col
-// and runs one GEMM in every mode, and its backward runs the GEMM
-// weight gradient, so it stays an independent test oracle; its
-// mask-applied weights live until Reset, which every network-level pass
-// calls first.
+// plus col2im.
 type Conv2D struct {
 	Geom tensor.Conv2DGeom
 	OutC int
@@ -41,9 +37,7 @@ type Conv2D struct {
 	dW *tensor.Tensor
 	dB *tensor.Tensor
 
-	cols []*tensor.Tensor // cached im2col panels per step (ForwardBatch training)
-
-	effW *tensor.Tensor // mask-applied weights, valid until Reset
+	adapter // ForwardBatch's arena
 
 	// Int8 tier state (tier.go): the per-channel panel and its codes
 	// transposed to (InC·KH·KW, OutC) for the scatter, both built cold
@@ -87,17 +81,9 @@ func sqrt32(x float32) float32 {
 // Name implements Layer.
 func (c *Conv2D) Name() string { return "conv2d" }
 
-// effectiveW returns the weight matrix with the prune mask applied,
-// cached until the next Reset.
-func (c *Conv2D) effectiveW() *tensor.Tensor {
-	if c.Mask == nil {
-		return c.W
-	}
-	if c.effW == nil {
-		c.effW = c.W.Clone()
-		c.effW.Mul(c.Mask)
-	}
-	return c.effW
+// ForwardBatch implements Layer (see adapter).
+func (c *Conv2D) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return c.forward(c, x, train)
 }
 
 // scatterRowsBias de-interleaves a channel-last result (B·N, OutC), as
@@ -114,55 +100,9 @@ func (c *Conv2D) scatterRowsBias(out, outT *tensor.Tensor, batch, n int) {
 	}
 }
 
-// scatterColsBias de-interleaves a cols-orient GEMM result (OutC, B·N)
-// into (B, OutC, N) output layout, adding the channel bias.
-func (c *Conv2D) scatterColsBias(out, big *tensor.Tensor, batch, n int) {
-	for b := 0; b < batch; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			src := big.Data[oc*batch*n+b*n : oc*batch*n+(b+1)*n]
-			dst := out.Data[(b*c.OutC+oc)*n : (b*c.OutC+oc+1)*n]
-			bias := c.B.Data[oc]
-			for j, v := range src {
-				dst[j] = v + bias
-			}
-		}
-	}
-}
-
-// ForwardBatch implements Layer ((B,C,H,W) → (B,OutC,OutH,OutW)): the
-// batch lowers to one im2col panel and runs one GEMM, whose per-output
-// sums the arena's scatter reproduces under ==. A training forward
-// keeps the panel for the weight gradient.
-func (c *Conv2D) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("snn: Conv2D batch input rank %d (shape %s)", x.Rank(), shapeStr(x.Shape))) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	g := c.Geom
-	batch := x.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
-	ckk := g.InC * g.KH * g.KW
-	chw := g.InC * g.InH * g.InW
-
-	cols := tensor.New(ckk, batch*n)
-	for b := 0; b < batch; b++ {
-		sample := tensor.FromSlice(x.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-		tensor.Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
-	}
-	// (OutC, CKK) · (CKK, B·N): one panel GEMM for the batch.
-	big := tensor.MatMul(c.effectiveW(), cols)
-	out := tensor.New(batch, c.OutC, oh, ow)
-	c.scatterColsBias(out, big, batch, n)
-	if train {
-		c.cols = append(c.cols, cols)
-	}
-	return out
-}
-
 // trainEffW returns the weight matrix with the prune mask applied from
-// the arena's once-per-pass slot (the cadence Reset gives the
-// allocating path), or the raw weights when unmasked. The forward
-// derives it; the backward calls of the same pass reuse it.
+// the arena's once-per-pass slot, or the raw weights when unmasked. The
+// forward derives it; the backward calls of the same pass reuse it.
 func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	if c.Mask == nil {
 		return c.W
@@ -175,17 +115,17 @@ func (c *Conv2D) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	return effW
 }
 
-// ForwardBatchInto implements trainLayer, the layer's one arena
-// forward; output, accumulators and once-per-pass weight panels come
-// from the arena. Every pass is event-driven. Inference at the INT8
-// tier runs tensor.ConvScatterInt8Into over the prebuilt transposed
-// codes, which already carry the prune mask, with its field steps and
-// int32 accumulators drawn from the arena. Every other pass runs
-// tensor.ConvScatterInto over the tap-reversed panel: it does work in
-// proportion to the nonzero inputs and adds each output's nonzero terms
-// in the order ForwardBatch's im2col GEMM does (see its doc), so the
-// outputs match ForwardBatch's. A training pass also keeps the step's
-// input in the arena's step ring, which the weight gradient scatters.
+// ForwardBatchInto implements Layer ((B,C,H,W) → (B,OutC,OutH,OutW)),
+// the layer's one forward; output, accumulators and once-per-pass
+// weight panels come from the arena. Every pass is event-driven.
+// Inference at the INT8 tier runs tensor.ConvScatterInt8Into over the
+// prebuilt transposed codes, which already carry the prune mask, with
+// its field steps and int32 accumulators drawn from the arena. Every
+// other pass runs tensor.ConvScatterInto over the tap-reversed panel:
+// it does work in proportion to the nonzero inputs and adds each
+// output's nonzero terms in ascending receptive-field position. A
+// training pass also keeps the step's input in the arena's step ring,
+// which the weight gradient scatters.
 func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	g := c.Geom
 	chw := g.InC * g.InH * g.InW
@@ -223,14 +163,13 @@ func (c *Conv2D) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int)
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: BackwardBatch against the
-// arena's cached input for this step. A training pass leaves the weight
-// and bias gradients to the reduction (reduceStep): it lays the output
-// gradient out channel-last, the rows the input-driven weight-gradient
-// scatter reads, and records it with the step's cached input. An
-// input-gradient pass skips both. With needDX false (no parameter layer
-// below) the input-gradient GEMM and col2im scatter are skipped
-// entirely.
+// BackwardBatchInto implements Layer against the arena's cached input
+// for this step. A training pass leaves the weight and bias gradients
+// to the reduction (reduceStep): it lays the output gradient out
+// channel-last, the rows the input-driven weight-gradient scatter
+// reads, and records it with the step's cached input. An input-gradient
+// pass skips both. With needDX false (no parameter layer below) the
+// input-gradient GEMM and col2im scatter are skipped entirely.
 func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	batch := grad.Shape[0]
@@ -281,55 +220,6 @@ func (c *Conv2D) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t 
 	return dx
 }
 
-// BackwardBatch implements Layer against this step's cached im2col
-// panel.
-func (c *Conv2D) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	nc := len(c.cols)
-	if nc == 0 {
-		panic("snn: Conv2D.BackwardBatch without cached forward step")
-	}
-	cols := c.cols[nc-1]
-	c.cols = c.cols[:nc-1]
-
-	g := c.Geom
-	batch := grad.Shape[0]
-	oh, ow := g.OutH(), g.OutW()
-	n := oh * ow
-	chw := g.InC * g.InH * g.InW
-	dx := tensor.New(batch, g.InC, g.InH, g.InW)
-
-	// g2B[oc, b·N+j] = grad[b, oc, j].
-	g2B := tensor.New(c.OutC, batch*n)
-	for b := 0; b < batch; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			copy(g2B.Data[oc*batch*n+b*n:oc*batch*n+(b+1)*n],
-				grad.Data[(b*c.OutC+oc)*n:(b*c.OutC+oc+1)*n])
-		}
-	}
-	for oc := 0; oc < c.OutC; oc++ {
-		row := g2B.Data[oc*batch*n : (oc+1)*batch*n]
-		var s float32
-		for _, v := range row {
-			s += v
-		}
-		c.dB.Data[oc] += s
-	}
-	// dW += g2B·colsᵀ ; dX = col2im(Wᵀ·g2B) per sample.
-	tensor.MatMulTAcc(c.dW, g2B, cols)
-	dcols := tensor.TMatMul(c.effectiveW(), g2B)
-	for b := 0; b < batch; b++ {
-		sample := tensor.FromSlice(dx.Data[b*chw:(b+1)*chw], g.InC, g.InH, g.InW)
-		tensor.Col2ImStripeInto(sample, dcols.Data, batch*n, b*n, g)
-	}
-	return dx
-}
-
-// Reset implements Layer.
-func (c *Conv2D) Reset() {
-	c.cols = c.cols[:0]
-	c.effW = nil
-}
-
 // Params implements ParamLayer.
 func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 
@@ -349,10 +239,7 @@ type Dense struct {
 	dW *tensor.Tensor
 	dB *tensor.Tensor
 
-	xs []*tensor.Tensor // cached inputs per step (training)
-
-	effW *tensor.Tensor // mask-applied weights, valid until Reset
-	wT   *tensor.Tensor // transposed effective weights, valid until Reset
+	adapter // ForwardBatch's arena
 
 	// Int8 tier state (tier.go), mirroring Conv2D's.
 	panel   *quant.Int8Panel
@@ -377,42 +264,9 @@ func NewDense(in, out int, r *rng.RNG) *Dense {
 // Name implements Layer.
 func (d *Dense) Name() string { return "dense" }
 
-func (d *Dense) effectiveW() *tensor.Tensor {
-	if d.Mask == nil {
-		return d.W
-	}
-	if d.effW == nil {
-		d.effW = d.W.Clone()
-		d.effW.Mul(d.Mask)
-	}
-	return d.effW
-}
-
-func (d *Dense) transposedW() *tensor.Tensor {
-	if d.wT == nil {
-		d.wT = tensor.Transpose(d.effectiveW())
-	}
-	return d.wT
-}
-
-// ForwardBatch implements Layer ((B,In) → (B,Out)): one GEMM
-// against the transposed weights, sparse input rows skipping wholesale.
+// ForwardBatch implements Layer (see adapter).
 func (d *Dense) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 2 || x.Shape[1] != d.In {
-		panic(fmt.Sprintf("snn: Dense batch input %s, want (B,%d)", shapeStr(x.Shape), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	out := tensor.MatMul(x, d.transposedW())
-	batch := x.Shape[0]
-	for b := 0; b < batch; b++ {
-		row := out.Data[b*d.Out : (b+1)*d.Out]
-		for o := range row {
-			row[o] += d.B.Data[o]
-		}
-	}
-	if train {
-		d.xs = append(d.xs, x.Clone())
-	}
-	return out
+	return d.forward(d, x, train)
 }
 
 // trainEffW is Conv2D.trainEffW for the dense layer.
@@ -428,12 +282,12 @@ func (d *Dense) trainEffW(ts *TrainScratch, li int) *tensor.Tensor {
 	return effW
 }
 
-// ForwardBatchInto implements trainLayer, the layer's one arena
-// forward: one GEMM against the once-per-pass transposed weights, sparse
-// input rows skipping wholesale, or at the INT8 tier in an inference
-// pass the int8 GEMM against the prebuilt panel (which already carries
-// the prune mask). A training pass also keeps the step's input (the
-// allocating path's Clone) in the arena for the weight gradient.
+// ForwardBatchInto implements Layer ((B,In) → (B,Out)), the layer's one
+// forward: one GEMM against the once-per-pass transposed weights,
+// sparse input rows skipping wholesale, or at the INT8 tier in an
+// inference pass the int8 GEMM against the prebuilt panel (which
+// already carries the prune mask). A training pass also keeps a copy of
+// the step's input in the arena for the weight gradient.
 func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	if x.Rank() != 2 || x.Shape[1] != d.In {
 		panic(fmt.Sprintf("snn: Dense batch input %s, want (B,%d)", shapeStr(x.Shape), d.In)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
@@ -462,13 +316,12 @@ func (d *Dense) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) 
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: BackwardBatch against the
-// arena's per-step input cache, with the input-gradient GEMM result
-// reused. A training pass leaves the weight and bias gradients to the
-// reduction (reduceStep), recording the step's cached input and a copy
-// of its output gradient for it; an input-gradient pass skips them.
-// With needDX false (no parameter layer below) the input-gradient GEMM
-// is skipped.
+// BackwardBatchInto implements Layer against the arena's per-step input
+// cache, with the input-gradient GEMM result reused. A training pass
+// leaves the weight and bias gradients to the reduction (reduceStep),
+// recording the step's cached input and a copy of its output gradient
+// for it; an input-gradient pass skips them. With needDX false (no
+// parameter layer below) the input-gradient GEMM is skipped.
 func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	batch := grad.Shape[0]
 	if ts.pass == passTrain {
@@ -482,36 +335,6 @@ func (d *Dense) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t i
 	dx := ts.buf2(li, slotGrad, -1, batch, d.In)
 	tensor.MatMulInto(dx, grad, d.trainEffW(ts, li))
 	return dx
-}
-
-// BackwardBatch implements Layer.
-func (d *Dense) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(d.xs)
-	if n == 0 {
-		panic("snn: Dense.BackwardBatch without cached forward step")
-	}
-	x := d.xs[n-1]
-	d.xs = d.xs[:n-1]
-
-	// dWᵀ = xᵀ·grad with the spike-sparse x rows driving the skip
-	// path; the transposed add is O(In·Out) against the O(B·In·Out)
-	// GEMM it avoids.
-	d.dW.AddTransposed(tensor.TMatMul(x, grad))
-	batch := grad.Shape[0]
-	for b := 0; b < batch; b++ {
-		row := grad.Data[b*d.Out : (b+1)*d.Out]
-		for o, g := range row {
-			d.dB.Data[o] += g
-		}
-	}
-	return tensor.MatMul(grad, d.effectiveW())
-}
-
-// Reset implements Layer.
-func (d *Dense) Reset() {
-	d.xs = d.xs[:0]
-	d.effW = nil
-	d.wT = nil
 }
 
 // Params implements ParamLayer.

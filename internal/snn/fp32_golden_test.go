@@ -91,8 +91,8 @@ func fp32GoldenValues(cases []fp32GoldenCase) (keys []string, vals map[string][]
 	}
 	for _, c := range cases {
 		net := c.build()
-		add(c.name+"/lone", inferLogits(net, c.samples[0]).Data)
-		add(c.name+"/batch5", inferLogits(net, c.samples...).Data)
+		add(c.name+"/lone", net.ForwardSamples([][]*tensor.Tensor{c.samples[0]}).Data)
+		add(c.name+"/batch5", net.ForwardSamples(c.samples).Data)
 		labels := make([]int, len(c.samples))
 		for b := range labels {
 			labels[b] = b

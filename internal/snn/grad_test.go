@@ -1,6 +1,7 @@
 package snn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Numerical gradient checking. The network contains spike
+// Numerical gradient checking of the arena's passes: parameter
+// gradients from TrainStepScratch, input gradients from
+// InputGradSumScratch (see backwardOne). The network contains spike
 // discontinuities, so exact finite-difference agreement is impossible in
 // general; we therefore check the *linear* pieces exactly by building
 // networks without LIF layers (conv/dense/pool are exactly linear and
@@ -16,11 +19,11 @@ import (
 // directionally (cosine similarity between BPTT and finite differences of
 // the smoothed loss must be clearly positive).
 
-// lossOf runs a forward pass over frames as a batch of one and returns
-// the cross-entropy loss.
+// lossOf runs the inference pass over frames as a batch of one and
+// returns the cross-entropy loss.
 func lossOf(n *Network, frames []*tensor.Tensor, label int) float64 {
-	l, _ := SoftmaxCrossEntropyBatch(forwardOne(n, frames, false), []int{label})
-	return l
+	logits := forwardOne(n, frames)
+	return SoftmaxCrossEntropyBatchInto(logits, []int{label}, tensor.New(logits.Shape...))
 }
 
 func TestLinearNetworkGradCheck(t *testing.T) {
@@ -43,7 +46,7 @@ func TestLinearNetworkGradCheck(t *testing.T) {
 	label := 2
 
 	// Analytic gradients.
-	n.ZeroGrads()
+	zeroGrads(n)
 	_, inGrads := backwardOne(n, frames, label)
 
 	// Check weight gradient of the dense layer numerically.
@@ -119,7 +122,7 @@ func TestSpikingGradientAscendsLoss(t *testing.T) {
 		label := trial % 4
 		base := lossOf(n, frames, label)
 
-		n.ZeroGrads()
+		zeroGrads(n)
 		_, inGrads := backwardOne(n, frames, label)
 		g := tensor.New(16)
 		for _, ig := range inGrads {
@@ -150,8 +153,9 @@ func TestSpikingGradientAscendsLoss(t *testing.T) {
 	}
 }
 
-// BPTT caches must be fully consumed by a complete backward pass, so a
-// second sample can run immediately.
+// BPTT caches must not leak from one pass into the next: training the
+// same sample again on the recycled arena, with the weights unchanged,
+// must give the same loss and input gradients bit for bit.
 func TestCacheDisciplineAcrossSamples(t *testing.T) {
 	r := rng.New(3)
 	cfg := DefaultConfig(0.8, 4)
@@ -161,16 +165,12 @@ func TestCacheDisciplineAcrossSamples(t *testing.T) {
 		frame.Data[i] = r.Float32()
 	}
 	frames := []*tensor.Tensor{frame}
-	for round := 0; round < 3; round++ {
-		backwardOne(n, frames, 1)
-	}
-	// If caches leaked, the conv layers would have grown `cols` slices.
-	for _, l := range n.Layers {
-		if c, ok := l.(*Conv2D); ok && len(c.cols) != 0 {
-			t.Fatalf("conv cache leaked: %d entries", len(c.cols))
+	wantLoss, wantGrads := backwardOne(n, frames, 1)
+	for round := 1; round < 3; round++ {
+		loss, grads := backwardOne(n, frames, 1)
+		if loss != wantLoss {
+			t.Fatalf("round %d: loss %v, want %v", round, loss, wantLoss)
 		}
-		if d, ok := l.(*Dense); ok && len(d.xs) != 0 {
-			t.Fatalf("dense cache leaked: %d entries", len(d.xs))
-		}
+		mustMatchTensors(t, fmt.Sprintf("round %d input gradients", round), wantGrads, grads)
 	}
 }

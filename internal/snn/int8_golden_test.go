@@ -77,8 +77,8 @@ func int8GoldenCases(t *testing.T) []int8GoldenCase {
 func int8GoldenLogits(cases []int8GoldenCase) map[string][]float32 {
 	out := map[string][]float32{}
 	for _, c := range cases {
-		out[c.name+"/lone"] = inferLogits(c.net, c.samples[0]).Data
-		out[c.name+"/batch5"] = inferLogits(c.net, c.samples...).Data
+		out[c.name+"/lone"] = c.net.ForwardSamples([][]*tensor.Tensor{c.samples[0]}).Data
+		out[c.name+"/batch5"] = c.net.ForwardSamples(c.samples).Data
 	}
 	return out
 }

@@ -5,24 +5,23 @@
 //
 // Execution model: a network processes a batch of samples as T time
 // steps; tensors carry the batch on the leading axis, so a lone sample
-// is a batch of one. Each layer's ForwardBatch is called once per step
-// in layer order and caches what its backward pass needs; BackwardBatch
-// is then called T times in *reverse* step order, popping those caches.
-// Between batches Reset clears all state. This mirrors how mainstream
-// SNN frameworks (SpikingJelly, Norse) unroll BPTT, with the standard
-// simplifications: the spike nonlinearity uses a fast-sigmoid surrogate
-// derivative and the reset path is detached. These allocating methods
-// are the test oracle of each layer's arena pair (train_arena.go),
-// which every program path runs.
+// is a batch of one. Every pass runs on an arena (train_arena.go): each
+// layer's ForwardBatchInto is called once per step in layer order and
+// caches in the arena what the pass's backward reads; its
+// BackwardBatchInto is then called T times in *reverse* step order.
+// This mirrors how mainstream SNN frameworks (SpikingJelly, Norse)
+// unroll BPTT, with the standard simplifications: the spike
+// nonlinearity uses a fast-sigmoid surrogate derivative and the reset
+// path is detached. The tests check every pass against a plain-loop
+// reference (reference_test.go) under ==.
 //
-// The arena runs the same unrolling. A training step splits its
-// minibatch into contiguous sample blocks over the shared worker pool
-// (train_block.go): the blocks run the forward, then step by step in
-// reverse the blocks run their backward chains and the parameter
-// layers reduce that step's weight gradients over the blocks in sample
-// order, so the weights match the whole-batch oracle's bit for bit at
-// any worker count. A static input (one frame at every step) runs the
-// layers before the first LIF once per pass.
+// A training step splits its minibatch into contiguous sample blocks
+// over the shared worker pool (train_block.go): the blocks run the
+// forward, then step by step in reverse the blocks run their backward
+// chains and the parameter layers reduce that step's weight gradients
+// over the blocks in sample order, so the weights are the same bit for
+// bit at any worker count. A static input (one frame at every step)
+// runs the layers before the first LIF once per pass.
 package snn
 
 import (
@@ -31,21 +30,60 @@ import (
 	"repro/internal/tensor"
 )
 
-// Layer is one stage of the unrolled network. The leading axis of the
-// tensors passed to ForwardBatch/BackwardBatch is the batch dimension,
-// and every sample advances one time step in a single kernel call.
+// Layer is one stage of the unrolled network: its one batched arena
+// forward and backward, which draw all working memory from the arena.
+// The leading axis of every tensor is the batch, and every sample
+// advances one time step per call. li is the layer's position, t the
+// time step (forward ascending, backward descending), and ts.pass says
+// what the forward caches. BackwardBatchInto may return nil when
+// needDX is false: the caller does not need the input gradient, so
+// layers with no parameter layer below them skip that work entirely.
 type Layer interface {
-	// ForwardBatch advances the layer one time step. train enables
-	// behaviours like dropout and backward caching.
+	ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor
+	BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor
+	// ForwardBatch and Reset adapt ForwardBatchInto to callers that
+	// step one layer at a time: ForwardBatch runs one inference step
+	// on the layer's own arena (see adapter), and Reset begins a new
+	// pass there. train must be false.
 	ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor
-	// BackwardBatch consumes the gradient w.r.t. this step's output and
-	// returns the gradient w.r.t. this step's input. Steps must be
-	// processed in reverse order of ForwardBatch calls.
-	BackwardBatch(grad *tensor.Tensor) *tensor.Tensor
-	// Reset clears membrane state and caches between batches.
 	Reset()
 	// Name identifies the layer type for diagnostics/serialization.
 	Name() string
+}
+
+// adapter is a layer's own one-layer arena, on which its ForwardBatch
+// runs ForwardBatchInto as an inference pass at layer index 0 and step
+// 0. The arena's LIF membranes persist from call to call until Reset.
+type adapter struct{ ts *TrainScratch }
+
+// forward runs one inference step of l on the adapter's arena.
+func (a *adapter) forward(l Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		panic("snn: ForwardBatch runs inference only")
+	}
+	if a.ts == nil {
+		a.ts = newAdapterScratch()
+	}
+	return l.ForwardBatchInto(x, a.ts, 0, 0)
+}
+
+// Reset implements Layer: the next ForwardBatch begins a new pass, with
+// the membranes at zero and the weight panels rebuilt.
+func (a *adapter) Reset() {
+	if a.ts != nil {
+		a.ts.sc.begin()
+	}
+}
+
+// newAdapterScratch builds an adapter's arena, with its first pass
+// begun.
+//
+//axsnn:allow-alloc builds a layer's adapter arena once; reused until the layer is dropped
+func newAdapterScratch() *TrainScratch {
+	ts := newTrainScratch(&Network{})
+	ts.pass = passInfer
+	ts.sc.begin()
+	return ts
 }
 
 // ParamLayer is a Layer with trainable parameters.
@@ -61,26 +99,22 @@ type BatchLayer = Layer
 
 // LIF is a layer of leaky integrate-and-fire neurons applied elementwise
 // to its input current: V ← λV + I; spike where V ≥ Vth; soft reset
-// V ← V − Vth·spike. The allocating ForwardBatch/BackwardBatch are
-// scalar Go loops; the arena pair runs tensor.LIFStepInto and
-// tensor.LIFGradInto, which compute the same values bit for bit, so the
-// arena-vs-oracle suites check those kernels against an independent
-// loop. Every product is rounded to float32 before its add, so no
-// architecture fuses them.
+// V ← V − Vth·spike. The arena pair runs tensor.LIFStepInto and
+// tensor.LIFGradInto, which package tensor pins to its portable Go
+// loops and the tests' reference pins to its own loop. Every product is
+// rounded to float32 before its add, so no architecture fuses them.
 type LIF struct {
 	VTh   float32 // threshold voltage
 	Decay float32 // membrane leak λ ∈ (0,1]
 	Beta  float32 // surrogate sharpness
 
-	v     *tensor.Tensor   // membrane potential
-	preVs []*tensor.Tensor // cached pre-reset potentials (training)
-	carry *tensor.Tensor   // dL/dV flowing backwards through time
+	adapter // ForwardBatch's arena
 
 	// Calibration statistics used by the approximation-level equation
 	// (approx package): accumulated over forward steps until ResetStats.
 	// Every forward pass counts spikes, steps and units; StatVSum is
-	// accumulated only by Calibrate's pass (and the allocating
-	// ForwardBatch), so read it, and MeanMembrane, after Calibrate.
+	// accumulated only by Calibrate's pass, so read it, and
+	// MeanMembrane, after Calibrate.
 	StatSpikes float64 // total output spikes
 	StatVSum   float64 // sum of mean pre-reset membrane potential per step (Calibrate only)
 	StatSteps  int     // forward steps counted
@@ -96,54 +130,22 @@ func NewLIF(vth, decay, beta float32) *LIF {
 // Name implements Layer.
 func (l *LIF) Name() string { return "lif" }
 
-// ForwardBatch implements Layer: the membrane state takes the batch
-// shape and every sample's neurons advance in one pass. Spike and
-// membrane statistics are normalized per sample so calibration is
-// batch-size invariant.
+// ForwardBatch implements Layer (see adapter).
 func (l *LIF) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	batch := x.Shape[0]
-	if l.v == nil || !tensor.SameShape(l.v, x) {
-		l.v = tensor.New(x.Shape...)
-	}
-	out := tensor.New(x.Shape...)
-	var spikes float64
-	var vSum float64
-	for i, inp := range x.Data {
-		v := float32(l.Decay*l.v.Data[i]) + inp
-		vSum += float64(v)
-		if v >= l.VTh {
-			out.Data[i] = 1
-			spikes++
-			v -= l.VTh
-		}
-		l.v.Data[i] = v
-	}
-	if train {
-		// Cache pre-reset potential: reconstruct from post state.
-		pre := tensor.New(x.Shape...)
-		for i := range pre.Data {
-			pre.Data[i] = l.v.Data[i] + float32(out.Data[i]*l.VTh)
-		}
-		l.preVs = append(l.preVs, pre)
-	}
-	l.StatSpikes += spikes / float64(batch)
-	l.StatVSum += vSum / float64(x.Len())
-	l.StatSteps++
-	l.StatUnits = x.Len() / batch
-	return out
+	return l.forward(l, x, train)
 }
 
-// ForwardBatchInto implements trainLayer: the membrane persists in the
-// arena (zeroed at pass start) and the spike output overwrites a
+// ForwardBatchInto implements Layer: the membrane state takes the batch
+// shape, persists in the arena (zeroed at pass start) and every
+// sample's neurons advance in one pass; the spike output overwrites a
 // reusable buffer. tensor.LIFStepInto updates the membranes, writes the
 // spikes and counts them in one pass, and in passes that run a backward
-// also caches the step's pre-reset potentials in that same pass. On
-// amd64 it is branch-free SSE whose lanes round exactly as
-// ForwardBatch's scalar loop, so the values match it bit for bit.
-// StatSpikes, StatSteps and StatUnits take ForwardBatch's values in
-// every pass; StatVSum, a serial float64 sum over every membrane, only
-// in the calibration pass (the arena's membraneSum switch, which only
-// Calibrate sets), and no other pass touches it.
+// also caches the step's pre-reset potentials in that same pass.
+// StatSpikes, StatSteps and StatUnits count every pass, normalized per
+// sample so calibration is batch-size invariant; StatVSum, a serial
+// float64 sum over every membrane, only the calibration pass (the
+// arena's membraneSum switch, which only Calibrate sets), and no other
+// pass touches it.
 func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
 	batch := x.Shape[0]
 	v := ts.stateBufShape(li, slotState, x.Shape)
@@ -167,12 +169,12 @@ func (l *LIF) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *t
 	return out
 }
 
-// BackwardBatchInto implements trainLayer: BackwardBatch against the
-// arena's per-step pre-reset cache. The dL/dV carry updates in place — the
-// allocating path's fresh output plus Clone collapse into one buffer,
-// with identical values (each element reads the previous step's carry
-// before overwriting it). tensor.LIFGradInto computes the surrogate four
-// lanes at a time on amd64, rounding each lane as BackwardBatch's loop.
+// BackwardBatchInto implements Layer: dL/dI_t = dL/dS_t · σ'(V_t − Vth)
+// + λ·carry, elementwise over the batch, against the arena's per-step
+// pre-reset cache, with the reset path detached (standard SNN BPTT
+// practice). The dL/dV carry updates in place: each element reads the
+// previous step's carry before overwriting it. tensor.LIFGradInto
+// computes the surrogate four lanes at a time on amd64.
 func (l *LIF) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
 		return nil
@@ -181,43 +183,6 @@ func (l *LIF) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int
 	carry, fresh := ts.onceShape(li, slotCarry, grad.Shape)
 	tensor.LIFGradInto(carry.Data, grad.Data, pre.Data, l.VTh, l.Beta, l.Decay, fresh)
 	return carry
-}
-
-// BackwardBatch implements Layer: dL/dI_t = dL/dS_t · σ'(V_t − Vth) +
-// λ·carry, elementwise over the batch, with the reset path detached
-// (standard SNN BPTT practice).
-func (l *LIF) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	n := len(l.preVs)
-	if n == 0 {
-		panic("snn: LIF.BackwardBatch without cached forward step")
-	}
-	pre := l.preVs[n-1]
-	l.preVs = l.preVs[:n-1]
-
-	out := tensor.New(grad.Shape...)
-	hasCarry := l.carry != nil
-	for i, g := range grad.Data {
-		u := pre.Data[i] - l.VTh
-		if u < 0 {
-			u = -u
-		}
-		d := 1 + float32(l.Beta*u)
-		surr := l.Beta / (d * d)
-		dv := float32(g * surr)
-		if hasCarry {
-			dv += float32(l.Decay * l.carry.Data[i])
-		}
-		out.Data[i] = dv
-	}
-	l.carry = out.Clone()
-	return out
-}
-
-// Reset implements Layer.
-func (l *LIF) Reset() {
-	l.v = nil
-	l.carry = nil
-	l.preVs = l.preVs[:0]
 }
 
 // ResetStats clears the calibration counters.
@@ -246,18 +211,18 @@ func (l *LIF) MeanMembrane() float64 {
 // Flatten reshapes each sample of a (B, C,H,W) batch to a vector.
 type Flatten struct {
 	inShape []int
+	adapter // ForwardBatch's arena
 }
 
 // Name implements Layer.
 func (f *Flatten) Name() string { return "flatten" }
 
-// ForwardBatch implements Layer: (B, d...) reshapes to (B, Πd).
+// ForwardBatch implements Layer (see adapter).
 func (f *Flatten) ForwardBatch(x *tensor.Tensor, train bool) *tensor.Tensor {
-	f.inShape = append(f.inShape[:0], x.Shape...) //axsnn:allow-alloc grows to the input rank once, then reuses the backing array
-	return x.Reshape(x.Shape[0], x.Len()/x.Shape[0])
+	return f.forward(f, x, train)
 }
 
-// ForwardBatchInto implements trainLayer: the flattened result is a
+// ForwardBatchInto implements Layer: (B, d...) reshapes to (B, Πd), a
 // cached header view over the input data — no copy, no allocation.
 // Passes that run a backward record the input shape for it.
 func (f *Flatten) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor {
@@ -267,7 +232,7 @@ func (f *Flatten) ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int
 	return ts.view2(li, slotOutView, x.Data, x.Shape[0], x.Len()/x.Shape[0])
 }
 
-// BackwardBatchInto implements trainLayer: the gradient viewed in the
+// BackwardBatchInto implements Layer: the gradient viewed in the
 // recorded input shape — no copy, no allocation.
 func (f *Flatten) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor {
 	if !needDX {
@@ -275,14 +240,6 @@ func (f *Flatten) BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t
 	}
 	return ts.viewShape(li, slotGradView, grad.Data, f.inShape)
 }
-
-// BackwardBatch implements Layer.
-func (f *Flatten) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
-}
-
-// Reset implements Layer.
-func (f *Flatten) Reset() {}
 
 // shapeStr renders a shape for cold panic messages.
 //

@@ -81,39 +81,40 @@ func TestLIFResetClearsMembrane(t *testing.T) {
 	}
 }
 
-func TestLIFBackwardRequiresCache(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for BackwardBatch without ForwardBatch")
-		}
-	}()
-	NewLIF(1, 1, 4).BackwardBatch(tensor.New(1, 1))
-}
-
+// TestLIFSurrogatePeaksAtThreshold runs one step of a lone LIF layer
+// through the arena's input-gradient pass.
 func TestLIFSurrogatePeaksAtThreshold(t *testing.T) {
 	l := NewLIF(1.0, 1.0, 4)
+	net := NewNetwork(DefaultConfig(1.0, 1), l)
+	ts := net.AcquireTrainScratch()
+	defer net.ReleaseTrain(ts)
 	grad := tensor.FromSlice([]float32{1, 1, 1}, 1, 3)
 	// Three neurons at membrane 0.2, 1.0, 1.8: surrogate is largest at
 	// the threshold.
-	in := tensor.FromSlice([]float32{0.2, 1.0, 1.8}, 1, 3)
-	l.ForwardBatch(in, true)
-	g := l.BackwardBatch(grad)
+	in := tensor.FromSlice([]float32{0.2, 1.0, 1.8}, 3)
+	net.forwardPass([][]*tensor.Tensor{{in}}, ts, passInputGrad)
+	g := net.backwardStep(grad, ts, 0)
 	if !(g.Data[1] > g.Data[0] && g.Data[1] > g.Data[2]) {
 		t.Fatalf("surrogate not peaked at threshold: %v", g.Data)
 	}
 }
 
+// TestFlattenRoundTrip runs a lone Flatten layer through the arena's
+// input-gradient pass: the forward flattens each sample, the backward
+// restores the input shape.
 func TestFlattenRoundTrip(t *testing.T) {
-	f := &Flatten{}
-	x := tensor.New(1, 2, 3, 4)
+	net := NewNetwork(DefaultConfig(1.0, 1), &Flatten{})
+	ts := net.AcquireTrainScratch()
+	defer net.ReleaseTrain(ts)
+	x := tensor.New(2, 3, 4)
 	for i := range x.Data {
 		x.Data[i] = float32(i)
 	}
-	y := f.ForwardBatch(x, true)
+	y := net.forwardPass([][]*tensor.Tensor{{x}}, ts, passInputGrad)
 	if y.Rank() != 2 || y.Dim(0) != 1 || y.Dim(1) != 24 {
 		t.Fatalf("flatten shape %v", y.Shape)
 	}
-	g := f.BackwardBatch(y)
+	g := net.backwardStep(y, ts, 0)
 	if g.Rank() != 4 || g.Dim(0) != 1 || g.Dim(1) != 2 || g.Dim(2) != 3 || g.Dim(3) != 4 {
 		t.Fatalf("unflatten shape %v", g.Shape)
 	}

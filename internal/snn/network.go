@@ -29,15 +29,8 @@ type Network struct {
 	Cfg    Config
 	Layers []Layer
 
-	// Arena bookkeeping (train_arena.go): parked arenas, the cached
-	// arena layer view, the lowest parameter layer index (layers at or
-	// below it skip input-gradient work), and the number of leading
-	// layers whose output depends only on the step's input (a static
-	// input runs them once per pass).
-	trainFree  []*TrainScratch
-	trainLs    []trainLayer
-	paramFloor int
-	invariant  int
+	// trainFree parks the network's arenas (train_arena.go).
+	trainFree []*TrainScratch
 
 	// Inference precision tier (tier.go): FP32 exact or INT8 quantized.
 	tier PrecisionTier
@@ -48,7 +41,8 @@ func NewNetwork(cfg Config, layers ...Layer) *Network {
 	return &Network{Cfg: cfg, Layers: layers}
 }
 
-// Reset clears all layer state (membranes, caches, dropout masks).
+// Reset begins a new pass on every layer's ForwardBatch arena (see
+// adapter).
 func (n *Network) Reset() {
 	for _, l := range n.Layers {
 		l.Reset()
@@ -101,13 +95,6 @@ func (n *Network) Grads() []*tensor.Tensor {
 		out = append(out, pl.Grads()...)
 	}
 	return out
-}
-
-// ZeroGrads clears every gradient tensor.
-func (n *Network) ZeroGrads() {
-	for _, g := range n.Grads() {
-		g.Zero()
-	}
 }
 
 // LIFLayers returns the spiking layers in order.
@@ -204,11 +191,4 @@ func (n *Network) DeepClone() *Network {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

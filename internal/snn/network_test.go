@@ -81,18 +81,16 @@ func TestPredictShapeIndependence(t *testing.T) {
 	}
 }
 
-// TestForwardPanicsOnEmptyInput pins that every entry point names a
-// missing input instead of failing on an index: the allocating path
-// with no frames or a frameless sample, and the arena's pass (through
-// Predict) with a frameless sample.
+// TestForwardPanicsOnEmptyInput pins that the entry points name a
+// missing input instead of failing on an index: the arena's pass,
+// through ForwardSamples and Predict, with a frameless sample.
 func TestForwardPanicsOnEmptyInput(t *testing.T) {
 	net := DenseNet(DefaultConfig(1, 4), 4, 8, 2, rng.New(14))
 	for _, tc := range []struct {
 		name, want string
 		run        func()
 	}{
-		{"ForwardBatch", "snn: ForwardBatch with no input frames", func() { net.ForwardBatch(nil, false) }},
-		{"ForwardSamples", "snn: StackFrames sample with no input frames", func() { net.ForwardSamples([][]*tensor.Tensor{nil}, false) }},
+		{"ForwardSamples", "snn: arena pass sample with no input frames", func() { net.ForwardSamples([][]*tensor.Tensor{nil}) }},
 		{"Predict", "snn: arena pass sample with no input frames", func() { net.Predict(nil) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,14 +211,16 @@ func TestInputGradientLeavesParamsClean(t *testing.T) {
 	img := tensor.New(16)
 	img.Fill(0.7)
 	frames := []*tensor.Tensor{img, img, img, img}
-	grads := InputGradientBatch(n, StackFrames([][]*tensor.Tensor{frames}, 4), []int{1})
-	if len(grads) != 4 {
+	ts := n.AcquireTrainScratch()
+	defer n.ReleaseTrain(ts)
+	n.InputGradSumScratch([][]*tensor.Tensor{frames}, []int{1}, ts)
+	if grads := ts.InputGradSteps(); len(grads) != 4 {
 		t.Fatalf("got %d frame gradients", len(grads))
 	}
 	for _, g := range n.Grads() {
 		for _, v := range g.Data {
 			if v != 0 {
-				t.Fatal("InputGradientBatch must leave the caller's parameter gradients at zero")
+				t.Fatal("InputGradSumScratch must leave the parameter gradients at zero")
 			}
 		}
 	}
@@ -244,6 +244,9 @@ func TestCalibratePopulatesStats(t *testing.T) {
 	}
 }
 
+// TestDropoutTrainVsEval runs the dropout layer's inference step
+// through its ForwardBatch adapter and its training steps on an arena
+// pass.
 func TestDropoutTrainVsEval(t *testing.T) {
 	r := rng.New(26)
 	d := NewDropout(0.5, r)
@@ -256,9 +259,18 @@ func TestDropoutTrainVsEval(t *testing.T) {
 			t.Fatal("dropout must be identity in eval mode")
 		}
 	}
+	net := NewNetwork(DefaultConfig(1, 2), d)
+	ts := net.AcquireTrainScratch()
+	defer net.ReleaseTrain(ts)
+	ts.pass = passTrain
+	step := func(t int) *tensor.Tensor {
+		if t == 0 {
+			ts.sc.begin()
+		}
+		return d.ForwardBatchInto(x, ts, 0, t).Clone()
+	}
 	// Train: ~half dropped, survivors scaled by 2.
-	d.Reset()
-	y = d.ForwardBatch(x, true)
+	y = step(0)
 	zeros, twos := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -273,16 +285,15 @@ func TestDropoutTrainVsEval(t *testing.T) {
 	if zeros < 350 || zeros > 650 {
 		t.Fatalf("dropout rate off: %d/1000 dropped", zeros)
 	}
-	// Mask persists across steps within one sample.
-	y2 := d.ForwardBatch(x, true)
+	// Mask persists across steps within one pass.
+	y2 := step(1)
 	for i := range y.Data {
 		if y.Data[i] != y2.Data[i] {
 			t.Fatal("dropout mask must persist across time steps")
 		}
 	}
-	// And is redrawn after Reset.
-	d.Reset()
-	y3 := d.ForwardBatch(x, true)
+	// And is redrawn on the next pass.
+	y3 := step(0)
 	same := true
 	for i := range y.Data {
 		if y.Data[i] != y3.Data[i] {
@@ -291,7 +302,7 @@ func TestDropoutTrainVsEval(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("dropout mask must be redrawn after Reset")
+		t.Fatal("dropout mask must be redrawn every pass")
 	}
 }
 
@@ -310,7 +321,7 @@ func TestSGDAndAdamReduceLoss(t *testing.T) {
 		label := 2
 		first, last := 0.0, 0.0
 		for it := 0; it < 40; it++ {
-			n.ZeroGrads()
+			zeroGrads(n)
 			loss, _ := backwardOne(n, frames, label)
 			if it == 0 {
 				first = loss

@@ -144,8 +144,8 @@ func TestSaveLoadPreservesMasks(t *testing.T) {
 	img := tensor.New(16)
 	img.Fill(0.8)
 	fr := []*tensor.Tensor{img}
-	la := forwardOne(a, fr, false)
-	lb := forwardOne(b, fr, false)
+	la := forwardOne(a, fr)
+	lb := forwardOne(b, fr)
 	for i := range la.Data {
 		if la.Data[i] != lb.Data[i] {
 			t.Fatal("masked networks diverge after round-trip")

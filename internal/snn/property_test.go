@@ -48,8 +48,8 @@ func TestPropForwardDeterministic(t *testing.T) {
 			}
 			frames[i] = f
 		}
-		a := forwardOne(net, frames, false)
-		b := forwardOne(net, frames, false)
+		a := forwardOne(net, frames)
+		b := forwardOne(net, frames)
 		for i := range a.Data {
 			if a.Data[i] != b.Data[i] {
 				return false
@@ -71,20 +71,20 @@ func TestPropMaskSemantics(t *testing.T) {
 		for j := range frames[0].Data {
 			frames[0].Data[j] = r.Float32()
 		}
-		base := forwardOne(net, frames, false)
+		base := forwardOne(net, frames)
 
 		d := net.Layers[1].(*Dense)
 		ones := tensor.New(d.W.Shape...)
 		ones.Fill(1)
 		d.Mask = ones
-		withOnes := forwardOne(net, frames, false)
+		withOnes := forwardOne(net, frames)
 		for i := range base.Data {
 			if base.Data[i] != withOnes.Data[i] {
 				return false
 			}
 		}
 		d.Mask = tensor.New(d.W.Shape...) // all zeros
-		zeroed := forwardOne(net, frames, false)
+		zeroed := forwardOne(net, frames)
 		// First dense layer dead: downstream sees only its bias. The
 		// forward must still run and produce finite logits.
 		for _, v := range zeroed.Data {

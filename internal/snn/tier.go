@@ -91,8 +91,8 @@ func (n *Network) BuildInt8Panels() error {
 // mask mutation). The tier is a kernel choice inside the arena's
 // inference pass, the one Predict, PredictBatchInto and the
 // serve/stream tiers ride: at TierINT8 Conv2D and Dense run the int8
-// kernels there. Training, the attacks' input-gradient pass and the
-// allocating forwards always run FP32.
+// kernels there, and so does each layer's ForwardBatch adapter.
+// Training and the attacks' input-gradient pass always run FP32.
 func (n *Network) SetTier(t PrecisionTier) error {
 	if t == TierINT8 {
 		for i, l := range n.Layers {

@@ -65,13 +65,13 @@ func TestInt8TierDeterministic(t *testing.T) {
 	tensor.SetWorkers(1)
 	var want [][]float32
 	for b := range samples {
-		want = append(want, inferLogits(net, samples[b]).Data)
+		want = append(want, net.ForwardSamples([][]*tensor.Tensor{samples[b]}).Data)
 	}
 
 	for _, workers := range []int{1, 2, 4} {
 		tensor.SetWorkers(workers)
 		// Full batch: every sample's row must equal its solo logits.
-		logits := inferLogits(net, samples...)
+		logits := net.ForwardSamples(samples)
 		for b := range samples {
 			row := logits.Data[b*len(want[0]) : (b+1)*len(want[0])]
 			for j, v := range row {
@@ -97,8 +97,8 @@ func TestInt8TierClonePropagation(t *testing.T) {
 	}
 	r := rng.New(29)
 	frames := spikeFrames(r, net.Cfg.Steps, []int{2, 16, 16})
-	a := inferLogits(net, frames)
-	b := inferLogits(clone, frames)
+	a := net.ForwardSamples([][]*tensor.Tensor{frames})
+	b := clone.ForwardSamples([][]*tensor.Tensor{frames})
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatalf("clone logit %d: %v vs %v", i, b.Data[i], a.Data[i])
@@ -127,14 +127,14 @@ func TestInt8TierTracksFP32(t *testing.T) {
 		if err := net.SetTier(TierFP32); err != nil {
 			t.Fatal(err)
 		}
-		ref := inferLogits(net, frames)
+		ref := net.ForwardSamples([][]*tensor.Tensor{frames})
 		refData := ref.Data
 		refClass := ref.Argmax()
 
 		if err := net.SetTier(TierINT8); err != nil {
 			t.Fatal(err)
 		}
-		q := inferLogits(net, frames)
+		q := net.ForwardSamples([][]*tensor.Tensor{frames})
 		var maxAbs, maxDiff float64
 		for i := range refData {
 			if a := math.Abs(float64(refData[i])); a > maxAbs {
@@ -229,7 +229,7 @@ func TestInt8TierInputGradIsFP32(t *testing.T) {
 	if err := q.SetTier(TierINT8); err != nil {
 		t.Fatal(err)
 	}
-	fp, i8 := inferLogits(net, samples...), inferLogits(q, samples...)
+	fp, i8 := net.ForwardSamples(samples), q.ForwardSamples(samples)
 	same := true
 	for i := range fp.Data {
 		same = same && fp.Data[i] == i8.Data[i]

@@ -68,10 +68,3 @@ func (t ActivityTrace) TotalSpikesPerStep() float64 {
 	}
 	return s
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

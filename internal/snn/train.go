@@ -44,56 +44,12 @@ func clipGradients(grads []*tensor.Tensor, clip float64) {
 	}
 }
 
-// disableTrainArena is a test hook: when set, Train/TrainFrames run the
-// allocating minibatch path instead of the arena, which the equivalence
-// tests use as the bit-identity reference.
-var disableTrainArena bool
-
-// trainStep runs one minibatch (forward, loss, backward) and returns
-// the summed loss. With a training arena the whole step draws from
-// reusable buffers (zero steady-state allocations); without one (the
-// disableTrainArena hook) it takes the allocating batched path, one
-// ForwardBatch/BackwardBatch per minibatch. The two are bit-identical.
-func trainStep(n *Network, samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) float64 {
-	if ts != nil {
-		return n.TrainStepScratch(samples, labels, ts)
-	}
-	logits := n.ForwardBatch(StackFrames(samples, n.Cfg.Steps), true)
-	loss, grad := SoftmaxCrossEntropyBatch(logits, labels)
-	n.BackwardBatch(grad)
-	return loss
-}
-
-// acquireTrainArena returns the training arena Train/TrainFrames use,
-// or nil when the test hook forces the allocating reference path.
-func acquireTrainArena(n *Network) *TrainScratch {
-	if disableTrainArena {
-		return nil
-	}
-	return n.AcquireTrainScratch()
-}
-
 // minibatchUpdate applies the post-step bookkeeping shared by Train and
-// TrainFrames: gradient clipping and one optimizer step, via the
-// arena's cached tensor lists when one is in play.
-func minibatchUpdate(n *Network, ts *TrainScratch, opt TrainOptions, batch int) {
-	if ts != nil {
-		clipGradients(ts.Grads(), opt.ClipNorm)
-		opt.Optimizer.Step(ts.Params(), ts.Grads(), 1/float32(batch))
-		return
-	}
-	clipGradients(n.Grads(), opt.ClipNorm)
-	opt.Optimizer.Step(n.Params(), n.Grads(), 1/float32(batch))
-}
-
-// zeroGrads clears the gradients through the arena's cached list when
-// available.
-func zeroGrads(n *Network, ts *TrainScratch) {
-	if ts != nil {
-		ts.ZeroGrads()
-		return
-	}
-	n.ZeroGrads()
+// TrainFrames: gradient clipping and one optimizer step, over the
+// arena's cached tensor lists.
+func minibatchUpdate(ts *TrainScratch, opt TrainOptions, batch int) {
+	clipGradients(ts.Grads(), opt.ClipNorm)
+	opt.Optimizer.Step(ts.Params(), ts.Grads(), 1/float32(batch))
 }
 
 // directFrames returns each sample's image as its one static frame
@@ -124,7 +80,7 @@ func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 16
 	}
-	ts := acquireTrainArena(n)
+	ts := n.AcquireTrainScratch()
 	defer n.ReleaseTrain(ts)
 	r := rng.New(opt.Seed)
 	idx := make([]int, train.Len())
@@ -152,9 +108,9 @@ func Train(n *Network, train *dataset.Set, opt TrainOptions) {
 				}
 				labels = append(labels, s.Label)
 			}
-			zeroGrads(n, ts)
-			totalLoss += trainStep(n, samples, labels, ts)
-			minibatchUpdate(n, ts, opt, end-b)
+			ts.ZeroGrads()
+			totalLoss += n.TrainStepScratch(samples, labels, ts)
+			minibatchUpdate(ts, opt, end-b)
 		}
 		if opt.OnEpoch != nil {
 			opt.OnEpoch(epoch, totalLoss/float64(len(idx)))
@@ -170,7 +126,7 @@ func TrainFrames(n *Network, samples [][]*tensor.Tensor, labels []int, opt Train
 	if opt.BatchSize <= 0 {
 		opt.BatchSize = 8
 	}
-	ts := acquireTrainArena(n)
+	ts := n.AcquireTrainScratch()
 	defer n.ReleaseTrain(ts)
 	r := rng.New(opt.Seed)
 	idx := make([]int, len(samples))
@@ -192,9 +148,9 @@ func TrainFrames(n *Network, samples [][]*tensor.Tensor, labels []int, opt Train
 				batch = append(batch, samples[i])
 				blabels = append(blabels, labels[i])
 			}
-			zeroGrads(n, ts)
-			totalLoss += trainStep(n, batch, blabels, ts)
-			minibatchUpdate(n, ts, opt, end-b)
+			ts.ZeroGrads()
+			totalLoss += n.TrainStepScratch(batch, blabels, ts)
+			minibatchUpdate(ts, opt, end-b)
 		}
 		if opt.OnEpoch != nil {
 			opt.OnEpoch(epoch, totalLoss/float64(len(idx)))

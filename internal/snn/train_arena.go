@@ -43,11 +43,10 @@ import (
 // the stacked input frame) and once-per-pass panels (effective weights,
 // dropout masks) reuse a single buffer. Because the caches are indexed
 // by step rather than pushed on stacks, the backward pass can also skip
-// work the allocating path could not: layers at or below the lowest
-// parameter layer never compute input gradients unless the caller asked
-// for them (attacks do, Train does not). No backward reads a stacked
-// input frame, so every pass stacks step t's frames into one reused
-// buffer as it reaches step t.
+// work: layers at or below the lowest parameter layer never compute
+// input gradients unless the caller asked for them (attacks do, Train
+// does not). No backward reads a stacked input frame, so every pass
+// stacks step t's frames into one reused buffer as it reaches step t.
 //
 // Lifecycle: Network.AcquireTrainScratch hands out an arena (recycled
 // from a per-network free list) that also caches the network's
@@ -63,31 +62,27 @@ import (
 // goroutines; concurrent work runs on CloneArchitecture clones, each
 // with its own arenas.
 //
-// Correctness: the arena passes add every term in the same order as
-// the allocating ForwardBatch/BackwardBatch, so logits, losses, input
-// gradients and trained weights are bit-identical to them under ==,
-// and to themselves at any worker count (pinned by arena_test.go and
-// train_arena_test.go). A sample's forward and reverse chain do not
-// depend on the batch it runs in, so splitting a minibatch into blocks
-// changes none of their values; the only sums across samples, each
-// step's dW and dB, are reduced over the blocks in sample order with
-// the whole-batch backward's kernels, steps folding in descending
-// order, and the loss sums over the assembled logits. Running the
-// step-invariant prefix once per pass computes the values running it
-// every step does. Three kernel swaps change no value. The conv
-// scatter adds each output's terms in ascending receptive-field
-// position p, the order of the im2row GEMM's inner loop; the allocating
-// ForwardBatch's im2col GEMM adds the same nonzero terms in the same
-// order and differs only by ±0 products (tensor.TestConvScatterMatchesGEMM
-// pins both). The input-driven conv weight gradient reaches each tap's
-// outputs in ascending (sample, position) order, the order of
-// MatMulTAcc's dot product, and skips only that dot product's ±0
-// products of zero inputs (tensor.TestConvWeightGradScatterMatchesGEMM).
-// The LIF kernels (tensor.LIFStepInto, LIFGradInto) replace the scalar
-// loops' branches with lane masks: each lane performs the scalar loop's
-// IEEE operations in the same order, and a lane that does not spike
-// subtracts +0, which leaves every value as the branch did
-// (tensor.TestLIFStepMatchesGo, TestLIFGradMatchesGo).
+// Correctness: every term a pass adds, it adds in a fixed order, so
+// logits, losses, input gradients and trained weights are the same bit
+// for bit at any worker count, and the tests pin them to a plain-loop
+// reference (reference_test.go) under ==. A sample's forward and
+// reverse chain do not depend on the batch it runs in, so splitting a
+// minibatch into blocks changes none of their values; the only sums
+// across samples, each step's dW and dB, are reduced over the blocks in
+// sample order, steps folding in descending order, and the loss sums
+// over the assembled logits. Running the step-invariant prefix once per
+// pass computes the values running it every step does. The conv scatter
+// adds each output's nonzero terms in ascending receptive-field
+// position, and the input-driven conv weight gradient reaches each
+// tap's outputs in ascending (sample, position) order; package tensor's
+// tests pin both to GEMMs over im2row and im2col lowerings
+// (tensor.TestConvScatterMatchesGEMM,
+// TestConvWeightGradScatterMatchesGEMM). The LIF kernels
+// (tensor.LIFStepInto, LIFGradInto) replace the scalar loops' branches
+// with lane masks: each lane performs the scalar loop's IEEE operations
+// in the same order, and a lane that does not spike subtracts +0, which
+// leaves every value as the branch did (tensor.TestLIFStepMatchesGo,
+// TestLIFGradMatchesGo).
 
 // trainSlotStride folds the time step into the slot space: per-step
 // slot s at step t lives at s + trainSlotStride·(t+1), per-pass slots
@@ -162,19 +157,6 @@ type TrainScratch struct {
 	// fan is the training pass's fan-out over sample blocks, built by
 	// the first TrainStepScratch on this arena and kept with it.
 	fan *blockFan
-}
-
-// trainLayer is implemented by every built-in layer: its one batched
-// arena forward and backward, drawing all working memory from the
-// arena. li is the layer's position, t the time step (forward
-// ascending, backward descending), and ts.pass says what the forward
-// caches. BackwardBatchInto may return nil when needDX is false — the
-// caller does not need the input gradient, so layers without parameters
-// below them skip that work entirely.
-type trainLayer interface {
-	Layer
-	ForwardBatchInto(x *tensor.Tensor, ts *TrainScratch, li, t int) *tensor.Tensor
-	BackwardBatchInto(grad *tensor.Tensor, ts *TrainScratch, li, t int, needDX bool) *tensor.Tensor
 }
 
 // Buffer accessors: thin wrappers folding the step into the Scratch
@@ -260,42 +242,36 @@ func (ts *TrainScratch) cachedInput(li, t int) *tensor.Tensor {
 	return ts.sc.m[slotKey{li, tslot(slotXCache, t)}].t
 }
 
-// ZeroGrads clears every gradient tensor without rebuilding the slice
-// (the allocation-free form of Network.ZeroGrads).
+// ZeroGrads clears every gradient tensor without rebuilding the slice.
 func (ts *TrainScratch) ZeroGrads() {
 	for _, g := range ts.grads {
 		g.Zero()
 	}
 }
 
-// trainLayers returns the network's layers as arena layers, caching the
-// view, the lowest parameter layer index and the length of the
-// step-invariant prefix on first use. Every built-in layer is one; a
-// network holding any other layer panics.
-//
-//axsnn:allow-alloc caches the arena layer view; runs once per network
-func (n *Network) trainLayers() []trainLayer {
-	if n.trainLs == nil {
-		n.paramFloor, n.invariant = len(n.Layers), len(n.Layers)
-		ls := make([]trainLayer, 0, len(n.Layers))
-		for i, l := range n.Layers {
-			tl, ok := l.(trainLayer)
-			if !ok {
-				panic(fmt.Sprintf("snn: layer %d (%T) has no arena pass", i, l))
-			}
-			if _, isParam := l.(ParamLayer); isParam && i < n.paramFloor {
-				n.paramFloor = i
-			}
-			switch l.(type) {
-			case *Conv2D, *Dense, *AvgPool, *Flatten:
-			default:
-				n.invariant = min(n.invariant, i)
-			}
-			ls = append(ls, tl)
+// staticPrefix is the number of leading layers whose output depends
+// only on the step's input: Conv2D, Dense, AvgPool and Flatten, up to
+// the first LIF or Dropout.
+func (n *Network) staticPrefix() int {
+	for i, l := range n.Layers {
+		switch l.(type) {
+		case *Conv2D, *Dense, *AvgPool, *Flatten:
+		default:
+			return i
 		}
-		n.trainLs = ls
 	}
-	return n.trainLs
+	return len(n.Layers)
+}
+
+// paramFloor is the index of the lowest parameter layer: a training
+// pass needs no input gradient at or below it.
+func (n *Network) paramFloor() int {
+	for i, l := range n.Layers {
+		if _, ok := l.(ParamLayer); ok {
+			return i
+		}
+	}
+	return len(n.Layers)
 }
 
 // AcquireTrainScratch returns an arena for this network, recycled from
@@ -393,12 +369,11 @@ func staticInput(samples [][]*tensor.Tensor, steps int) bool {
 // training pass caches their inputs once, at step 0 (cachedInput).
 func (n *Network) forwardPass(samples [][]*tensor.Tensor, ts *TrainScratch, pass passKind) *tensor.Tensor {
 	checkSamples(samples, n.Cfg.Steps)
-	ls := n.trainLayers()
 	ts.pass = pass
 	ts.sc.begin()
 	ts.static = 0
 	if staticInput(samples, n.Cfg.Steps) {
-		ts.static = n.invariant
+		ts.static = n.staticPrefix()
 	}
 	batch := len(samples)
 	shape := samples[0][0].Shape
@@ -420,8 +395,8 @@ func (n *Network) forwardPass(samples [][]*tensor.Tensor, ts *TrainScratch, pass
 				copy(x.Data[b*per:(b+1)*per], fr[min(t, len(fr)-1)].Data)
 			}
 		}
-		for li := first; li < len(ls); li++ {
-			x = ls[li].ForwardBatchInto(x, ts, li, t)
+		for li := first; li < len(n.Layers); li++ {
+			x = n.Layers[li].ForwardBatchInto(x, ts, li, t)
 			if li+1 == ts.static {
 				fixed = x
 			}
@@ -442,9 +417,9 @@ func (n *Network) forwardPass(samples [][]*tensor.Tensor, ts *TrainScratch, pass
 // returns nil; its parameter layers leave their step gradients in
 // stepGrads for the reduction instead of accumulating them.
 func (n *Network) backwardStep(g *tensor.Tensor, ts *TrainScratch, t int) *tensor.Tensor {
-	inputGrad := ts.pass == passInputGrad
-	for li := len(n.trainLs) - 1; li >= 0 && g != nil; li-- {
-		g = n.trainLs[li].BackwardBatchInto(g, ts, li, t, inputGrad || li > n.paramFloor)
+	inputGrad, floor := ts.pass == passInputGrad, n.paramFloor()
+	for li := len(n.Layers) - 1; li >= 0 && g != nil; li-- {
+		g = n.Layers[li].BackwardBatchInto(g, ts, li, t, inputGrad || li > floor)
 	}
 	return g
 }
@@ -459,8 +434,7 @@ func (n *Network) backwardStep(g *tensor.Tensor, ts *TrainScratch, t int) *tenso
 // clone, so dropout stays off and the caller's network keeps clean
 // state. It runs FP32 at any precision tier. The per-step terms stay
 // in the arena (InputGradSteps) and are summed in ascending step
-// order, exactly as encoding.SumFrameGradients folds the allocating
-// path's per-step list.
+// order, as encoding.SumFrameGradients folds a per-step list.
 func (n *Network) InputGradSumScratch(samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) *tensor.Tensor {
 	if cap(ts.gradSteps) < n.Cfg.Steps {
 		ts.gradSteps = make([]*tensor.Tensor, n.Cfg.Steps) //axsnn:allow-alloc step ring allocated once per arena

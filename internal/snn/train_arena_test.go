@@ -10,7 +10,7 @@ import (
 )
 
 // trainCase builds numerically identical network instances on demand so
-// the arena and the allocating reference path can train twins.
+// the arena and the reference can train twins.
 type trainCase struct {
 	name    string
 	build   func() *Network
@@ -51,9 +51,8 @@ func mustMatchTensors(t *testing.T, label string, want, got []*tensor.Tensor) {
 
 // TestTrainStepScratchMatchesBatch pins the arena minibatch step —
 // loss, accumulated gradients and optimizer-updated weights — to the
-// allocating ForwardBatch/BackwardBatch path, across changing batch
-// sizes (a lone sample, and batches that split unevenly over the
-// blocks) and at 1..N workers.
+// reference, across changing batch sizes (a lone sample, and batches
+// that split unevenly over the blocks) and at 1..N workers.
 func TestTrainStepScratchMatchesBatch(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	for _, workers := range []int{1, 3} {
@@ -70,10 +69,8 @@ func TestTrainStepScratchMatchesBatch(t *testing.T) {
 					samples[b] = spikeFrames(r, ref.Cfg.Steps, tc.shape)
 					labels[b] = b % tc.classes
 				}
-				ref.ZeroGrads()
-				logits := ref.ForwardBatch(StackFrames(samples, ref.Cfg.Steps), true)
-				lossR, grad := SoftmaxCrossEntropyBatch(logits, labels)
-				ref.BackwardBatch(grad)
+				zeroGrads(ref)
+				lossR := refTrainStep(ref, samples, labels)
 
 				ts.ZeroGrads()
 				lossA := arena.TrainStepScratch(samples, labels, ts)
@@ -93,12 +90,12 @@ func TestTrainStepScratchMatchesBatch(t *testing.T) {
 }
 
 // TestTrainMatchesAllocatingPath trains twin networks over several
-// epochs — one through the arena, one through the seed allocating path
-// (the disableTrainArena hook) — and requires bit-identical weights, at
-// 1..4 workers, with rate coding and with Direct coding (one static
-// frame per sample, so the arena runs the step-invariant layers once).
-// Minibatches of 7 split unevenly over 2, 3 and 4 blocks, and each
-// epoch ends on a lone sample.
+// epochs — one through Train on the arena, one through the reference's
+// replay of its minibatch loop (refFit) — and requires bit-identical
+// weights, at 1..4 workers, with rate coding and with Direct coding
+// (one static frame per sample, so the arena runs the step-invariant
+// layers once). Minibatches of 7 split unevenly over 2, 3 and 4
+// blocks, and each epoch ends on a lone sample.
 func TestTrainMatchesAllocatingPath(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	set := tinyTrainSet(50, 31)
@@ -114,11 +111,12 @@ func TestTrainMatchesAllocatingPath(t *testing.T) {
 			ref := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
 			arena := DenseNet(DefaultConfig(0.5, 5), set.H*set.W, 24, 10, rng.New(4))
 
-			disableTrainArena = true
 			refOpt := opt
 			refOpt.Optimizer = NewAdam(2e-3)
-			Train(ref, set, refOpt)
-			disableTrainArena = false
+			refFit(ref, set.Len(), refOpt, func(i int, r *rng.RNG) ([]*tensor.Tensor, int) {
+				s := set.Samples[i]
+				return enc.Encode(s.Image, ref.Cfg.Steps, r), s.Label
+			})
 
 			arenaOpt := opt
 			arenaOpt.Optimizer = NewAdam(2e-3)
@@ -149,11 +147,9 @@ func TestTrainFramesMatchesAllocatingPath(t *testing.T) {
 	opt := TrainOptions{Epochs: 2, BatchSize: 5, Seed: 9}
 
 	ref := build()
-	disableTrainArena = true
 	refOpt := opt
 	refOpt.Optimizer = NewSGD(0.05, 0.9)
-	TrainFrames(ref, samples, labels, refOpt)
-	disableTrainArena = false
+	refFit(ref, len(samples), refOpt, func(i int, _ *rng.RNG) ([]*tensor.Tensor, int) { return samples[i], labels[i] })
 
 	for _, workers := range []int{1, 2, 3, 4} {
 		tensor.SetWorkers(workers)
@@ -190,15 +186,23 @@ func randomMasks(net *Network, r *rng.RNG) {
 
 // TestInputGradSumScratchMatchesAllocating pins the attack-crafting
 // quantity of the input-only arena pass, the summed input gradient and
-// its per-step terms, to the allocating InputGradientBatch chain. It
-// covers plain and randomly pruned nets, spike and analog inputs, and
-// batches of 1 and 4, at 1..N workers.
+// its per-step terms, to the reference's. It covers plain and randomly
+// pruned nets, and batches of 1 and 4, at 1..N workers, on the inputs
+// the attacks craft on: spike frames, an analog frame repeated every
+// step, a Direct-coded image (one static frame, so the arena runs the
+// step-invariant layers once) and a multi-frame sample longer than the
+// net's steps, as the sparse event attack voxelizes one.
 func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	inputs := []struct {
 		name  string
 		build func(*rng.RNG, int, []int) []*tensor.Tensor
-	}{{"spike", spikeFrames}, {"analog", analogFrames}}
+	}{
+		{"spike", spikeFrames},
+		{"analog", analogFrames},
+		{"direct", func(r *rng.RNG, steps int, shape []int) []*tensor.Tensor { return analogFrames(r, 1, shape) }},
+		{"long", func(r *rng.RNG, steps int, shape []int) []*tensor.Tensor { return spikeFrames(r, steps+2, shape) }},
+	}
 	for _, workers := range []int{1, 3} {
 		tensor.SetWorkers(workers)
 		for _, tc := range trainCases() {
@@ -217,7 +221,7 @@ func TestInputGradSumScratchMatchesAllocating(t *testing.T) {
 							samples[b] = in.build(r, net.Cfg.Steps, tc.shape)
 							labels[b] = (b + 1) % tc.classes
 						}
-						wantSteps := InputGradientBatch(net, StackFrames(samples, net.Cfg.Steps), labels)
+						wantSteps := refInputGrads(net, samples, labels)
 						want := encoding.SumFrameGradients(wantSteps)
 
 						clone := net.CloneArchitecture()
@@ -458,7 +462,7 @@ func TestInputGradSumScratchZeroAllocs(t *testing.T) {
 }
 
 // TestSoftmaxCrossEntropyBatchIntoMatches pins the Into loss to the
-// allocating form bit-for-bit, stale destination included.
+// reference's bit-for-bit, stale destination included.
 func TestSoftmaxCrossEntropyBatchIntoMatches(t *testing.T) {
 	r := rng.New(81)
 	logits := tensor.New(5, 7)
@@ -466,7 +470,7 @@ func TestSoftmaxCrossEntropyBatchIntoMatches(t *testing.T) {
 		logits.Data[i] = r.NormFloat32() * 3
 	}
 	labels := []int{0, 6, 3, 3, 1}
-	wantLoss, wantGrad := SoftmaxCrossEntropyBatch(logits, labels)
+	wantLoss, wantGrad := refLoss(logits, labels)
 	grad := tensor.New(5, 7)
 	for i := range grad.Data {
 		grad.Data[i] = 42 // stale contents must vanish

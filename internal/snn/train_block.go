@@ -20,10 +20,10 @@ import (
 // them into dW and dB (gradReducer), while the blocks run step t−1's
 // chain beside it. Each block keeps its output gradients for two steps
 // (one buffer per step parity), which is all the overlap holds. The
-// reduction adds the terms the whole-batch backward added, in its
-// order, and each layer folds its steps in descending order as before,
-// so the trained weights are bit-identical at any worker count; one
-// worker runs a single block through the same path.
+// reduction adds each step's terms in sample order, as one backward
+// over the whole batch would, and each layer folds its steps in
+// descending order, so the trained weights are bit-identical at any
+// worker count; one worker runs a single block through the same path.
 //
 // The loss is computed once over the assembled (B, classes) logits on
 // the caller's arena, so its float64 sum keeps the whole-batch order.
@@ -182,9 +182,8 @@ func syncBlock(src, dst *Network) {
 // arena — training-mode forward, softmax cross-entropy, BPTT gradient
 // accumulation — and returns the summed loss. samples[b] is sample b's
 // frame list and labels[b] its class. Gradients accumulate into the
-// network's gradient tensors exactly like the allocating trainStep
-// (the caller zeroes and consumes them), bit for bit at any worker
-// count. The step fans out over sample blocks on the shared worker
+// network's gradient tensors (the caller zeroes and consumes them), bit
+// for bit the same at any worker count. The step fans out over sample blocks on the shared worker
 // pool (see the top of this file); in the steady state it performs
 // zero allocations.
 func (n *Network) TrainStepScratch(samples [][]*tensor.Tensor, labels []int, ts *TrainScratch) float64 {
@@ -231,10 +230,11 @@ func (n *Network) TrainStepScratch(samples [][]*tensor.Tensor, labels []int, ts 
 }
 
 // reduceStep implements gradReducer: dB sums each channel over (b, j)
-// in ascending order, as BackwardBatch's g2B rows do, and each sample's
-// nonzero inputs scatter its channel-last output gradient into the
-// tap-reversed panel (tensor.ConvWeightGradScatterAcc) in sample order,
-// the order of BackwardBatch's GEMM; the panel folds into dW once.
+// in ascending order, and each sample's nonzero inputs scatter its
+// channel-last output gradient into the zeroed tap-reversed panel
+// (tensor.ConvWeightGradScatterAcc) in sample order, so each weight's
+// step gradient adds its terms in ascending (sample, position) order;
+// the panel folds into dW once.
 func (c *Conv2D) reduceStep(blocks []*trainBlock, r *reduceTask, t int) {
 	g := c.Geom
 	n := g.OutH() * g.OutW()
@@ -264,8 +264,8 @@ func (c *Conv2D) reduceStep(blocks []*trainBlock, r *reduceTask, t int) {
 // reduceStep implements gradReducer: dWᵀ = xᵀ·grad over the whole
 // minibatch, with the spike-sparse x rows driving TMatMulAcc's skip
 // path. TMatMulAcc adds the samples in ascending order, so running it
-// block by block adds BackwardBatch's terms in its order. dB adds
-// element by element in sample order.
+// block by block adds the whole minibatch's terms in sample order. dB
+// adds element by element in sample order.
 func (d *Dense) reduceStep(blocks []*trainBlock, r *reduceTask, t int) {
 	r.panel.Zero()
 	for _, bk := range blocks {

@@ -1,22 +1,19 @@
-// Blocked GEMM kernels. Three layouts cover every use in the SNN
-// substrate:
+// Blocked GEMM kernels, in the two layouts the SNN layers run:
 //
-//	MatMul  C = A·B    (m×k)·(k×n)
-//	MatMulT C = A·Bᵀ   (m×k)·(n×k)
-//	TMatMul C = Aᵀ·B   (k×m)·(k×n)
+//	MatMulInto  C = A·B     (m×k)·(k×n)  dense forward and input gradient
+//	TMatMulAcc  C += Aᵀ·B   (k×m)·(k×n)  dense weight gradient, conv column gradient
 //
-// All three keep the skip-zero fast paths of the original serial
-// kernels (spike activity is mostly zeros, so entire inner loops
-// vanish) and block the loops for cache locality. Every kernel is
-// serial and pins its per-element accumulation order, so results are
-// bit-identical at any worker count. Parallelism lives one grain up:
-// callers fan samples, sessions and window batches out over
-// ParallelFor, each block running these kernels on its own data.
+// Both skip the zero elements of A (spike activity is mostly zeros, so
+// entire inner loops vanish), and MatMulInto blocks its loops for cache
+// locality. Every kernel is serial and pins its per-element
+// accumulation order, so results are bit-identical at any worker count.
+// Parallelism lives one grain up: callers fan samples, sessions and
+// window batches out over ParallelFor, each block running these kernels
+// on its own data.
 //
-// The unit-stride inner loops of MatMul and TMatMul are axpy calls
-// (y += a·x): SSE assembly on amd64, a Go loop elsewhere, rounding each
-// element exactly as the scalar loop y[j] += a*x[j] does on amd64 (see
-// axpy_amd64.go). MatMulT's dot products stay scalar Go.
+// The unit-stride inner loops are axpy calls (y += a·x): SSE assembly
+// on amd64, a Go loop elsewhere, rounding each element exactly as the
+// scalar loop y[j] += a*x[j] does on amd64 (see axpy_amd64.go).
 package tensor
 
 import "fmt"
@@ -34,31 +31,16 @@ func checkGEMM(op string, a, b *Tensor) {
 	}
 }
 
-// MatMul computes C = A·B for A (m×k) and B (k×n), returning an m×n
-// tensor. Zero elements of A skip their whole inner loop, which makes
-// spike-matrix products cost O(nnz·n) instead of O(m·k·n).
-func MatMul(a, b *Tensor) *Tensor {
-	checkGEMM("MatMul", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	c := New(m, n)
-	matMulRows(c.Data, a.Data, b.Data, m, k, n)
-	return c
-}
-
-// MatMulInto computes dst = A·B into a caller-owned m×n tensor,
-// overwriting its contents — the allocation-free form the inference
-// arena uses. The kernel is exactly MatMul's, so the result is
-// bit-identical to MatMul.
+// MatMulInto computes dst = A·B for A (m×k) and B (k×n) into a
+// caller-owned m×n tensor, overwriting its contents. Zero elements of A
+// skip their whole inner loop, which makes spike-matrix products cost
+// O(nnz·n) instead of O(m·k·n).
 func MatMulInto(dst, a, b *Tensor) {
-	checkGEMM("MatMul", a, b)
+	checkGEMM("MatMulInto", a, b)
 	m, k := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+		panic(fmt.Sprintf("tensor: MatMulInto inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
@@ -109,124 +91,24 @@ func matMulRows(cd, ad, bd []float32, m, k, n int) {
 	}
 }
 
-// MatMulTInto computes dst = A·Bᵀ into a caller-owned m×n tensor,
-// overwriting its contents — the allocation-free form for the training
-// arena. The kernel is exactly MatMulT's, so the result is
-// bit-identical to MatMulT.
-func MatMulTInto(dst, a, b *Tensor) {
-	checkGEMM("MatMulT", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTInto dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	matMulTRows(dst.Data, a.Data, b.Data, m, k, n)
-}
-
-// MatMulT computes C = A·Bᵀ for A (m×k) and B (n×k), returning m×n.
-func MatMulT(a, b *Tensor) *Tensor {
-	checkGEMM("MatMulT", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	c := New(m, n)
-	matMulTRows(c.Data, a.Data, b.Data, m, k, n)
-	return c
-}
-
-// matMulTRows computes C = A·Bᵀ (m rows). Each element is an
-// independent dot product accumulated in ascending k order.
-func matMulTRows(cd, ad, bd []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += float32(av * brow[p])
-			}
-			crow[j] = s
-		}
-	}
-}
-
-// MatMulTAcc accumulates dst += A·Bᵀ — the weight-gradient kernel
-// (dst is accumulated across time steps, so no fresh tensor is
-// allocated per step). Each element adds one dot product, computed in
-// ascending k order exactly like MatMulT.
-func MatMulTAcc(dst, a, b *Tensor) {
-	checkGEMM("MatMulT", a, b)
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulT inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTAcc dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	cd, ad, bd := dst.Data, a.Data, b.Data
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
-			var s float32
-			for p, av := range arow {
-				s += float32(av * brow[p])
-			}
-			crow[j] += s
-		}
-	}
-}
-
-// TMatMul computes C = Aᵀ·B for A (k×m) and B (k×n), returning m×n.
-// Zero elements of A skip their inner loop (the spike fast path). Every
-// output element accumulates its k terms in ascending order, so the
-// result is bit-identical at any worker count.
-func TMatMul(a, b *Tensor) *Tensor {
-	checkGEMM("TMatMul", a, b)
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: TMatMul inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	c := New(m, n)
-	TMatMulAcc(c, a, b)
-	return c
-}
-
 // TMatMulInto computes dst = Aᵀ·B into a caller-owned m×n tensor,
-// overwriting its contents — the allocation-free form of TMatMul the
-// training arena uses for per-step weight-gradient panels. Kernels and
-// accumulation order are exactly TMatMul's.
+// overwriting its contents: TMatMulAcc onto zeros.
 func TMatMulInto(dst, a, b *Tensor) {
-	checkGEMM("TMatMul", a, b)
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: TMatMul inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: TMatMulInto dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
 	clear(dst.Data)
 	TMatMulAcc(dst, a, b)
 }
 
-// TMatMulAcc accumulates dst += Aᵀ·B, the layout gradient kernels need
-// (dst is a weight-gradient buffer accumulated across time steps).
+// TMatMulAcc accumulates dst += Aᵀ·B for A (k×m) and B (k×n), the
+// layout gradient kernels need (dst is a weight-gradient buffer
+// accumulated across time steps). Zero elements of A skip their inner
+// loop (the spike fast path), and every output element adds its k terms
+// in ascending order.
 func TMatMulAcc(dst, a, b *Tensor) {
-	checkGEMM("TMatMul", a, b)
+	checkGEMM("TMatMulAcc", a, b)
 	k, m := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: TMatMul inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
+		panic(fmt.Sprintf("tensor: TMatMulAcc inner dims %d vs %d", k, k2)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
 	}
 	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: TMatMulAcc dst %v, want [%d %d]", dst.Shape, m, n)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse

@@ -130,8 +130,8 @@ func quantizeInt8(v, aStep float32) int8 {
 // with int8 weight columns and int32 accumulators. codesT is the
 // (C·KH·KW, outC) transposed code panel and steps[oc] the step of
 // output channel oc. dst receives the channel-last (OutH·OutW, outC)
-// result, equal bit for bit to Im2RowInto followed by MatMulInt8Into
-// over the untransposed codes.
+// result, equal bit for bit to MatMulInt8Into over the sample's im2row
+// lowering and the untransposed codes (TestConvScatterInt8MatchesGEMM).
 //
 // The first walk leaves each output position's receptive-field max |v|
 // in fieldStep and then replaces it by the step max/127, exactly as

@@ -176,7 +176,7 @@ func TestMatMulInt8AccuracyBound(t *testing.T) {
 	}
 	at := FromSlice(a, m, k)
 	wt := FromSlice(wq, n, k)
-	ref := MatMulT(at, wt)
+	ref := refMatMulT(at, wt)
 	for i := range got {
 		diff := math.Abs(float64(got[i] - ref.Data[i]))
 		// Activation quantization error: ≤ aStep/2 per nonzero term.
@@ -307,7 +307,7 @@ func TestConvScatterInt8MatchesGEMM(t *testing.T) {
 						for name, x := range convInt8Inputs(r, g) {
 							want := make([]float32, n*outC)
 							var sc Int8Scratch
-							MatMulInt8Into(want, Im2Row(x, g).Data, n, ckk, codes, steps, outC, &sc)
+							MatMulInt8Into(want, im2row(x, g).Data, n, ckk, codes, steps, outC, &sc)
 							got := make([]float32, n*outC)
 							for i := range got {
 								got[i] = nan

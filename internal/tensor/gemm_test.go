@@ -57,6 +57,41 @@ func refTMatMul(a, b *Tensor) *Tensor {
 	return c
 }
 
+// matMul is MatMulInto into a fresh tensor.
+func matMul(a, b *Tensor) *Tensor {
+	c := New(a.Shape[0], b.Shape[1])
+	MatMulInto(c, a, b)
+	return c
+}
+
+// transpose is TransposeInto into a fresh tensor.
+func transpose(a *Tensor) *Tensor {
+	t := New(a.Shape[1], a.Shape[0])
+	TransposeInto(t, a)
+	return t
+}
+
+// im2row lowers a (C,H,W) input to its (OutH*OutW, C*KH*KW)
+// receptive-field rows, zero in the padding: the lowering the scatter
+// kernels are tested against.
+func im2row(x *Tensor, g Conv2DGeom) *Tensor {
+	n, ckk := g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+	rows := New(n, ckk)
+	for j := 0; j < n; j++ {
+		for p := 0; p < ckk; p++ {
+			c, ki, kj := p/(g.KH*g.KW), p/g.KW%g.KH, p%g.KW
+			si, sj := j/g.OutW()*g.Stride+ki-g.Pad, j%g.OutW()*g.Stride+kj-g.Pad
+			if si >= 0 && si < g.InH && sj >= 0 && sj < g.InW {
+				rows.Data[j*ckk+p] = x.Data[(c*g.InH+si)*g.InW+sj]
+			}
+		}
+	}
+	return rows
+}
+
+// im2col is the (C*KH*KW, OutH*OutW) transpose of im2row.
+func im2col(x *Tensor, g Conv2DGeom) *Tensor { return transpose(im2row(x, g)) }
+
 // randSparse fills a tensor with N(0,1) values at the given density
 // (density 0 gives the all-zero tensor, exercising pure skip paths).
 func randSparse(r *rng.RNG, density float64, shape ...int) *Tensor {
@@ -107,29 +142,10 @@ func TestMatMulMatchesReference(t *testing.T) {
 			for _, d := range densities {
 				a := randSparse(r, d, cs.m, cs.k)
 				b := randSparse(r, 0.7, cs.k, cs.n)
-				got := MatMul(a, b)
+				got := matMul(a, b)
 				want := refMatMul(a, b)
 				if diff := maxAbsDiff(got, want); diff > 1e-5*float64(cs.k) {
-					t.Fatalf("workers=%d %v d=%.2f: MatMul diff %g", workers, cs, d, diff)
-				}
-			}
-		}
-	}
-	SetWorkers(0)
-}
-
-func TestMatMulTMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
-		r := rng.New(12)
-		for _, cs := range gemmCases {
-			for _, d := range densities {
-				a := randSparse(r, d, cs.m, cs.k)
-				b := randSparse(r, 0.7, cs.n, cs.k)
-				got := MatMulT(a, b)
-				want := refMatMulT(a, b)
-				if diff := maxAbsDiff(got, want); diff > 1e-5*float64(cs.k) {
-					t.Fatalf("workers=%d %v d=%.2f: MatMulT diff %g", workers, cs, d, diff)
+					t.Fatalf("workers=%d %v d=%.2f: MatMulInto diff %g", workers, cs, d, diff)
 				}
 			}
 		}
@@ -145,10 +161,11 @@ func TestTMatMulMatchesReference(t *testing.T) {
 			for _, d := range densities {
 				a := randSparse(r, d, cs.k, cs.m)
 				b := randSparse(r, 0.7, cs.k, cs.n)
-				got := TMatMul(a, b)
+				got := New(cs.m, cs.n)
+				TMatMulInto(got, a, b)
 				want := refTMatMul(a, b)
 				if diff := maxAbsDiff(got, want); diff > 1e-5*float64(cs.k) {
-					t.Fatalf("workers=%d %v d=%.2f: TMatMul diff %g", workers, cs, d, diff)
+					t.Fatalf("workers=%d %v d=%.2f: TMatMulInto diff %g", workers, cs, d, diff)
 				}
 			}
 		}
@@ -166,19 +183,10 @@ func TestAccVariantsAccumulate(t *testing.T) {
 	if diff := maxAbsDiff(dst, want); diff > 1e-4 {
 		t.Fatalf("TMatMulAcc diff %g", diff)
 	}
-
-	a2 := randSparse(r, 0.5, 9, 40)
-	b2 := randSparse(r, 0.5, 13, 40)
-	dst2 := randSparse(r, 1, 9, 13)
-	want2 := dst2.Clone().Add(refMatMulT(a2, b2))
-	MatMulTAcc(dst2, a2, b2)
-	if diff := maxAbsDiff(dst2, want2); diff > 1e-4 {
-		t.Fatalf("MatMulTAcc diff %g", diff)
-	}
 }
 
-// TestIntoVariantsMatch pins the Into forms to their allocating
-// originals bit-for-bit: they share kernels, so even stale destination
+// TestIntoVariantsMatch pins the Into forms over stale destination
+// contents bit-for-bit to the same kernels run onto zeros: the stale
 // contents must vanish.
 func TestIntoVariantsMatch(t *testing.T) {
 	r := rng.New(24)
@@ -186,7 +194,8 @@ func TestIntoVariantsMatch(t *testing.T) {
 		for _, density := range densities {
 			a := randSparse(r, density, c.k, c.m)
 			b := randSparse(r, density, c.k, c.n)
-			want := TMatMul(a, b)
+			want := New(c.m, c.n)
+			TMatMulAcc(want, a, b)
 			dst := randSparse(r, 1, c.m, c.n) // stale contents
 			TMatMulInto(dst, a, b)
 			for i := range want.Data {
@@ -196,13 +205,13 @@ func TestIntoVariantsMatch(t *testing.T) {
 			}
 
 			a2 := randSparse(r, density, c.m, c.k)
-			b2 := randSparse(r, density, c.n, c.k)
-			wantT := MatMulT(a2, b2)
-			dstT := randSparse(r, 1, c.m, c.n)
-			MatMulTInto(dstT, a2, b2)
-			for i := range wantT.Data {
-				if dstT.Data[i] != wantT.Data[i] {
-					t.Fatalf("MatMulTInto (%v, d=%.2f) differs at %d", c, density, i)
+			b2 := randSparse(r, density, c.k, c.n)
+			want2 := matMul(a2, b2)
+			dst2 := randSparse(r, 1, c.m, c.n)
+			MatMulInto(dst2, a2, b2)
+			for i := range want2.Data {
+				if dst2.Data[i] != want2.Data[i] {
+					t.Fatalf("MatMulInto (%v, d=%.2f) differs at %d", c, density, i)
 				}
 			}
 		}
@@ -224,7 +233,7 @@ func TestAddTransposed(t *testing.T) {
 }
 
 // TestSingleWorkerBitIdentical pins the worker-count determinism
-// contract: every kernel is serial, so MatMul, MatMulT and the TMatMul
+// contract: every kernel is serial, so MatMulInto and the TMatMul
 // family must produce byte-for-byte the same results at any SetWorkers
 // budget. The narrow TMatMul outputs (n < 4·workers, k·m·n >= 2¹⁵) are
 // the shapes a parallel k-split reduction would round differently.
@@ -239,15 +248,15 @@ func TestSingleWorkerBitIdentical(t *testing.T) {
 		narrows = append(narrows, narrow{randSparse(r, 0.4, s.k, s.m), randSparse(r, 0.6, s.k, s.n), randSparse(r, 1, s.m, s.n)})
 	}
 	run := func() (names []string, outs []*Tensor) {
-		names = append(names, "MatMul", "MatMulT")
-		outs = append(outs, MatMul(a, b), MatMulT(a, Transpose(b)))
+		names = append(names, "MatMulInto")
+		outs = append(outs, matMul(a, b))
 		for _, c := range narrows {
 			acc := c.acc.Clone()
 			TMatMulAcc(acc, c.a, c.b)
 			into := randSparse(r, 1, c.acc.Shape...) // stale contents must be overwritten
 			TMatMulInto(into, c.a, c.b)
-			names = append(names, fmt.Sprintf("TMatMul %v", c.acc.Shape), fmt.Sprintf("TMatMulAcc %v", c.acc.Shape), fmt.Sprintf("TMatMulInto %v", c.acc.Shape))
-			outs = append(outs, TMatMul(c.a, c.b), acc, into)
+			names = append(names, fmt.Sprintf("TMatMulAcc %v", c.acc.Shape), fmt.Sprintf("TMatMulInto %v", c.acc.Shape))
+			outs = append(outs, acc, into)
 		}
 		return names, outs
 	}
@@ -266,89 +275,11 @@ func TestSingleWorkerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestIm2ColStripeScatterMatchesDense drives Im2ColStripeInto across
-// the density crossover (the sparse scatter path vs the dense gather)
-// and both stripe layouts, pinning the panel to the allocating Im2Col.
-func TestIm2ColStripeScatterMatchesDense(t *testing.T) {
-	r := rng.New(26)
-	geoms := []Conv2DGeom{
-		{InC: 2, InH: 7, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 3, InH: 8, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 0},
-		{InC: 1, InH: 5, InW: 5, KH: 2, KW: 2, Stride: 1, Pad: 2},
-	}
-	for _, g := range geoms {
-		for _, density := range densities {
-			x := randSparse(r, density, g.InC, g.InH, g.InW)
-			want := Im2Col(x, g)
-			n := g.OutH() * g.OutW()
-			ckk := g.InC * g.KH * g.KW
-			// Single-sample layout, stale destination.
-			dst := randSparse(r, 1, ckk*n)
-			Im2ColStripeInto(dst.Data, n, 0, x, g)
-			for i := range want.Data {
-				if dst.Data[i] != want.Data[i] {
-					t.Fatalf("stripe (%+v, d=%.2f) differs at %d", g, density, i)
-				}
-			}
-			// Batched layout: stripe 1 of 3, neighbours untouched.
-			batchDst := randSparse(r, 1, ckk*3*n)
-			before := batchDst.Clone()
-			Im2ColStripeInto(batchDst.Data, 3*n, n, x, g)
-			for row := 0; row < ckk; row++ {
-				for j := 0; j < 3*n; j++ {
-					got := batchDst.Data[row*3*n+j]
-					if j >= n && j < 2*n {
-						if got != want.Data[row*n+j-n] {
-							t.Fatalf("batched stripe (%+v, d=%.2f) differs at row %d col %d", g, density, row, j)
-						}
-					} else if got != before.Data[row*3*n+j] {
-						t.Fatalf("stripe (%+v, d=%.2f) clobbered neighbour at row %d col %d", g, density, row, j)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestIm2RowMatchesIm2Col(t *testing.T) {
-	r := rng.New(17)
-	geoms := []Conv2DGeom{
-		{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 3, InH: 9, InW: 7, KH: 3, KW: 3, Stride: 2, Pad: 1},
-		{InC: 2, InH: 6, InW: 6, KH: 2, KW: 2, Stride: 2, Pad: 0},
-	}
-	for _, g := range geoms {
-		for _, d := range []float64{0, 0.1, 0.9} {
-			x := randSparse(r, d, g.InC, g.InH, g.InW)
-			cols := Im2Col(x, g)
-			rows := Im2Row(x, g)
-			ckk := g.InC * g.KH * g.KW
-			n := g.OutH() * g.OutW()
-			for p := 0; p < ckk; p++ {
-				for j := 0; j < n; j++ {
-					if cols.Data[p*n+j] != rows.Data[j*ckk+p] {
-						t.Fatalf("geom %+v d=%.1f: im2row(%d,%d) != im2col(%d,%d)", g, d, j, p, p, j)
-					}
-				}
-			}
-			// The strided stripe form must agree with plain Im2Col.
-			stripe := make([]float32, ckk*n)
-			Im2ColStripeInto(stripe, n, 0, x, g)
-			for i := range stripe {
-				if stripe[i] != cols.Data[i] {
-					t.Fatalf("geom %+v: Im2ColStripeInto differs at %d", g, i)
-				}
-			}
-		}
-	}
-}
-
 // TestConvScatterMatchesGEMM pins the event-driven convolution, fed the
 // tap-reversed panel ConvScatterWeightsInto builds, to both GEMM
-// lowerings it replaces: bit for bit against Im2Row(x)·Wᵀ, whose terms
-// it adds in the same order, and under == (±0 alike) against
-// W·Im2Col(x), which skips zero weights where the scatter skips zero
-// inputs. The weights carry -0 entries, as a masked negative weight
+// lowerings: bit for bit against im2row(x)·Wᵀ, whose terms it adds in
+// the same order, and under == (±0 alike) against W·im2col(x), which
+// skips zero weights where the scatter skips zero inputs. The weights carry -0 entries, as a masked negative weight
 // does, and dst starts out as NaN so an uncleared cell shows.
 func TestConvScatterMatchesGEMM(t *testing.T) {
 	r := rng.New(27)
@@ -371,7 +302,7 @@ func TestConvScatterMatchesGEMM(t *testing.T) {
 								w.Data[i] = 0
 							}
 						}
-						wT := Transpose(w)
+						wT := transpose(w)
 						wR := New(ckk, outC)
 						ConvScatterWeightsInto(wR, w, g)
 						for _, density := range []float64{0, 0.02, 0.1, 0.5, 1} {
@@ -389,8 +320,8 @@ func TestConvScatterMatchesGEMM(t *testing.T) {
 									dst[i] = nan
 								}
 								ConvScatterInto(dst, x, wR.Data, outC, g)
-								rows := MatMul(Im2Row(x, g), wT)
-								cols := MatMul(w, Im2Col(x, g))
+								rows := matMul(im2row(x, g), wT)
+								cols := matMul(w, im2col(x, g))
 								for j := 0; j < n; j++ {
 									for oc := 0; oc < outC; oc++ {
 										got := dst[j*outC+oc]
@@ -414,13 +345,15 @@ func TestConvScatterMatchesGEMM(t *testing.T) {
 }
 
 // TestConvWeightGradScatterMatchesGEMM pins the input-driven weight
-// gradient to the GEMM it replaces, over TestConvScatterMatchesGEMM's
-// geometries, channel counts, densities and levels: samples scattered
-// in order into one zeroed tap-reversed panel, then folded into dW by
-// AddConvScatterWeights, must equal MatMulTAcc(dW, g2B, cols) bit for
-// bit, with cols the batch stacked by Im2ColStripeInto and g2B its
-// (outC, B·N) output gradient. The gradients carry ±0 entries, and dW
-// starts out holding nonzero values, as it does across time steps.
+// gradient to the GEMM over the im2col lowering, over
+// TestConvScatterMatchesGEMM's geometries, channel counts, densities
+// and levels: samples scattered in order into one zeroed tap-reversed
+// panel, then folded into dW by AddConvScatterWeights, must add to each
+// dW[oc, p] the float32 dot product, in ascending k, of g2B's row oc
+// and cols' row p, bit for bit, with cols the batch's im2col panels
+// side by side and g2B its (outC, B·N) output gradient. The gradients
+// carry ±0 entries, and dW starts out holding nonzero values, as it
+// does across time steps.
 func TestConvWeightGradScatterMatchesGEMM(t *testing.T) {
 	r := rng.New(29)
 	negZero := float32(math.Copysign(0, -1))
@@ -465,11 +398,21 @@ func TestConvWeightGradScatterMatchesGEMM(t *testing.T) {
 									dR := New(ckk, outC)
 									for b := 0; b < batch; b++ {
 										sample := FromSlice(x.Data[b*chw:(b+1)*chw], inC, g.InH, g.InW)
-										Im2ColStripeInto(cols.Data, batch*n, b*n, sample, g)
+										for p, v := range im2col(sample, g).Data {
+											cols.Data[p/n*batch*n+b*n+p%n] = v
+										}
 										ConvWeightGradScatterAcc(dR.Data, sample, gT.Data[b*n*outC:(b+1)*n*outC], outC, g)
 									}
 									AddConvScatterWeights(got, dR, g)
-									MatMulTAcc(want, g2B, cols)
+									for oc := 0; oc < outC; oc++ {
+										for p := 0; p < ckk; p++ {
+											var s float32
+											for k, v := range g2B.Data[oc*batch*n : (oc+1)*batch*n] {
+												s += float32(v * cols.Data[p*batch*n+k])
+											}
+											want.Data[oc*ckk+p] += s
+										}
+									}
 									for i := range want.Data {
 										if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 											t.Fatalf("%+v outC=%d batch=%d d=%.2f levels=%v: dW[%d,%d] = %v, GEMM %v",
@@ -547,5 +490,28 @@ func TestCol2ImStride1MatchesLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkGEMM measures the blocked serial MatMulInto, the GEMM the
+// dense layers run on (B, In)·(In, Out), here on a (32×288)·(288×2048)
+// panel whose right operand is 30% ones.
+func BenchmarkGEMM(b *testing.B) {
+	r := rng.New(3)
+	w := New(32, 288)
+	for i := range w.Data {
+		w.Data[i] = r.NormFloat32()
+	}
+	cols := New(288, 2048)
+	for i := range cols.Data {
+		if r.Float64() < 0.3 {
+			cols.Data[i] = 1
+		}
+	}
+	dst := New(32, 2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulInto(dst, w, cols)
 	}
 }

@@ -1,7 +1,7 @@
 // Package tensor implements dense float32 N-dimensional arrays and the
-// small set of linear-algebra kernels the SNN substrate needs: matrix
-// multiplication, im2col convolution lowering, pooling and elementwise
-// arithmetic.
+// small set of kernels the SNN substrate needs: matrix multiplication,
+// the event-driven convolution, pooling, the LIF neuron step and
+// elementwise arithmetic.
 //
 // Tensors are row-major. The package favours explicit shapes and fails
 // loudly (panics) on shape mismatches: inside this repository a mismatch is
@@ -282,16 +282,6 @@ func (t *Tensor) Sign() *Tensor {
 	return t
 }
 
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose wants rank-2, got %v", a.Shape)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	t := New(a.Shape[1], a.Shape[0])
-	TransposeInto(t, a)
-	return t
-}
-
 // TransposeInto writes aᵀ into the caller-owned (n,m) tensor dst,
 // overwriting its contents (the allocation-free form).
 func TransposeInto(dst, a *Tensor) {
@@ -321,83 +311,10 @@ func (g Conv2DGeom) OutH() int { return (g.InH+2*g.Pad-g.KH)/g.Stride + 1 }
 // OutW returns the output width of the geometry.
 func (g Conv2DGeom) OutW() int { return (g.InW+2*g.Pad-g.KW)/g.Stride + 1 }
 
-// Im2Col lowers a (C,H,W) input to a (C*KH*KW, OutH*OutW) matrix so a
-// convolution becomes one MatMul with the (OutC, C*KH*KW) filter matrix.
-func Im2Col(x *Tensor, g Conv2DGeom) *Tensor {
-	if x.Rank() != 3 || x.Shape[0] != g.InC || x.Shape[1] != g.InH || x.Shape[2] != g.InW {
-		panic(fmt.Sprintf("tensor: Im2Col input %v does not match geom %+v", x.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	oh, ow := g.OutH(), g.OutW()
-	cols := New(g.InC*g.KH*g.KW, oh*ow)
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		plane := x.Data[c*g.InH*g.InW:]
-		for ki := 0; ki < g.KH; ki++ {
-			for kj := 0; kj < g.KW; kj++ {
-				dst := cols.Data[row*oh*ow:]
-				idx := 0
-				for oi := 0; oi < oh; oi++ {
-					si := oi*g.Stride + ki - g.Pad
-					for oj := 0; oj < ow; oj++ {
-						sj := oj*g.Stride + kj - g.Pad
-						if si >= 0 && si < g.InH && sj >= 0 && sj < g.InW {
-							dst[idx] = plane[si*g.InW+sj]
-						} else {
-							dst[idx] = 0
-						}
-						idx++
-					}
-				}
-				row++
-			}
-		}
-	}
-	return cols
-}
-
-// Col2Im is the transpose of Im2Col: it scatters a (C*KH*KW, OutH*OutW)
-// matrix of column gradients back into a (C,H,W) input-gradient tensor.
-func Col2Im(cols *Tensor, g Conv2DGeom) *Tensor {
-	oh, ow := g.OutH(), g.OutW()
-	if cols.Rank() != 2 || cols.Shape[0] != g.InC*g.KH*g.KW || cols.Shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Col2Im input %v does not match geom %+v", cols.Shape, g)) //axsnn:allow-alloc cold shape guard: formats the panic once on misuse
-	}
-	x := New(g.InC, g.InH, g.InW)
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		plane := x.Data[c*g.InH*g.InW:]
-		for ki := 0; ki < g.KH; ki++ {
-			for kj := 0; kj < g.KW; kj++ {
-				src := cols.Data[row*oh*ow:]
-				idx := 0
-				for oi := 0; oi < oh; oi++ {
-					si := oi*g.Stride + ki - g.Pad
-					for oj := 0; oj < ow; oj++ {
-						sj := oj*g.Stride + kj - g.Pad
-						if si >= 0 && si < g.InH && sj >= 0 && sj < g.InW {
-							plane[si*g.InW+sj] += src[idx]
-						}
-						idx++
-					}
-				}
-				row++
-			}
-		}
-	}
-	return x
-}
-
-// AvgPool2D performs non-overlapping average pooling with window k on a
-// (C,H,W) tensor. H and W need not be multiples of k; edge windows shrink.
-func AvgPool2D(x *Tensor, k int) *Tensor {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := New(c, (h+k-1)/k, (w+k-1)/k)
-	AvgPool2DInto(out, x, k)
-	return out
-}
-
-// AvgPool2DInto pools x into the caller-owned (C,OutH,OutW) tensor dst,
-// overwriting every element (the allocation-free form).
+// AvgPool2DInto performs non-overlapping average pooling with window k
+// of the (C,H,W) tensor x into the caller-owned (C,OutH,OutW) tensor
+// out, overwriting every element. H and W need not be multiples of k;
+// edge windows shrink.
 func AvgPool2DInto(out, x *Tensor, k int) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	oh, ow := (h+k-1)/k, (w+k-1)/k
@@ -441,18 +358,9 @@ func AvgPool2DInto(out, x *Tensor, k int) {
 	}
 }
 
-// AvgPool2DBackward scatters the pooled gradient back to input resolution.
-func AvgPool2DBackward(grad *Tensor, k, h, w int) *Tensor {
-	c := grad.Shape[0]
-	out := New(c, h, w)
-	AvgPool2DBackwardInto(out, grad, k)
-	return out
-}
-
-// AvgPool2DBackwardInto scatters the pooled gradient into the
-// caller-owned (C,H,W) tensor out, overwriting its contents — the
-// allocation-free form the training arena uses. The scatter order is
-// exactly AvgPool2DBackward's, so results are bit-identical.
+// AvgPool2DBackwardInto scatters the pooled gradient back to input
+// resolution, into the caller-owned (C,H,W) tensor out, overwriting
+// its contents: each window's gradient spreads evenly over its cells.
 func AvgPool2DBackwardInto(out, grad *Tensor, k int) {
 	c, oh, ow := grad.Shape[0], grad.Shape[1], grad.Shape[2]
 	if out.Rank() != 3 || out.Shape[0] != c {
@@ -501,21 +409,4 @@ func AvgPool2DBackwardInto(out, grad *Tensor, k int) {
 			}
 		}
 	}
-}
-
-// Softmax returns the softmax of a rank-1 tensor (numerically stable).
-func Softmax(x *Tensor) *Tensor {
-	out := New(x.Shape...)
-	maxV := float64(x.Max())
-	sum := 0.0
-	for i, v := range x.Data {
-		e := math.Exp(float64(v) - maxV)
-		out.Data[i] = float32(e)
-		sum += e
-	}
-	inv := float32(1 / sum)
-	for i := range out.Data {
-		out.Data[i] *= inv
-	}
-	return out
 }

@@ -148,11 +148,11 @@ func TestReductions(t *testing.T) {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := []float32{58, 64, 139, 154}
 	for i, v := range c.Data {
 		if v != want[i] {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+			t.Fatalf("MatMulInto = %v, want %v", c.Data, want)
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Data[i*5+i] = 1
 	}
-	c := MatMul(a, id)
+	c := matMul(a, id)
 	for i := range c.Data {
 		if c.Data[i] != a.Data[i] {
 			t.Fatal("A·I != A")
@@ -175,26 +175,7 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-// MatMulT(a,b) must equal MatMul(a, Transpose(b)).
-func TestMatMulTConsistency(t *testing.T) {
-	r := rng.New(2)
-	a, b := New(4, 6), New(5, 6)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat32()
-	}
-	for i := range b.Data {
-		b.Data[i] = r.NormFloat32()
-	}
-	got := MatMulT(a, b)
-	want := MatMul(a, Transpose(b))
-	for i := range got.Data {
-		if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
-			t.Fatalf("MatMulT[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-// TMatMul(a,b) must equal MatMul(Transpose(a), b).
+// TMatMulInto(a,b) must equal MatMulInto(aᵀ, b).
 func TestTMatMulConsistency(t *testing.T) {
 	r := rng.New(3)
 	a, b := New(6, 4), New(6, 5)
@@ -204,11 +185,12 @@ func TestTMatMulConsistency(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = r.NormFloat32()
 	}
-	got := TMatMul(a, b)
-	want := MatMul(Transpose(a), b)
+	got := New(4, 5)
+	TMatMulInto(got, a, b)
+	want := matMul(transpose(a), b)
 	for i := range got.Data {
 		if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-4) {
-			t.Fatalf("TMatMul[%d] = %v, want %v", i, got.Data[i], want.Data[i])
+			t.Fatalf("TMatMulInto[%d] = %v, want %v", i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -222,7 +204,7 @@ func TestTransposeInvolution(t *testing.T) {
 		for i := range a.Data {
 			a.Data[i] = r.NormFloat32()
 		}
-		b := Transpose(Transpose(a))
+		b := transpose(transpose(a))
 		for i := range a.Data {
 			if a.Data[i] != b.Data[i] {
 				return false
@@ -234,7 +216,8 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-// naiveConv is a direct convolution used as reference for the im2col path.
+// naiveConv is a direct convolution, the reference for the im2col
+// lowering the scatter tests use and for the scatter itself.
 func naiveConv(x *Tensor, w *Tensor, g Conv2DGeom, outC int) *Tensor {
 	oh, ow := g.OutH(), g.OutW()
 	out := New(outC, oh, ow)
@@ -262,6 +245,8 @@ func naiveConv(x *Tensor, w *Tensor, g Conv2DGeom, outC int) *Tensor {
 	return out
 }
 
+// TestIm2ColConvMatchesNaive checks the tests' im2col lowering times the
+// weights, and the event-driven ConvScatterInto, against naiveConv.
 func TestIm2ColConvMatchesNaive(t *testing.T) {
 	r := rng.New(4)
 	for _, tc := range []struct{ c, h, w, kh, kw, stride, pad, outC int }{
@@ -279,18 +264,26 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 		for i := range wt.Data {
 			wt.Data[i] = r.NormFloat32()
 		}
-		cols := Im2Col(x, g)
-		got := MatMul(wt, cols) // (outC, oh*ow)
+		got := matMul(wt, im2col(x, g)) // (outC, oh*ow)
 		want := naiveConv(x, wt.Reshape(tc.outC, tc.c, tc.kh, tc.kw), g, tc.outC)
+		wR := New(wt.Shape[1], tc.outC)
+		ConvScatterWeightsInto(wR, wt, g)
+		scatter := make([]float32, want.Len()) // (oh*ow, outC)
+		ConvScatterInto(scatter, x, wR.Data, tc.outC, g)
+		n := g.OutH() * g.OutW()
 		for i := range got.Data {
 			if !almostEq(float64(got.Data[i]), float64(want.Data[i]), 1e-3) {
 				t.Fatalf("case %+v: conv[%d]=%v want %v", tc, i, got.Data[i], want.Data[i])
+			}
+			if s := scatter[i%n*tc.outC+i/n]; !almostEq(float64(s), float64(want.Data[i]), 1e-3) {
+				t.Fatalf("case %+v: scatter conv[%d]=%v want %v", tc, i, s, want.Data[i])
 			}
 		}
 	}
 }
 
-// Col2Im must be the adjoint of Im2Col: <Im2Col(x), y> == <x, Col2Im(y)>.
+// Col2ImStripeInto must be the adjoint of the im2col lowering:
+// <im2col(x), y> == <x, col2im(y)>.
 func TestCol2ImAdjoint(t *testing.T) {
 	r := rng.New(5)
 	g := Conv2DGeom{InC: 2, InH: 6, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -303,12 +296,13 @@ func TestCol2ImAdjoint(t *testing.T) {
 		y.Data[i] = r.NormFloat32()
 	}
 	lhs := 0.0
-	cx := Im2Col(x, g)
+	cx := im2col(x, g)
 	for i := range cx.Data {
 		lhs += float64(cx.Data[i]) * float64(y.Data[i])
 	}
 	rhs := 0.0
-	ci := Col2Im(y, g)
+	ci := New(g.InC, g.InH, g.InW)
+	Col2ImStripeInto(ci, y.Data, g.OutH()*g.OutW(), 0, g)
 	for i := range ci.Data {
 		rhs += float64(ci.Data[i]) * float64(x.Data[i])
 	}
@@ -324,7 +318,8 @@ func TestAvgPool(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 4, 4)
-	p := AvgPool2D(x, 2)
+	p := New(1, 2, 2)
+	AvgPool2DInto(p, x, 2)
 	want := []float32{3.5, 5.5, 11.5, 13.5}
 	for i, v := range p.Data {
 		if v != want[i] {
@@ -335,7 +330,8 @@ func TestAvgPool(t *testing.T) {
 
 func TestAvgPoolBackwardConservesMass(t *testing.T) {
 	g := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	back := AvgPool2DBackward(g, 2, 4, 4)
+	back := New(1, 4, 4)
+	AvgPool2DBackwardInto(back, g, 2)
 	if !almostEq(back.Sum(), g.Sum(), 1e-6) {
 		t.Fatalf("pool backward mass %v vs %v", back.Sum(), g.Sum())
 	}
@@ -408,58 +404,17 @@ func TestAvgPoolBackwardMatchesLoop(t *testing.T) {
 func TestAvgPoolRaggedEdges(t *testing.T) {
 	x := New(1, 5, 5)
 	x.Fill(2)
-	p := AvgPool2D(x, 2)
-	if p.Shape[1] != 3 || p.Shape[2] != 3 {
-		t.Fatalf("ragged pool shape %v", p.Shape)
-	}
+	p := New(1, 3, 3)
+	AvgPool2DInto(p, x, 2)
 	for _, v := range p.Data {
 		if v != 2 {
 			t.Fatalf("constant input must pool to constant, got %v", p.Data)
 		}
 	}
-	back := AvgPool2DBackward(p, 2, 5, 5)
+	back := New(1, 5, 5)
+	AvgPool2DBackwardInto(back, p, 2)
 	if !almostEq(back.Sum(), p.Sum(), 1e-5) {
 		t.Fatal("ragged pool backward lost mass")
-	}
-}
-
-func TestSoftmax(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3}, 3)
-	s := Softmax(x)
-	if !almostEq(s.Sum(), 1, 1e-6) {
-		t.Fatalf("softmax sum %v", s.Sum())
-	}
-	if !(s.Data[2] > s.Data[1] && s.Data[1] > s.Data[0]) {
-		t.Fatalf("softmax not monotone: %v", s.Data)
-	}
-	// Numerical stability with large logits.
-	big := FromSlice([]float32{1000, 1001, 1002}, 3)
-	sb := Softmax(big)
-	if math.IsNaN(float64(sb.Data[0])) || !almostEq(sb.Sum(), 1, 1e-6) {
-		t.Fatalf("softmax unstable: %v", sb.Data)
-	}
-}
-
-func TestSoftmaxShiftInvariance(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := rng.New(seed)
-		x := New(7)
-		for i := range x.Data {
-			x.Data[i] = r.NormFloat32()
-		}
-		y := x.Clone()
-		for i := range y.Data {
-			y.Data[i] += 5
-		}
-		a, b := Softmax(x), Softmax(y)
-		for i := range a.Data {
-			if !almostEq(float64(a.Data[i]), float64(b.Data[i]), 1e-5) {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -469,27 +424,5 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected shape panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
-}
-
-func BenchmarkMatMul64(b *testing.B) {
-	r := rng.New(1)
-	a, c := New(64, 64), New(64, 64)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat32()
-		c.Data[i] = r.NormFloat32()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = MatMul(a, c)
-	}
-}
-
-func BenchmarkIm2Col(b *testing.B) {
-	g := Conv2DGeom{InC: 8, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	x := New(8, 16, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = Im2Col(x, g)
-	}
+	MatMulInto(New(2, 2), New(2, 3), New(4, 2))
 }
