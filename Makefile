@@ -13,7 +13,7 @@ FUZZTIME ?= 10s
 
 LINTBIN := $(abspath bin/axsnn-lint)
 
-.PHONY: check fmt vet lint build test race bench bench-json fuzz-smoke loc
+.PHONY: check fmt vet lint build test race bench bench-json fuzz-smoke loc loc-test
 
 check: fmt vet lint build test
 
@@ -58,7 +58,7 @@ test:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Whole suite under the race detector — the event-domain batch paths
-# (PerturbSet, FilterSet, ParallelFor fan-out) run concurrently and any
+# (PerturbSet, AQFSet, ParallelFor fan-out) run concurrently and any
 # scheduling regression must fail loudly.
 race:
 	$(GO) test -race ./...
@@ -85,8 +85,9 @@ bench-json:
 
 # Short coverage-guided runs of the fuzz targets — the event codec's
 # oracle contracts, the incremental AQF's bit-identity to the
-# whole-stream filter, and the serve framing layer (direct and through
-# the router's frame-aware relay) against hostile client byte streams.
+# whole-stream reference in internal/defense's tests, and the serve
+# framing layer (direct and through the router's frame-aware relay)
+# against hostile client byte streams.
 # Fails fast on the first failing target.
 fuzz-smoke:
 	@set -e; \
@@ -104,4 +105,11 @@ fuzz-smoke:
 # except _test.go files, without blank lines and //-only comment lines.
 loc:
 	@find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | \
+		xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
+
+# The same count over _test.go files only, so `make loc` plus
+# `make loc-test` is the whole module: a change that deletes program
+# code shows whether the code left or moved into tests.
+loc-test:
+	@find . -path './.*' -prune -o -name '*_test.go' ! -path '*/testdata/*' -print0 | \
 		xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'

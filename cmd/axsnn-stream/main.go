@@ -1,15 +1,14 @@
 // Command axsnn-stream serves event recordings through the streaming
-// pipeline: bounded-memory AEDAT decode, fixed-duration windowing,
-// optional per-window AQF denoising, and batched zero-alloc inference
+// pipeline: bounded-memory AEDAT decode, optional cross-window AQF
+// denoising, fixed-duration windowing, and batched zero-alloc inference
 // over the shared worker pool — one class prediction per window,
 // however long the recording runs.
 //
 // Usage:
 //
-//	axsnn-stream [-window 100] [-steps 8] [-workers 0] [-chunk 4096]
-//	             [-batch 4] [-reorder 1024] [-qt -1] [-perwindow]
-//	             [-train 33] [-epochs 4] [-segments 12] [-seed N]
-//	             [file.aedat ...]
+//	axsnn-stream [-window 600] [-steps 8] [-workers 0] [-chunk 4096]
+//	             [-batch 4] [-reorder 1024] [-qt -1] [-train 33]
+//	             [-epochs 4] [-segments 12] [-seed N] [file.aedat ...]
 //
 // A small gesture classifier is trained on synthetic 32×32 DVS streams
 // first; the given .aedat files (which must be 32×32) are then
@@ -47,7 +46,6 @@ func main() {
 	batch := flag.Int("batch", 4, "windows per batched inference call")
 	reorder := flag.Int("reorder", 1024, "reorder-buffer capacity for mildly unsorted recordings (0 = require sorted)")
 	qt := flag.Float64("qt", -1, "AQF quantization step in seconds; < 0 disables filtering")
-	perWindow := flag.Bool("perwindow", false, "use the lossy per-window AQF instead of the cross-window incremental form")
 	trainN := flag.Int("train", 33, "synthetic training streams for the classifier")
 	epochs := flag.Int("epochs", 4, "training epochs")
 	segments := flag.Int("segments", 12, "gesture segments in the synthetic demo flow (no input files)")
@@ -81,14 +79,10 @@ func main() {
 		SensorW: gcfg.W, SensorH: gcfg.H,
 	}
 	if *qt >= 0 {
+		// The cross-window incremental AQF: whole-stream filter
+		// semantics at streaming memory cost.
 		p := defense.DefaultAQFParams(*qt)
-		if *perWindow {
-			opts.Filter = defense.AQFFilter{Params: p}
-		} else {
-			// Default: the cross-window incremental AQF — whole-stream
-			// filter semantics at streaming memory cost.
-			opts.AQF = &p
-		}
+		opts.AQF = &p
 	}
 	p, err := stream.NewPipeline(net, opts)
 	if err != nil {

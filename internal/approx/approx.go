@@ -137,9 +137,9 @@ func Approximate(net *snn.Network, p Params, calib [][]*tensor.Tensor) (*snn.Net
 	// the layers but not an absolute weight-unit scale (its c·Σw term
 	// grows quadratically with fan-in, so no single scale fits every
 	// layer); we therefore normalize scores across the network and let
-	// `level` select a pruning quantile per layer — see DESIGN.md,
-	// "Algorithm notes". Level 1 removes (nearly) every synapse of the
-	// most sensitive layers, matching the paper's collapse to chance.
+	// `level` select a pruning quantile per layer. Level 1 removes
+	// (nearly) every synapse of the most sensitive layers, matching the
+	// paper's collapse to chance.
 	lifAfter := nextLIF(ax)
 	type entry struct {
 		name    string

@@ -9,8 +9,8 @@ import (
 
 // SynthConfig controls the procedural digit generator.
 //
-// The generator substitutes for MNIST (see DESIGN.md): each digit class is
-// a fixed stroke skeleton in the unit square, rendered with a per-sample
+// The generator substitutes for MNIST: each digit class is a fixed
+// stroke skeleton in the unit square, rendered with a per-sample
 // random affine transform (rotation, scale, translation), random stroke
 // thickness and additive sensor noise. The result is a 10-class image task
 // with intra-class variation, which is all the paper's experiments require

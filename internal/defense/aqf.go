@@ -1,11 +1,11 @@
 // Package defense implements the paper's two defense methods:
 // Algorithm 1 (precision-scaling robustness search, search.go) and
-// Algorithm 2 (approximate quantization-aware filtering, this file).
+// Algorithm 2 (approximate quantization-aware filtering,
+// incremental.go; this file holds its parameters and the whole-stream
+// and set-level entry points).
 package defense
 
 import (
-	"math"
-
 	"repro/internal/dvs"
 	"repro/internal/tensor"
 )
@@ -31,184 +31,41 @@ func DefaultAQFParams(qt float64) AQFParams {
 	return AQFParams{S: 2, T1: 5, T2: 50, Qt: qt, Support: 2}
 }
 
-// AQF removes uncorrelated (adversarial) events from a stream, returning
-// a filtered copy. It implements the published Algorithm 2's evident
-// intent (the pseudocode overloads its M map as both a timestamp store
-// and a flag store; see DESIGN.md "Algorithm notes"):
-//
-//  1. Timestamps are quantized to step qt (Line 4).
-//  2. Polarity-consistency ("quantization-aware") check: a pixel cannot
-//     physically emit both polarities at the same (quantized) instant;
-//     such pairs are sensor-impossible artifacts — the Frame attack's
-//     signature — and are dropped.
-//  3. Spatio-temporal correlation (Lines 5-12, 18-20): each event writes
-//     its timestamp into the (2s+1)² neighbourhood activity map,
-//     excluding its own pixel; an event is kept only if its own pixel
-//     accumulated at least `Support` neighbourhood events within the
-//     last T2 ms. Gesture events ride dense moving edges and pass;
-//     isolated adversarial events do not. Events within the first T2 ms
-//     of the recording pass unconditionally (the published M is
-//     zero-initialized, which has exactly this effect).
-//  4. Hot-pixel flag (Lines 13-17): a pixel active in more than T1
-//     consecutive T2/2-windows fires continuously — defective by DVS
-//     standards, and the signature of boundary flooding — and its
-//     events are removed from the moment the run crosses the threshold
-//     (including the crossing event itself). The rule is causal, as the
-//     single-pass pseudocode is: events emitted before the pixel turned
-//     hot are not retracted, which is what lets IncrementalAQF serve
-//     the identical filter online with bounded memory.
-//
-// The input must be time-sorted (dvs.Stream.Sort order); every stream
-// the loaders and generators produce is. The input is not modified.
+// AQF removes uncorrelated (adversarial) events from a stream,
+// returning a filtered copy: Algorithm 2 run over the whole stream by
+// pushing it through one IncrementalAQF, whose doc lists the rules.
+// The input must be time-sorted (dvs.Stream.Sort order) and on-sensor,
+// as every stream the loaders, generators and attacks produce is; AQF
+// panics with the filter's error otherwise. The input is not modified.
 func AQF(s *dvs.Stream, p AQFParams) *dvs.Stream {
 	out := &dvs.Stream{W: s.W, H: s.H, Duration: s.Duration}
 	if len(s.Events) == 0 {
 		return out
 	}
-	support := p.Support
-	if support <= 0 {
-		support = 2
+	f, err := NewIncrementalAQF(s.W, s.H, s.Duration, p)
+	if err != nil {
+		panic(err)
 	}
-
-	events := make([]dvs.Event, len(s.Events))
-	copy(events, s.Events)
-
-	// Step 1: quantize timestamps (qt is in seconds; timestamps in ms).
-	qtMS := p.Qt * 1000
-	if qtMS > 0 {
-		for i := range events {
-			events[i].T = math.Round(events[i].T/qtMS) * qtMS
-			if events[i].T > s.Duration {
-				events[i].T = s.Duration
-			}
-		}
+	kept, err := f.Push(s.Events)
+	if err != nil {
+		panic(err)
 	}
-
-	// Step 2: drop same-pixel same-instant opposite-polarity pairs.
-	type pxt struct {
-		idx int
-		t   float64
-	}
-	seenPos := make(map[pxt]int) // -> count of +1 events at (pixel, t)
-	seenNeg := make(map[pxt]int)
-	for _, e := range events {
-		k := pxt{e.Y*s.W + e.X, e.T}
-		if e.P > 0 {
-			seenPos[k]++
-		} else {
-			seenNeg[k]++
-		}
-	}
-	impossible := func(e dvs.Event) bool {
-		k := pxt{e.Y*s.W + e.X, e.T}
-		return seenPos[k] > 0 && seenNeg[k] > 0
-	}
-
-	// Step 4 bookkeeping: hot-pixel runs, updated inline in the scan
-	// below so the flag is causal — an event sees the run state up to
-	// and including itself, never the pixel's future.
-	winLen := p.T2 / 2
-	if winLen <= 0 {
-		winLen = 25
-	}
-	lastWin := make([]int, s.W*s.H)
-	runLen := make([]int, s.W*s.H)
-	flag := make([]bool, s.W*s.H)
-	for i := range lastWin {
-		lastWin[i] = -2
-	}
-
-	// Step 3: neighbourhood-support filter. recent[idx] holds the
-	// timestamps of neighbourhood events at pixel idx, pruned to the
-	// trailing T2 window as the (time-sorted) scan advances.
-	recent := make([][]float64, s.W*s.H)
-	countRecent := func(idx int, t float64) int {
-		buf := recent[idx]
-		// Drop expired entries in place; only *strictly earlier*
-		// neighbours count as support. A moving edge always has
-		// earlier neighbours; a batch of simultaneous injected events
-		// does not — simultaneity cannot vouch for itself.
-		keep := buf[:0]
-		n := 0
-		for _, ts := range buf {
-			if t-ts <= p.T2 {
-				keep = append(keep, ts)
-				if ts < t {
-					n++
-				}
-			}
-		}
-		recent[idx] = keep
-		return n
-	}
-
-	for _, e := range events {
-		idx := e.Y*s.W + e.X
-		// Hot-pixel run bookkeeping first: the event that pushes a run
-		// past T1 is itself dropped, along with everything after it.
-		win := int(e.T / winLen)
-		switch {
-		case win == lastWin[idx]:
-			// same window: no run-length change
-		case win == lastWin[idx]+1:
-			runLen[idx]++
-			lastWin[idx] = win
-		default:
-			runLen[idx] = 1
-			lastWin[idx] = win
-		}
-		if runLen[idx] > p.T1 {
-			flag[idx] = true
-		}
-		keep := !flag[idx] && !impossible(e)
-		if keep && e.T > p.T2 {
-			keep = countRecent(idx, e.T) >= support
-		}
-		// Write the neighbourhood map after the test: an event never
-		// vouches for itself (Lines 7-8 exclude the centre pixel).
-		for dy := -p.S; dy <= p.S; dy++ {
-			for dx := -p.S; dx <= p.S; dx++ {
-				if dx == 0 && dy == 0 {
-					continue
-				}
-				x, y := e.X+dx, e.Y+dy
-				if x < 0 || x >= s.W || y < 0 || y >= s.H {
-					continue
-				}
-				recent[y*s.W+x] = append(recent[y*s.W+x], e.T)
-			}
-		}
-		if keep {
-			out.Events = append(out.Events, e)
-		}
-	}
+	// Flush reuses the buffer Push returned: copy before flushing.
+	out.Events = append(out.Events, kept...)
+	out.Events = append(out.Events, f.Flush()...)
 	return out
 }
 
-// FilterSet runs AQF over a batch of streams concurrently on the shared
-// tensor worker pool, returning the filtered copies in order. Streams
-// are filtered independently (AQF keeps no cross-stream state), so the
-// result is bit-identical to filtering serially, at any worker count.
-func FilterSet(streams []*dvs.Stream, p AQFParams) []*dvs.Stream {
-	out := make([]*dvs.Stream, len(streams))
-	tensor.ParallelFor(len(streams), 1, func(lo, hi int) {
+// AQFSet filters every stream of a gesture set through AQF, returning a
+// new set. Streams filter concurrently on the shared tensor worker
+// pool; AQF keeps no cross-stream state, so the result is
+// bit-identical to filtering serially, at any worker count.
+func AQFSet(set *dvs.Set, p AQFParams) *dvs.Set {
+	out := &dvs.Set{Classes: set.Classes, W: set.W, H: set.H, Samples: make([]dvs.Sample, len(set.Samples))}
+	tensor.ParallelFor(len(set.Samples), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = AQF(streams[i], p)
+			out.Samples[i] = dvs.Sample{Stream: AQF(set.Samples[i].Stream, p), Label: set.Samples[i].Label}
 		}
 	})
-	return out
-}
-
-// AQFSet filters every stream of a gesture set through FilterSet,
-// returning a new set.
-func AQFSet(set *dvs.Set, p AQFParams) *dvs.Set {
-	streams := make([]*dvs.Stream, len(set.Samples))
-	for i := range set.Samples {
-		streams[i] = set.Samples[i].Stream
-	}
-	out := &dvs.Set{Classes: set.Classes, W: set.W, H: set.H, Samples: make([]dvs.Sample, len(set.Samples))}
-	for i, f := range FilterSet(streams, p) {
-		out.Samples[i] = dvs.Sample{Stream: f, Label: set.Samples[i].Label}
-	}
 	return out
 }

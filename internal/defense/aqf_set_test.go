@@ -69,12 +69,22 @@ func canonical(s *dvs.Stream) []dvs.Event {
 	return ev
 }
 
-// TestFilterSetMatchesSerialAQF pins the batch API to the serial
-// reference: one worker must reproduce per-stream AQF bit-identically,
-// and N workers the same events in some order.
+// gestureSet wraps streams in a gesture set, labelled by index.
+func gestureSet(streams []*dvs.Stream) *dvs.Set {
+	set := &dvs.Set{Classes: dvs.GestureClasses, W: streams[0].W, H: streams[0].H}
+	for i, s := range streams {
+		set.Samples = append(set.Samples, dvs.Sample{Stream: s, Label: i % 3})
+	}
+	return set
+}
+
+// TestFilterSetMatchesSerialAQF pins the set-level fan-out to the
+// serial reference: one worker must reproduce per-stream AQF
+// bit-identically, and N workers the same events in some order.
 func TestFilterSetMatchesSerialAQF(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	streams := attackedStreams(6, 51)
+	set := gestureSet(streams)
 	p := DefaultAQFParams(0.015)
 	want := make([]*dvs.Stream, len(streams))
 	for i, s := range streams {
@@ -82,18 +92,18 @@ func TestFilterSetMatchesSerialAQF(t *testing.T) {
 	}
 
 	tensor.SetWorkers(1)
-	got := FilterSet(streams, p)
+	got := AQFSet(set, p)
 	for i := range want {
-		if !eventsEqual(want[i], got[i]) {
-			t.Fatalf("stream %d: single-worker FilterSet differs from serial AQF", i)
+		if !eventsEqual(want[i], got.Samples[i].Stream) {
+			t.Fatalf("stream %d: single-worker AQFSet differs from serial AQF", i)
 		}
 	}
 
 	for _, w := range []int{3, 8} {
 		tensor.SetWorkers(w)
-		got := FilterSet(streams, p)
+		got := AQFSet(set, p)
 		for i := range want {
-			wa, ga := canonical(want[i]), canonical(got[i])
+			wa, ga := canonical(want[i]), canonical(got.Samples[i].Stream)
 			if len(wa) != len(ga) {
 				t.Fatalf("stream %d: %d workers kept %d events, want %d", i, w, len(ga), len(wa))
 			}
@@ -107,38 +117,14 @@ func TestFilterSetMatchesSerialAQF(t *testing.T) {
 }
 
 // TestFilterSetActuallyFilters guards against the vacuous case: the
-// attacked streams must lose events through AQF, or the equivalence
+// attacked streams must lose events through AQFSet, or the equivalence
 // test above proves nothing.
 func TestFilterSetActuallyFilters(t *testing.T) {
 	streams := attackedStreams(2, 52)
-	for i, f := range FilterSet(streams, DefaultAQFParams(0.015)) {
-		if len(f.Events) == 0 || len(f.Events) >= len(streams[i].Events) {
+	for i, sm := range AQFSet(gestureSet(streams), DefaultAQFParams(0.015)).Samples {
+		if f := sm.Stream; len(f.Events) == 0 || len(f.Events) >= len(streams[i].Events) {
 			t.Fatalf("stream %d: filtered %d of %d events — not a meaningful filter run",
 				i, len(streams[i].Events)-len(f.Events), len(streams[i].Events))
-		}
-	}
-}
-
-// TestAQFSetMatchesFilterSet: the set-level wrapper must preserve
-// labels and metadata and agree with the stream-level API.
-func TestAQFSetMatchesFilterSet(t *testing.T) {
-	streams := attackedStreams(4, 53)
-	set := &dvs.Set{Classes: dvs.GestureClasses, W: streams[0].W, H: streams[0].H}
-	for i, s := range streams {
-		set.Samples = append(set.Samples, dvs.Sample{Stream: s, Label: i % 3})
-	}
-	p := DefaultAQFParams(0.01)
-	want := FilterSet(streams, p)
-	got := AQFSet(set, p)
-	if got.Classes != set.Classes || got.W != set.W || got.H != set.H || got.Len() != set.Len() {
-		t.Fatal("AQFSet mangled set metadata")
-	}
-	for i := range want {
-		if got.Samples[i].Label != set.Samples[i].Label {
-			t.Fatalf("sample %d: label changed", i)
-		}
-		if !eventsEqual(want[i], got.Samples[i].Stream) {
-			t.Fatalf("sample %d: AQFSet differs from FilterSet", i)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package defense
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/attack"
@@ -149,8 +151,8 @@ func TestAQFSetFiltersAll(t *testing.T) {
 	cfg.Duration = 300
 	set := dvs.GenerateGestureSet(6, cfg, 8)
 	out := AQFSet(set, DefaultAQFParams(0.01))
-	if out.Len() != set.Len() {
-		t.Fatal("AQFSet changed the sample count")
+	if out.Classes != set.Classes || out.W != set.W || out.H != set.H || out.Len() != set.Len() {
+		t.Fatal("AQFSet mangled set metadata")
 	}
 	for i := range out.Samples {
 		if out.Samples[i].Label != set.Samples[i].Label {
@@ -160,4 +162,31 @@ func TestAQFSetFiltersAll(t *testing.T) {
 			t.Fatal("AQFSet must return new streams")
 		}
 	}
+}
+
+// TestAQFPanicsOnUnsortedInput: AQF requires time-sorted input, and a
+// violation fails loudly with the filter's error instead of filtering
+// a flow the rules were not written for.
+func TestAQFPanicsOnUnsortedInput(t *testing.T) {
+	s := &dvs.Stream{W: 8, H: 8, Duration: 100, Events: []dvs.Event{
+		{X: 1, Y: 1, P: 1, T: 50}, {X: 2, Y: 2, P: 1, T: 10},
+	}}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "out of order") {
+			t.Fatalf("unsorted stream: recovered %v, want the filter's out-of-order error", r)
+		}
+	}()
+	AQF(s, DefaultAQFParams(0))
+}
+
+// TestAQFPanicsOffSensor: an event outside the declared sensor fails
+// loudly instead of aliasing onto another pixel.
+func TestAQFPanicsOffSensor(t *testing.T) {
+	s := &dvs.Stream{W: 8, H: 8, Duration: 100, Events: []dvs.Event{{X: 9, Y: 0, P: 1, T: 1}}}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "off the 8x8 sensor") {
+			t.Fatalf("off-sensor event: recovered %v, want the filter's off-sensor error", r)
+		}
+	}()
+	AQF(s, DefaultAQFParams(0))
 }

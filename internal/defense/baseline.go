@@ -54,9 +54,9 @@ func (f *BackgroundActivityFilter) Filter(s *dvs.Stream) *dvs.Stream {
 }
 
 // FilterSet applies the filter to every stream of a set, fanning the
-// per-stream work out over the shared tensor worker pool like the AQF
-// FilterSet; streams filter independently, so the result is identical
-// at any worker count.
+// per-stream work out over the shared tensor worker pool like AQFSet;
+// streams filter independently, so the result is identical at any
+// worker count.
 func (f *BackgroundActivityFilter) FilterSet(set *dvs.Set) *dvs.Set {
 	out := &dvs.Set{Classes: set.Classes, W: set.W, H: set.H, Samples: make([]dvs.Sample, len(set.Samples))}
 	tensor.ParallelFor(len(set.Samples), 1, func(lo, hi int) {

@@ -8,10 +8,11 @@ import (
 )
 
 // FuzzIncrementalAQF drives the online filter over randomized sorted
-// flows cut at fuzzed boundaries and holds it to the whole-stream AQF
-// oracle: same events, same order, bit for bit. The fuzzer steers the
-// sensor size, event density, burstiness (repeated timestamps hit the
-// polarity rule), quantization step and the chunking itself.
+// flows cut at fuzzed boundaries and holds it, and the whole-stream AQF
+// built on it, to the reference scan refAQF: same events, same order,
+// bit for bit. The fuzzer steers the sensor size, event density,
+// burstiness (repeated timestamps hit the polarity rule), quantization
+// step and the chunking itself.
 func FuzzIncrementalAQF(f *testing.F) {
 	f.Add(uint64(1), uint16(200), uint8(16), uint8(3), uint8(13))
 	f.Add(uint64(7), uint16(900), uint8(8), uint8(0), uint8(1))
@@ -40,7 +41,8 @@ func FuzzIncrementalAQF(f *testing.F) {
 		}
 		qt := []float64{0, 0.01, 0.015, 0.1}[qtSel%4]
 		p := DefaultAQFParams(qt)
-		want := AQF(s, p).Events
+		want := refAQF(s, p).Events
+		sameEvents(t, "AQF", want, AQF(s, p).Events)
 
 		inc, err := NewIncrementalAQF(w, h, dur, p)
 		if err != nil {
@@ -60,14 +62,6 @@ func FuzzIncrementalAQF(f *testing.F) {
 			got = append(got, out...)
 		}
 		got = append(got, inc.Flush()...)
-
-		if len(got) != len(want) {
-			t.Fatalf("incremental kept %d events, AQF kept %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("event %d = %+v, want %+v", i, got[i], want[i])
-			}
-		}
+		sameEvents(t, "incremental", want, got)
 	})
 }

@@ -7,15 +7,41 @@ import (
 	"repro/internal/dvs"
 )
 
-// IncrementalAQF is Algorithm 2 as an online, chunk-fed filter: feed a
-// time-sorted event flow through Push in pieces of any size (reader
-// chunks, windows — the cut points are irrelevant) and the concatenated
-// output is bit-identical to running the whole-stream AQF over the same
-// flow. This is the cross-window form the streaming pipeline defaults
-// to: unlike the per-window Filter adapter, correlation state and
-// hot-pixel runs carry across window boundaries, so only the first
-// T2 ms of the *recording* pass unconditionally — not the first T2 ms
-// of every window (see the Filter godoc for that approximation).
+// IncrementalAQF is the program's implementation of Algorithm 2,
+// approximate quantization-aware filtering: it removes uncorrelated
+// (adversarial) events from a time-sorted flow. It follows the
+// published algorithm's evident intent, since the pseudocode overloads
+// its M map as both a timestamp store and a flag store:
+//
+//  1. Timestamps are quantized to step qt (Line 4).
+//  2. Polarity-consistency ("quantization-aware") check: a pixel cannot
+//     physically emit both polarities at the same (quantized) instant;
+//     such pairs are sensor-impossible artifacts — the Frame attack's
+//     signature — and are dropped.
+//  3. Spatio-temporal correlation (Lines 5-12, 18-20): each event writes
+//     its timestamp into the (2s+1)² neighbourhood activity map,
+//     excluding its own pixel; an event is kept only if its own pixel
+//     accumulated at least `Support` neighbourhood events within the
+//     last T2 ms. Gesture events ride dense moving edges and pass;
+//     isolated adversarial events do not. Events within the first T2 ms
+//     of the recording pass unconditionally (the published M is
+//     zero-initialized, which has exactly this effect).
+//  4. Hot-pixel flag (Lines 13-17): a pixel active in more than T1
+//     consecutive T2/2-windows fires continuously — defective by DVS
+//     standards, and the signature of boundary flooding — and its
+//     events are removed from the moment the run crosses the threshold
+//     (including the crossing event itself). The rule is causal, as the
+//     single-pass pseudocode is: events emitted before the pixel turned
+//     hot are not retracted, which is what lets the filter run online
+//     with bounded memory.
+//
+// The filter is chunk-fed: push the flow through Push in pieces of any
+// size (reader chunks, windows — the cut points are irrelevant) and the
+// concatenated output is bit-identical to pushing it in one piece,
+// which is what the whole-stream AQF does. The streaming pipeline runs
+// it ahead of its windower, so correlation state and hot-pixel runs
+// carry across window boundaries and only the first T2 ms of the
+// recording pass unconditionally.
 //
 // State is bounded however long the flow runs:
 //
@@ -46,7 +72,7 @@ type IncrementalAQF struct {
 
 	// Neighbourhood correlation map (step 3): recent[idx] holds the
 	// timestamps neighbouring events wrote at pixel idx, time-ordered,
-	// pruned on access like AQF's and swept past T2 periodically.
+	// pruned on access and swept past T2 periodically.
 	recent  [][]float64
 	active  []int  // pixels with a non-empty recent list
 	inAct   []bool // membership in active
@@ -70,7 +96,7 @@ type pendingEvent struct {
 
 // NewIncrementalAQF builds an online AQF for a w×h sensor recording of
 // the given duration (ms). The parameters follow AQFParams; the zero
-// Support defaults to 2 exactly as AQF does.
+// Support defaults to 2.
 func NewIncrementalAQF(w, h int, duration float64, p AQFParams) (*IncrementalAQF, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("defense: invalid sensor size %dx%d", w, h)
@@ -136,8 +162,8 @@ func (f *IncrementalAQF) resetPending() {
 
 // Push feeds the next chunk of the time-sorted flow through the filter
 // and returns the events whose verdict is now final, in stream order
-// with quantized timestamps — exactly the events whole-stream AQF would
-// emit for this span. The returned slice is the filter's internal
+// with quantized timestamps — exactly the events a single Push of the
+// whole flow would emit for this span. The returned slice is the filter's internal
 // buffer, valid until the next Push or Flush; callers that keep it copy
 // it. Events must arrive sorted and on-sensor, or Push errors.
 func (f *IncrementalAQF) Push(events []dvs.Event) ([]dvs.Event, error) {
@@ -146,9 +172,9 @@ func (f *IncrementalAQF) Push(events []dvs.Event) ([]dvs.Event, error) {
 		if e.X < 0 || e.X >= f.w || e.Y < 0 || e.Y >= f.h {
 			return nil, fmt.Errorf("defense: event at (%d,%d) off the %dx%d sensor", e.X, e.Y, f.w, f.h)
 		}
-		// Step 1: quantize, clamping into the recording window exactly
-		// as AQF does. Rounding is monotone, so sorted input stays
-		// sorted after quantization.
+		// Step 1: quantize, clamping into the recording window.
+		// Rounding is monotone, so sorted input stays sorted after
+		// quantization.
 		if f.qtMS > 0 {
 			e.T = math.Round(e.T/f.qtMS) * f.qtMS
 			if e.T > f.duration {
@@ -165,8 +191,8 @@ func (f *IncrementalAQF) Push(events []dvs.Event) ([]dvs.Event, error) {
 		}
 		idx := e.Y*f.w + e.X
 
-		// Step 4: hot-pixel run bookkeeping, identical to AQF's causal
-		// scan — the event crossing T1 is itself dropped.
+		// Step 4: hot-pixel run bookkeeping, causal — the event
+		// crossing T1 is itself dropped.
 		win := int(e.T / f.winLen)
 		switch {
 		case win == f.lastWin[idx]:
@@ -243,9 +269,10 @@ func (f *IncrementalAQF) resolve() {
 }
 
 // countRecent counts pixel idx's strictly-earlier neighbourhood events
-// within the trailing T2 window, compacting expired entries in place —
-// the same accounting as AQF's countRecent, so the support verdicts
-// match bit for bit.
+// within the trailing T2 window, compacting expired entries in place.
+// Only strictly earlier neighbours count as support: a moving edge
+// always has earlier neighbours, while a batch of simultaneous
+// injected events does not — simultaneity cannot vouch for itself.
 func (f *IncrementalAQF) countRecent(idx int, t float64) int {
 	buf := f.recent[idx]
 	keep := buf[:0]

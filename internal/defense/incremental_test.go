@@ -57,7 +57,7 @@ func timeCut(events []dvs.Event, windowMS float64) func(int) int {
 func sameEvents(t *testing.T, name string, want, got []dvs.Event) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: kept %d events, whole-stream AQF kept %d", name, len(got), len(want))
+		t.Fatalf("%s: kept %d events, refAQF kept %d", name, len(got), len(want))
 	}
 	for i := range want {
 		if want[i] != got[i] {
@@ -104,15 +104,16 @@ func fixtureStreams(t *testing.T) map[string]*dvs.Stream {
 	return out
 }
 
-// TestIncrementalAQFMatchesAQF is the tentpole pin: any chunking of
-// the flow — single events, fixed counts, time windows, one shot —
-// yields output bit-identical to the whole-stream filter, across
-// fixtures and quantization steps.
+// TestIncrementalAQFMatchesAQF pins Algorithm 2 to the reference scan:
+// AQF, and any chunking of the flow through IncrementalAQF — single
+// events, fixed counts, time windows, one shot — yield output
+// bit-identical to refAQF, across fixtures and quantization steps.
 func TestIncrementalAQFMatchesAQF(t *testing.T) {
 	for name, s := range fixtureStreams(t) {
 		for _, qt := range []float64{0, 0.01, 0.015} {
 			p := DefaultAQFParams(qt)
-			want := AQF(s, p).Events
+			want := refAQF(s, p).Events
+			sameEvents(t, fmt.Sprintf("%s/qt=%v/AQF", name, qt), want, AQF(s, p).Events)
 			cuts := map[string]func(int) int{
 				"one-shot":  func(r int) int { return r },
 				"single":    func(r int) int { return 1 },
@@ -138,7 +139,7 @@ func TestIncrementalAQFSupportVariants(t *testing.T) {
 		{S: 3, T1: 8, T2: 120, Qt: 0, Support: 4},
 		{S: 2, T1: 5, T2: 50, Qt: 0.2}, // coarse quantization: big instants
 	} {
-		want := AQF(s, p).Events
+		want := refAQF(s, p).Events
 		got := pushAll(t, s, p, func(r int) int { return 13 })
 		sameEvents(t, fmt.Sprintf("params %+v", p), want, got)
 	}
@@ -158,7 +159,7 @@ func TestIncrementalAQFReset(t *testing.T) {
 	s2 := fx["gesture-clean"]
 	f.Reset(s2.Duration)
 	got := drive(t, f, s2, func(r int) int { return 17 })
-	sameEvents(t, "after reset", AQF(s2, p).Events, got)
+	sameEvents(t, "after reset", refAQF(s2, p).Events, got)
 }
 
 // TestIncrementalAQFErrors: out-of-order and off-sensor inputs fail

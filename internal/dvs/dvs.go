@@ -6,7 +6,7 @@
 // An event is (x, y, p, t): pixel coordinates, polarity and timestamp in
 // milliseconds. Real DVS128 Gesture recordings are 128×128; the synthetic
 // generator defaults to 32×32 so pure-Go experiments stay fast, and the
-// resolution is a parameter throughout (see DESIGN.md substitution #2).
+// resolution is a parameter throughout.
 package dvs
 
 import (

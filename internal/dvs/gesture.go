@@ -7,10 +7,10 @@ import (
 )
 
 // The synthetic gesture generator substitutes for the DVS128 Gesture
-// recordings (DESIGN.md substitution #2). Each of the 11 classes is a
-// parametric moving emitter; as the emitter moves, its leading edge fires
-// +1 events and its trailing edge fires -1 events, which is how a real DVS
-// responds to a moving bright object. Background sensor noise is Poisson.
+// recordings. Each of the 11 classes is a parametric moving emitter; as
+// the emitter moves, its leading edge fires +1 events and its trailing
+// edge fires -1 events, which is how a real DVS responds to a moving
+// bright object. Background sensor noise is Poisson.
 //
 // What matters for the paper's experiments is preserved: gesture events
 // are spatio-temporally *correlated* (dense trajectories), while attack

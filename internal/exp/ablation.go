@@ -13,10 +13,10 @@ import (
 	"repro/internal/snn"
 )
 
-// The ablations extend the paper's evaluation along the design choices
-// DESIGN.md calls out: the spike-encoding scheme (the paper fixes rate
-// coding; TTFS is the alternative its ref [5] studies) and AQF's filter
-// constants (the paper fixes s=2, T1=5, T2=50).
+// The ablations extend the paper's evaluation along design choices it
+// fixes: the spike-encoding scheme (the paper fixes rate coding; TTFS
+// is the alternative its ref [5] studies) and AQF's filter constants
+// (the paper fixes s=2, T1=5, T2=50).
 
 // AblationEncoding compares clean and adversarial accuracy of SNNs
 // trained with rate, direct and time-to-first-spike coding at the Fig. 1

@@ -45,7 +45,8 @@ var Registry = map[string]Runner{
 	"table2": Table2,
 	"energy": Energy,
 
-	// Extensions beyond the paper's artifacts (see DESIGN.md).
+	// Extensions beyond the paper's artifacts: ablations, hardware
+	// mapping, streaming evaluation and precision tiers.
 	"ablation-encoding": AblationEncoding,
 	"ablation-aqf":      AblationAQF,
 	"ablation-filters":  AblationFilters,

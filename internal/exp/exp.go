@@ -163,7 +163,8 @@ func gestureData(o Options, p preset) (train, test *dvs.Set) {
 
 // buildStatic returns the architecture constructor used for the static
 // task at this scale: the paper's 7-layer conv topology at Paper scale,
-// the dense preset below it (DESIGN.md substitution #4).
+// and below it a dense network, which stands in for the conv topology
+// so the smaller scales train fast.
 func buildStatic(o Options, p preset) func(cfg snn.Config, r *rng.RNG) *snn.Network {
 	if o.Scale == Paper {
 		return func(cfg snn.Config, r *rng.RNG) *snn.Network {

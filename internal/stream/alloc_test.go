@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/defense"
 	"repro/internal/dvs"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -12,9 +13,9 @@ import (
 // The bounded-memory / zero-alloc contract of the pipeline, asserted
 // two ways: the per-window hot path (windowed voxelization + batched
 // arena inference) performs zero allocations once warm, and so does a
-// whole warm Run — the reader and windower are Reset, not rebuilt, per
-// recording — so memory stays O(window) however long the flow runs and
-// however many recordings a pipeline serves.
+// whole warm Run — the reader, the windower and the AQF filter are
+// Reset, not rebuilt, per recording — so memory stays O(window) however
+// long the flow runs and however many recordings a pipeline serves.
 
 // longStream concatenates segments time-shifted gesture recordings
 // into one continuous flow (the generator normalizes motion to the
@@ -101,31 +102,41 @@ func TestStreamReadChunkZeroAllocs(t *testing.T) {
 // TestPipelineMemoryBounded is the growth gate: one warm Pipeline runs
 // a short and a 4× longer recording (both several times larger than
 // the chunk buffer), in strict mode and behind the serve default's
-// 1024-event reorder buffer, and neither Run may allocate at all —
-// every per-window buffer is recycled and the reader and windower are
-// Reset per recording, so memory cannot grow with recording length or
-// with the number of recordings served. One bytes.Reader is re-pointed
-// per Run so the measured closure itself does not allocate. The
-// two-worker configuration fans each flush out over the shared pool, so
-// it also pins the pool's dispatch to zero allocations.
+// 1024-event reorder buffer, unfiltered and through the incremental AQF
+// at two quantization steps, and no Run may allocate at all — every
+// per-window buffer is recycled and the reader, the windower and the
+// filter are Reset per recording, so memory cannot grow with recording
+// length or with the number of recordings served. One bytes.Reader is
+// re-pointed per Run so the measured closure itself does not allocate.
+// The two-worker configuration fans each flush out over the shared
+// pool, so it also pins the pool's dispatch to zero allocations.
 func TestPipelineMemoryBounded(t *testing.T) {
 	defer tensor.SetWorkers(0)
 	steps := 4
 	net := testNet(steps)
+	long := longStream(8, 200, 53)
 	shortRec := encode(t, longStream(2, 200, 53))
-	longRec := encode(t, longStream(8, 200, 53))
+	longRec := encode(t, long)
 	if len(longRec) < 3*len(shortRec) {
 		t.Fatalf("long recording (%dB) not meaningfully longer than short (%dB)", len(longRec), len(shortRec))
 	}
+	aqf0, aqf15 := defense.DefaultAQFParams(0), defense.DefaultAQFParams(0.015)
 
-	for _, cfg := range []struct{ workers, reorder int }{{1, 0}, {1, 1024}, {2, 1024}} {
+	for _, cfg := range []struct {
+		workers, reorder int
+		aqf              *defense.AQFParams
+	}{
+		{1, 0, nil}, {1, 1024, nil}, {2, 1024, nil},
+		{1, 0, &aqf0}, {1, 1024, &aqf0}, {2, 1024, &aqf0},
+		{1, 0, &aqf15}, {1, 1024, &aqf15}, {2, 1024, &aqf15},
+	} {
 		tensor.SetWorkers(cfg.workers)
-		p, err := NewPipeline(net, Options{WindowMS: 50, Steps: steps, Workers: cfg.workers, Batch: 2, ChunkEvents: 256, ReorderWindow: cfg.reorder})
+		p, err := NewPipeline(net, Options{WindowMS: 50, Steps: steps, Workers: cfg.workers, Batch: 2, ChunkEvents: 256, ReorderWindow: cfg.reorder, AQF: cfg.aqf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		classes := 0
-		emit := func(Result) error { classes++; return nil }
+		classes, events := 0, 0
+		emit := func(r Result) error { classes++; events += r.Events; return nil }
 		rd := bytes.NewReader(nil)
 		run := func(data []byte) float64 {
 			return testing.AllocsPerRun(5, func() {
@@ -142,14 +153,17 @@ func TestPipelineMemoryBounded(t *testing.T) {
 		if err := p.Run(rd, emit); err != nil {
 			t.Fatal(err)
 		}
+		if cfg.aqf != nil && events >= len(long.Events) {
+			t.Fatalf("vacuous: AQF %+v kept all %d events of the long recording", *cfg.aqf, events)
+		}
 
 		for _, rec := range []struct {
 			name string
 			data []byte
 		}{{"short (8 windows)", shortRec}, {"long (32 windows)", longRec}} {
 			if allocs := run(rec.data); allocs != 0 {
-				t.Fatalf("Workers %d, ReorderWindow %d: warm Run of the %s recording performed %g allocs, want 0",
-					cfg.workers, cfg.reorder, rec.name, allocs)
+				t.Fatalf("Workers %d, ReorderWindow %d, AQF %+v: warm Run of the %s recording performed %g allocs, want 0",
+					cfg.workers, cfg.reorder, cfg.aqf, rec.name, allocs)
 			}
 		}
 		if classes == 0 {

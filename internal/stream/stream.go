@@ -1,15 +1,15 @@
 // Package stream is the bounded-memory event-serving pipeline: it
 // decodes an AEDAT recording chunk by chunk (dvs.StreamReader),
-// optionally denoises the flow (cross-window defense.IncrementalAQF by
-// default, or the lossy per-window defense.Filter form), slices the
-// event flow into fixed-duration windows (dvs.Windower), voxelizes
-// windows into recycled frame tensors (dvs.VoxelizeWindowInto) and
-// classifies them through the batched inference arena
-// (snn.PredictBatchInto), fanning window batches out over the shared
-// tensor worker pool — with clones either owned per pipeline or drawn
-// from a shared bounded CloneSource, and frame memory either private or
-// drawn from a shared SlotPool (internal/serve's form: every session
-// runs its own pipeline over the server's two pools).
+// optionally denoises the flow through the cross-window
+// defense.IncrementalAQF, slices the event flow into fixed-duration
+// windows (dvs.Windower), voxelizes windows into recycled frame
+// tensors (dvs.VoxelizeWindowInto) and classifies them through the
+// batched inference arena (snn.PredictBatchInto), fanning window
+// batches out over the shared tensor worker pool — with clones either
+// owned per pipeline or drawn from a shared bounded CloneSource, and
+// frame memory either private or drawn from a shared SlotPool
+// (internal/serve's form: every session runs its own pipeline over the
+// server's two pools).
 //
 // The memory and allocation contract, pinned by the property tests:
 //
@@ -20,13 +20,13 @@
 //     live in a SlotPool that concurrent pipelines can share, so a
 //     serving tier's frame memory scales with the pool, not with the
 //     session count.
-//   - Steady state performs 0 allocations (without a Filter): slots,
-//     frames, clones and arenas are recycled per window, and the
-//     reader and windower are Reset per recording instead of rebuilt,
-//     so a warm Run allocates nothing at all, whatever the
-//     recording's length, reorder window or worker count: the round's
-//     ParallelFor fan-out recycles its job headers and the kernels
-//     never dispatch.
+//   - Steady state performs 0 allocations, with or without AQF:
+//     slots, frames, clones and arenas are recycled per window, and
+//     the reader, the windower and the filter are Reset per recording
+//     instead of rebuilt, so a warm Run allocates nothing at all,
+//     whatever the recording's length, reorder window or worker count:
+//     the round's ParallelFor fan-out recycles its job headers and the
+//     kernels never dispatch.
 //
 // Predictions are bit-identical to the in-memory reference — splitting
 // the loaded recording with dvs.SplitWindows, voxelizing each window
@@ -71,21 +71,14 @@ type Options struct {
 	// disorder is an error. 0 requires sorted input.
 	ReorderWindow int
 	// AQF, when non-nil, denoises the flow through the cross-window
-	// defense.IncrementalAQF — the default AQF mode: correlation state
-	// and hot-pixel runs carry across window boundaries and the
-	// per-window predictions match classifying dvs.SplitWindows over
-	// the whole-stream defense.AQF output. The filter runs ahead of the
-	// windower, so windows see quantized timestamps, exactly as the
-	// in-memory reference does. Mutually exclusive with Filter.
-	// Filtering allocates — the zero-alloc contract covers the
-	// unfiltered path.
+	// defense.IncrementalAQF: correlation state and hot-pixel runs
+	// carry across window boundaries and the per-window predictions
+	// match classifying dvs.SplitWindows over the whole-stream
+	// defense.AQF output. The filter runs ahead of the windower, so
+	// windows see quantized timestamps, exactly as the in-memory
+	// reference does. The filter is Reset per recording, so a warm
+	// filtered Run allocates nothing either.
 	AQF *defense.AQFParams
-	// Filter, when non-nil, denoises every window in isolation before
-	// voxelization — the lossy per-window form kept for workloads that
-	// want strict window isolation; see the defense.Filter godoc for
-	// the boundary semantics it trades away. Mutually exclusive with
-	// AQF.
-	Filter defense.Filter
 	// Clones, when non-nil, supplies the evaluation networks classify
 	// runs on instead of the pipeline growing its own Workers clones —
 	// the serving form: many concurrent pipelines share one bounded
@@ -188,9 +181,6 @@ func (o Options) withDefaults(net *snn.Network) (Options, error) {
 	if o.WindowMS <= 0 {
 		return o, fmt.Errorf("stream: WindowMS must be positive, got %v", o.WindowMS)
 	}
-	if o.AQF != nil && o.Filter != nil {
-		return o, fmt.Errorf("stream: AQF and Filter are mutually exclusive filter modes")
-	}
 	if (o.SensorW == 0) != (o.SensorH == 0) || o.SensorW < 0 || o.SensorH < 0 {
 		return o, fmt.Errorf("stream: SensorW/SensorH must be set together, got %dx%d", o.SensorW, o.SensorH)
 	}
@@ -248,11 +238,9 @@ type Result struct {
 // uploader), while the far heavier frame memory is borrowed for the
 // classification instant and shared across sessions.
 type slot struct {
-	index   int
-	start   float64
-	events  []dvs.Event
-	rebased []dvs.Event // filter scratch: window-rebased timestamps
-	kept    int         // events voxelized (post-filter)
+	index  int
+	start  float64
+	events []dvs.Event // post-filter when AQF is on
 }
 
 // Pipeline is a reusable streaming classifier: construct once per
@@ -464,8 +452,8 @@ func (p *Pipeline) Run(r io.Reader, emit func(Result) error) error {
 	return p.flush(ready, emit)
 }
 
-// classify is the worker body: filter, voxelize and predict the slots
-// in [lo, hi). Pool blocks are always grain-aligned, so every
+// classify is the worker body: voxelize and predict the slots in
+// [lo, hi). Pool blocks are always grain-aligned, so every
 // Batch-sized sub-range below has a unique batch index — no two
 // concurrent groups ever share a network clone or an arena. (The
 // serial path hands the whole range to one call; the loop re-splits
@@ -492,8 +480,8 @@ func (p *Pipeline) classify(lo, hi int) {
 	}
 }
 
-// classifyBatch filters, voxelizes and predicts one Batch-aligned slot
-// group. It is a separate frame so the pooled units' releases are
+// classifyBatch voxelizes and predicts one Batch-aligned slot group.
+// It is a separate frame so the pooled units' releases are
 // deferred: even a panicking classification returns the frame slot and
 // the clone to their shared pools instead of draining them. Acquire
 // order is fixed — BatchSlot first, then clone — and uniform across
@@ -524,7 +512,7 @@ func (p *Pipeline) classifyBatch(lo, end int) {
 	samples := bs.Samples()
 	for j, s := range p.slots[lo:end] {
 		frames := bs.Frames(j, p.o.Steps, h, w)
-		p.stageWindow(s, frames)
+		dvs.VoxelizeWindowInto(frames, s.events, w, h, s.start, p.o.WindowMS)
 		if p.o.Energy != nil {
 			p.insums[lo+j] = frameSum(frames)
 		}
@@ -575,31 +563,7 @@ func splitSOPs(total float64, insums, sops []float64) {
 	}
 }
 
-// stageWindow filters one staged window and voxelizes it into frames,
-// recording how many events survived the filter.
-//
-//axsnn:hotpath
-func (p *Pipeline) stageWindow(s *slot, frames []*tensor.Tensor) {
-	h, w := p.runH, p.runW
-	events, start := s.events, s.start
-	if p.o.Filter != nil {
-		// Rebase the window to t=0 so the filter sees the same
-		// standalone stream the in-memory reference builds with
-		// SplitWindows.
-		s.rebased = s.rebased[:0]
-		for _, e := range events {
-			e.T -= start
-			s.rebased = append(s.rebased, e) //axsnn:allow-alloc grows to the window's event count, then reuses the backing array
-		}
-		view := &dvs.Stream{W: w, H: h, Duration: p.o.WindowMS, Events: s.rebased} //axsnn:allow-alloc documented Filter cost: one stream header per filtered window
-		filtered := p.o.Filter.Filter(view)
-		events, start = filtered.Events, 0
-	}
-	dvs.VoxelizeWindowInto(frames, events, w, h, start, p.o.WindowMS)
-	s.kept = len(events)
-}
-
-// flush classifies slots[:ready] — filter, voxelize, predict — fanning
+// flush classifies slots[:ready] — voxelize, predict — fanning
 // Batch-sized window groups out over the shared worker pool, then
 // emits the results in window order. Window results are independent of
 // scheduling, so any worker count yields identical classes.
@@ -631,7 +595,7 @@ func (p *Pipeline) flush(ready int, emit func(Result) error) error {
 		p.o.Observer.ObserveRound(ready, time.Now().UnixNano()-t0) //axsnn:allow-alloc observability clock read, once per round, outside the reproducible kernels
 	}
 	for i, s := range p.slots[:ready] {
-		r := Result{Window: s.index, StartMS: s.start, Events: s.kept, Class: p.out[i], SOPs: p.sops[i]}
+		r := Result{Window: s.index, StartMS: s.start, Events: len(s.events), Class: p.out[i], SOPs: p.sops[i]}
 		if err := emit(r); err != nil {
 			return err
 		}
